@@ -125,7 +125,7 @@ def resolve_ensemble(config: dict) -> ProfiledEnsemble:
         raise ConfigError("config needs an 'ensemble' section")
     try:
         return ProfiledEnsemble.from_json(config["ensemble"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad ensemble config: {exc}") from exc
 
 
@@ -296,11 +296,6 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _fd_bins(values: np.ndarray) -> np.ndarray:
-    edges = np.histogram_bin_edges(values, bins="fd")
-    return edges
-
-
 def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     lay = ensemble.layout
@@ -323,7 +318,7 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
             acc = acc @ m
             gram_moments.append(float(np.trace(acc)) / lay.N1)
         bins = config.get("bins")
-        edges = np.histogram_bin_edges(sv, bins=int(bins)) if bins else _fd_bins(sv)
+        edges = np.histogram_bin_edges(sv, bins=int(bins) if bins else "fd")
         counts, edges = np.histogram(sv, bins=edges)
         for left, count in zip(edges[:-1], counts):
             rows.append({"family": family, "bin_left": float(left), "count": int(count)})

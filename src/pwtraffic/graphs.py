@@ -89,9 +89,6 @@ class TestGraph:
         """Vertex -> 1-based position in insertion order."""
         return {v: i + 1 for i, (v, _) in enumerate(self.vertices)}
 
-    def vertices_of_color(self, c: int) -> tuple[VertexId, ...]:
-        return tuple(v for v, col in self.vertices if col == c)
-
     def edge_by_id(self, eid: EdgeId) -> Edge:
         for e in self.edges:
             if e.id == eid:

@@ -26,6 +26,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -248,8 +249,14 @@ class ProfiledEnsemble:
 
     @staticmethod
     def from_json(obj: dict) -> "ProfiledEnsemble":
+        sizes = []
+        for key in ("N0", "N1", "N2"):
+            n = obj[key]
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {n!r}")
+            sizes.append(n)
         return ProfiledEnsemble(
-            layout=BlockLayout(int(obj["N0"]), int(obj["N1"]), int(obj["N2"])),
+            layout=BlockLayout(*sizes),
             law_w=EntryLaw.from_json(obj["law_w"]),
             law_x=EntryLaw.from_json(obj["law_x"]),
             profile_w=StepProfile.from_json(obj["profile_w"]),
@@ -296,51 +303,94 @@ def all_pairs(n: int) -> IntegerPartition:
     return IntegerPartition.of([2] * (n // 2))
 
 
+def power_sums(w: np.ndarray, x: np.ndarray, top: int) -> dict[int, np.ndarray]:
+    """The table m -> (W^{om}) (X^{om}) for m = 1..top; exact on integer inputs.
+
+    The entrywise powers are built by repeated multiplication and only the
+    current pair is kept alive, so the table costs ``top`` matmuls and
+    ``top`` result matrices.
+    """
+    w = np.asarray(w)
+    x = np.asarray(x)
+    if np.issubdtype(w.dtype, np.integer) and np.issubdtype(x.dtype, np.integer):
+        w = w.astype(object)
+        x = x.astype(object)
+    table: dict[int, np.ndarray] = {}
+    w_m, x_m = w, x
+    for m in range(1, top + 1):
+        if m > 1:
+            w_m = w_m * w
+            x_m = x_m * x
+        table[m] = w_m @ x_m
+    return table
+
+
+@lru_cache(maxsize=None)
+def inclusion_exclusion_terms(parts: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Grouped Moebius expansion of the distinct-index sum over ``parts``.
+
+    Each set partition sigma of the parts contributes mu(sigma) = prod over
+    blocks of (-1)^(|B|-1) (|B|-1)! times the product of u(block sum); terms
+    with the same multiset of block sums are merged.  Returns
+    (coefficient, non-increasing block sums) pairs with nonzero integer
+    coefficients, in first-seen order.
+    """
+    grouped: dict[tuple[int, ...], int] = {}
+    for sigma in enumerate_set_partitions(len(parts)):
+        weight = 1
+        sums = []
+        for block in sigma.blocks:
+            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+            sums.append(sum(parts[k - 1] for k in block))
+        key = tuple(sorted(sums, reverse=True))
+        grouped[key] = grouped.get(key, 0) + weight
+    return tuple((c, key) for key, c in grouped.items() if c != 0)
+
+
 def z_lambda(
     lam: IntegerPartition,
     w: np.ndarray,
     x: np.ndarray,
     i_range: Sequence[int] | None = None,
     j_range: Sequence[int] | None = None,
+    sums: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Distinct-index block sum over the inner dimension.
 
     Entry (i, j) sums, over tuples of pairwise distinct inner indices (one
     per part), the product over parts of (W(i, d) X(d, j))^part.  Computed by
-    inclusion-exclusion over coincidence patterns of the parts, which reduces
-    every term to entrywise products of W^{om} X^{om} matrices; exact on
-    integer inputs.  Depends only on the partition, not on a representative.
+    inclusion-exclusion over coincidence patterns of the parts, grouped by
+    the multiset of block sums (:func:`inclusion_exclusion_terms`), which
+    reduces every term to entrywise products of W^{om} X^{om} matrices; exact
+    on integer inputs.  Depends only on the partition, not on a
+    representative.
+
+    ``sums`` is a :func:`power_sums` table of (W, X) up to at least
+    ``lam.total``, shared across calls on the same matrices; with it, the
+    row and column ranges must be left unset.
     """
     parts = lam.parts
     b = len(parts)
     if b > _MAX_Z_PARTS:
         raise ValueError(f"z_lambda guarded at {_MAX_Z_PARTS} parts, got {b}")
-    w = np.asarray(w)
-    x = np.asarray(x)
-    if i_range is not None:
-        w = w[np.asarray(i_range), :]
-    if j_range is not None:
-        x = x[:, np.asarray(j_range)]
-    exact = np.issubdtype(w.dtype, np.integer) and np.issubdtype(x.dtype, np.integer)
-    if exact:
-        w = w.astype(object)
-        x = x.astype(object)
-    powers: dict[int, np.ndarray] = {}
-
-    def u(m: int) -> np.ndarray:
-        if m not in powers:
-            powers[m] = (w**m) @ (x**m)
-        return powers[m]
-
-    total = np.zeros((w.shape[0], x.shape[1]), dtype=object if exact else float)
-    for sigma in enumerate_set_partitions(b):
-        weight = 1
-        term = None
-        for block in sigma.blocks:
-            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
-            piece = u(sum(parts[k - 1] for k in block))
-            term = piece if term is None else term * piece
-        total = total + weight * term
+    if sums is None:
+        w = np.asarray(w)
+        x = np.asarray(x)
+        if i_range is not None:
+            w = w[np.asarray(i_range), :]
+        if j_range is not None:
+            x = x[:, np.asarray(j_range)]
+        sums = power_sums(w, x, lam.total)
+    elif i_range is not None or j_range is not None:
+        raise ValueError("row and column ranges cannot be applied to a shared power-sum table")
+    elif lam.total not in sums:
+        raise ValueError(f"power-sum table stops below {lam.total}")
+    total = 0
+    for coeff, block_sums in inclusion_exclusion_terms(parts):
+        term = sums[block_sums[0]]
+        for m in block_sums[1:]:
+            term = term * sums[m]
+        total = total + coeff * term
     return total
 
 
@@ -378,6 +428,7 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
     lin = np.zeros(shape)
     per: dict[int, np.ndarray] = {}
     deform = np.zeros(shape)
+    sums = power_sums(w, x, h.degree)
     for n, a_n in enumerate(h.power_coeffs):
         if a_n == 0:
             continue
@@ -385,17 +436,17 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
         scale = gamma * float(layout.N0) ** (-n / 2)
         c_lin = expect_derivative(hn, 1)
         if c_lin != 0:
-            lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), w, x).astype(float)
+            lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), w, x, sums=sums).astype(float)
         for m in range(2, n + 1):
             c_m = expect_derivative(hn, m) / math.factorial(m)
             if c_m == 0:
                 continue
-            term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), w, x).astype(float)
+            term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), w, x, sums=sums).astype(float)
             per[m] = per.get(m, np.zeros(shape)) + term
         if n >= 3:
             c_def = expect_derivative(hn, 3) / 6
             if c_def != 0:
-                deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), w, x).astype(float)
+                deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), w, x, sums=sums).astype(float)
     total = pw_matrix(h, w, x, layout)
     eps = total - lin - deform
     for mat in per.values():

@@ -224,15 +224,6 @@ def is_split(pi: SetPartition, coloring: Sequence[int]) -> bool:
     return True
 
 
-def join_partitions(parts: Sequence[SetPartition], offsets: Sequence[int], total: int) -> SetPartition:
-    """Disjoint union of partitions living on shifted copies of their ground sets."""
-    blocks: list[tuple[int, ...]] = []
-    for pi, off in zip(parts, offsets):
-        for b in pi.blocks:
-            blocks.append(tuple(x + off for x in b))
-    return SetPartition.from_blocks(total, blocks)
-
-
 def bell_number(n: int) -> int:
     """Bell(n) via the triangle recurrence."""
     row = [1]

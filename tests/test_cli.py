@@ -193,6 +193,20 @@ def test_main_validation_exit_codes(tmp_path):
     assert main(["limit", "--config", even]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["decompose", "simulate"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("N0", None), ("N0", 0), ("N1", -3), ("N2", 2.5), ("N0", "60"), ("N1", True), ("law_w", None), ("profile_x", None)],
+)
+def test_main_bad_ensemble_exits_2_with_one_line(tmp_path, capsys, command, key, value):
+    cfg = base_config()
+    cfg["ensemble"][key] = value
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cmd_limit_flag_exit_code(tmp_path, monkeypatch):
     # the mismatch flag is a tripwire for the exact identity; force one
     import pwtraffic.cli as cli

@@ -22,6 +22,8 @@ from pwtraffic.models import (
     ones_and_pairs,
     per_matrix,
     per_noise_family,
+    inclusion_exclusion_terms,
+    power_sums,
     pw_matrix,
     read_matrix,
     second_moment_cells,
@@ -31,7 +33,7 @@ from pwtraffic.models import (
     write_matrix,
     z_lambda,
 )
-from pwtraffic.partitions import IntegerPartition, count_of_type, integer_partitions
+from pwtraffic.partitions import IntegerPartition, count_of_type, enumerate_set_partitions, integer_partitions
 from pwtraffic.traffic import BlockLayout
 
 RNG = np.random.default_rng(52)
@@ -161,6 +163,34 @@ def brute_z(parts, w, x):
     return out
 
 
+def z_lambda_oracle(lam, w, x):
+    """Ungrouped inclusion-exclusion: one product per set partition of the parts."""
+    parts = lam.parts
+    w = np.asarray(w)
+    x = np.asarray(x)
+    exact = np.issubdtype(w.dtype, np.integer) and np.issubdtype(x.dtype, np.integer)
+    if exact:
+        w = w.astype(object)
+        x = x.astype(object)
+    powers = {}
+
+    def u(m):
+        if m not in powers:
+            powers[m] = (w**m) @ (x**m)
+        return powers[m]
+
+    total = np.zeros((w.shape[0], x.shape[1]), dtype=object if exact else float)
+    for sigma in enumerate_set_partitions(len(parts)):
+        weight = 1
+        term = None
+        for block in sigma.blocks:
+            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+            piece = u(sum(parts[k - 1] for k in block))
+            term = piece if term is None else term * piece
+        total = total + weight * term
+    return total
+
+
 def test_z_lambda_single_part_is_product():
     w, x = RNG.integers(-3, 4, (3, 4)), RNG.integers(-3, 4, (4, 3))
     assert (z_lambda(IntegerPartition.of([1]), w, x) == w @ x).all()
@@ -195,6 +225,68 @@ def test_z_lambda_ranges_and_guard():
     assert (sub == (w @ x)[np.ix_([0, 2], [1])]).all()
     with pytest.raises(ValueError):
         z_lambda(IntegerPartition.of([1] * 9), w, x)
+
+
+def partitions_up_to_parts(max_parts, max_total):
+    return [lam for n in range(1, max_total + 1) for lam in integer_partitions(n) if len(lam.parts) <= max_parts]
+
+
+def test_z_lambda_matches_oracle_exactly():
+    w, x = RNG.integers(-3, 4, (3, 6)), RNG.integers(-3, 4, (6, 2))
+    sums = power_sums(w, x, 9)
+    for lam in partitions_up_to_parts(7, 9):
+        oracle = z_lambda_oracle(lam, w, x)
+        assert (z_lambda(lam, w, x) == oracle).all(), lam
+        assert (z_lambda(lam, w, x, sums=sums) == oracle).all(), lam
+
+
+def expansion_scale(lam, w, x):
+    """Largest entry of sum |coefficient| * prod |u(m)|, the size of the
+    summands that cancel in the expansion; float error is relative to it."""
+    bound = power_sums(np.abs(w), np.abs(x), lam.total)
+    out = 0
+    for coeff, block_sums in inclusion_exclusion_terms(lam.parts):
+        out = out + abs(coeff) * np.prod([bound[m] for m in block_sums], axis=0)
+    return out.max()
+
+
+def test_z_lambda_matches_oracle_on_floats():
+    w, x = RNG.standard_normal((5, 12)), RNG.standard_normal((12, 4))
+    sums = power_sums(w, x, 7)
+    for lam in partitions_up_to_parts(7, 7):
+        oracle = z_lambda_oracle(lam, w, x)
+        scale = expansion_scale(lam, w, x)
+        for got in (z_lambda(lam, w, x), z_lambda(lam, w, x, sums=sums)):
+            assert np.abs(got - oracle).max() <= 1e-12 * scale, lam
+
+
+def test_power_sums_table():
+    w, x = RNG.integers(-3, 4, (3, 4)), RNG.integers(-3, 4, (4, 2))
+    table = power_sums(w, x, 4)
+    assert sorted(table) == [1, 2, 3, 4]
+    for m, u in table.items():
+        assert u.dtype == object
+        assert (u == (w.astype(object) ** m) @ (x.astype(object) ** m)).all()
+    with pytest.raises(ValueError):
+        z_lambda(IntegerPartition.of([3, 2]), w, x, sums=table)
+    with pytest.raises(ValueError):
+        z_lambda(IntegerPartition.of([1]), w, x, i_range=[0], sums=table)
+
+
+def test_grouped_coefficients_are_signed_cycle_type_counts():
+    # For b unit parts the merged coefficient of block type lam is the signed
+    # number of permutations of [b] with cycle type lam: (-1)^(b-l) b!/z_lam.
+    for b in range(1, 9):
+        terms = dict((key, c) for c, key in inclusion_exclusion_terms((1,) * b))
+        assert sorted(terms) == sorted(lam.parts for lam in integer_partitions(b))
+        for lam in integer_partitions(b):
+            z = 1
+            for size in set(lam.parts):
+                mult = lam.parts.count(size)
+                z *= size**mult * math.factorial(mult)
+            assert terms[lam.parts] == (-1) ** (b - len(lam.parts)) * math.factorial(b) // z
+    assert len(inclusion_exclusion_terms((1,) * 5)) == 7
+    assert len(inclusion_exclusion_terms((1,) * 7)) == 15
 
 
 def test_named_partition_families():
@@ -248,6 +340,24 @@ def test_decompose_reassembles_exactly():
         d = decompose(p, w, x, lay)
         y = pw_matrix(p, w, x, lay)
         assert np.abs(d.reassembled() - y).max() < 1e-10 * max(1.0, np.abs(y).max())
+
+
+def test_decompose_g7_matches_oracle_decomposition(monkeypatch):
+    import pwtraffic.models as models
+
+    lay = BlockLayout(20, 18, 22)
+    w, x = RNG.standard_normal((18, 20)), RNG.standard_normal((20, 22))
+    g7 = hermite(7)
+    d = decompose(g7, w, x, lay)
+    monkeypatch.setattr(models, "z_lambda", lambda lam, w, x, sums=None: z_lambda_oracle(lam, w, x))
+    ref = models.decompose(g7, w, x, lay)
+    assert set(d.per) == set(ref.per)
+    pairs = [(d.lin, ref.lin), (d.deformation, ref.deformation), (d.eps, ref.eps)]
+    pairs += [(d.per[m], ref.per[m]) for m in ref.per]
+    # Errors are relative to the matrix the components split.
+    scale = np.linalg.norm(pw_matrix(g7, w, x, lay))
+    for got, want in pairs:
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
 
 
 def test_decompose_rejects_even_and_large():
