@@ -50,18 +50,23 @@ from .traffic import (
     eval_monomial,
     injective_trace,
     moebius_check,
+    sample_trace,
     tau_estimate,
+    tau_estimates,
 )
 from .models import (
     EntryLaw,
     ProfiledEnsemble,
     StepProfile,
     decompose,
+    distinct_labels,
     equivalent_def,
     equivalent_lin,
     equivalent_per,
+    equivalent_sampler,
     equivalent_sum,
     lambda_ell,
+    model_sampler,
     per_noise_family,
     pw_matrix,
     second_moment_profile,

@@ -23,8 +23,9 @@ import numpy as np
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
 from .hermite import Polynomial, hermite, monomial
 from .limits import LimitParams, limit_B, limit_equivalent_sum, limit_lin, limit_per, limit_pw
-from .models import ProfiledEnsemble, decompose, equivalent_sum, pw_matrix
-from .traffic import MatrixFamily, TauEstimate, tau_estimate
+from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, pw_matrix
+from .models import equivalent_sampler, model_sampler
+from .traffic import TauEstimate, tau_estimates
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -115,9 +116,24 @@ def _jsonable(x):
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return config
+
+
+def config_int(config: dict, key: str, default: int, minimum: int) -> int:
+    """A JSON integer >= minimum under ``key`` (``default`` when absent)."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _trials_and_seed(config: dict) -> tuple[int, int]:
+    return config_int(config, "trials", 100, 1), config_int(config, "seed", 0, 0)
 
 
 def resolve_ensemble(config: dict) -> ProfiledEnsemble:
@@ -139,46 +155,6 @@ def limit_params_of(ensemble: ProfiledEnsemble) -> LimitParams:
         profile_w=ensemble.profile_w,
         profile_x=ensemble.profile_x,
     )
-
-
-def _distinct_labels(g: TestGraph) -> list[Polynomial]:
-    seen: list[Polynomial] = []
-    for e in g.edges:
-        if e.label not in seen:
-            seen.append(e.label)
-    return seen
-
-
-def model_sampler(g: TestGraph, ensemble: ProfiledEnsemble):
-    """Per-trial family: one (W, X) draw, one model matrix per distinct label."""
-    labels = _distinct_labels(g)
-    lay = ensemble.layout
-
-    def sampler(rng: np.random.Generator) -> MatrixFamily:
-        gw, gx = ensemble.realized_profiles()
-        w = gw * ensemble.law_w.sample(rng, (lay.N1, lay.N0))
-        x = gx * ensemble.law_x.sample(rng, (lay.N0, lay.N2))
-        family = MatrixFamily(lay)
-        for poly in labels:
-            family.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1)
-        return family
-
-    return sampler
-
-
-def equivalent_sampler(g: TestGraph, ensemble: ProfiledEnsemble):
-    """Per-trial family of assembled equivalents, one per distinct label."""
-    labels = _distinct_labels(g)
-    lay = ensemble.layout
-
-    def sampler(rng: np.random.Generator) -> MatrixFamily:
-        seed = int(rng.integers(0, 2**63 - 1))
-        family = MatrixFamily(lay)
-        for poly in labels:
-            family.add(poly, equivalent_sum(poly, ensemble, seed), src_block=2, dst_block=1)
-        return family
-
-    return sampler
 
 
 def _z_score(mean: float, exact: float, se: float | None) -> float | None:
@@ -216,11 +192,11 @@ def _estimate_record(name: str, est: TauEstimate, ensemble: ProfiledEnsemble, es
 def cmd_simulate(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     graphs = resolve_graphs(config)
-    trials = int(config.get("trials", 100))
-    seed = int(config.get("seed", 0))
+    trials, seed = _trials_and_seed(config)
     report = _base_report("simulate", config, graphs)
-    for name, g in graphs:
-        est = tau_estimate(g, model_sampler(g, ensemble), trials, seed, map_fn=map_fn)
+    gs = [g for _, g in graphs]
+    estimates = tau_estimates(gs, model_sampler(ensemble, distinct_labels(gs)), trials, seed, map_fn=map_fn)
+    for (name, _), est in zip(graphs, estimates):
         report["records"].append(_estimate_record(name, est, ensemble, "tau_mc"))
     return report, EXIT_OK
 
@@ -269,13 +245,14 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     graphs = resolve_graphs(config)
     params = limit_params_of(ensemble)
-    trials = int(config.get("trials", 100))
-    seed = int(config.get("seed", 0))
+    trials, seed = _trials_and_seed(config)
     report = _base_report("compare", config, graphs)
-    for name, g in graphs:
+    gs = [g for _, g in graphs]
+    labels = distinct_labels(gs)
+    model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
+    equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
+    for (name, g), est_y, est_eq in zip(graphs, model, equivalent):
         exact = float(limit_pw(g, params))
-        est_y = tau_estimate(g, model_sampler(g, ensemble), trials, seed, map_fn=map_fn)
-        est_eq = tau_estimate(g, equivalent_sampler(g, ensemble), trials, seed, map_fn=map_fn)
         rec_y = _estimate_record(name, est_y, ensemble, "tau_mc_model")
         rec_y.update({"exact": exact, "z_score": _z_score(est_y.mean, exact, est_y.std_error)})
         rec_eq = _estimate_record(name, est_eq, ensemble, "tau_mc_equivalent")
@@ -303,7 +280,7 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
         raise ConfigError(f"dense spectrum capped at N1 <= {MAX_SPECTRUM_N1}")
     labels = config.get("labels", "h1")
     poly = parse_polynomial(labels)
-    seed = int(config.get("seed", 0))
+    seed = config_int(config, "seed", 0, 0)
     w, x = ensemble.sample(seed)
     y = pw_matrix(poly, w, x, lay)
     eq = equivalent_sum(poly, ensemble, seed)
@@ -346,12 +323,11 @@ def cmd_decompose(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     lay = ensemble.layout
     poly = parse_polynomial(config.get("labels", "h3"))
-    seed = int(config.get("seed", 0))
+    seed = config_int(config, "seed", 0, 0)
     w, x = ensemble.sample(seed)
     parts = decompose(poly, w, x, lay)
-    total = pw_matrix(poly, w, x, lay)
-    residual = parts.reassembled() - total
-    scale = float(np.linalg.norm(total))
+    residual = parts.reassembled() - parts.total
+    scale = float(np.linalg.norm(parts.total))
     report = _base_report("decompose", config, [])
     report["records"].append(
         {
@@ -401,8 +377,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         config = load_config(args.config)
-        if "trials" in config and int(config["trials"]) < 1:
-            raise ConfigError("trials must be >= 1")
+        _trials_and_seed(config)
         kwargs = {}
         if args.command == "spectrum":
             kwargs["out_path"] = args.out

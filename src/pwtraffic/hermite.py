@@ -129,10 +129,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def from_power(cls, coeffs: Iterable[Rational]) -> "Polynomial":
-        return cls(coeffs)
-
-    @classmethod
     def from_hermite(cls, coeffs: Iterable[Rational]) -> "Polynomial":
         return cls(_hermite_to_power([_frac(c) for c in coeffs]))
 
@@ -157,11 +153,6 @@ class Polynomial:
     def coeff(self, k: int) -> Fraction:
         if 0 <= k < len(self.power_coeffs):
             return self.power_coeffs[k]
-        return Fraction(0)
-
-    def hermite_coeff(self, n: int) -> Fraction:
-        if 0 <= n < len(self.hermite_coeffs):
-            return self.hermite_coeffs[n]
         return Fraction(0)
 
     def derivative(self, m: int = 1) -> "Polynomial":

@@ -9,11 +9,16 @@ calculator reproduces.
 
 Sampling is deterministic per (ensemble, seed): every independent matrix is
 drawn from its own generator seeded by (seed, stream tag), so components can
-be built concurrently without sharing generator state.
+be built concurrently without sharing generator state.  ``model_sampler`` and
+``equivalent_sampler`` build the per-trial families that the CLI and the
+tests feed to ``traffic.tau_estimates``.
 
-Entrywise coefficient matrices for the equivalents are computed as exact
-rationals per distinct profile-cell value (step profiles have few cells) and
-broadcast afterwards; the only floating-point step is one square root per
+Entrywise coefficients for the equivalents are computed as exact rationals
+per distinct profile-cell value (step profiles have few cells), once per
+(polynomial, ensemble): ensembles and polynomials are frozen and hashable,
+and the cell values are cached.  Profiles and coefficients are applied to a
+sampled matrix in place, one contiguous cell block at a time, so no realized
+profile matrix is built; the only floating-point step is one square root per
 cell.  The cell-level second-moment scale is normalized by the inner
 dimension (so it equals 1 for constant profiles); the N-normalized
 ``lambda_ell`` matrices are exposed separately and differ by a factor
@@ -33,7 +38,7 @@ import numpy as np
 
 from .hermite import Polynomial, expect_derivative, expect_scaled, gaussian_moment
 from .partitions import IntegerPartition, enumerate_set_partitions
-from .traffic import BlockLayout
+from .traffic import BlockLayout, MatrixFamily
 
 # RNG stream tags (seed, tag, ...) for independent components.
 STREAM_W = 1
@@ -143,6 +148,32 @@ def _cell_of(i: int, total: int, k: int) -> int:
     return ((i + 1) * k + total - 1) // total - 1
 
 
+@lru_cache(maxsize=None)
+def _cell_slices(total: int, k: int) -> tuple[slice, ...]:
+    """The contiguous rows of each of k cells over `total` rows (as _cell_of)."""
+    return tuple(slice(r * total // k, (r + 1) * total // k) for r in range(k))
+
+
+def _scale_cells(a: np.ndarray, cells: Sequence[Sequence[float]]) -> np.ndarray:
+    """Multiply each cell block of ``a`` in place by its value; returns ``a``.
+
+    Entry for entry the product of ``a`` with the broadcast cell matrix,
+    without building that matrix.
+    """
+    rows = _cell_slices(a.shape[0], len(cells))
+    cols = _cell_slices(a.shape[1], len(cells[0]))
+    for rs, row in zip(rows, cells):
+        for cs, v in zip(cols, row):
+            if v != 1:
+                a[rs, cs] *= v
+    return a
+
+
+def _broadcast_cells(cells: Sequence[Sequence], shape: tuple[int, int]) -> np.ndarray:
+    """The matrix of the given shape holding each cell's float value."""
+    return _scale_cells(np.ones(shape), [[float(v) for v in row] for row in cells])
+
+
 @dataclass(frozen=True)
 class StepProfile:
     """K x K' grid of nonnegative rational values, read as a step function.
@@ -188,10 +219,14 @@ class StepProfile:
         return [_cell_of(j, cols, self.n_col_cells) for j in range(cols)]
 
     def realize(self, rows: int, cols: int) -> np.ndarray:
-        rc = self.row_cells(rows)
-        cc = self.col_cells(cols)
-        vals = np.array([[float(v) for v in row] for row in self.grid])
-        return vals[np.ix_(rc, cc)]
+        return _broadcast_cells(self.grid, (rows, cols))
+
+    def apply(self, a: np.ndarray) -> np.ndarray:
+        """Multiply ``a`` in place by this profile realized on its shape.
+
+        Entry for entry ``realize(*a.shape) * a``; returns ``a``.
+        """
+        return _scale_cells(a, _float_grid(self))
 
     def value(self, r: int, c: int) -> Fraction:
         return self.grid[r][c]
@@ -202,6 +237,11 @@ class StepProfile:
     @staticmethod
     def from_json(data: Sequence[Sequence]) -> "StepProfile":
         return StepProfile.of(data)
+
+
+@lru_cache(maxsize=None)
+def _float_grid(profile: StepProfile) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(v) for v in row) for row in profile.grid)
 
 
 # -- the profiled ensemble ----------------------------------------------------
@@ -227,13 +267,20 @@ class ProfiledEnsemble:
             self.profile_x.realize(lay.N0, lay.N2),
         )
 
-    def sample(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (W, X) = (profile o W', profile o X'), deterministic per seed."""
+    def draw(
+        self, rng_w: np.random.Generator, rng_x: np.random.Generator | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(W, X) = (profile o W', profile o X'): W' from ``rng_w``, then X'
+        from ``rng_x`` (default: the same generator)."""
         lay = self.layout
-        gw, gx = self.realized_profiles()
-        w_raw = self.law_w.sample(np.random.default_rng([seed, STREAM_W]), (lay.N1, lay.N0))
-        x_raw = self.law_x.sample(np.random.default_rng([seed, STREAM_X]), (lay.N0, lay.N2))
-        return gw * w_raw, gx * x_raw
+        w = self.profile_w.apply(self.law_w.sample(rng_w, (lay.N1, lay.N0)))
+        x = self.profile_x.apply(self.law_x.sample(rng_x or rng_w, (lay.N0, lay.N2)))
+        return w, x
+
+    def sample(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Draw (W, X), deterministic per seed: W' from the (seed, W) stream,
+        X' from the (seed, X) stream."""
+        return self.draw(np.random.default_rng([seed, STREAM_W]), np.random.default_rng([seed, STREAM_X]))
 
     def to_json(self) -> dict:
         lay = self.layout
@@ -275,9 +322,12 @@ def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
     if not coeffs:
         return np.zeros((n1, n2))
     acc = np.full_like(inner, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * inner + c
-    return (math.sqrt(layout.N0) / layout.N) * acc
+    for c in reversed(coeffs[:-1]):  # Horner, in place
+        acc *= inner
+        if c:
+            acc += c
+    acc *= math.sqrt(layout.N0) / layout.N
+    return acc
 
 
 # -- lambda-type block sums ----------------------------------------------------
@@ -397,12 +447,14 @@ def z_lambda(
 @dataclass(frozen=True)
 class Decomposition:
     """Split of a sampled matrix into linear, perturbative, deformation and
-    remainder components; the four sum back to the full matrix exactly."""
+    remainder components; the four sum back to the full matrix ``total``
+    exactly."""
 
     lin: np.ndarray
     per: dict[int, np.ndarray]
     deformation: np.ndarray
     eps: np.ndarray
+    total: np.ndarray
 
     def reassembled(self) -> np.ndarray:
         out = self.lin + self.deformation + self.eps
@@ -451,32 +503,25 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
     eps = total - lin - deform
     for mat in per.values():
         eps = eps - mat
-    return Decomposition(lin=lin, per=per, deformation=deform, eps=eps)
+    return Decomposition(lin=lin, per=per, deformation=deform, eps=eps, total=total)
 
 
 # -- profile cell machinery -----------------------------------------------------
 
 
-def _inner_cell_counts(profile_w: StepProfile, profile_x: StepProfile, n0: int) -> dict[tuple[int, int], int]:
-    """How many inner indices fall in each (w-column-cell, x-row-cell) pair."""
-    wc = profile_w.col_cells(n0)
-    xr = profile_x.row_cells(n0)
-    counts: dict[tuple[int, int], int] = {}
-    for d in range(n0):
-        key = (wc[d], xr[d])
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
+@lru_cache(maxsize=None)
 def _lambda_cells(
     profile_w: StepProfile,
     profile_x: StepProfile,
     layout: BlockLayout,
     ell: int,
     denominator: int,
-) -> list[list[Fraction]]:
+) -> tuple[tuple[Fraction, ...], ...]:
     """Cellwise (1/denominator) sum_d gamma_w(r,d)^ell gamma_x(d,c)^ell."""
-    counts = _inner_cell_counts(profile_w, profile_x, layout.N0)
+    # how many inner indices fall in each (w-column-cell, x-row-cell) pair
+    counts: dict[tuple[int, int], int] = {}
+    for key in zip(profile_w.col_cells(layout.N0), profile_x.row_cells(layout.N0)):
+        counts[key] = counts.get(key, 0) + 1
     out = []
     for rw in range(profile_w.n_row_cells):
         row = []
@@ -485,16 +530,12 @@ def _lambda_cells(
             for (cw, rx), cnt in counts.items():
                 acc += cnt * profile_w.value(rw, cw) ** ell * profile_x.value(rx, cx) ** ell
             row.append(acc / denominator)
-        out.append(row)
-    return out
+        out.append(tuple(row))
+    return tuple(out)
 
 
-def _broadcast_cells(cells: Sequence[Sequence], ensemble: ProfiledEnsemble) -> np.ndarray:
-    lay = ensemble.layout
-    rc = ensemble.profile_w.row_cells(lay.N1)
-    cc = ensemble.profile_x.col_cells(lay.N2)
-    vals = np.array([[float(v) for v in row] for row in cells])
-    return vals[np.ix_(rc, cc)]
+def _mu_sq_cells(ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...]:
+    return _lambda_cells(ensemble.profile_w, ensemble.profile_x, ensemble.layout, 2, ensemble.layout.N0)
 
 
 def lambda_ell(
@@ -504,8 +545,7 @@ def lambda_ell(
     if ell not in (2, 3):
         raise ValueError("lambda_ell supports ell in {2, 3}")
     cells = _lambda_cells(profile_w, profile_x, layout, ell, layout.N)
-    ens = ProfiledEnsemble(layout, EntryLaw.gaussian(), EntryLaw.gaussian(), profile_w, profile_x)
-    return _broadcast_cells(cells, ens)
+    return _broadcast_cells(cells, (layout.N1, layout.N2))
 
 
 def second_moment_cells(ensemble: ProfiledEnsemble) -> list[list[Fraction]]:
@@ -514,17 +554,26 @@ def second_moment_cells(ensemble: ProfiledEnsemble) -> list[list[Fraction]]:
     Equals 1 on every cell for constant unit profiles; the entrywise square
     root of the N-normalized lambda_2 matrix rescaled by 1/psi0.
     """
-    return _lambda_cells(ensemble.profile_w, ensemble.profile_x, ensemble.layout, 2, ensemble.layout.N0)
+    return [list(row) for row in _mu_sq_cells(ensemble)]
 
 
 def second_moment_profile(ensemble: ProfiledEnsemble) -> np.ndarray:
     """Realized entrywise scale matrix (square root of second_moment_cells)."""
-    cells = second_moment_cells(ensemble)
-    root = [[math.sqrt(float(v)) for v in row] for row in cells]
-    return _broadcast_cells(root, ensemble)
+    root = [[math.sqrt(float(v)) for v in row] for row in _mu_sq_cells(ensemble)]
+    return _broadcast_cells(root, (ensemble.layout.N1, ensemble.layout.N2))
 
 
 # -- Gaussian equivalents -------------------------------------------------------
+#
+# The coefficient cells depend only on (h, ensemble[, m]) and are cached, so
+# every sampled trial reuses them.
+
+
+@lru_cache(maxsize=None)
+def _lin_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, ...], ...]:
+    """Cellwise E[h'(mu xi)] for the linear equivalent."""
+    deriv = h.derivative(1)
+    return tuple(tuple(float(expect_scaled(deriv, mu_sq)) for mu_sq in row) for row in _mu_sq_cells(ensemble))
 
 
 def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
@@ -534,16 +583,16 @@ def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.n
     the (seed, lin) streams.
     """
     lay = ensemble.layout
-    cells = second_moment_cells(ensemble)
-    coeff = [[expect_scaled(h.derivative(1), mu_sq) for mu_sq in row] for row in cells]
-    coeff_mat = _broadcast_cells(coeff, ensemble)
-    gw, gx = ensemble.realized_profiles()
-    w_gau = gw * np.random.default_rng([seed, STREAM_LIN_W]).standard_normal((lay.N1, lay.N0))
-    x_gau = gx * np.random.default_rng([seed, STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
-    return coeff_mat * (w_gau @ x_gau) / lay.N
+    w_gau = np.random.default_rng([seed, STREAM_LIN_W]).standard_normal((lay.N1, lay.N0))
+    x_gau = np.random.default_rng([seed, STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
+    product = ensemble.profile_w.apply(w_gau) @ ensemble.profile_x.apply(x_gau)
+    out = _scale_cells(product, _lin_coefficient_cells(h, ensemble))
+    out /= lay.N
+    return out
 
 
-def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) -> list[list[float]]:
+@lru_cache(maxsize=None)
+def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) -> tuple[tuple[float, ...], ...]:
     """Cellwise noise scale for the order-m chaos component.
 
     The m-th Hermite coefficient of t -> h(t mu) is mu^m E[h^(m)(mu xi)]/m!;
@@ -553,17 +602,16 @@ def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) ->
     """
     lay = ensemble.layout
     psi0 = float(lay.N0) / lay.N
-    cells = second_moment_cells(ensemble)
     deriv = h.derivative(m)
     out = []
-    for row in cells:
+    for row in _mu_sq_cells(ensemble):
         line = []
         for mu_sq in row:
             base = expect_scaled(deriv, mu_sq)  # exact rational
             mu_m = float(mu_sq) ** (m / 2)
             line.append(math.sqrt(psi0 * math.factorial(m)) * mu_m * float(base) / math.factorial(m))
-        out.append(line)
-    return out
+        out.append(tuple(line))
+    return tuple(out)
 
 
 def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray:
@@ -577,9 +625,10 @@ def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int)
     lay = ensemble.layout
     if h.degree < m:
         return np.zeros((lay.N1, lay.N2))
-    coeff = _broadcast_cells(_per_coefficient_cells(h, ensemble, m), ensemble)
     z_m = np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
-    return coeff * z_m / math.sqrt(lay.N)
+    out = _scale_cells(z_m, _per_coefficient_cells(h, ensemble, m))
+    out /= math.sqrt(lay.N)
+    return out
 
 
 def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) -> dict[int, np.ndarray]:
@@ -599,11 +648,25 @@ def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) 
 
 def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
     """Full chaos equivalent: sum of order components over 2 <= m <= deg h."""
-    lay = ensemble.layout
-    out = np.zeros((lay.N1, lay.N2))
+    out = np.zeros((ensemble.layout.N1, ensemble.layout.N2))
     for m in range(2, h.degree + 1):
-        out = out + equivalent_per(h, ensemble, m, seed)
+        out += equivalent_per(h, ensemble, m, seed)
     return out
+
+
+@lru_cache(maxsize=None)
+def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Cellwise m3 lambda_3 E[h^(3)(mu xi)] / 6, or None when m3 or h^(3) vanishes."""
+    m3 = ensemble.law_w.m3 * ensemble.law_x.m3
+    if m3 == 0 or h.degree < 3:
+        return None
+    lay = ensemble.layout
+    lam3 = _lambda_cells(ensemble.profile_w, ensemble.profile_x, lay, 3, lay.N0)
+    deriv = h.derivative(3)
+    return tuple(
+        tuple(m3 / 6 * l3 * expect_scaled(deriv, mu_sq) for l3, mu_sq in zip(row3, row2))
+        for row3, row2 in zip(lam3, _mu_sq_cells(ensemble))
+    )
 
 
 def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
@@ -613,22 +676,70 @@ def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
     vanishing third moment.
     """
     lay = ensemble.layout
-    m3 = ensemble.law_w.m3 * ensemble.law_x.m3
-    if m3 == 0 or h.degree < 3:
+    cells = _def_cells(h, ensemble)
+    if cells is None:
         return np.zeros((lay.N1, lay.N2))
-    lam3 = _lambda_cells(ensemble.profile_w, ensemble.profile_x, lay, 3, lay.N0)
-    mu_cells = second_moment_cells(ensemble)
-    cells = []
-    for row3, row2 in zip(lam3, mu_cells):
-        cells.append(
-            [m3 / 6 * l3 * expect_scaled(h.derivative(3), mu_sq) for l3, mu_sq in zip(row3, row2)]
-        )
-    return _broadcast_cells(cells, ensemble) / lay.N
+    out = _broadcast_cells(cells, (lay.N1, lay.N2))
+    out /= lay.N
+    return out
 
 
 def equivalent_sum(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
     """equivalent_lin + all chaos orders + equivalent_def."""
-    return equivalent_lin(h, ensemble, seed) + per_matrix(h, ensemble, seed) + equivalent_def(h, ensemble)
+    out = equivalent_lin(h, ensemble, seed)
+    out += per_matrix(h, ensemble, seed)
+    out += equivalent_def(h, ensemble)
+    return out
+
+
+# -- per-trial samplers ---------------------------------------------------------
+
+
+def distinct_labels(graphs) -> list:
+    """The edge labels of the graphs, each once, in first-seen order."""
+    seen: list = []
+    for g in graphs:
+        for e in g.edges:
+            if e.label not in seen:
+                seen.append(e.label)
+    return seen
+
+
+def model_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial]):
+    """Per-trial family: one (W, X) draw, one model matrix per label.
+
+    The trial generator draws W', then X' (:meth:`ProfiledEnsemble.draw`).
+    """
+    labels = list(labels)
+    lay = ensemble.layout
+
+    def sampler(rng: np.random.Generator) -> MatrixFamily:
+        w, x = ensemble.draw(rng)
+        family = MatrixFamily(lay)
+        for poly in labels:
+            family.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1)
+        return family
+
+    return sampler
+
+
+def equivalent_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial]):
+    """Per-trial family of assembled equivalents, one per label.
+
+    The trial generator draws one integer, the seed of every equivalent's
+    streams.
+    """
+    labels = list(labels)
+    lay = ensemble.layout
+
+    def sampler(rng: np.random.Generator) -> MatrixFamily:
+        seed = int(rng.integers(0, 2**63 - 1))
+        family = MatrixFamily(lay)
+        for poly in labels:
+            family.add(poly, equivalent_sum(poly, ensemble, seed), src_block=2, dst_block=1)
+        return family
+
+    return sampler
 
 
 # -- flat binary dumps -----------------------------------------------------------

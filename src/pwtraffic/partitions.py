@@ -54,10 +54,6 @@ class SetPartition:
                 out[x] = i
         return out
 
-    def same_block(self, p: int, q: int) -> bool:
-        idx = self.block_index()
-        return idx[p] == idx[q]
-
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 

@@ -1,10 +1,12 @@
 """Numerical trace engine: graph evaluation in matrix families.
 
-Evaluation enumerates vertex labelings block by block (the split structure)
-with early termination on zero partial products; the naive all-maps loop is
-kept as the correctness oracle.  Scalars stay exact (Python ints, Fractions)
-whenever the input matrices are exact, so the Moebius identity between the
-combinatorial and injective traces can be asserted with zero tolerance.
+Exact traces enumerate vertex labelings block by block (the split structure)
+with early termination on zero partial products; a naive all-maps loop in
+the tests is their correctness oracle.  Scalars stay exact (Python ints,
+Fractions) whenever the input matrices are exact, so the Moebius identity
+between the combinatorial and injective traces can be asserted with zero
+tolerance.  Sampled traces and graph monomials are one einsum contraction
+each, checked against the enumeration.
 """
 
 from __future__ import annotations
@@ -12,13 +14,17 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import GraphMonomial, TestGraph, quotient, split_partitions
+
+_LETTERS = string.ascii_letters
 
 
 @dataclass(frozen=True)
@@ -42,9 +48,6 @@ class BlockLayout:
 
     def start(self, block: int) -> int:
         return (0, self.N0, self.N0 + self.N1)[block]
-
-    def block_range(self, block: int) -> range:
-        return range(self.start(block), self.start(block) + self.size(block))
 
     def psi(self, block: int) -> Fraction:
         """Empirical ratio N_block / N."""
@@ -110,17 +113,7 @@ class MatrixFamily:
 
 def _edge_tables(g: TestGraph, family: MatrixFamily):
     """Per-edge (src, dst, nested-list matrix); validates color consistency."""
-    tables = []
-    for e in g.edges:
-        lm = family[e.label]
-        if g.color[e.dst] != lm.dst_block or g.color[e.src] != lm.src_block:
-            raise ValueError(
-                f"edge {e.id!r}: label {e.label!r} demands blocks "
-                f"({lm.dst_block},{lm.src_block}) but endpoints are colored "
-                f"({g.color[e.dst]},{g.color[e.src]})"
-            )
-        tables.append((e.src, e.dst, lm.matrix.tolist()))
-    return tables
+    return [(e.src, e.dst, m.tolist()) for e, m in zip(g.edges, _checked_matrices(g, family))]
 
 
 def _assignment_sum(g: TestGraph, family: MatrixFamily, injective: bool) -> object:
@@ -172,25 +165,6 @@ def _assignment_sum(g: TestGraph, family: MatrixFamily, injective: bool) -> obje
 def combinatorial_trace(g: TestGraph, family: MatrixFamily) -> object:
     """Sum over split vertex labelings of the product of edge entries."""
     return _assignment_sum(g, family, injective=False)
-
-
-def combinatorial_trace_all_maps(g: TestGraph, family: MatrixFamily) -> object:
-    """Oracle: literal sum over all maps V -> [N] with embedded matrices."""
-    layout = family.layout
-    embedded = {}
-    for label, lm in family.items.items():
-        embedded[label] = embed(lm.matrix, (lm.dst_block, lm.src_block), layout).tolist()
-    order = g.vertex_ids
-    pos = {v: i for i, v in enumerate(order)}
-    total = 0
-    for assign in itertools.product(range(layout.N), repeat=len(order)):
-        prod = 1
-        for e in g.edges:
-            prod = prod * embedded[e.label][assign[pos[e.dst]]][assign[pos[e.src]]]
-            if prod == 0:
-                break
-        total += prod
-    return total
 
 
 def injective_trace(g: TestGraph, family: MatrixFamily) -> object:
@@ -300,166 +274,92 @@ def delta0(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-# -- graph monomial evaluation ---------------------------------------------
+# -- einsum contraction ------------------------------------------------------
 
 
-def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
-    """Evaluate a graph monomial to a rectangular matrix.
-
-    Entry (i, j) sums the edge-entry product over split labelings with the
-    output pinned to i and the input pinned to j; rows live in the output
-    vertex's block, columns in the input vertex's block.
-    """
-    g = mono.graph
-    layout = family.layout
-    out_color = g.color[mono.output]
-    in_color = g.color[mono.input]
-    rows, cols = layout.size(out_color), layout.size(in_color)
-    tables = _edge_tables(g, family)
-    order = g.vertex_ids
-    pos = {v: i for i, v in enumerate(order)}
-    ready: list[list[tuple[int, int, list]]] = [[] for _ in order]
-    for src, dst, mat in tables:
-        later = max(pos[src], pos[dst])
-        ready[later].append((pos[dst], pos[src], mat))
-    sizes = [layout.size(g.color[v]) for v in order]
-    n = len(order)
-    out = np.zeros((rows, cols))
-    out_pos, in_pos = pos[mono.output], pos[mono.input]
-    pinned = {out_pos, in_pos}
-    assign = [0] * n
-
-    def rec(i: int, partial) -> float:
-        if i == n:
-            return partial
-        if i in pinned:
-            prod = partial
-            for dst_i, src_i, mat in ready[i]:
-                prod = prod * mat[assign[dst_i]][assign[src_i]]
-                if prod == 0:
-                    return 0
-            return rec(i + 1, prod)
-        total = 0
-        for val in range(sizes[i]):
-            assign[i] = val
-            prod = partial
-            for dst_i, src_i, mat in ready[i]:
-                prod = prod * mat[assign[dst_i]][assign[src_i]]
-                if prod == 0:
-                    break
-            if prod == 0:
-                continue
-            total += rec(i + 1, prod)
-        return total
-
-    for i in range(rows):
-        for j in range(cols):
-            assign[out_pos] = i
-            if in_pos == out_pos and i != j:
-                continue
-            assign[in_pos] = j
-            out[i, j] = rec(0, 1)
-    return out
-
-
-# -- sampled traces ----------------------------------------------------------
-
-
-def sample_trace(g: TestGraph, family: MatrixFamily) -> float:
-    """Combinatorial trace of one realized family, sized for large N.
-
-    Parallel edges between the same endpoints merge into one entrywise
-    bundle factor; leaf vertices are then summed out by matrix-vector
-    products, so trees and cactus-like graphs reduce to linear algebra.  A
-    leftover simple cycle is folded as a transfer-matrix trace; anything
-    denser falls back to labeling enumeration (guarded).
-    """
+def _checked_matrices(g: TestGraph, family: MatrixFamily) -> list[np.ndarray]:
+    """Per-edge matrices; validates that label blocks match endpoint colors."""
+    out = []
     for e in g.edges:
         lm = family[e.label]
         if g.color[e.dst] != lm.dst_block or g.color[e.src] != lm.src_block:
-            raise ValueError(f"edge {e.id!r}: label blocks do not match endpoint colors")
-    sizes = {v: family.layout.size(g.color[v]) for v in g.vertex_ids}
-    pot = {v: np.ones(sizes[v]) for v in g.vertex_ids}
-    # bundle[(a, b)] has rows indexed by a and columns by b, a before b in
-    # vertex order; entries are the product over parallel edges
-    order = {v: i for i, v in enumerate(g.vertex_ids)}
-    bundles: dict[tuple, np.ndarray] = {}
-    for e in g.edges:
-        m = family[e.label].matrix  # rows = dst, cols = src
+            raise ValueError(
+                f"edge {e.id!r}: label {e.label!r} demands blocks "
+                f"({lm.dst_block},{lm.src_block}) but endpoints are colored "
+                f"({g.color[e.dst]},{g.color[e.src]})"
+            )
+        out.append(lm.matrix)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """Greedy pairwise contraction order for one (subscripts, shapes) pair."""
+    dummies = [np.broadcast_to(np.zeros(()), shape) for shape in shapes]
+    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+
+
+def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> np.ndarray:
+    """Sum over split labelings of g of the edge-entry product, as one einsum.
+
+    Every vertex is one index over its color's block.  An edge contributes
+    its matrix with subscripts (dst, src), a self-loop its diagonal, so
+    parallel edges become entrywise products and paths and cycles matrix
+    products along a greedy pairwise path, cached per subscripts and shapes
+    (the opt_einsum scheme, Smith & Gray, JOSS 2018).  Vertices in
+    ``open_vertices`` stay as output axes in that order; any other vertex
+    without edges contributes its block size as a factor.
+    """
+    if len(g.vertices) > len(_LETTERS):
+        raise ValueError(f"einsum contraction supports at most {len(_LETTERS)} vertices")
+    letter = dict(zip(g.vertex_ids, _LETTERS))
+    inputs, operands = [], []
+    for e, m in zip(g.edges, _checked_matrices(g, family)):
         if e.src == e.dst:
-            pot[e.src] = pot[e.src] * np.diagonal(m)
+            inputs.append(letter[e.src])
+            operands.append(np.diagonal(m))
+        else:
+            inputs.append(letter[e.dst] + letter[e.src])
+            operands.append(m)
+    touched = {v for e in g.edges for v in (e.src, e.dst)}
+    scale = 1
+    for v in g.vertex_ids:
+        if v in touched:
             continue
-        a, b = sorted((e.src, e.dst), key=order.get)
-        aligned = m if e.dst == a else m.T
-        key = (a, b)
-        bundles[key] = bundles[key] * aligned if key in bundles else aligned.astype(float, copy=True)
+        size = family.layout.size(g.color[v])
+        if v in open_vertices:
+            inputs.append(letter[v])
+            operands.append(np.ones(size))
+        else:
+            scale *= size
+    if not operands:
+        return np.asarray(scale)
+    subscripts = ",".join(inputs) + "->" + "".join(letter[v] for v in open_vertices)
+    path = _einsum_path(subscripts, tuple(op.shape for op in operands))
+    out = np.einsum(subscripts, *operands, optimize=path)
+    return out * scale if scale != 1 else out
 
-    neighbors: dict[object, set] = {v: set() for v in g.vertex_ids}
-    for a, b in bundles:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
 
-    live = set(g.vertex_ids)
-    # sum out degree-1 vertices
-    while True:
-        leaf = next((v for v in live if len(neighbors[v]) == 1), None)
-        if leaf is None:
-            break
-        (other,) = neighbors[leaf]
-        key = (leaf, other) if (leaf, other) in bundles else (other, leaf)
-        f = bundles.pop(key)
-        msg = f @ pot[leaf] if key[1] == leaf else f.T @ pot[leaf]
-        pot[other] = pot[other] * msg
-        neighbors[other].discard(leaf)
-        neighbors[leaf].clear()
-        live.discard(leaf)
+def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
+    """Evaluate a graph monomial to a rectangular float matrix.
 
-    total = 1.0
-    seen: set = set()
-    for v in sorted(live, key=order.get):
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        if len(comp) == 1:
-            total *= float(pot[v].sum())
-            continue
-        if any(len(neighbors[u]) != 2 for u in comp):
-            size = 1
-            for u in g.vertex_ids:
-                size *= sizes[u]
-                if size > 2 * 10**6:
-                    raise ValueError("graph too dense for labeling enumeration")
-            return float(combinatorial_trace(g, family))
-        # fold the remaining simple cycle as a product of transfer matrices
-        walk = [comp[0]]
-        prev = None
-        while True:
-            here = walk[-1]
-            nxt = next(w for w in neighbors[here] if w != prev)
-            if nxt == walk[0]:
-                break
-            walk.append(nxt)
-            prev = here
-        acc = None
-        k = len(walk)
-        for i, here in enumerate(walk):
-            nxt = walk[(i + 1) % k]
-            key = (here, nxt) if (here, nxt) in bundles else (nxt, here)
-            f = bundles[key]
-            step = f.T if key[0] == here else f  # rows = nxt, cols = here
-            step = step * pot[here][None, :]
-            acc = step if acc is None else step @ acc
-        total *= float(np.trace(acc))
-    return total
+    Entry (i, j) sums the edge-entry product over split labelings with the
+    output pinned to i and the input pinned to j; rows live in the output
+    vertex's block, columns in the input vertex's block.  When input and
+    output coincide the matrix is diagonal.
+    """
+    if mono.input == mono.output:
+        return np.diag(_contract(mono.graph, family, (mono.output,))).astype(float)
+    return np.asarray(_contract(mono.graph, family, (mono.output, mono.input)), dtype=float)
+
+
+def sample_trace(g: TestGraph, family: MatrixFamily) -> float:
+    """Combinatorial trace of one realized family, as one einsum contraction.
+
+    Sized for large N: the cost is a few matrix products per graph.  The
+    labeling enumeration :func:`combinatorial_trace` is its exact oracle.
+    """
+    return float(_contract(g, family))
 
 
 @dataclass(frozen=True)
@@ -470,36 +370,49 @@ class TauEstimate:
     seed: int
 
 
-def tau_estimate(
-    g: TestGraph,
+def tau_estimates(
+    graphs: Sequence[TestGraph],
     sampler: Callable[[np.random.Generator], MatrixFamily],
     trials: int,
     seed: int,
-    values_out: list | None = None,
+    values_out: Sequence[list] | None = None,
     map_fn: Callable | None = None,
-) -> TauEstimate:
-    """Monte Carlo mean and standard error of N^{-1} * trace over samples.
+) -> list[TauEstimate]:
+    """Monte Carlo mean and standard error of N^{-1} * trace, one per graph.
 
-    Trial t draws its family from a generator seeded by (seed, t), so runs
-    are reproducible and trials can be evaluated independently; aggregation
-    is always in trial order.  std_error is the sample standard deviation
-    over trials divided by sqrt(trials), None for a single trial.  map_fn
-    lets a harness run trials concurrently (e.g. an executor's map); it must
-    preserve order.
+    Trial t draws one family from a generator seeded by (seed, t) and
+    evaluates every graph on it, so runs are reproducible, trials can be
+    evaluated independently, and a graph's estimate does not depend on the
+    other graphs requested with it.  Aggregation is always in trial order.
+    std_error is the sample standard deviation over trials divided by
+    sqrt(trials), None for a single trial.  ``values_out`` holds one list
+    per graph that receives its per-trial values.  map_fn lets a harness run
+    trials concurrently (e.g. an executor's map); it must preserve order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    graphs = list(graphs)
 
-    def one_trial(t: int) -> float:
-        rng = np.random.default_rng([seed, t])
-        family = sampler(rng)
-        return sample_trace(g, family) / family.layout.N
+    def one_trial(t: int) -> list[float]:
+        family = sampler(np.random.default_rng([seed, t]))
+        return [sample_trace(g, family) / family.layout.N for g in graphs]
 
-    values = list((map_fn or map)(one_trial, range(trials)))
-    if values_out is not None:
-        values_out.extend(values)
-    mean = sum(values) / trials
-    if trials == 1:
-        return TauEstimate(mean=mean, std_error=None, trials=trials, seed=seed)
-    sd = statistics.stdev(values)
-    return TauEstimate(mean=mean, std_error=sd / math.sqrt(trials), trials=trials, seed=seed)
+    rows = list((map_fn or map)(one_trial, range(trials)))
+    out = []
+    for k in range(len(graphs)):
+        values = [row[k] for row in rows]
+        if values_out is not None:
+            values_out[k].extend(values)
+        mean = sum(values) / trials
+        se = None if trials == 1 else statistics.stdev(values) / math.sqrt(trials)
+        out.append(TauEstimate(mean=mean, std_error=se, trials=trials, seed=seed))
+    return out
+
+
+def tau_estimate(
+    g: TestGraph, sampler, trials: int, seed: int, values_out: list | None = None, map_fn=None
+) -> TauEstimate:
+    """:func:`tau_estimates` for one graph; ``values_out`` is a flat list."""
+    outs = None if values_out is None else [values_out]
+    (est,) = tau_estimates([g], sampler, trials, seed, values_out=outs, map_fn=map_fn)
+    return est

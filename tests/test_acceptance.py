@@ -42,12 +42,14 @@ from pwtraffic.models import (
     ProfiledEnsemble,
     StepProfile,
     decompose,
-    pw_matrix,
+    distinct_labels,
+    equivalent_sampler,
+    model_sampler,
     unit_skewed_law,
     z_lambda,
 )
 from pwtraffic.partitions import integer_partitions
-from pwtraffic.traffic import BlockLayout, MatrixFamily, moebius_check, tau_estimate
+from pwtraffic.traffic import BlockLayout, MatrixFamily, moebius_check, tau_estimate, tau_estimates
 
 
 def report(num, name, ok, detail, started):
@@ -55,25 +57,6 @@ def report(num, name, ok, detail, started):
     line = f"[acceptance] criterion {num} ({name}): {'PASS' if ok else 'FAIL'} [{elapsed:.1f}s] {detail}"
     print(line)
     return line
-
-
-def model_sampler(g, ens):
-    labels = []
-    for e in g.edges:
-        if e.label not in labels:
-            labels.append(e.label)
-    lay = ens.layout
-
-    def sampler(rng):
-        gw, gx = ens.realized_profiles()
-        w = gw * ens.law_w.sample(rng, (lay.N1, lay.N0))
-        x = gx * ens.law_x.sample(rng, (lay.N0, lay.N2))
-        fam = MatrixFamily(lay)
-        for poly in labels:
-            fam.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1)
-        return fam
-
-    return sampler
 
 
 def paired_combination(runs, weights):
@@ -222,7 +205,7 @@ def test_criterion_5_first_moment_convergence():
     started = time.time()
     ens = constant_ensemble(500)
     g = moment_cycle(1, monomial(1))
-    est = tau_estimate(g, model_sampler(g, ens), trials=400, seed=1500)
+    est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=400, seed=1500)
     exact = 1 / 27
     z = (est.mean - exact) / est.std_error
     rel_bias = abs(est.mean - exact) / exact
@@ -241,7 +224,7 @@ def test_criterion_6_third_moment_channel():
     started = time.time()
     ens = constant_ensemble(400, law=unit_skewed_law())
     g = single_edge(monomial(3))
-    est = tau_estimate(g, model_sampler(g, ens), trials=200, seed=1200)
+    est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=200, seed=1200)
     exact = float(Fraction(1, 3) * Fraction(1, 3) * Fraction(9, 4))
     z = (est.mean - exact) / est.std_error
     ok = abs(z) <= 3 and time.time() - started < 120
@@ -257,40 +240,26 @@ def test_criterion_6_third_moment_channel():
 
 def test_criterion_7_linear_plus_chaos_match():
     started = time.time()
-    from pwtraffic.models import equivalent_sum
-
     ens = constant_ensemble(300)
     half = constant_ensemble(150)
     lay = ens.layout
     h3 = monomial(3)
-
-    def equiv_sampler(g):
-        labels = [h3]
-
-        def sampler(rng):
-            seed = int(rng.integers(0, 2**63 - 1))
-            fam = MatrixFamily(lay)
-            for poly in labels:
-                fam.add(poly, equivalent_sum(poly, ens, seed), 2, 1)
-            return fam
-
-        return sampler
-
     params = LimitParams.of(psi=(Fraction(1, 3),) * 3)
     # Exact finite-N mean of the moment-1 model with Gaussian entries:
     # psi0 psi1 psi2 E[Z^6] for Z a normalised sum of N0 products w*x.
     finite_n_moment_1 = float(
         15 * lay.psi(0) * lay.psi(1) * lay.psi(2) * (1 + Fraction(6, lay.N0) + Fraction(8, lay.N0**2))
     )
+    # one family per trial serves both moments, so each run draws once
+    graphs = [moment_cycle(k, h3) for k in (1, 2)]
+    ys, ys_half, es = ([[], []] for _ in range(3))
+    model = tau_estimates(graphs, model_sampler(ens, [h3]), trials=200, seed=900, values_out=ys)
+    tau_estimates(graphs, model_sampler(half, [h3]), trials=200, seed=900, values_out=ys_half)
+    equivalent = tau_estimates(graphs, equivalent_sampler(ens, [h3]), trials=200, seed=900, values_out=es)
     legs = []
     raw = []
-    for k in (1, 2):
-        g = moment_cycle(k, h3)
+    for k, g, est_y, est_e, y, y_half, e in zip((1, 2), graphs, model, equivalent, ys, ys_half, es):
         exact = float(limit_pw(g, params))
-        y, y_half, e = [], [], []
-        est_y = tau_estimate(g, model_sampler(g, ens), trials=200, seed=900, values_out=y)
-        tau_estimate(g, model_sampler(g, half), trials=200, seed=900, values_out=y_half)
-        est_e = tau_estimate(g, equiv_sampler(g), trials=200, seed=900, values_out=e)
         extrapolated, extrapolated_se = paired_combination((y, y_half), (2, -1))
         gap, gap_se = paired_combination((y, y_half, e), (2, -1, -1))
         legs.append((f"moment-{k} equivalent", (est_e.mean - exact) / est_e.std_error, 3))
@@ -324,9 +293,7 @@ def test_criterion_8_remainder_vanishing():
         lay = ens.layout
 
         def sampler(rng):
-            gw, gx = ens.realized_profiles()
-            w = gw * ens.law_w.sample(rng, (lay.N1, lay.N0))
-            x = gx * ens.law_x.sample(rng, (lay.N0, lay.N2))
+            w, x = ens.draw(rng)
             eps = decompose(h5, w, x, lay).eps
             return MatrixFamily(lay).add(h5, eps, src_block=2, dst_block=1)
 
@@ -335,11 +302,12 @@ def test_criterion_8_remainder_vanishing():
     graphs = {"single-edge": single_edge(h5), "moment-1": moment_cycle(1, h5)}
     runs = {}
     for n, block in ((300, 100), (900, 300)):
-        ens = constant_ensemble(block)
-        for name, g in graphs.items():
-            values = []
-            est = tau_estimate(g, eps_sampler(ens), trials=60, seed=8, values_out=values)
-            runs[(name, n)] = est, values
+        # one remainder per trial serves both statistics
+        values = [[] for _ in graphs]
+        sampler = eps_sampler(constant_ensemble(block))
+        estimates = tau_estimates(list(graphs.values()), sampler, trials=60, seed=8, values_out=values)
+        for name, est, vals in zip(graphs, estimates, values):
+            runs[(name, n)] = est, vals
     details = []
     ok = True
     for name in graphs:

@@ -225,3 +225,54 @@ def test_main_csv_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("N0,")
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "decompose"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("trials", None), ("trials", 2.5), ("trials", "12"), ("trials", True), ("seed", None), ("seed", 1.0), ("seed", "5"), ("seed", -1), ("seed", [5])],
+)
+def test_main_bad_trials_or_seed_exits_2_with_one_line(tmp_path, capsys, command, key, value):
+    path = write_config(tmp_path, base_config(**{key: value}))
+    assert main([command, "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1, err
+
+
+def test_main_config_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["simulate", "--config", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def compare_config():
+    cfg = base_config(graph=["moment-1", "moment-2"], labels="h3", trials=6)
+    cfg["ensemble"]["law_x"] = {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"}
+    cfg["ensemble"]["profile_w"] = [["1", "1/2"], ["3/2", "1"]]
+    return cfg
+
+
+def test_compare_records_match_single_graph_runs():
+    joint, _ = cmd_compare(compare_config())
+    for name in ("moment-1", "moment-2"):
+        single, _ = cmd_compare(dict(compare_config(), graph=[name]))
+        mine = [r for r in joint["records"] if r["graph_id"] == name]
+        assert [r["estimator"] for r in mine] == [r["estimator"] for r in single["records"]]
+        for got, want in zip(mine, single["records"]):
+            assert set(got) == set(want)
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300), key
+                else:
+                    assert got[key] == value, key
+
+
+def test_main_compare_report_same_at_any_thread_count(tmp_path):
+    cfg_path = write_config(tmp_path, compare_config())
+    outs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads-{threads}.json"
+        assert main(["compare", "--config", cfg_path, "--out", str(out), "--threads", threads]) == EXIT_OK
+        outs.append(re.sub(r'"wall_clock_s": [0-9.e-]+', '"wall_clock_s": 0', out.read_text()))
+    assert outs[0] == outs[1]

@@ -17,7 +17,15 @@ from pwtraffic.limits import (
     limit_per,
     limit_pw,
 )
-from pwtraffic.models import EntryLaw, ProfiledEnsemble, StepProfile, pw_matrix, unit_skewed_law
+from pwtraffic.models import (
+    EntryLaw,
+    ProfiledEnsemble,
+    StepProfile,
+    distinct_labels,
+    equivalent_sampler,
+    model_sampler,
+    unit_skewed_law,
+)
 from pwtraffic.traffic import BlockLayout, MatrixFamily, delta0, tau_estimate
 
 THIRD = Fraction(1, 3)
@@ -323,25 +331,6 @@ def test_internal_block_count_identity():
 # -- Monte Carlo consistency ----------------------------------------------------------
 
 
-def model_sampler(g, ens):
-    labels = []
-    for e in g.edges:
-        if e.label not in labels:
-            labels.append(e.label)
-    lay = ens.layout
-
-    def sampler(rng):
-        gw, gx = ens.realized_profiles()
-        w = gw * ens.law_w.sample(rng, (lay.N1, lay.N0))
-        x = gx * ens.law_x.sample(rng, (lay.N0, lay.N2))
-        fam = MatrixFamily(lay)
-        for poly in labels:
-            fam.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1)
-        return fam
-
-    return sampler
-
-
 def test_three_edge_limit_against_derived_expectation():
     # double edge plus a pendant edge sharing the target, labels (1, 1, 3):
     # the only contributing quotient gives psi0 psi1 psi2^2 m3w m3x
@@ -362,7 +351,7 @@ def test_three_edge_limit_against_derived_expectation():
     ens = ProfiledEnsemble(
         lay, unit_skewed_law(), unit_skewed_law(), StepProfile.constant(), StepProfile.constant()
     )
-    est = tau_estimate(g, model_sampler(g, ens), trials=120, seed=31)
+    est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=120, seed=31)
     tol = 3 * est.std_error + 0.05 * abs(float(value)) + 20 / lay.N
     assert abs(est.mean - float(value)) <= tol
 
@@ -377,7 +366,7 @@ def test_finite_size_bias_halves():
         ens = ProfiledEnsemble(
             lay, EntryLaw.gaussian(), EntryLaw.gaussian(), StepProfile.constant(), StepProfile.constant()
         )
-        est = tau_estimate(g, model_sampler(g, ens), trials=40, seed=11)
+        est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=40, seed=11)
         biases.append(est.mean - exact)
     ratio = biases[0] / biases[1]
     assert 1.5 <= ratio <= 2.8
@@ -574,18 +563,11 @@ def test_eta_nonpositive_on_three_edge_graphs():
 
 
 def test_equivalent_family_matches_limit_mc():
-    from pwtraffic.models import equivalent_sum
-
     g = moment_cycle(1, H3)
     exact = float(limit_pw(g, CONSTANT))
     lay = BlockLayout(200, 200, 200)
     ens = ProfiledEnsemble(
         lay, EntryLaw.gaussian(), EntryLaw.gaussian(), StepProfile.constant(), StepProfile.constant()
     )
-
-    def sampler(rng):
-        seed = int(rng.integers(0, 2**63 - 1))
-        return MatrixFamily(lay).add(H3, equivalent_sum(H3, ens, seed), 2, 1)
-
-    est = tau_estimate(g, sampler, trials=80, seed=23)
+    est = tau_estimate(g, equivalent_sampler(ens, [H3]), trials=80, seed=23)
     assert abs(est.mean - exact) <= 3 * est.std_error + 0.01 * exact

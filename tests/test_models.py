@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import pwtraffic.models as models
+from pwtraffic.graphs import moment_cycle, single_edge
 from pwtraffic.hermite import expect_scaled, gaussian_moment, hermite, monomial
 from pwtraffic.models import (
     EntryLaw,
@@ -14,11 +16,14 @@ from pwtraffic.models import (
     StepProfile,
     all_pairs,
     decompose,
+    distinct_labels,
     equivalent_def,
     equivalent_lin,
     equivalent_per,
+    equivalent_sampler,
     equivalent_sum,
     lambda_ell,
+    model_sampler,
     ones_and_pairs,
     per_matrix,
     per_noise_family,
@@ -537,3 +542,84 @@ def test_matrix_dump_round_trip(tmp_path):
     write_matrix(path, a)
     assert path.stat().st_size == 8 + 3 * 5 * 8
     assert np.allclose(read_matrix(path), a)
+
+
+# -- cached cells, in-place profiles and the per-trial samplers ---------------------
+
+
+STEPPED_W = StepProfile.of([[1, Fraction(1, 2), 3], [Fraction(3, 2), 1, 0]])
+STEPPED_X = StepProfile.of([[2, 1], [1, Fraction(1, 2)]])
+
+
+def stepped_ensemble(n0, n1, n2):
+    return ProfiledEnsemble(BlockLayout(n0, n1, n2), EntryLaw.gaussian(), unit_skewed_law(), STEPPED_W, STEPPED_X)
+
+
+def test_profile_apply_matches_realize_bit_for_bit():
+    for rows, cols in [(1, 1), (2, 5), (7, 3), (9, 11)]:
+        for profile in (STEPPED_W, STEPPED_X, StepProfile.constant(), StepProfile.constant(Fraction(1, 3))):
+            a = RNG.standard_normal((rows, cols))
+            want = profile.realize(rows, cols) * a
+            got = profile.apply(a.copy())
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # cell blocks follow the ceiling rule, also with more cells than rows
+    for total in range(1, 12):
+        for k in range(1, 5):
+            p = StepProfile.of([[1]] * k)
+            slices = models._cell_slices(total, k)
+            assert [r for r, rows in enumerate(slices) for _ in range(rows.start, rows.stop)] == p.row_cells(total)
+
+
+def test_draw_and_sample_match_realized_profiles():
+    ens = stepped_ensemble(7, 5, 6)
+    lay = ens.layout
+    gw, gx = ens.realized_profiles()
+    w, x = ens.draw(np.random.default_rng([3, 1]))
+    rng = np.random.default_rng([3, 1])
+    assert np.array_equal(w, gw * ens.law_w.sample(rng, (lay.N1, lay.N0)))
+    assert np.array_equal(x, gx * ens.law_x.sample(rng, (lay.N0, lay.N2)))
+    w, x = ens.sample(9)
+    assert np.array_equal(w, gw * ens.law_w.sample(np.random.default_rng([9, models.STREAM_W]), (lay.N1, lay.N0)))
+    assert np.array_equal(x, gx * ens.law_x.sample(np.random.default_rng([9, models.STREAM_X]), (lay.N0, lay.N2)))
+
+
+def test_equivalents_match_broadcast_coefficients():
+    # the dense formulas the cached cells replace, built from realized matrices
+    ens = stepped_ensemble(7, 5, 6)
+    lay = ens.layout
+    h = monomial(3) + 2 * monomial(5)
+    gw, gx = ens.realized_profiles()
+    mu_sq = second_moment_cells(ens)
+    lin_coeff = models._broadcast_cells([[expect_scaled(h.derivative(1), v) for v in row] for row in mu_sq], (5, 6))
+    w = gw * np.random.default_rng([4, models.STREAM_LIN_W]).standard_normal((lay.N1, lay.N0))
+    x = gx * np.random.default_rng([4, models.STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
+    assert np.array_equal(equivalent_lin(h, ens, 4), lin_coeff * (w @ x) / lay.N)
+    for m in (2, 3, 4, 5):
+        coeff = models._broadcast_cells(models._per_coefficient_cells(h, ens, m), (5, 6))
+        z = np.random.default_rng([4, models.STREAM_PER, m]).standard_normal((5, 6))
+        assert np.array_equal(equivalent_per(h, ens, m, 4), coeff * z / math.sqrt(lay.N))
+    # cached cell values are immutable and shared between calls
+    cells = models._lin_coefficient_cells(h, ens)
+    assert isinstance(cells, tuple) and all(isinstance(row, tuple) for row in cells)
+    assert models._lin_coefficient_cells(h, stepped_ensemble(7, 5, 6)) is cells
+
+
+def test_samplers_draw_order():
+    ens = stepped_ensemble(7, 5, 6)
+    lay = ens.layout
+    h3, g3 = monomial(3), hermite(3)
+    fam = model_sampler(ens, [h3, g3])(np.random.default_rng([8, 2]))
+    w, x = ens.draw(np.random.default_rng([8, 2]))
+    assert np.array_equal(fam[h3].matrix, pw_matrix(h3, w, x, lay))
+    assert np.array_equal(fam[g3].matrix, pw_matrix(g3, w, x, lay))
+    fam = equivalent_sampler(ens, [h3])(np.random.default_rng([8, 2]))
+    seed = int(np.random.default_rng([8, 2]).integers(0, 2**63 - 1))
+    assert np.array_equal(fam[h3].matrix, equivalent_sum(h3, ens, seed))
+    assert distinct_labels([moment_cycle(2, h3), single_edge(g3), single_edge(h3)]) == [h3, g3]
+
+
+def test_decompose_hands_back_the_total():
+    lay = BlockLayout(6, 4, 5)
+    w, x = RNG.standard_normal((4, 6)), RNG.standard_normal((6, 5))
+    parts = decompose(monomial(5), w, x, lay)
+    assert np.array_equal(parts.total, pw_matrix(monomial(5), w, x, lay))

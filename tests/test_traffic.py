@@ -1,5 +1,6 @@
 """Trace-engine tests: evaluation, traces, the Moebius identity, delta0."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,6 @@ from pwtraffic.traffic import (
     BlockLayout,
     MatrixFamily,
     combinatorial_trace,
-    combinatorial_trace_all_maps,
     delta0,
     embed,
     eval_monomial,
@@ -20,9 +20,29 @@ from pwtraffic.traffic import (
     moebius_check,
     sample_trace,
     tau_estimate,
+    tau_estimates,
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def combinatorial_trace_all_maps(g: TestGraph, family: MatrixFamily) -> object:
+    """Oracle: literal sum over all maps V -> [N] with embedded matrices."""
+    layout = family.layout
+    embedded = {}
+    for label, lm in family.items.items():
+        embedded[label] = embed(lm.matrix, (lm.dst_block, lm.src_block), layout).tolist()
+    order = g.vertex_ids
+    pos = {v: i for i, v in enumerate(order)}
+    total = 0
+    for assign in itertools.product(range(layout.N), repeat=len(order)):
+        prod = 1
+        for e in g.edges:
+            prod = prod * embedded[e.label][assign[pos[e.dst]]][assign[pos[e.src]]]
+            if prod == 0:
+                break
+        total += prod
+    return total
 
 
 def one_block_family(layout_n, mats):
@@ -304,3 +324,127 @@ def test_tau_estimate_order_fixed_under_map_fn():
     with ThreadPoolExecutor(max_workers=4) as pool:
         par = tau_estimate(g, sampler, trials=16, seed=3, map_fn=pool.map)
     assert seq == par
+
+
+# -- the einsum contraction against the labeling enumeration -------------------
+
+
+def float_family(rng, lay, labels):
+    fam = MatrixFamily(lay)
+    for label, (cs, ct) in labels.items():
+        fam.add(label, rng.standard_normal((lay.size(ct), lay.size(cs))), cs, ct)
+    return fam
+
+
+def abs_family(fam):
+    out = MatrixFamily(fam.layout)
+    for label, lm in fam.items.items():
+        out.add(label, np.abs(lm.matrix), lm.src_block, lm.dst_block)
+    return out
+
+
+def k23(label="Y"):
+    vertices = [(("t", i), 1) for i in range(2)] + [(("s", j), 2) for j in range(3)]
+    edges = [Edge((i, j), ("s", j), ("t", i), label) for i in range(2) for j in range(3)]
+    return TestGraph(vertices, edges)
+
+
+def special_graphs():
+    """Self-loops, parallel edges, isolated vertices and K_{2,3}, with the
+    (src color, dst color) of every label."""
+    loops = TestGraph(
+        [("a", 0), ("b", 0), ("lonely", 2)],
+        [Edge(0, "a", "a", "A"), Edge(1, "a", "b", "A"), Edge(2, "b", "a", "A"), Edge(3, "b", "b", "A")],
+    )
+    parallel = TestGraph(
+        [("t", 1), ("s", 2), ("u", 1)],
+        [Edge(0, "s", "t", "Y"), Edge(1, "s", "t", "Y"), Edge(2, "s", "t", "Y"), Edge(3, "s", "u", "Y")],
+    )
+    isolated = TestGraph([("v", 0), ("w", 1), ("t", 1), ("s", 2)], [Edge(0, "s", "t", "Y")])
+    edgeless = TestGraph([("v", 0), ("w", 2)], [])
+    labels = {"A": (0, 0), "Y": (2, 1)}
+    return [loops, parallel, isolated, edgeless, k23()], labels
+
+
+def assert_trace_matches_enumeration(g, fam):
+    got = sample_trace(g, fam)
+    want = float(combinatorial_trace(g, fam))
+    scale = float(combinatorial_trace(g, abs_family(fam)))
+    assert abs(got - want) <= 1e-12 * scale, (got, want, scale)
+
+
+def test_sample_trace_matches_combinatorial_trace_on_random_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        sizes = rng.integers(1, 4, size=3)
+        lay = BlockLayout(int(sizes[0]), int(sizes[1]), int(sizes[2]))
+        g, labels = random_colored_graph(rng, max_v=5, max_e=6)
+        assert_trace_matches_enumeration(g, float_family(rng, lay, labels))
+
+
+def test_sample_trace_special_shapes():
+    rng = np.random.default_rng(12)
+    graphs, labels = special_graphs()
+    lay = BlockLayout(3, 2, 4)
+    for g in graphs:
+        assert_trace_matches_enumeration(g, float_family(rng, lay, labels))
+    # K_{2,3} in one 300-sized family, far past any enumeration
+    big = BlockLayout(300, 300, 300)
+    y = rng.standard_normal((300, 300))
+    gram = y @ y.T
+    fam = MatrixFamily(big).add("Y", y, 2, 1)
+    # each pair of targets shares three sources: sum over t1, t2 of (Y Y^t)[t1, t2]^3
+    assert np.isclose(sample_trace(k23(), fam), float(np.sum(gram**3)), rtol=1e-12)
+
+
+def brute_monomial(mono, fam):
+    g = mono.graph
+    lay = fam.layout
+    order = g.vertex_ids
+    pos = {v: k for k, v in enumerate(order)}
+    out = np.zeros((lay.size(g.color[mono.output]), lay.size(g.color[mono.input])))
+    for assign in itertools.product(*(range(lay.size(g.color[v])) for v in order)):
+        prod = 1.0
+        for e in g.edges:
+            prod *= fam[e.label].matrix[assign[pos[e.dst]], assign[pos[e.src]]]
+        out[assign[pos[mono.output]], assign[pos[mono.input]]] += prod
+    return out
+
+
+def test_eval_monomial_matches_enumeration():
+    rng = np.random.default_rng(13)
+    graphs, labels = special_graphs()
+    cases = [(g, v, w) for g in graphs for v in g.vertex_ids[:2] for w in g.vertex_ids[-2:]]
+    for _ in range(30):
+        g, rand_labels = random_colored_graph(rng, max_v=4, max_e=5)
+        ids = g.vertex_ids
+        cases.append((g, ids[int(rng.integers(len(ids)))], ids[int(rng.integers(len(ids)))]))
+        labels.update(rand_labels)
+    lay = BlockLayout(2, 3, 2)
+    fam = float_family(rng, lay, labels)
+    for g, out_v, in_v in cases:
+        mono = GraphMonomial(g, input=in_v, output=out_v)
+        want = brute_monomial(mono, fam)
+        got = eval_monomial(mono, fam)
+        scale = brute_monomial(mono, abs_family(fam)).max(initial=0.0)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_tau_estimates_share_one_family_per_trial():
+    lay = BlockLayout(8, 6, 7)
+    draws = []
+
+    def sampler(rng):
+        y = rng.standard_normal((6, 7))
+        draws.append(1)
+        return MatrixFamily(lay).add("Y", y, 2, 1)
+
+    graphs = [moment_cycle(1, "Y"), moment_cycle(2, "Y"), k23()]
+    values = [[], [], []]
+    joint = tau_estimates(graphs, sampler, trials=9, seed=4, values_out=values)
+    assert len(draws) == 9
+    for g, est, vals in zip(graphs, joint, values):
+        single_values = []
+        assert tau_estimate(g, sampler, trials=9, seed=4, values_out=single_values) == est
+        assert single_values == vals
