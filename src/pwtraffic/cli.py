@@ -281,6 +281,7 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
     labels = config.get("labels", "h1")
     poly = parse_polynomial(labels)
     seed = config_int(config, "seed", 0, 0)
+    bins = config_int(config, "bins", 1, 1) if "bins" in config else "fd"
     w, x = ensemble.sample(seed)
     y = pw_matrix(poly, w, x, lay)
     eq = equivalent_sum(poly, ensemble, seed)
@@ -294,8 +295,7 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
         for _ in range(4):
             acc = acc @ m
             gram_moments.append(float(np.trace(acc)) / lay.N1)
-        bins = config.get("bins")
-        edges = np.histogram_bin_edges(sv, bins=int(bins) if bins else "fd")
+        edges = np.histogram_bin_edges(sv, bins=bins)
         counts, edges = np.histogram(sv, bins=edges)
         for left, count in zip(edges[:-1], counts):
             rows.append({"family": family, "bin_left": float(left), "count": int(count)})

@@ -135,8 +135,9 @@ class GraphMonomial:
 # -- connectivity and quotients -------------------------------------------
 
 
-def connected_components(g: TestGraph) -> list[set]:
-    parent: dict[VertexId, VertexId] = {v: v for v in g.vertex_ids}
+def _union_find(nodes: Iterable, links: Iterable[tuple]) -> dict:
+    """Node -> representative of its class once every (a, b) link is merged."""
+    parent = {v: v for v in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -144,13 +145,17 @@ def connected_components(g: TestGraph) -> list[set]:
             x = parent[x]
         return x
 
-    for e in g.edges:
-        ra, rb = find(e.src), find(e.dst)
+    for a, b in links:
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    return {v: find(v) for v in parent}
+
+
+def connected_components(g: TestGraph) -> list[set]:
     comps: dict[VertexId, set] = {}
-    for v in g.vertex_ids:
-        comps.setdefault(find(v), set()).add(v)
+    for v, root in _union_find(g.vertex_ids, ((e.src, e.dst) for e in g.edges)).items():
+        comps.setdefault(root, set()).add(v)
     return list(comps.values())
 
 
@@ -463,6 +468,13 @@ class EtaBreakdown:
     w_components: int
 
 
+def _w_components(g: TestGraph, block_of: dict) -> dict[int, int]:
+    """Block of a color-0/1 vertex -> its component in the quotiented w-subgraph."""
+    blocks = {block_of[v] for v, c in g.vertices if c != 2}
+    links = [(block_of[e.src], block_of[e.dst]) for e in g.edges if e.label == W_LABEL]
+    return _union_find(blocks, links)
+
+
 def eta(aux: AuxiliaryGraph, pi: SetPartition) -> EtaBreakdown:
     """Exponent of N carried by a split quotient of the auxiliary graph.
 
@@ -486,23 +498,9 @@ def eta(aux: AuxiliaryGraph, pi: SetPartition) -> EtaBreakdown:
     idx = pi.block_index()
     pos = g.vertex_position()
     block_of = {v: idx[pos[v]] for v in g.vertex_ids}
-    w_blocks = sorted({block_of[v] for v in g.vertex_ids if g.color[v] in (0, 1)})
-    parent = {b: b for b in w_blocks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        if e.label == W_LABEL:
-            ra, rb = find(block_of[e.src]), find(block_of[e.dst])
-            if ra != rb:
-                parent[ra] = rb
-    c_w = len({find(b) for b in w_blocks})
-    n_w_blocks = len(w_blocks)
-    eta1 = Fraction(n_w_blocks - c_w) - Fraction(sum_n, 2)
+    w_root = _w_components(g, block_of)
+    c_w = len(set(w_root.values()))
+    eta1 = Fraction(len(w_root) - c_w) - Fraction(sum_n, 2)
     v2_blocks = len({block_of[v] for v in g.vertex_ids if g.color[v] == 2})
     eta2 = Fraction(c_w + v2_blocks - 1) - Fraction(n_edges, 2)
     assert eta1 + eta2 == total_eta
@@ -523,27 +521,14 @@ def rho_tilde(aux: AuxiliaryGraph, pi: SetPartition) -> SetPartition:
     idx = pi.block_index()
     pos = g.vertex_position()
     block_of = {v: idx[pos[v]] for v in g.vertex_ids}
-    blocks = sorted({block_of[v] for v in g.vertex_ids if g.color[v] in (0, 1)})
-    parent = {b: b for b in blocks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        if e.label == W_LABEL:
-            ra, rb = find(block_of[e.src]), find(block_of[e.dst])
-            if ra != rb:
-                parent[ra] = rb
+    w_root = _w_components(g, block_of)
 
     ref = aux.reference
     ref_pos = ref.vertex_position()
     groups: dict[tuple, list[int]] = {}
     for v in ref.vertex_ids:
         if ref.color[v] == 1:
-            key = ("w-comp", find(block_of[v]))
+            key = ("w-comp", w_root[block_of[v]])
         elif ref.color[v] == 2:
             key = ("pi", block_of[v])
         else:

@@ -57,18 +57,6 @@ def gaussian_moment(n: int) -> Fraction:
     return Fraction(double_factorial(n - 1))
 
 
-class GaussianMoments:
-    """Memoized moment table E[xi^n]; concurrent fills are idempotent."""
-
-    def __init__(self) -> None:
-        self.memo: dict[int, Fraction] = {}
-
-    def __call__(self, n: int) -> Fraction:
-        if n not in self.memo:
-            self.memo[n] = gaussian_moment(n)
-        return self.memo[n]
-
-
 @lru_cache(maxsize=None)
 def _hermite_power_coeffs(n: int) -> tuple[Fraction, ...]:
     # g_0 = 1, g_1 = y, g_{n+1} = y g_n - n g_{n-1}

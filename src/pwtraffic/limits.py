@@ -4,22 +4,22 @@ The limit of a polynomial-labeled reference graph is a finite sum over
 split quotients whose image is a pseudo-cactus: cut edges carry third-moment
 weights, 2-cycles carry product moments, longer cycles carry first-derivative
 moments, and the step profiles enter through an exact cell-average factor of
-the quotient's niche expansion.  Everything is rational arithmetic; the
-component limits (deterministic / linear / chaos) restrict the quotient class
-and adjust the cycle weights, and the well-colored sum over component
-colorings must reproduce the full limit for odd labels.
+the quotient's niche expansion.  Everything is rational arithmetic.  One
+fold over the split quotients serves all five limits: the component limits
+(deterministic / linear / chaos) keep one channel of each strong component,
+and their sum, one channel per strong component, must reproduce the full
+limit for odd labels.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Edge,
-    StrongComponentReport,
     TestGraph,
     W_LABEL,
     X_LABEL,
@@ -209,14 +209,11 @@ def _niche_expansion(tq: TestGraph, plan: Sequence[tuple[str, tuple, dict]]) -> 
     return TestGraph(vertices, edges)
 
 
-# -- strong-component weights ---------------------------------------------------
-
-
-def _expect_monomial_product(n: int, m: int) -> Fraction:
-    return gaussian_moment(n + m)
+# -- strong-component options ----------------------------------------------------
 
 
 def _expect_monomial_derivative(n: int, k: int) -> Fraction:
+    """E[h_n^(k)(xi)] for the monomial h_n; k = 0 gives the moment E[xi^n]."""
     if n < k:
         return Fraction(0)
     c = 1
@@ -225,73 +222,41 @@ def _expect_monomial_derivative(n: int, k: int) -> Fraction:
     return c * gaussian_moment(n - k)
 
 
-def _f_monomials(n: int, m: int) -> Fraction:
-    return _expect_monomial_product(n, m) - _expect_monomial_derivative(n, 1) * _expect_monomial_derivative(m, 1)
+def _options(rule: str, kind: str, eids: tuple, ns: dict, params: LimitParams) -> list[tuple[Fraction, str]]:
+    """Nonzero (weight, niche style) options of one strong component under a rule.
 
-
-def _strong_components(report: StrongComponentReport) -> list[tuple[str, tuple]]:
-    out: list[tuple[str, tuple]] = [("cut", (eid,)) for eid in report.cut_edges]
-    out.extend(("cycle", tuple(c)) for c in report.all_cycles)
-    return out
-
-
-_CHANNEL_LIN = "lin"
-_CHANNEL_PER = "per"
-_CHANNEL_B = "B"
-
-
-def _sc_weight_and_style(kind: str, eids: tuple, ns: dict, channel: str, params: LimitParams):
-    """(rational weight, niche style) of one strong component in one channel.
-
-    Returns weight 0 when the channel does not support the component.
+    ``kind`` is "cut" or "cycle".  Rule "pw" is the full model: cut edges take
+    the third-moment weight, 2-cycles the product moment E[h_n h_m] and longer
+    cycles the product of E[h'].  Rules "B", "lin" and "per" are the
+    deterministic, linear and chaos channels: B keeps only cut edges, per only
+    2-cycles (with the kernel E[h_n h_m] - E[h_n'] E[h_m']), and lin only
+    cycles.  Rule "sum" offers every channel of the component, so the fold
+    picks one channel per strong component.
     """
-    psi0 = params.psi[0]
+    if rule == "sum":
+        return [opt for channel in ("lin", "per", "B") for opt in _options(channel, kind, eids, ns, params)]
+    moment = _expect_monomial_derivative
     if kind == "cut":
-        if channel != _CHANNEL_B:
-            return Fraction(0), None
-        n = ns[eids[0]]
-        if n < 3:
-            return Fraction(0), None
-        return (params.m3_w * params.m3_x / 6) * _expect_monomial_derivative(n, 3), "cut"
-    length = len(eids)
-    if length == 2:
+        if rule not in ("pw", "B"):
+            return []
+        weight, style = params.m3_w * params.m3_x / 6 * moment(ns[eids[0]], 3), "cut"
+    elif len(eids) == 2 and rule in ("pw", "per"):
         n, m = ns[eids[0]], ns[eids[1]]
-        if channel == _CHANNEL_PER:
-            return psi0 * _f_monomials(n, m), "pair"
-        if channel == _CHANNEL_LIN:
-            return (
-                psi0 * _expect_monomial_derivative(n, 1) * _expect_monomial_derivative(m, 1),
-                "star",
-            )
-        return Fraction(0), None
-    if channel != _CHANNEL_LIN:
-        return Fraction(0), None
-    w = psi0
-    for eid in eids:
-        w *= _expect_monomial_derivative(ns[eid], 1)
-    return w, "star"
+        weight = moment(n + m, 0) - (moment(n, 1) * moment(m, 1) if rule == "per" else 0)
+        weight, style = params.psi[0] * weight, "pair"
+    elif rule in ("pw", "lin"):
+        weight, style = params.psi[0], "star"
+        for eid in eids:
+            weight *= moment(ns[eid], 1)
+    else:
+        return []
+    return [(weight, style)] if weight else []
 
 
-def _pw_weight_and_style(kind: str, eids: tuple, ns: dict, params: LimitParams):
-    """Full-model weight: cuts as in B, 2-cycles with the product moment."""
-    psi0 = params.psi[0]
-    if kind == "cut":
-        n = ns[eids[0]]
-        if n < 3:
-            return Fraction(0), None
-        return (params.m3_w * params.m3_x / 6) * _expect_monomial_derivative(n, 3), "cut"
-    if len(eids) == 2:
-        return psi0 * _expect_monomial_product(ns[eids[0]], ns[eids[1]]), "pair"
-    w = psi0
-    for eid in eids:
-        w *= _expect_monomial_derivative(ns[eid], 1)
-    return w, "star"
+# -- label expansion and the fold over split quotients ---------------------------
 
 
-# -- label expansion -------------------------------------------------------------
-
-
-def _validate_reference(g: TestGraph, require_odd: bool = True) -> None:
+def _validate_reference(g: TestGraph) -> None:
     if not g.edges:
         raise ValueError("reference graphs need at least one edge")
     if not is_connected(g):
@@ -303,7 +268,7 @@ def _validate_reference(g: TestGraph, require_odd: bool = True) -> None:
             raise ValueError("reference edges run from color 2 to color 1")
         if not isinstance(e.label, Polynomial):
             raise ValueError(f"edge {e.id!r} must be labeled by a Polynomial")
-        if require_odd and not e.label.is_odd:
+        if not e.label.is_odd:
             raise ValueError(f"edge {e.id!r} carries an even part; only odd polynomials converge")
 
 
@@ -326,139 +291,84 @@ def _monomial_terms(g: TestGraph) -> list[tuple[Fraction, dict]]:
 
 @dataclass
 class QuotientTerm:
+    """The contribution of one split quotient, summed over the monomial terms."""
+
     partition: SetPartition
     value: Fraction
-    detail: dict = field(default_factory=dict)
 
 
-def _quotient_sum(
-    g: TestGraph,
-    params: LimitParams,
-    ns: dict,
-    admit: Callable[[StrongComponentReport], bool],
-    weight_fn,
-    collect: list[QuotientTerm] | None = None,
-) -> Fraction:
-    """Sum one monomial labeling over admissible split quotients."""
-    total = Fraction(0)
+def _limit(g: TestGraph, params: LimitParams, rule: str, breakdown: list | None = None) -> Fraction:
+    """Sum every pseudo-cactus split quotient of ``g`` under one option rule.
+
+    Each quotient is enumerated and classified once; for every monomial term
+    each strong component contributes one of its options, and every choice
+    of options adds its weight times the graphon average of the niche
+    expansion.  ``breakdown`` collects one term per contributing quotient.
+    """
+    _validate_reference(g)
+    terms = _monomial_terms(g)
     psi1, psi2 = params.psi[1], params.psi[2]
+    total = Fraction(0)
     for rho0 in split_partitions(g):
         tq = quotient(g, rho0)
         report = classify(tq)
-        if not report.is_pseudo_cactus or not admit(report):
+        if not report.is_pseudo_cactus:
             continue
-        weight = Fraction(1)
-        plan = []
-        for kind, eids in _strong_components(report):
-            w, style = weight_fn(kind, eids, ns, params)
-            if w == 0:
-                weight = Fraction(0)
-                break
-            weight *= w
-            plan.append((style, eids, ns))
-        if weight == 0:
+        components = [("cut", (eid,)) for eid in report.cut_edges]
+        components += [("cycle", c) for c in report.all_cycles]
+        value = Fraction(0)
+        for coeff, ns in terms:
+            options = [_options(rule, kind, eids, ns, params) for kind, eids in components]
+            for choice in itertools.product(*options):
+                weight = coeff
+                plan = []
+                for (_, eids), (w, style) in zip(components, choice):
+                    weight *= w
+                    plan.append((style, eids, ns))
+                value += weight * delta0_graphon(_niche_expansion(tq, plan), params)
+        if value == 0:
             continue
         v1 = sum(1 for _, c in tq.vertices if c == 1)
         v2 = sum(1 for _, c in tq.vertices if c == 2)
-        weight *= psi1**v1 * psi2**v2
-        profile = delta0_graphon(_niche_expansion(tq, plan), params)
-        term = weight * profile
-        if collect is not None and term != 0:
-            collect.append(QuotientTerm(partition=rho0, value=term))
-        total += term
+        value *= psi1**v1 * psi2**v2
+        if breakdown is not None:
+            breakdown.append(QuotientTerm(partition=rho0, value=value))
+        total += value
     return total
 
 
 def limit_pw(g: TestGraph, params: LimitParams, breakdown: list | None = None) -> Fraction:
-    """Exact limit of the normalized expected trace of the full model."""
-    _validate_reference(g)
-    total = Fraction(0)
-    for coeff, ns in _monomial_terms(g):
-        total += coeff * _quotient_sum(g, params, ns, lambda r: True, _pw_weight_and_style, breakdown)
-    return total
+    """Exact limit of the normalized expected trace of the full model.
 
-
-def _channel_weight(channel: str):
-    def fn(kind, eids, ns, params):
-        return _sc_weight_and_style(kind, eids, ns, channel, params)
-
-    return fn
+    ``breakdown``, when given, receives one :class:`QuotientTerm` per
+    contributing split quotient; their values sum to the result.
+    """
+    return _limit(g, params, "pw", breakdown)
 
 
 def limit_B(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the deterministic deformation family: tree quotients only."""
-    _validate_reference(g)
-    total = Fraction(0)
-    for coeff, ns in _monomial_terms(g):
-        total += coeff * _quotient_sum(g, params, ns, lambda r: r.is_tree, _channel_weight(_CHANNEL_B))
-    return total
+    return _limit(g, params, "B")
 
 
 def limit_lin(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the linear family: cactus quotients (every edge in a cycle)."""
-    _validate_reference(g)
-    total = Fraction(0)
-    for coeff, ns in _monomial_terms(g):
-        total += coeff * _quotient_sum(g, params, ns, lambda r: r.is_cactus, _channel_weight(_CHANNEL_LIN))
-    return total
+    return _limit(g, params, "lin")
 
 
 def limit_per(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the chaos family: double-tree quotients, pair-kernel weights."""
-    _validate_reference(g)
-    total = Fraction(0)
-    for coeff, ns in _monomial_terms(g):
-        total += coeff * _quotient_sum(g, params, ns, lambda r: r.is_double_tree, _channel_weight(_CHANNEL_PER))
-    return total
+    return _limit(g, params, "per")
 
 
-def limit_equivalent_sum(g: TestGraph, params: LimitParams, breakdown: list | None = None) -> Fraction:
-    """Sum over component colorings of the mixed-family limits.
+def limit_equivalent_sum(g: TestGraph, params: LimitParams) -> Fraction:
+    """Sum of the mixed-family limits over one channel per strong component.
 
-    Each edge is colored lin, per or B; a quotient contributes only when
-    every strong component is monochromatic and its class admits the color
-    (cut edges deterministic, 2-cycles chaos or linear, longer cycles
-    linear).  For odd labels this must equal :func:`limit_pw` exactly.
+    Each strong component of a quotient takes the deterministic channel (cut
+    edges), the chaos channel (2-cycles) or the linear channel (cycles).  For
+    odd labels this must equal :func:`limit_pw` exactly.
     """
-    _validate_reference(g)
-    channels = (_CHANNEL_LIN, _CHANNEL_PER, _CHANNEL_B)
-    edge_ids = [e.id for e in g.edges]
-    total = Fraction(0)
-    psi1, psi2 = params.psi[1], params.psi[2]
-    for coeff, ns in _monomial_terms(g):
-        for rho0 in split_partitions(g):
-            tq = quotient(g, rho0)
-            report = classify(tq)
-            if not report.is_pseudo_cactus:
-                continue
-            scs = _strong_components(report)
-            v1 = sum(1 for _, c in tq.vertices if c == 1)
-            v2 = sum(1 for _, c in tq.vertices if c == 2)
-            psi_factor = psi1**v1 * psi2**v2
-            for theta in itertools.product(channels, repeat=len(edge_ids)):
-                color_of = dict(zip(edge_ids, theta))
-                weight = Fraction(1)
-                plan = []
-                ok = True
-                for kind, eids in scs:
-                    colors = {color_of[eid] for eid in eids}
-                    if len(colors) > 1:
-                        ok = False
-                        break
-                    w, style = _sc_weight_and_style(kind, eids, ns, colors.pop(), params)
-                    if w == 0:
-                        ok = False
-                        break
-                    weight *= w
-                    plan.append((style, eids, ns))
-                if not ok:
-                    continue
-                term = weight * psi_factor * delta0_graphon(_niche_expansion(tq, plan), params)
-                if breakdown is not None and term != 0:
-                    collect = QuotientTerm(partition=rho0, value=coeff * term, detail={"coloring": theta})
-                    breakdown.append(collect)
-                total += coeff * term
-    return total
+    return _limit(g, params, "sum")
 
 
 # -- exponent / support scan ------------------------------------------------------

@@ -198,6 +198,8 @@ class StepProfile:
 
     @staticmethod
     def of(rows: Sequence[Sequence]) -> "StepProfile":
+        if isinstance(rows, str) or any(isinstance(r, str) for r in rows):
+            raise ValueError(f"a profile is a list of rows of values, got {rows!r}")
         return StepProfile(tuple(tuple(_frac(v) for v in r) for r in rows))
 
     @staticmethod

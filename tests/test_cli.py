@@ -2,6 +2,7 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -117,6 +118,19 @@ def test_cmd_limit_breakdown():
     assert str(total) == rec["value"]
 
 
+def test_cmd_limit_breakdown_sums_to_value_for_mixed_labels():
+    # g5 + h3 expands into three monomial terms; the breakdown still holds
+    # one term per quotient, and the terms sum to the value exactly
+    cfg = base_config(labels=["0", "15", "0", "-9", "0", "1"], graph=["moment-1", "moment-2", "single-edge"], breakdown=True)
+    cfg["ensemble"]["law_w"] = cfg["ensemble"]["law_x"] = {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"}
+    report, _ = cmd_limit(cfg)
+    for rec in report["records"]:
+        parts = rec["per_quotient_breakdown"]
+        assert sum(Fraction(p["value"]) for p in parts) == Fraction(rec["value"]) != 0, rec["graph"]
+        partitions = [json.dumps(p["partition"]) for p in parts]
+        assert len(set(partitions)) == len(partitions), rec["graph"]
+
+
 def test_cmd_compare_z_scores():
     report, code = cmd_compare(base_config(labels="h1", trials=20))
     assert code == EXIT_OK
@@ -196,7 +210,18 @@ def test_main_validation_exit_codes(tmp_path):
 @pytest.mark.parametrize("command", ["decompose", "simulate"])
 @pytest.mark.parametrize(
     "key, value",
-    [("N0", None), ("N0", 0), ("N1", -3), ("N2", 2.5), ("N0", "60"), ("N1", True), ("law_w", None), ("profile_x", None)],
+    [
+        ("N0", None),
+        ("N0", 0),
+        ("N1", -3),
+        ("N2", 2.5),
+        ("N0", "60"),
+        ("N1", True),
+        ("law_w", None),
+        ("profile_x", None),
+        ("profile_w", "12"),
+        ("profile_x", ["12"]),
+    ],
 )
 def test_main_bad_ensemble_exits_2_with_one_line(tmp_path, capsys, command, key, value):
     cfg = base_config()
@@ -237,6 +262,20 @@ def test_main_bad_trials_or_seed_exits_2_with_one_line(tmp_path, capsys, command
     assert main([command, "--config", path]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bins", [[1], 0, -2, 2.5, "10", True, None])
+def test_main_bad_bins_exits_2_with_one_line(tmp_path, capsys, bins):
+    path = write_config(tmp_path, base_config(bins=bins))
+    assert main(["spectrum", "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: bins must be an integer") and err.count("\n") == 1, err
+
+
+def test_cmd_spectrum_bins():
+    report, _ = cmd_spectrum(base_config(bins=5))
+    for family in ("model", "equivalent"):
+        assert sum(r["family"] == family for r in report["histogram"]) == 5
 
 
 def test_main_config_must_be_an_object(tmp_path, capsys):

@@ -172,14 +172,6 @@ def test_expect_scaled_matches_argument_substitution():
         )
 
 
-def test_gaussian_moments_memo_idempotent():
-    from pwtraffic.hermite import GaussianMoments
-
-    table = GaussianMoments()
-    first = table(8)
-    assert table(8) is table.memo[8] and first == gaussian_moment(8)
-
-
 def test_polynomial_arithmetic_and_parity():
     p = monomial(3) + Fraction(2) * monomial(1)
     assert p.is_odd

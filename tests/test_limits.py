@@ -27,6 +27,7 @@ from pwtraffic.models import (
     unit_skewed_law,
 )
 from pwtraffic.traffic import BlockLayout, MatrixFamily, delta0, tau_estimate
+from refgraphs import labeled_reference_graphs
 
 THIRD = Fraction(1, 3)
 CONSTANT = LimitParams.of(psi=(THIRD, THIRD, THIRD))
@@ -211,6 +212,25 @@ def test_main_identity_on_step_profiles():
     assert limit_pw(m1, params) == limit_lin(m1, params) + limit_per(m1, params)
 
 
+def test_recombination_on_every_reference_graph_up_to_four_edges():
+    # pw = the equivalent sum, one channel per strong component, on all
+    # connected reference graphs with <= 4 edges labelled h1 or g3
+    params = LimitParams.of(
+        psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        m3_w=Fraction(3, 2),
+        m3_x=Fraction(3, 2),
+        profile_w=StepProfile.of([[1, Fraction(1, 2)], [Fraction(3, 2), 1]]),
+        profile_x=StepProfile.of([[2, 1], [1, Fraction(1, 2)]]),
+    )
+    labels = {"h1": H1, "g3": G3}
+    four_edge = 0
+    for name, ref in labeled_reference_graphs(4, list(labels)):
+        g = TestGraph(ref.vertices, [Edge(e.id, e.src, e.dst, labels[e.label]) for e in ref.edges], reference=True)
+        assert limit_pw(g, params) == limit_equivalent_sum(g, params), name
+        four_edge += len(g.edges) == 4
+    assert four_edge == 148
+
+
 def test_component_limits_vanish_off_class():
     assert limit_lin(single_edge(H1), CONSTANT) == 0
     assert limit_per(single_edge(H5), SKEWED) == 0
@@ -298,7 +318,7 @@ def test_scan_guards():
 def test_internal_block_count_identity():
     # number of inner blocks of a contributing quotient equals
     # c2 + c3 + sum_e (n(e)-1)/2; checked on the assembled niche expansions
-    from pwtraffic.limits import _niche_expansion, _pw_weight_and_style, _strong_components
+    from pwtraffic.limits import _niche_expansion, _options
 
     for g, ns in (
         (moment_cycle(1, H3), {("e", 0, 0): 3, ("e", 0, 1): 3}),
@@ -310,13 +330,16 @@ def test_internal_block_count_identity():
             report = classify(tq)
             if not report.is_pseudo_cactus:
                 continue
+            components = [("cut", (eid,)) for eid in report.cut_edges]
+            components += [("cycle", c) for c in report.all_cycles]
             plan = []
             ok = True
-            for kind, eids in _strong_components(report):
-                w, style = _pw_weight_and_style(kind, eids, ns, SKEWED)
-                if w == 0:
+            for kind, eids in components:
+                options = _options("pw", kind, eids, ns, SKEWED)
+                if not options:
                     ok = False
                     break
+                ((_, style),) = options
                 plan.append((style, eids, ns))
             if not ok:
                 continue
