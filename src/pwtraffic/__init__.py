@@ -5,11 +5,9 @@ from .hermite import (
     expect_derivative,
     expect_product,
     expect_scaled,
-    f_kernel,
     gaussian_moment,
     hermite,
     monomial,
-    theta_coefficients,
     to_hermite,
 )
 from .partitions import (
@@ -32,7 +30,6 @@ from .graphs import (
     build_auxiliary,
     classify,
     eta,
-    is_forest_defect,
     moment_cycle,
     quotient,
     rho_tilde,
@@ -82,6 +79,7 @@ from .limits import (
     limit_lin,
     limit_per,
     limit_pw,
+    limit_values,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
 from .hermite import Polynomial, hermite, monomial
-from .limits import LimitParams, limit_B, limit_equivalent_sum, limit_lin, limit_per, limit_pw
+from .limits import LimitParams, limit_pw, limit_values
 from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, pw_matrix
 from .models import equivalent_sampler, model_sampler
 from .traffic import TauEstimate, tau_estimates
@@ -209,9 +209,7 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
     report = _base_report("limit", config, graphs)
     flagged = False
     for name, g in graphs:
-        breakdown: list = [] if want_breakdown else None
-        pw = limit_pw(g, params, breakdown)
-        eq = limit_equivalent_sum(g, params)
+        values = limit_values(g, params)
         record = {
             "graph": name,
             "labels": [_poly_echo(e.label) for e in g.edges],
@@ -220,21 +218,21 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
                 "m3_w": str(params.m3_w),
                 "m3_x": str(params.m3_x),
             },
-            "value": str(pw),
+            "value": str(values.pw),
             "components": {
-                "pw": str(pw),
-                "B": str(limit_B(g, params)),
-                "lin": str(limit_lin(g, params)),
-                "per": str(limit_per(g, params)),
-                "equivalent_sum": str(eq),
+                "pw": str(values.pw),
+                "B": str(values.B),
+                "lin": str(values.lin),
+                "per": str(values.per),
+                "equivalent_sum": str(values.sum),
             },
-            "mismatch": pw != eq,
+            "mismatch": values.pw != values.sum,
         }
         if want_breakdown:
             record["per_quotient_breakdown"] = [
-                {"partition": term.partition.to_json(), "value": str(term.value)} for term in breakdown
+                {"partition": term.partition.to_json(), "value": str(term.value)} for term in values.breakdown
             ]
-        if pw != eq:
+        if values.pw != values.sum:
             flagged = True
         report["records"].append(record)
     report["flag_raised"] = flagged

@@ -226,11 +226,6 @@ def skeleton(g: TestGraph) -> dict[frozenset, list[EdgeId]]:
     return out
 
 
-def is_forest_defect(g: TestGraph) -> int:
-    """|V| - c - |E_skeleton|; zero iff the skeleton is a forest."""
-    return len(g.vertices) - len(connected_components(g)) - len(skeleton(g))
-
-
 # -- simple cycles and the cactus family -----------------------------------
 
 
@@ -240,16 +235,14 @@ class StrongComponentReport:
 
     ``two_cycles`` holds unordered pairs of parallel edge ids; ``long_cycles``
     holds edge-id sequences of the remaining cycles (self-loops included as
-    length-1 sequences).  The booleans classify the cactus family.
+    length-1 sequences).  ``is_pseudo_cactus`` holds when no edge lies on two
+    simple cycles.
     """
 
     cut_edges: tuple[EdgeId, ...]
     two_cycles: tuple[tuple[EdgeId, EdgeId], ...]
     long_cycles: tuple[tuple[EdgeId, ...], ...]
     is_pseudo_cactus: bool
-    is_cactus: bool
-    is_tree: bool
-    is_double_tree: bool
 
     @property
     def all_cycles(self) -> tuple[tuple[EdgeId, ...], ...]:
@@ -314,7 +307,7 @@ def simple_cycles(g: TestGraph) -> list[tuple[EdgeId, ...]]:
 
 
 def classify(g: TestGraph) -> StrongComponentReport:
-    """Cut edges, simple cycles, and cactus-family booleans of a connected graph."""
+    """Cut edges, simple cycles, and the pseudo-cactus test of a connected graph."""
     if not is_connected(g):
         raise ValueError("classify expects a connected graph; classify components separately")
     cycles = simple_cycles(g)
@@ -325,18 +318,11 @@ def classify(g: TestGraph) -> StrongComponentReport:
     cut_edges = tuple(e.id for e in g.edges if in_cycles[e.id] == 0)
     two_cycles = tuple(tuple(c) for c in cycles if len(c) == 2)
     long_cycles = tuple(tuple(c) for c in cycles if len(c) != 2)
-    pseudo = all(n <= 1 for n in in_cycles.values())
-    cactus = all(n == 1 for n in in_cycles.values())
-    tree = not cycles
-    double_tree = cactus and not long_cycles
     return StrongComponentReport(
         cut_edges=cut_edges,
         two_cycles=two_cycles,
         long_cycles=long_cycles,
-        is_pseudo_cactus=pseudo,
-        is_cactus=cactus,
-        is_tree=tree,
-        is_double_tree=double_tree,
+        is_pseudo_cactus=all(n <= 1 for n in in_cycles.values()),
     )
 
 

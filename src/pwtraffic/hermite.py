@@ -277,16 +277,3 @@ def expect_scaled(p: Polynomial, mu_sq: Fraction) -> Fraction:
         if k % 2 == 0 and c != 0:
             total += c * mu_sq ** (k // 2) * gaussian_moment(k)
     return total
-
-
-def f_kernel(p: Polynomial, q: Polynomial) -> Fraction:
-    """E[p q] - E[p'] E[q'], the covariance kernel of the chaos component.
-
-    On Hermite inputs equals n! delta_{n,m} - delta_{n,1} delta_{m,1}.
-    """
-    return expect_product(p, q) - expect_derivative(p, 1) * expect_derivative(q, 1)
-
-
-def theta_coefficients(p: Polynomial) -> tuple[Fraction, Fraction]:
-    """(theta1, theta2) = (E[p^2], E[p']^2)."""
-    return expect_product(p, p), expect_derivative(p, 1) ** 2

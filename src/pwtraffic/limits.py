@@ -1,14 +1,30 @@
 """Exact limiting values of normalized traces over reference graphs.
 
-The limit of a polynomial-labeled reference graph is a finite sum over
-split quotients whose image is a pseudo-cactus: cut edges carry third-moment
-weights, 2-cycles carry product moments, longer cycles carry first-derivative
-moments, and the step profiles enter through an exact cell-average factor of
-the quotient's niche expansion.  Everything is rational arithmetic.  One
-fold over the split quotients serves all five limits: the component limits
-(deterministic / linear / chaos) keep one channel of each strong component,
-and their sum, one channel per strong component, must reproduce the full
-limit for odd labels.
+The limit of a reference graph labeled by odd polynomials is a finite sum
+over its split quotients whose image is a pseudo-cactus.  In such a
+quotient every strong component carries one channel: a table over the step
+cells (r, c) of its endpoints, built from the cell kernels
+K_l(r, c) = sum_inner mu * w(r, .)^l * x(., c)^l (``models.cell_kernel``
+over the exact joint refinement of the inner cells) and from label-level
+Gaussian expectations at scale K_2 (``hermite.expect_scaled``):
+
+- a cut edge labeled h carries the deformation
+  m3_w m3_x / 6 * K_3 * E[h'''(sqrt(K_2) xi)];
+- a 2-cycle labeled (h, g) carries psi0 * E[(h g)(sqrt(K_2) xi)], of which
+  psi0 * K_2 * E[h'(sqrt(K_2) xi)] E[g'(sqrt(K_2) xi)] is linear and the
+  rest is chaos;
+- a longer cycle carries the linear star: psi0 times the star-centre table
+  sum_c mu(c) prod_e w(d_e, c) x(c, s_e) E[h_e'(sqrt(K_2(d_e, s_e)) xi)].
+
+The tables are multiplied and integrated over the quotient-vertex cells and
+the star centres by one variable-elimination loop, the loop that
+``delta0_graphon`` runs on a two-variable test graph.  One walk over the
+split quotients (``limit_values``) gives all five limits: the full limit,
+the deterministic, linear and chaos limits (every component in that one
+channel), and their sum with one channel per strong component, which must
+reproduce the full limit for odd labels.  Everything is rational
+arithmetic.  Reference graphs are guarded at ``MAX_LIMIT_EDGES`` = 8 edges,
+so the CLI's ``limit`` and ``compare`` run up to moment-4.
 """
 
 from __future__ import annotations
@@ -16,10 +32,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
 
 from .graphs import (
-    Edge,
     TestGraph,
     W_LABEL,
     X_LABEL,
@@ -31,11 +46,11 @@ from .graphs import (
     quotient,
     split_partitions,
 )
-from .hermite import Polynomial, gaussian_moment
-from .models import StepProfile
+from .hermite import Polynomial, expect_scaled
+from .models import StepProfile, cell_kernel
 from .partitions import SetPartition, restrict
 
-MAX_LIMIT_EDGES = 4
+MAX_LIMIT_EDGES = 8
 
 
 def _frac(x) -> Fraction:
@@ -71,62 +86,29 @@ class LimitParams:
         )
 
 
-# -- exact graphon average of a two-variable test graph ------------------------
+# -- cell tables and their variable elimination --------------------------------
 
 
-def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
-    """Limit of the injective-map entry-product average for step profiles.
+def _refinement(*ks: int) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """Joint refinement of uniform grids of k cells on [0, 1].
 
-    Every vertex is assigned an independent uniform position in [0, 1] for
-    its block (injectivity corrections vanish in the limit); the value is the
-    exact cell sum of the edge-value product weighted by cell measures.
-    Edges must be labeled "w" or "x"; colors route vertices to profile axes:
-    color 1 to the w rows, color 2 to the x columns, color 0 to both inner
-    axes (their cell grids are refined jointly).
+    One (measure, cell index in each grid) pair per refined interval.
     """
-    profiles = {W_LABEL: params.profile_w, X_LABEL: params.profile_x}
-    axes_of_color = {
-        1: ((W_LABEL, "row"),),
-        2: ((X_LABEL, "col"),),
-        0: ((W_LABEL, "col"), (X_LABEL, "row")),
-    }
+    pts = sorted({Fraction(i, k) for k in ks for i in range(k + 1)})
+    return [(hi - lo, tuple(min(int((lo + hi) / 2 * k), k - 1) for k in ks)) for lo, hi in zip(pts[:-1], pts[1:])]
 
-    def axis_cells(profile: StepProfile, axis: str) -> int:
-        return profile.n_row_cells if axis == "row" else profile.n_col_cells
 
-    domains: dict[object, list] = {}
-    coarse: dict[tuple[object, str, str], list[int]] = {}
-    for v, color in g.vertices:
-        breaks = {Fraction(0), Fraction(1)}
-        for label, axis in axes_of_color[color]:
-            k = axis_cells(profiles[label], axis)
-            breaks.update(Fraction(i, k) for i in range(1, k))
-        pts = sorted(breaks)
-        cells = list(zip(pts[:-1], pts[1:]))
-        domains[v] = [hi - lo for lo, hi in cells]
-        for label, axis in axes_of_color[color]:
-            k = axis_cells(profiles[label], axis)
-            idx = []
-            for lo, hi in cells:
-                mid = (lo + hi) / 2
-                idx.append(min(int(mid * k), k - 1))
-            coarse[(v, label, axis)] = idx
+def _eliminate(domains: dict, factors: list[tuple[tuple, dict]]) -> Fraction:
+    """Sum over all cell assignments of the cell measures times the factors.
 
-    # factors: (sorted vertex tuple) -> table mapping cell assignments to values
-    factors: list[tuple[tuple, dict]] = []
-    for e in g.edges:
-        profile = profiles[e.label]
-        rows = coarse[(e.dst, e.label, "row")]
-        cols = coarse[(e.src, e.label, "col")]
-        table = {}
-        for cd in range(len(domains[e.dst])):
-            for cs in range(len(domains[e.src])):
-                table[(cd, cs)] = profile.value(rows[cd], cols[cs])
-        factors.append(((e.dst, e.src), table))
-
-    remaining = set(g.vertex_ids)
+    ``domains`` maps each variable to the measures of its cells, in the
+    order that breaks elimination ties; a factor is (variables, table keyed
+    by their cell tuple).  Variables are summed out one at a time, the one
+    with the fewest neighbours first.
+    """
+    remaining = set(domains)
     scalar = Fraction(1)
-    order = {v: i for i, v in enumerate(g.vertex_ids)}
+    order = {v: i for i, v in enumerate(domains)}
     while remaining:
         v = min(
             remaining,
@@ -158,102 +140,48 @@ def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
     return scalar
 
 
-# -- niche expansion of a pseudo-cactus quotient -------------------------------
+def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
+    """Limit of the injective-map entry-product average for step profiles.
 
-
-def _add_block(vertices, edges, counter, src, dst, mult: int) -> None:
-    """One internal block: `mult` parallel w-edges to dst and x-edges from src."""
-    b = ("block", counter[0])
-    counter[0] += 1
-    vertices.append((b, 0))
-    for r in range(mult):
-        edges.append(Edge(("bw", b, r), b, dst, W_LABEL))
-        edges.append(Edge(("bx", b, r), src, b, X_LABEL))
-
-
-def _niche_expansion(tq: TestGraph, plan: Sequence[tuple[str, tuple, dict]]) -> TestGraph:
-    """Assemble the contributing quotient of the auxiliary graph.
-
-    ``plan`` holds (style, edge_ids, ns) per strong component: cut edges get
-    one triple block plus pairs, paired cycles get pair blocks shared by the
-    doubled endpoints, star cycles get one central block wired once into
-    every cycle edge plus per-edge pairs.
+    Every vertex is assigned an independent uniform position in [0, 1] for
+    its block (injectivity corrections vanish in the limit); the value is the
+    exact cell sum of the edge-value product weighted by cell measures.
+    Edges must be labeled "w" or "x"; colors route vertices to profile axes:
+    color 1 to the w rows, color 2 to the x columns, color 0 to both inner
+    axes (their cell grids are refined jointly).
     """
-    vertices = list(tq.vertices)
-    edges: list[Edge] = []
-    counter = [0]
-    for style, eids, ns in plan:
-        es = [tq.edge_by_id(eid) for eid in eids]
-        if style == "cut":
-            (e,) = es
-            n = ns[e.id]
-            _add_block(vertices, edges, counter, e.src, e.dst, 3)
-            for _ in range((n - 3) // 2):
-                _add_block(vertices, edges, counter, e.src, e.dst, 2)
-        elif style == "pair":
-            total = sum(ns[e.id] for e in es)
-            e = es[0]
-            for _ in range(total // 2):
-                _add_block(vertices, edges, counter, e.src, e.dst, 2)
-        elif style == "star":
-            center = ("block", counter[0])
-            counter[0] += 1
-            vertices.append((center, 0))
-            for e in es:
-                edges.append(Edge(("cw", center, e.id), center, e.dst, W_LABEL))
-                edges.append(Edge(("cx", center, e.id), e.src, center, X_LABEL))
-                for _ in range((ns[e.id] - 1) // 2):
-                    _add_block(vertices, edges, counter, e.src, e.dst, 2)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown niche style {style!r}")
-    return TestGraph(vertices, edges)
+    profiles = {W_LABEL: params.profile_w, X_LABEL: params.profile_x}
+    axes_of_color = {
+        1: ((W_LABEL, "row"),),
+        2: ((X_LABEL, "col"),),
+        0: ((W_LABEL, "col"), (X_LABEL, "row")),
+    }
+
+    def axis_cells(profile: StepProfile, axis: str) -> int:
+        return profile.n_row_cells if axis == "row" else profile.n_col_cells
+
+    domains: dict[object, list] = {}
+    coarse: dict[tuple[object, str, str], list[int]] = {}
+    for v, color in g.vertices:
+        axes = axes_of_color[color]
+        cells = _refinement(*(axis_cells(profiles[label], axis) for label, axis in axes))
+        domains[v] = [measure for measure, _ in cells]
+        for k, (label, axis) in enumerate(axes):
+            coarse[(v, label, axis)] = [idx[k] for _, idx in cells]
+
+    factors: list[tuple[tuple, dict]] = []
+    for e in g.edges:
+        profile = profiles[e.label]
+        rows = coarse[(e.dst, e.label, "row")]
+        cols = coarse[(e.src, e.label, "col")]
+        table = {(cd, cs): profile.value(r, c) for cd, r in enumerate(rows) for cs, c in enumerate(cols)}
+        factors.append(((e.dst, e.src), table))
+    return _eliminate(domains, factors)
 
 
-# -- strong-component options ----------------------------------------------------
+# -- the walk over split quotients -------------------------------------------------
 
-
-def _expect_monomial_derivative(n: int, k: int) -> Fraction:
-    """E[h_n^(k)(xi)] for the monomial h_n; k = 0 gives the moment E[xi^n]."""
-    if n < k:
-        return Fraction(0)
-    c = 1
-    for i in range(k):
-        c *= n - i
-    return c * gaussian_moment(n - k)
-
-
-def _options(rule: str, kind: str, eids: tuple, ns: dict, params: LimitParams) -> list[tuple[Fraction, str]]:
-    """Nonzero (weight, niche style) options of one strong component under a rule.
-
-    ``kind`` is "cut" or "cycle".  Rule "pw" is the full model: cut edges take
-    the third-moment weight, 2-cycles the product moment E[h_n h_m] and longer
-    cycles the product of E[h'].  Rules "B", "lin" and "per" are the
-    deterministic, linear and chaos channels: B keeps only cut edges, per only
-    2-cycles (with the kernel E[h_n h_m] - E[h_n'] E[h_m']), and lin only
-    cycles.  Rule "sum" offers every channel of the component, so the fold
-    picks one channel per strong component.
-    """
-    if rule == "sum":
-        return [opt for channel in ("lin", "per", "B") for opt in _options(channel, kind, eids, ns, params)]
-    moment = _expect_monomial_derivative
-    if kind == "cut":
-        if rule not in ("pw", "B"):
-            return []
-        weight, style = params.m3_w * params.m3_x / 6 * moment(ns[eids[0]], 3), "cut"
-    elif len(eids) == 2 and rule in ("pw", "per"):
-        n, m = ns[eids[0]], ns[eids[1]]
-        weight = moment(n + m, 0) - (moment(n, 1) * moment(m, 1) if rule == "per" else 0)
-        weight, style = params.psi[0] * weight, "pair"
-    elif rule in ("pw", "lin"):
-        weight, style = params.psi[0], "star"
-        for eid in eids:
-            weight *= moment(ns[eid], 1)
-    else:
-        return []
-    return [(weight, style)] if weight else []
-
-
-# -- label expansion and the fold over split quotients ---------------------------
+RULES = ("pw", "B", "lin", "per", "sum")
 
 
 def _validate_reference(g: TestGraph) -> None:
@@ -272,69 +200,138 @@ def _validate_reference(g: TestGraph) -> None:
             raise ValueError(f"edge {e.id!r} carries an even part; only odd polynomials converge")
 
 
-def _monomial_terms(g: TestGraph) -> list[tuple[Fraction, dict]]:
-    """Multilinear expansion: [(coefficient, edge id -> monomial degree)]."""
-    per_edge = []
-    for e in g.edges:
-        terms = [(n, c) for n, c in enumerate(e.label.power_coeffs) if c != 0]
-        per_edge.append((e.id, terms))
-    out: list[tuple[Fraction, dict]] = []
-    for combo in itertools.product(*(t for _, t in per_edge)):
-        coeff = Fraction(1)
-        ns = {}
-        for (eid, _), (n, c) in zip(per_edge, combo):
-            coeff *= c
-            ns[eid] = n
-        out.append((coeff, ns))
-    return out
-
-
 @dataclass
 class QuotientTerm:
-    """The contribution of one split quotient, summed over the monomial terms."""
+    """The full-limit contribution of one split quotient."""
 
     partition: SetPartition
     value: Fraction
 
 
-def _limit(g: TestGraph, params: LimitParams, rule: str, breakdown: list | None = None) -> Fraction:
-    """Sum every pseudo-cactus split quotient of ``g`` under one option rule.
+@dataclass(frozen=True)
+class LimitValues:
+    """The five exact limits of one reference graph.
 
-    Each quotient is enumerated and classified once; for every monomial term
-    each strong component contributes one of its options, and every choice
-    of options adds its weight times the graphon average of the niche
-    expansion.  ``breakdown`` collects one term per contributing quotient.
+    ``pw`` is the full limit; ``B``, ``lin`` and ``per`` the deterministic,
+    linear and chaos limits; ``sum`` the one-channel-per-strong-component
+    sum, equal to ``pw`` for odd labels.  ``breakdown`` holds one
+    :class:`QuotientTerm` per split quotient with a nonzero full-limit
+    contribution; their values sum to ``pw``.
+    """
+
+    pw: Fraction
+    B: Fraction
+    lin: Fraction
+    per: Fraction
+    sum: Fraction
+    breakdown: tuple[QuotientTerm, ...]
+
+
+# Channel tables, built once per (labels, profiles) and shared between walks
+# (read only).  Cut-edge and 2-cycle tables are keyed by the (w-row cell,
+# x-column cell) of the component's target and source; a star edge's table
+# also by the centre's inner cell.  The psi0 of a cycle is left to the walk.
+
+
+@lru_cache(maxsize=None)
+def _kernels(prof_w: StepProfile, prof_x: StepProfile) -> tuple[list, dict, dict]:
+    """The inner-cell refinement and the exact cell kernels K_2, K_3 per cell."""
+    inner = _refinement(prof_w.n_col_cells, prof_x.n_row_cells)
+    weighted = [(m, cw, rx) for m, (cw, rx) in inner]
+    k2, k3 = (cell_kernel(prof_w, prof_x, weighted, ell) for ell in (2, 3))
+    cells = [(r, c) for r in range(prof_w.n_row_cells) for c in range(prof_x.n_col_cells)]
+    return inner, {(r, c): k2[r][c] for r, c in cells}, {(r, c): k3[r][c] for r, c in cells}
+
+
+@lru_cache(maxsize=None)
+def _expect_cells(p: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict:
+    """E[p(sqrt(K_2) xi)] per cell."""
+    _, k2, _ = _kernels(prof_w, prof_x)
+    return {rc: expect_scaled(p, k) for rc, k in k2.items()}
+
+
+@lru_cache(maxsize=None)
+def _cut_table(h: Polynomial, m3: Fraction, prof_w: StepProfile, prof_x: StepProfile) -> dict:
+    """The deformation table; ``m3`` is m3_w m3_x / 6."""
+    _, _, k3 = _kernels(prof_w, prof_x)
+    third = _expect_cells(h.derivative(3), prof_w, prof_x)
+    return {rc: m3 * k * third[rc] for rc, k in k3.items()}
+
+
+@lru_cache(maxsize=None)
+def _two_cycle_tables(h1: Polynomial, h2: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict[str, dict]:
+    """The 2-cycle's table under every rule but B; sum is lin + per."""
+    _, k2, _ = _kernels(prof_w, prof_x)
+    full = _expect_cells(h1 * h2, prof_w, prof_x)
+    d1, d2 = (_expect_cells(h.derivative(1), prof_w, prof_x) for h in (h1, h2))
+    lin = {rc: k * d1[rc] * d2[rc] for rc, k in k2.items()}
+    per = {rc: full[rc] - lin[rc] for rc in k2}
+    return {"pw": full, "lin": lin, "per": per, "sum": {rc: lin[rc] + per[rc] for rc in k2}}
+
+
+@lru_cache(maxsize=None)
+def _star_table(h: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict:
+    inner, k2, _ = _kernels(prof_w, prof_x)
+    first = _expect_cells(h.derivative(1), prof_w, prof_x)
+    return {
+        (r, z, c): prof_w.value(r, cw) * prof_x.value(rx, c) * first[r, c]
+        for z, (_, (cw, rx)) in enumerate(inner)
+        for r, c in k2
+    }
+
+
+def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
+    """All five exact limits of ``g`` from one walk over its split quotients.
+
+    Each pseudo-cactus quotient is classified once.  Every strong component
+    offers one cell table per rule: a cut edge under pw, B and sum; a
+    2-cycle under pw, lin, per and sum; a longer cycle its star under pw,
+    lin and sum.  A rule that some component does not offer gets nothing
+    from the quotient; otherwise the quotient adds the eliminated product of
+    the tables, times psi0 per cycle and psi1, psi2 per quotient vertex of
+    color 1, 2.
     """
     _validate_reference(g)
-    terms = _monomial_terms(g)
-    psi1, psi2 = params.psi[1], params.psi[2]
-    total = Fraction(0)
+    prof_w, prof_x = params.profile_w, params.profile_x
+    centre_measures = [m for m, _ in _kernels(prof_w, prof_x)[0]]
+    measures = {1: [m for m, _ in _refinement(prof_w.n_row_cells)], 2: [m for m, _ in _refinement(prof_x.n_col_cells)]}
+    m3 = params.m3_w * params.m3_x / 6
+    psi0, psi1, psi2 = params.psi
+    totals = dict.fromkeys(RULES, Fraction(0))
+    breakdown: list[QuotientTerm] = []
     for rho0 in split_partitions(g):
         tq = quotient(g, rho0)
         report = classify(tq)
         if not report.is_pseudo_cactus:
             continue
-        components = [("cut", (eid,)) for eid in report.cut_edges]
-        components += [("cycle", c) for c in report.all_cycles]
-        value = Fraction(0)
-        for coeff, ns in terms:
-            options = [_options(rule, kind, eids, ns, params) for kind, eids in components]
-            for choice in itertools.product(*options):
-                weight = coeff
-                plan = []
-                for (_, eids), (w, style) in zip(components, choice):
-                    weight *= w
-                    plan.append((style, eids, ns))
-                value += weight * delta0_graphon(_niche_expansion(tq, plan), params)
-        if value == 0:
-            continue
+        var = {v: i for i, v in enumerate(tq.vertex_ids)}
+        domains = {var[v]: measures[color] for v, color in tq.vertices}
+        edge = {e.id: e for e in tq.edges}
+        components: list[dict[str, list]] = []
+        for eid in report.cut_edges:
+            e = edge[eid]
+            factors = [((var[e.dst], var[e.src]), _cut_table(e.label, m3, prof_w, prof_x))]
+            components.append({"pw": factors, "B": factors, "sum": factors})
+        for a, b in report.two_cycles:
+            e = edge[a]
+            by_rule = _two_cycle_tables(e.label, edge[b].label, prof_w, prof_x)
+            components.append({rule: [((var[e.dst], var[e.src]), t)] for rule, t in by_rule.items()})
+        for cycle in report.long_cycles:
+            centre = len(domains)
+            domains[centre] = centre_measures
+            factors = [
+                ((var[e.dst], centre, var[e.src]), _star_table(e.label, prof_w, prof_x)) for e in map(edge.get, cycle)
+            ]
+            components.append({"pw": factors, "lin": factors, "sum": factors})
         v1 = sum(1 for _, c in tq.vertices if c == 1)
-        v2 = sum(1 for _, c in tq.vertices if c == 2)
-        value *= psi1**v1 * psi2**v2
-        if breakdown is not None:
-            breakdown.append(QuotientTerm(partition=rho0, value=value))
-        total += value
-    return total
+        scale = psi0 ** len(report.all_cycles) * psi1**v1 * psi2 ** (len(tq.vertices) - v1)
+        for rule in RULES:
+            if all(rule in comp for comp in components):
+                value = scale * _eliminate(domains, [f for comp in components for f in comp[rule]])
+                totals[rule] += value
+                if rule == "pw" and value != 0:
+                    breakdown.append(QuotientTerm(partition=rho0, value=value))
+    return LimitValues(**totals, breakdown=tuple(breakdown))
 
 
 def limit_pw(g: TestGraph, params: LimitParams, breakdown: list | None = None) -> Fraction:
@@ -343,22 +340,25 @@ def limit_pw(g: TestGraph, params: LimitParams, breakdown: list | None = None) -
     ``breakdown``, when given, receives one :class:`QuotientTerm` per
     contributing split quotient; their values sum to the result.
     """
-    return _limit(g, params, "pw", breakdown)
+    values = limit_values(g, params)
+    if breakdown is not None:
+        breakdown.extend(values.breakdown)
+    return values.pw
 
 
 def limit_B(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the deterministic deformation family: tree quotients only."""
-    return _limit(g, params, "B")
+    return limit_values(g, params).B
 
 
 def limit_lin(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the linear family: cactus quotients (every edge in a cycle)."""
-    return _limit(g, params, "lin")
+    return limit_values(g, params).lin
 
 
 def limit_per(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the chaos family: double-tree quotients, pair-kernel weights."""
-    return _limit(g, params, "per")
+    return limit_values(g, params).per
 
 
 def limit_equivalent_sum(g: TestGraph, params: LimitParams) -> Fraction:
@@ -368,7 +368,7 @@ def limit_equivalent_sum(g: TestGraph, params: LimitParams) -> Fraction:
     edges), the chaos channel (2-cycles) or the linear channel (cycles).  For
     odd labels this must equal :func:`limit_pw` exactly.
     """
-    return _limit(g, params, "sum")
+    return limit_values(g, params).sum
 
 
 # -- exponent / support scan ------------------------------------------------------

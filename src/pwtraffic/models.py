@@ -28,7 +28,6 @@ psi0 = N0/N.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -349,12 +348,6 @@ def triple_and_pairs(n: int) -> IntegerPartition:
     return IntegerPartition.of([3] + [2] * ((n - 3) // 2))
 
 
-def all_pairs(n: int) -> IntegerPartition:
-    if n % 2:
-        raise ValueError("pair partitions need an even total")
-    return IntegerPartition.of([2] * (n // 2))
-
-
 def power_sums(w: np.ndarray, x: np.ndarray, top: int) -> dict[int, np.ndarray]:
     """The table m -> (W^{om}) (X^{om}) for m = 1..top; exact on integer inputs.
 
@@ -511,6 +504,28 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
 # -- profile cell machinery -----------------------------------------------------
 
 
+def cell_kernel(
+    profile_w: StepProfile,
+    profile_x: StepProfile,
+    inner: Sequence[tuple[Fraction, int, int]],
+    ell: int,
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The cell kernel K_ell(r, c) = sum_inner weight * w(r, cw)^ell * x(rx, c)^ell.
+
+    ``inner`` lists one (weight, w-column cell, x-row cell) triple per inner
+    cell: finite counts over a normalization for a sampled ensemble, exact
+    interval measures of the joint cell refinement for the limit.  Rows run
+    over the w-row cells, columns over the x-column cells.
+    """
+    return tuple(
+        tuple(
+            sum((m * profile_w.value(r, cw) ** ell * profile_x.value(rx, c) ** ell for m, cw, rx in inner), Fraction(0))
+            for c in range(profile_x.n_col_cells)
+        )
+        for r in range(profile_w.n_row_cells)
+    )
+
+
 @lru_cache(maxsize=None)
 def _lambda_cells(
     profile_w: StepProfile,
@@ -524,16 +539,8 @@ def _lambda_cells(
     counts: dict[tuple[int, int], int] = {}
     for key in zip(profile_w.col_cells(layout.N0), profile_x.row_cells(layout.N0)):
         counts[key] = counts.get(key, 0) + 1
-    out = []
-    for rw in range(profile_w.n_row_cells):
-        row = []
-        for cx in range(profile_x.n_col_cells):
-            acc = Fraction(0)
-            for (cw, rx), cnt in counts.items():
-                acc += cnt * profile_w.value(rw, cw) ** ell * profile_x.value(rx, cx) ** ell
-            row.append(acc / denominator)
-        out.append(tuple(row))
-    return tuple(out)
+    inner = [(Fraction(cnt, denominator), cw, rx) for (cw, rx), cnt in counts.items()]
+    return cell_kernel(profile_w, profile_x, inner, ell)
 
 
 def _mu_sq_cells(ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...]:
@@ -742,21 +749,3 @@ def equivalent_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial])
         return family
 
     return sampler
-
-
-# -- flat binary dumps -----------------------------------------------------------
-
-
-def write_matrix(path, a: np.ndarray) -> None:
-    """Row-major float64 dump with an 8-byte (rows, cols) uint32 header."""
-    a = np.asarray(a, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<II", a.shape[0], a.shape[1]))
-        fh.write(a.tobytes(order="C"))
-
-
-def read_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        rows, cols = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    return data.reshape(rows, cols)

@@ -237,7 +237,10 @@ def test_cmd_limit_flag_exit_code(tmp_path, monkeypatch):
     import pwtraffic.cli as cli
     from fractions import Fraction
 
-    monkeypatch.setattr(cli, "limit_equivalent_sum", lambda g, params: Fraction(999))
+    import dataclasses
+
+    real = cli.limit_values
+    monkeypatch.setattr(cli, "limit_values", lambda g, params: dataclasses.replace(real(g, params), sum=Fraction(999)))
     report, code = cli.cmd_limit(base_config(labels="h3"))
     assert code == EXIT_FLAG and report["flag_raised"]
     assert report["records"][0]["mismatch"]
@@ -315,3 +318,29 @@ def test_main_compare_report_same_at_any_thread_count(tmp_path):
         assert main(["compare", "--config", cfg_path, "--out", str(out), "--threads", threads]) == EXIT_OK
         outs.append(re.sub(r'"wall_clock_s": [0-9.e-]+', '"wall_clock_s": 0', out.read_text()))
     assert outs[0] == outs[1]
+
+
+def test_main_limit_beyond_edge_guard_exits_2_with_one_line(tmp_path, capsys):
+    nine = {
+        "vertices": [{"id": "u", "color": 1}, {"id": "v", "color": 2}],
+        "edges": [{"id": k, "src": "v", "dst": "u", "label": "p"} for k in range(9)],
+    }
+    path = write_config(tmp_path, base_config(graph=nine, labels={"p": "h1"}))
+    assert main(["limit", "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: limit evaluation guarded at 8 edges") and err.count("\n") == 1, err
+
+
+def test_main_compare_runs_moment_3(tmp_path):
+    from pwtraffic.cli import limit_params_of, resolve_ensemble
+    from pwtraffic.graphs import moment_cycle
+    from pwtraffic.limits import limit_pw
+
+    cfg = base_config(graph="moment-3", labels="h3", trials=3)
+    for key in ("N0", "N1", "N2"):
+        cfg["ensemble"][key] = 20
+    out = tmp_path / "r.json"
+    assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    exact = float(limit_pw(moment_cycle(3, monomial(3)), limit_params_of(resolve_ensemble(cfg))))
+    records = json.loads(out.read_text())["records"]
+    assert [r["exact"] for r in records if "exact" in r] == [exact, exact]

@@ -11,7 +11,6 @@ from pwtraffic.graphs import (
     connected_components,
     eta,
     has_centered_support,
-    is_forest_defect,
     moment_cycle,
     quotient,
     rho_tilde,
@@ -39,7 +38,9 @@ def test_quotient_path_to_two_cycle():
     q = quotient(g, SetPartition.from_blocks(3, [[1, 3], [2]]))
     assert len(q.vertices) == 2
     rep = classify(q)
-    assert rep.two_cycles and rep.is_cactus
+    # a cactus: every edge on exactly one cycle
+    assert rep.two_cycles and not rep.cut_edges
+    assert sorted(e for c in rep.all_cycles for e in c) == ["e1", "e2"]
 
 
 def test_quotient_preserves_parallel_edges():
@@ -100,7 +101,7 @@ def test_skeleton_examples():
 def test_classify_single_edge():
     rep = classify(graph({1: 0, 2: 0}, [("e", 1, 2, "m")]))
     assert rep.cut_edges == ("e",)
-    assert rep.is_pseudo_cactus and rep.is_tree and not rep.is_cactus
+    assert rep.is_pseudo_cactus and not rep.all_cycles  # a tree
 
 
 def test_classify_pseudo_cactus_figure_shape():
@@ -119,7 +120,8 @@ def test_classify_pseudo_cactus_figure_shape():
     edges.append(("tc2b", "i2", "i", "m"))
     vertices = {v: 0 for v in "abcdefghijkl"} | {"i2": 0}
     rep = classify(graph(vertices, edges))
-    assert rep.is_pseudo_cactus and not rep.is_tree and not rep.is_cactus
+    # neither a tree nor a cactus: cycles and cut edges both present
+    assert rep.is_pseudo_cactus and rep.all_cycles and rep.cut_edges
     assert sorted(rep.cut_edges) == ["cut1", "cut2"]
     assert len(rep.two_cycles) == 2
     assert sorted(len(c) for c in rep.long_cycles) == [4, 6]
@@ -141,15 +143,6 @@ def test_classify_pseudo_cactus_edge_cover():
     covered = list(rep.cut_edges) + [e for c in rep.all_cycles for e in c]
     assert sorted(covered) == ["cut", "d1", "d2"]
     assert len(rep.cut_edges) + sum(len(c) for c in rep.all_cycles) == 3
-
-
-def test_is_forest_defect():
-    path = graph({i: 0 for i in range(1, 6)}, [(i, i, i + 1, "m") for i in range(1, 5)])
-    assert is_forest_defect(path) == 0
-    tri = graph({1: 0, 2: 0, 3: 0}, [("a", 1, 2, "m"), ("b", 2, 3, "m"), ("c", 3, 1, "m")])
-    assert is_forest_defect(tri) == 3 - 1 - 3 == -1
-    two = graph({1: 0, 2: 0, 3: 0, 4: 0}, [("a", 1, 2, "m"), ("b", 3, 4, "m")])
-    assert is_forest_defect(two) == 0
 
 
 def test_build_auxiliary_counts():

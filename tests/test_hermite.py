@@ -17,11 +17,9 @@ from pwtraffic.hermite import (
     expect_derivative,
     expect_product,
     expect_scaled,
-    f_kernel,
     gaussian_moment,
     hermite,
     monomial,
-    theta_coefficients,
     to_hermite,
 )
 
@@ -129,33 +127,6 @@ def test_expect_derivative_examples():
     assert expect_derivative(hermite(3), 3) == 6
     assert expect_derivative(monomial(3), 3) == 6
     assert expect_derivative(monomial(5), 1) == 15
-
-
-def test_f_kernel_examples():
-    for n in range(1, 9):
-        for m in range(1, 9):
-            want = Fraction(math.factorial(n)) if n == m else Fraction(0)
-            if n == 1 and m == 1:
-                want -= 1
-            assert f_kernel(hermite(n), hermite(m)) == want
-    assert f_kernel(monomial(1), monomial(1)) == 0
-    assert f_kernel(monomial(3), monomial(3)) == 6
-
-
-def test_f_kernel_symmetric_bilinear():
-    basis = [monomial(k) for k in range(10)]
-    for p, q in itertools.combinations(basis, 2):
-        assert f_kernel(p, q) == f_kernel(q, p)
-    a, b = Fraction(2, 3), Fraction(-5)
-    p, q, r = monomial(2), monomial(5), monomial(3)
-    combo = a * p + b * q
-    assert f_kernel(combo, r) == a * f_kernel(p, r) + b * f_kernel(q, r)
-
-
-def test_theta_coefficients():
-    assert theta_coefficients(monomial(1)) == (1, 1)
-    assert theta_coefficients(monomial(3)) == (15, 9)
-    assert theta_coefficients(hermite(3)) == (6, 0)
 
 
 def test_expect_scaled_matches_argument_substitution():

@@ -8,6 +8,8 @@ import pytest
 from pwtraffic.graphs import Edge, TestGraph, classify, moment_cycle, quotient, single_edge, split_partitions
 from pwtraffic.hermite import hermite, monomial
 from pwtraffic.limits import (
+    MAX_LIMIT_EDGES,
+    RULES,
     LimitParams,
     delta0_graphon,
     eta_support_scan,
@@ -16,6 +18,7 @@ from pwtraffic.limits import (
     limit_lin,
     limit_per,
     limit_pw,
+    limit_values,
 )
 from pwtraffic.models import (
     EntryLaw,
@@ -27,12 +30,21 @@ from pwtraffic.models import (
     unit_skewed_law,
 )
 from pwtraffic.traffic import BlockLayout, MatrixFamily, delta0, tau_estimate
+from limit_oracle import _limit as oracle_limit
 from refgraphs import labeled_reference_graphs
 
 THIRD = Fraction(1, 3)
 CONSTANT = LimitParams.of(psi=(THIRD, THIRD, THIRD))
 SKEWED = LimitParams.of(psi=(THIRD, THIRD, THIRD), m3_w=Fraction(3, 2), m3_x=Fraction(3, 2))
 H1, H3, H5, G3, G5 = monomial(1), monomial(3), monomial(5), hermite(3), hermite(5)
+# step profiles and unequal, skewed third moments
+STEPPED = LimitParams.of(
+    psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+    m3_w=Fraction(3, 2),
+    m3_x=Fraction(-5, 4),
+    profile_w=StepProfile.of([[1, Fraction(1, 2)], [Fraction(3, 2), 1]]),
+    profile_x=StepProfile.of([[2, 1], [1, Fraction(1, 2)]]),
+)
 
 
 # -- graphon delta0 --------------------------------------------------------------
@@ -231,6 +243,40 @@ def test_recombination_on_every_reference_graph_up_to_four_edges():
     assert four_edge == 148
 
 
+def test_limit_walk_matches_oracle_fold():
+    # all five values of the walk equal the monomial/niche-graph fold of
+    # tests/limit_oracle.py on every connected reference graph of <= 3 edges
+    labels = {"h1": H1, "g3+h1": G3 + H1, "g5+h3": G5 + H3}
+    checked = 0
+    for name, ref in labeled_reference_graphs(3, list(labels)):
+        g = TestGraph(ref.vertices, [Edge(e.id, e.src, e.dst, labels[e.label]) for e in ref.edges], reference=True)
+        values = limit_values(g, STEPPED)
+        for rule in RULES:
+            assert getattr(values, rule) == oracle_limit(g, STEPPED, rule), (name, rule)
+        checked += 1
+    assert checked == 114
+
+
+def test_limit_walk_matches_oracle_fold_on_moment_3():
+    g = moment_cycle(3, H3)
+    values = limit_values(g, STEPPED)
+    for rule in RULES:
+        assert getattr(values, rule) == oracle_limit(g, STEPPED, rule), rule
+
+
+def test_recombination_on_moments_3_and_4():
+    for k in (3, 4):
+        g = moment_cycle(k, G5 + H3)
+        assert limit_pw(g, STEPPED) == limit_equivalent_sum(g, STEPPED), k
+
+
+def test_limit_edge_guard():
+    assert MAX_LIMIT_EDGES == 8
+    nine = TestGraph([("u", 1), ("v", 2)], [Edge(k, "v", "u", H1) for k in range(9)], reference=True)
+    with pytest.raises(ValueError, match="guarded at 8 edges"):
+        limit_values(nine, CONSTANT)
+
+
 def test_component_limits_vanish_off_class():
     assert limit_lin(single_edge(H1), CONSTANT) == 0
     assert limit_per(single_edge(H5), SKEWED) == 0
@@ -318,7 +364,7 @@ def test_scan_guards():
 def test_internal_block_count_identity():
     # number of inner blocks of a contributing quotient equals
     # c2 + c3 + sum_e (n(e)-1)/2; checked on the assembled niche expansions
-    from pwtraffic.limits import _niche_expansion, _options
+    from limit_oracle import _niche_expansion, _options
 
     for g, ns in (
         (moment_cycle(1, H3), {("e", 0, 0): 3, ("e", 0, 1): 3}),

@@ -14,7 +14,6 @@ from pwtraffic.models import (
     EntryLaw,
     ProfiledEnsemble,
     StepProfile,
-    all_pairs,
     decompose,
     distinct_labels,
     equivalent_def,
@@ -30,12 +29,10 @@ from pwtraffic.models import (
     inclusion_exclusion_terms,
     power_sums,
     pw_matrix,
-    read_matrix,
     second_moment_cells,
     second_moment_profile,
     triple_and_pairs,
     unit_skewed_law,
-    write_matrix,
     z_lambda,
 )
 from pwtraffic.partitions import IntegerPartition, count_of_type, enumerate_set_partitions, integer_partitions
@@ -299,7 +296,6 @@ def test_named_partition_families():
     assert ones_and_pairs(5, 3).parts == (2, 1, 1, 1)
     assert ones_and_pairs(5, 5).parts == (1, 1, 1, 1, 1)
     assert triple_and_pairs(7).parts == (3, 2, 2)
-    assert all_pairs(6).parts == (2, 2, 2)
     with pytest.raises(ValueError):
         ones_and_pairs(5, 2)
     with pytest.raises(ValueError):
@@ -534,14 +530,6 @@ def test_equivalents_deterministic_per_seed():
     fam1 = per_noise_family(ens, seed=77, max_order=4)
     fam2 = per_noise_family(ens, seed=77, max_order=4)
     assert all((fam1[n] == fam2[n]).all() for n in fam1)
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    a = RNG.standard_normal((3, 5))
-    path = tmp_path / "mat.bin"
-    write_matrix(path, a)
-    assert path.stat().st_size == 8 + 3 * 5 * 8
-    assert np.allclose(read_matrix(path), a)
 
 
 # -- cached cells, in-place profiles and the per-trial samplers ---------------------
