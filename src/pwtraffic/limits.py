@@ -22,7 +22,12 @@ the star centres by one variable-elimination loop, the loop that
 split quotients (``limit_values``) gives all five limits: the full limit,
 the deterministic, linear and chaos limits (every component in that one
 channel), and their sum with one channel per strong component, which must
-reproduce the full limit for odd labels.  Everything is rational
+reproduce the full limit for odd labels.  The sum is its own elimination:
+a 2-cycle's chaos table is the Wiener chaos series of its product moment
+(orders other than one) and its linear channel is the product of its two
+star tables over a centre of its own, so a fault in the kernels, the stars
+or the Gaussian expectations shows as a full limit that differs from the
+sum (the CLI's ``mismatch`` flag).  Everything is rational
 arithmetic.  Reference graphs are guarded at ``MAX_LIMIT_EDGES`` = 8 edges,
 so the CLI's ``limit`` and ``compare`` run up to moment-4.
 """
@@ -33,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .graphs import (
     TestGraph,
@@ -214,7 +220,7 @@ class LimitValues:
 
     ``pw`` is the full limit; ``B``, ``lin`` and ``per`` the deterministic,
     linear and chaos limits; ``sum`` the one-channel-per-strong-component
-    sum, equal to ``pw`` for odd labels.  ``breakdown`` holds one
+    sum, computed apart from ``pw`` and equal to it for odd labels.  ``breakdown`` holds one
     :class:`QuotientTerm` per split quotient with a nonzero full-limit
     contribution; their values sum to ``pw``.
     """
@@ -259,17 +265,6 @@ def _cut_table(h: Polynomial, m3: Fraction, prof_w: StepProfile, prof_x: StepPro
 
 
 @lru_cache(maxsize=None)
-def _two_cycle_tables(h1: Polynomial, h2: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict[str, dict]:
-    """The 2-cycle's table under every rule but B; sum is lin + per."""
-    _, k2, _ = _kernels(prof_w, prof_x)
-    full = _expect_cells(h1 * h2, prof_w, prof_x)
-    d1, d2 = (_expect_cells(h.derivative(1), prof_w, prof_x) for h in (h1, h2))
-    lin = {rc: k * d1[rc] * d2[rc] for rc, k in k2.items()}
-    per = {rc: full[rc] - lin[rc] for rc in k2}
-    return {"pw": full, "lin": lin, "per": per, "sum": {rc: lin[rc] + per[rc] for rc in k2}}
-
-
-@lru_cache(maxsize=None)
 def _star_table(h: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict:
     inner, k2, _ = _kernels(prof_w, prof_x)
     first = _expect_cells(h.derivative(1), prof_w, prof_x)
@@ -280,13 +275,37 @@ def _star_table(h: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict
     }
 
 
+@lru_cache(maxsize=None)
+def _two_cycle_tables(h1: Polynomial, h2: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict[str, dict]:
+    """The 2-cycle's table under every rule but B.
+
+    pw is E[(h1 h2)(sqrt(K_2) xi)].  lin and per are the first and the other
+    Wiener chaoses of that product moment, E[h1 h2] = sum_k K_2^k / k!
+    E[h1^(k)] E[h2^(k)], so per is summed term by term and not taken as
+    pw - lin.  The sum table is keyed by (target, centre, source) cells: the
+    linear channel as the product of the two star tables over its own
+    centre, plus per.  Integrated over the centre it must reproduce pw.
+    """
+    _, k2, _ = _kernels(prof_w, prof_x)
+    derivs = [
+        [_expect_cells(h.derivative(k), prof_w, prof_x) for h in (h1, h2)]
+        for k in range(max(h1.degree, h2.degree, 1) + 1)
+    ]
+    chaos = {rc: [q**k / factorial(k) * a[rc] * b[rc] for k, (a, b) in enumerate(derivs)] for rc, q in k2.items()}
+    lin = {rc: terms[1] for rc, terms in chaos.items()}
+    per = {rc: sum(terms[:1] + terms[2:]) for rc, terms in chaos.items()}
+    s1, s2 = _star_table(h1, prof_w, prof_x), _star_table(h2, prof_w, prof_x)
+    star_sum = {(r, z, c): t * s2[r, z, c] + per[r, c] for (r, z, c), t in s1.items()}
+    return {"pw": _expect_cells(h1 * h2, prof_w, prof_x), "lin": lin, "per": per, "sum": star_sum}
+
+
 def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
     """All five exact limits of ``g`` from one walk over its split quotients.
 
     Each pseudo-cactus quotient is classified once.  Every strong component
     offers one cell table per rule: a cut edge under pw, B and sum; a
-    2-cycle under pw, lin, per and sum; a longer cycle its star under pw,
-    lin and sum.  A rule that some component does not offer gets nothing
+    2-cycle under pw, lin, per and sum (under sum over a centre of its own);
+    a longer cycle its star under pw, lin and sum.  A rule that some component does not offer gets nothing
     from the quotient; otherwise the quotient adds the eliminated product of
     the tables, times psi0 per cycle and psi1, psi2 per quotient vertex of
     color 1, 2.
@@ -315,7 +334,11 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
         for a, b in report.two_cycles:
             e = edge[a]
             by_rule = _two_cycle_tables(e.label, edge[b].label, prof_w, prof_x)
-            components.append({rule: [((var[e.dst], var[e.src]), t)] for rule, t in by_rule.items()})
+            centre = len(domains)
+            domains[centre] = centre_measures
+            comp = {rule: [((var[e.dst], var[e.src]), by_rule[rule])] for rule in ("pw", "lin", "per")}
+            comp["sum"] = [((var[e.dst], centre, var[e.src]), by_rule["sum"])]
+            components.append(comp)
         for cycle in report.long_cycles:
             centre = len(domains)
             domains[centre] = centre_measures
@@ -327,7 +350,9 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
         scale = psi0 ** len(report.all_cycles) * psi1**v1 * psi2 ** (len(tq.vertices) - v1)
         for rule in RULES:
             if all(rule in comp for comp in components):
-                value = scale * _eliminate(domains, [f for comp in components for f in comp[rule]])
+                factors = [f for comp in components for f in comp[rule]]
+                used = {v for vars_, _ in factors for v in vars_}
+                value = scale * _eliminate({v: m for v, m in domains.items() if v in used}, factors)
                 totals[rule] += value
                 if rule == "pw" and value != 0:
                     breakdown.append(QuotientTerm(partition=rho0, value=value))

@@ -270,6 +270,29 @@ def test_recombination_on_moments_3_and_4():
         assert limit_pw(g, STEPPED) == limit_equivalent_sum(g, STEPPED), k
 
 
+def test_recombination_can_fail(monkeypatch):
+    # pw reads a 2-cycle through the cell kernel K_2, sum through the stars
+    # over its own centre: a wrong K_2 must show as pw != sum
+    from pwtraffic import limits
+
+    caches = (limits._kernels, limits._expect_cells, limits._cut_table, limits._two_cycle_tables, limits._star_table)
+    real = limits.cell_kernel
+
+    def doubled(profile_w, profile_x, inner, ell):
+        table = real(profile_w, profile_x, inner, ell)
+        return tuple(tuple(2 * k for k in row) for row in table) if ell == 2 else table
+
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(limits, "cell_kernel", doubled)
+    try:
+        values = limit_values(moment_cycle(1, G3 + H1), STEPPED)
+        assert values.pw != values.sum
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
 def test_limit_edge_guard():
     assert MAX_LIMIT_EDGES == 8
     nine = TestGraph([("u", 1), ("v", 2)], [Edge(k, "v", "u", H1) for k in range(9)], reference=True)
