@@ -38,23 +38,23 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
+from typing import Iterator
 
 from .graphs import (
+    AuxiliaryGraph,
     TestGraph,
     W_LABEL,
     X_LABEL,
     build_auxiliary,
     classify,
-    eta,
-    has_centered_support,
     is_connected,
     quotient,
     split_partitions,
 )
 from .hermite import Polynomial, expect_scaled
 from .models import StepProfile, cell_kernel
-from .partitions import SetPartition, restrict
+from .partitions import SetPartition, bell_number, restricted_growth_strings
 
 MAX_LIMIT_EDGES = 8
 
@@ -411,6 +411,69 @@ class EtaScanReport:
     violations: list[SetPartition]
 
 
+def _supported_splits(aux: AuxiliaryGraph) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every split partition of the auxiliary graph with centered support.
+
+    Yields (internal, targets, sources): the restricted-growth labels of the
+    color-0 vertices in niche order and of the color-1 and color-2 vertices
+    in vertex order.  The two reference classes are partitioned outright;
+    the internal labels are assigned one vertex at a time while the
+    multiplicities of the w-groups (internal block, target block) and the
+    x-groups (source block, internal block) are counted.  Each unassigned
+    vertex joins one group of each kind, so it closes at most one singleton
+    of each; a prefix is cut as soon as either singleton count exceeds the
+    number of vertices still unassigned.
+    """
+    index: dict = {}
+    n_class = {1: 0, 2: 0}
+    for v, c in aux.reference.vertices:
+        index[v] = n_class[c]
+        n_class[c] += 1
+    ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id].internal]
+    n0 = len(ends)
+    labels = [0] * n0
+    w_mult: dict[tuple[int, int], int] = {}
+    x_mult: dict[tuple[int, int], int] = {}
+
+    def walk(i: int, n_blocks: int, w_single: int, x_single: int, keys: list) -> Iterator[tuple[int, ...]]:
+        if i == n0:
+            yield tuple(labels)
+            return
+        t, s = keys[i]
+        left = n0 - 1 - i
+        for b in range(n_blocks + 1):
+            kw, kx = (b, t), (s, b)
+            mw, mx = w_mult.get(kw, 0), x_mult.get(kx, 0)
+            ws = w_single + (mw == 0) - (mw == 1)
+            xs = x_single + (mx == 0) - (mx == 1)
+            if ws > left or xs > left:
+                continue
+            w_mult[kw], x_mult[kx] = mw + 1, mx + 1
+            labels[i] = b
+            yield from walk(i + 1, max(n_blocks, b + 1), ws, xs, keys)
+            w_mult[kw], x_mult[kx] = mw, mx
+
+    for targets in restricted_growth_strings(n_class[1]):
+        for sources in restricted_growth_strings(n_class[2]):
+            keys = [(targets[t], sources[s]) for t, s in ends]
+            for internal in walk(0, 0, 0, 0, keys):
+                yield internal, targets, sources
+
+
+def _eta_offset(ref: TestGraph) -> Fraction:
+    """1 + |E|/2 + sum_e n(e)/2: a quotient's exponent is its block count minus this."""
+    return 1 + Fraction(len(ref.edges) + sum(e.label for e in ref.edges), 2)
+
+
+def _from_labels(ground_size: int, classes) -> SetPartition:
+    """The split partition whose class on each position list has those RGS labels."""
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for k, (positions, labels) in enumerate(classes):
+        for p, lab in zip(positions, labels):
+            blocks.setdefault((k, lab), []).append(p)
+    return SetPartition.from_blocks(ground_size, blocks.values())
+
+
 def eta_support_scan(
     ref: TestGraph,
     max_label: int = 5,
@@ -423,6 +486,15 @@ def eta_support_scan(
     never positive, and every exponent-zero quotient restricts to a
     pseudo-cactus on the reference vertices.  Labels must be odd (even
     niches break the parity arguments and the traces themselves diverge).
+
+    The partitions are walked as restricted-growth strings, and a prefix of
+    internal labels is pruned once it can no longer reach support
+    (``_supported_splits``), so ``n_partitions`` is the Bell-number count of
+    split partitions, not the number visited.  The exponent of a quotient is
+    read from its block count, |V^pi| - 1 - |E|/2 - sum_e n(e)/2.  Only the
+    exponent-zero quotients become :class:`SetPartition` objects, listed in
+    ``split_partitions`` order, and the pseudo-cactus test runs once per
+    partition of the reference vertices.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -431,39 +503,45 @@ def eta_support_scan(
             raise ValueError(f"edge {e.id!r} needs an integer label in 1..{max_label}")
         if e.label % 2 == 0:
             raise ValueError("the exponent bound holds for odd labels only")
+    if any(c == 0 for _, c in ref.vertices):
+        raise ValueError("reference vertices must have color 1 or 2")
     aux = build_auxiliary(ref)
-    from .partitions import bell_number
-
-    counts: dict[int, int] = {0: 0, 1: 0, 2: 0}
-    for _, c in aux.graph.vertices:
-        counts[c] += 1
-    size = bell_number(counts[0]) * bell_number(counts[1]) * bell_number(counts[2])
+    positions: dict[int, list[int]] = {0: [], 1: [], 2: []}
+    for i, (_, c) in enumerate(aux.graph.vertices):
+        positions[c].append(i + 1)
+    size = prod(bell_number(len(p)) for p in positions.values())
     if size > max_partitions:
         raise ValueError(f"scan would enumerate {size} partitions > {max_partitions}")
 
-    n_ref = len(ref.vertices)
-    n_total = 0
+    offset = _eta_offset(ref)
     n_supported = 0
-    max_eta: Fraction | None = None
+    max_blocks = -1
+    zeros: list[tuple[tuple[int, ...], ...]] = []
+    for labels in _supported_splits(aux):
+        n_supported += 1
+        n_blocks = sum(max(rgs, default=-1) + 1 for rgs in labels)
+        max_blocks = max(max_blocks, n_blocks)
+        if n_blocks == offset:
+            zeros.append(labels)
+    zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
+
+    n_ref = len(ref.vertices)
+    pseudo_cactus: dict[tuple, bool] = {}
     zero_partitions: list[SetPartition] = []
     violations: list[SetPartition] = []
-    for pi in split_partitions(aux.graph):
-        n_total += 1
-        if not has_centered_support(aux, pi):
-            continue
-        n_supported += 1
-        val = eta(aux, pi).eta
-        if max_eta is None or val > max_eta:
-            max_eta = val
-        if val == 0:
-            zero_partitions.append(pi)
-            rho = restrict(pi, range(1, n_ref + 1))
-            if not classify(quotient(ref, rho)).is_pseudo_cactus:
-                violations.append(pi)
+    for labels in zeros:
+        pi = _from_labels(len(aux.graph.vertices), zip(positions.values(), labels))
+        zero_partitions.append(pi)
+        key = labels[1:]  # the reference labels: pi restricted to the reference vertices
+        if key not in pseudo_cactus:
+            rho = _from_labels(n_ref, zip((positions[1], positions[2]), key))
+            pseudo_cactus[key] = classify(quotient(ref, rho)).is_pseudo_cactus
+        if not pseudo_cactus[key]:
+            violations.append(pi)
     return EtaScanReport(
-        n_partitions=n_total,
+        n_partitions=size,
         n_supported=n_supported,
-        max_eta=max_eta,
+        max_eta=max_blocks - offset if n_supported else None,
         eta_zero_partitions=zero_partitions,
         pseudo_cactus_ok=not violations,
         violations=violations,

@@ -384,6 +384,12 @@ def test_scan_guards():
         eta_support_scan(big)  # Bell(15) internal partitions
 
 
+def test_scan_rejects_color_0_reference_vertex():
+    g = TestGraph([("u", 1), ("v", 2), ("z", 0)], [Edge("e", "v", "u", 3)], reference=True)
+    with pytest.raises(ValueError, match="color 1 or 2"):
+        eta_support_scan(g)
+
+
 def test_internal_block_count_identity():
     # number of inner blocks of a contributing quotient equals
     # c2 + c3 + sum_e (n(e)-1)/2; checked on the assembled niche expansions
@@ -652,6 +658,56 @@ def test_eta_nonpositive_on_three_edge_graphs():
             assert rep.max_eta <= 0, name
         assert rep.pseudo_cactus_ok, name
     assert checked >= 10
+
+
+def test_eta_nonpositive_on_three_edge_graphs_of_label_sum_9():
+    # labels {1, 3, 5} summing to 9: 1,395,702 split partitions in all
+    checked = 0
+    for name, g in labeled_reference_graphs(3, [1, 3, 5]):
+        if len(g.edges) != 3 or sum(e.label for e in g.edges) != 9:
+            continue
+        rep = eta_support_scan(g, max_label=5)
+        checked += 1
+        if rep.max_eta is not None:
+            assert rep.max_eta <= 0, name
+        assert rep.pseudo_cactus_ok, name
+    assert checked == 21
+
+
+def test_scan_matches_oracle(monkeypatch):
+    # the pruned walk against enumerate-then-filter: every report field, the
+    # zero-exponent and violation lists as ordered lists; and on every
+    # partition the oracle finds supported, the block-count exponent the
+    # walk uses against graphs.eta
+    import scan_oracle
+    from pwtraffic.limits import _eta_offset
+
+    supported = []
+    eta = scan_oracle.eta
+
+    def checked_eta(aux, pi):
+        out = eta(aux, pi)
+        assert pi.num_blocks - _eta_offset(aux.reference) == out.eta
+        supported.append(pi)
+        return out
+
+    monkeypatch.setattr(scan_oracle, "eta", checked_eta)
+    graphs = [g for _, g in labeled_reference_graphs(2, [1, 3, 5])]
+    graphs += [
+        g
+        for _, g in labeled_reference_graphs(3, [1, 3])
+        if len(g.edges) == 3 and sum(e.label for e in g.edges) <= 7
+    ]
+    checked = 0
+    for g in graphs:
+        rep = eta_support_scan(g)
+        if rep.n_partitions > 8280:
+            continue
+        checked += 1
+        del supported[:]
+        assert rep == scan_oracle.eta_support_scan(g)  # dataclass equality: every field, lists in order
+        assert len(supported) == rep.n_supported
+    assert checked == 18 + 26
 
 
 def test_equivalent_family_matches_limit_mc():
