@@ -17,7 +17,6 @@ from .partitions import (
     enumerate_set_partitions,
     is_split,
     kernel,
-    pair_partitions,
     restrict,
     type_of,
 )

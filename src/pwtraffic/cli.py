@@ -48,10 +48,13 @@ def parse_polynomial(spec) -> Polynomial:
         if spec.startswith("g") and spec[1:].isdigit():
             return hermite(int(spec[1:]))
         raise ConfigError(f"unknown polynomial shorthand {spec!r}")
-    if isinstance(spec, (list, tuple)):
-        return Polynomial([Fraction(str(c)) for c in spec])
-    if isinstance(spec, dict):
-        return Polynomial.from_json(spec)
+    try:
+        if isinstance(spec, (list, tuple)):
+            return Polynomial([Fraction(str(c)) for c in spec])
+        if isinstance(spec, dict):
+            return Polynomial.from_json(spec)
+    except TypeError as exc:
+        raise ConfigError(f"bad polynomial {spec!r}: {exc}") from exc
     raise ConfigError(f"cannot parse polynomial spec {spec!r}")
 
 
@@ -85,13 +88,16 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if not isinstance(labels, dict):
                 raise ConfigError("explicit graphs need a 'labels' mapping of key -> polynomial")
             table = {k: parse_polynomial(v) for k, v in labels.items()}
-            vertices = [(v["id"], v["color"]) for v in item["vertices"]]
-            edges = []
-            for e in item["edges"]:
-                if e["label"] not in table:
-                    raise ConfigError(f"edge label {e['label']!r} missing from 'labels'")
-                edges.append(Edge(e["id"], e["src"], e["dst"], table[e["label"]]))
-            out.append((item.get("name", "custom"), TestGraph(vertices, edges, reference=True)))
+            try:
+                vertices = [(v["id"], v["color"]) for v in item["vertices"]]
+                edges = []
+                for e in item["edges"]:
+                    if e["label"] not in table:
+                        raise ConfigError(f"edge label {e['label']!r} missing from 'labels'")
+                    edges.append(Edge(e["id"], e["src"], e["dst"], table[e["label"]]))
+                out.append((item.get("name", "custom"), TestGraph(vertices, edges, reference=True)))
+            except TypeError as exc:
+                raise ConfigError(f"bad graph {item!r}: {exc}") from exc
         else:
             raise ConfigError(f"cannot parse graph spec {item!r}")
     return out
@@ -246,11 +252,11 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     trials, seed = _trials_and_seed(config)
     report = _base_report("compare", config, graphs)
     gs = [g for _, g in graphs]
+    exacts = [float(limit_pw(g, params)) for g in gs]  # before sampling: a graph it rejects fails fast
     labels = distinct_labels(gs)
     model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
-    for (name, g), est_y, est_eq in zip(graphs, model, equivalent):
-        exact = float(limit_pw(g, params))
+    for (name, _), exact, est_y, est_eq in zip(graphs, exacts, model, equivalent):
         rec_y = _estimate_record(name, est_y, ensemble, "tau_mc_model")
         rec_y.update({"exact": exact, "z_score": _z_score(est_y.mean, exact, est_y.std_error)})
         rec_eq = _estimate_record(name, est_eq, ensemble, "tau_mc_equivalent")

@@ -12,7 +12,6 @@ exhaustively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -101,23 +100,6 @@ class TestGraph:
     def __repr__(self) -> str:
         return f"TestGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vertices": [{"id": v, "color": c} for v, c in self.vertices],
-                "edges": [{"id": e.id, "src": e.src, "dst": e.dst, "label": e.label} for e in self.edges],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str, reference: bool = False) -> "TestGraph":
-        obj = json.loads(text) if isinstance(text, str) else text
-        vertices = [(v["id"], v["color"]) for v in obj["vertices"]]
-        edges = [Edge(e["id"], e["src"], e["dst"], e["label"]) for e in obj["edges"]]
-        return cls(vertices, edges, reference=reference)
-
 
 @dataclass(frozen=True)
 class GraphMonomial:
@@ -190,6 +172,14 @@ class NonSplitPartitionError(ValueError):
         self.block = block
 
 
+def _check_split(g: TestGraph, pi: SetPartition) -> None:
+    """Raise NonSplitPartitionError, naming the vertex ids, on a block that mixes colors."""
+    coloring = g.coloring
+    for b in pi.blocks:
+        if len({coloring[x - 1] for x in b}) > 1:
+            raise NonSplitPartitionError(tuple(g.vertex_ids[x - 1] for x in b))
+
+
 def quotient(g: TestGraph, pi: SetPartition) -> TestGraph:
     """Identify vertices inside each block of a split partition.
 
@@ -199,19 +189,13 @@ def quotient(g: TestGraph, pi: SetPartition) -> TestGraph:
     """
     if pi.ground_size != len(g.vertices):
         raise ValueError("partition ground size must match the vertex count")
+    _check_split(g, pi)
     order = g.vertex_ids
-    for b in pi.blocks:
-        colors = {g.coloring[x - 1] for x in b}
-        if len(colors) > 1:
-            raise NonSplitPartitionError(tuple(order[x - 1] for x in b))
-    block_vertex: dict[int, tuple] = {}
     new_vertices: list[tuple[tuple, int]] = []
     member_to_block: dict[VertexId, tuple] = {}
-    for i, b in enumerate(pi.blocks):
+    for b in pi.blocks:
         vid = tuple(order[x - 1] for x in b)
-        color = g.coloring[b[0] - 1]
-        block_vertex[i] = vid
-        new_vertices.append((vid, color))
+        new_vertices.append((vid, g.color[order[b[0] - 1]]))
         for x in b:
             member_to_block[order[x - 1]] = vid
     new_edges = [Edge(e.id, member_to_block[e.src], member_to_block[e.dst], e.label) for e in g.edges]
@@ -471,10 +455,7 @@ def eta(aux: AuxiliaryGraph, pi: SetPartition) -> EtaBreakdown:
     g = aux.graph
     if pi.ground_size != len(g.vertices):
         raise ValueError("partition must cover the auxiliary vertex set")
-    for b in pi.blocks:
-        colors = {g.coloring[x - 1] for x in b}
-        if len(colors) > 1:
-            raise NonSplitPartitionError(b)
+    _check_split(g, pi)
     ref = aux.reference
     n_edges = len(ref.edges)
     sum_n = sum(e.label for e in ref.edges)
@@ -501,9 +482,7 @@ def rho_tilde(aux: AuxiliaryGraph, pi: SetPartition) -> SetPartition:
     them.  The plain restriction of pi refines this.
     """
     g = aux.graph
-    for b in pi.blocks:
-        if len({g.coloring[x - 1] for x in b}) > 1:
-            raise NonSplitPartitionError(b)
+    _check_split(g, pi)
     idx = pi.block_index()
     pos = g.vertex_position()
     block_of = {v: idx[pos[v]] for v in g.vertex_ids}

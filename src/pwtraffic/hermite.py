@@ -10,7 +10,6 @@ checked as exact rational equalities.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -197,18 +196,9 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.power_coeffs]})"
 
-    def to_json(self, basis: str = "power") -> str:
-        if basis == "power":
-            coeffs = self.power_coeffs
-        elif basis == "hermite":
-            coeffs = self.hermite_coeffs
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        return json.dumps({"basis": basis, "coeffs": [str(c) for c in coeffs]})
-
     @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        obj = json.loads(text) if isinstance(text, str) else text
+    def from_json(cls, obj: dict) -> "Polynomial":
+        """Parse {"basis": "power" | "hermite", "coeffs": [...]}."""
         coeffs = [Fraction(c) for c in obj["coeffs"]]
         if obj["basis"] == "power":
             return cls(coeffs)
@@ -224,25 +214,23 @@ def monomial(n: int) -> Polynomial:
     return Polynomial([0] * n + [1])
 
 
-def hermite(n: int, max_degree: int | None = None) -> Polynomial:
+def hermite(n: int) -> Polynomial:
     """Probabilists' Hermite polynomial g_n, generated by the recurrence."""
-    cap = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     if n < 0:
         raise ValueError("Hermite order must be >= 0")
-    if n > cap:
-        raise ValueError(f"Hermite order {n} exceeds the degree cap {cap}")
+    if n > DEFAULT_MAX_DEGREE:
+        raise ValueError(f"Hermite order {n} exceeds the degree cap {DEFAULT_MAX_DEGREE}")
     return Polynomial(_hermite_power_coeffs(n))
 
 
-def to_hermite(power_coeffs: Iterable[Rational], max_degree: int | None = None) -> tuple[Fraction, ...]:
+def to_hermite(power_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     """Hermite-basis coefficients c_n with p = sum_n c_n g_n.
 
     Equivalently c_n = E[p(xi) g_n(xi)] / n!.
     """
-    cap = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
     coeffs = _trim([_frac(c) for c in power_coeffs])
-    if len(coeffs) - 1 > cap:
-        raise ValueError(f"degree {len(coeffs) - 1} exceeds the degree cap {cap}")
+    if len(coeffs) - 1 > DEFAULT_MAX_DEGREE:
+        raise ValueError(f"degree {len(coeffs) - 1} exceeds the degree cap {DEFAULT_MAX_DEGREE}")
     return _power_to_hermite(coeffs)
 
 

@@ -57,6 +57,8 @@ from .models import StepProfile, cell_kernel
 from .partitions import SetPartition, bell_number, restricted_growth_strings
 
 MAX_LIMIT_EDGES = 8
+#: Guard of the exponent scan: the Bell-number count of split partitions.
+MAX_SCAN_PARTITIONS = 5_000_000
 
 
 def _frac(x) -> Fraction:
@@ -359,16 +361,13 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
     return LimitValues(**totals, breakdown=tuple(breakdown))
 
 
-def limit_pw(g: TestGraph, params: LimitParams, breakdown: list | None = None) -> Fraction:
+def limit_pw(g: TestGraph, params: LimitParams) -> Fraction:
     """Exact limit of the normalized expected trace of the full model.
 
-    ``breakdown``, when given, receives one :class:`QuotientTerm` per
-    contributing split quotient; their values sum to the result.
+    Its per-quotient terms are :attr:`LimitValues.breakdown` of
+    :func:`limit_values`.
     """
-    values = limit_values(g, params)
-    if breakdown is not None:
-        breakdown.extend(values.breakdown)
-    return values.pw
+    return limit_values(g, params).pw
 
 
 def limit_B(g: TestGraph, params: LimitParams) -> Fraction:
@@ -474,11 +473,7 @@ def _from_labels(ground_size: int, classes) -> SetPartition:
     return SetPartition.from_blocks(ground_size, blocks.values())
 
 
-def eta_support_scan(
-    ref: TestGraph,
-    max_label: int = 5,
-    max_partitions: int = 5_000_000,
-) -> EtaScanReport:
+def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     """Scan every split quotient of the auxiliary graph for the size exponent.
 
     Quotients failing the centered-entry support filter (some w- or x-group
@@ -510,8 +505,8 @@ def eta_support_scan(
     for i, (_, c) in enumerate(aux.graph.vertices):
         positions[c].append(i + 1)
     size = prod(bell_number(len(p)) for p in positions.values())
-    if size > max_partitions:
-        raise ValueError(f"scan would enumerate {size} partitions > {max_partitions}")
+    if size > MAX_SCAN_PARTITIONS:
+        raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
 
     offset = _eta_offset(ref)
     n_supported = 0

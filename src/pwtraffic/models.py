@@ -112,13 +112,6 @@ class EntryLaw:
         u = rng.random(shape)
         return np.where(u < float(self.p), float(self.a), float(self.b))
 
-    def to_json(self) -> dict:
-        if self.kind == "gaussian":
-            return {"kind": "gaussian"}
-        if self.kind == "rademacher":
-            return {"kind": "rademacher"}
-        return {"kind": self.kind, "a": str(self.a), "b": str(self.b), "p": str(self.p)}
-
     @staticmethod
     def from_json(obj: dict) -> "EntryLaw":
         kind = obj["kind"]
@@ -232,13 +225,6 @@ class StepProfile:
     def value(self, r: int, c: int) -> Fraction:
         return self.grid[r][c]
 
-    def to_json(self) -> list[list[str]]:
-        return [[str(v) for v in row] for row in self.grid]
-
-    @staticmethod
-    def from_json(data: Sequence[Sequence]) -> "StepProfile":
-        return StepProfile.of(data)
-
 
 @lru_cache(maxsize=None)
 def _float_grid(profile: StepProfile) -> tuple[tuple[float, ...], ...]:
@@ -283,18 +269,6 @@ class ProfiledEnsemble:
         X' from the (seed, X) stream."""
         return self.draw(np.random.default_rng([seed, STREAM_W]), np.random.default_rng([seed, STREAM_X]))
 
-    def to_json(self) -> dict:
-        lay = self.layout
-        return {
-            "N0": lay.N0,
-            "N1": lay.N1,
-            "N2": lay.N2,
-            "law_w": self.law_w.to_json(),
-            "law_x": self.law_x.to_json(),
-            "profile_w": self.profile_w.to_json(),
-            "profile_x": self.profile_x.to_json(),
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "ProfiledEnsemble":
         sizes = []
@@ -307,8 +281,8 @@ class ProfiledEnsemble:
             layout=BlockLayout(*sizes),
             law_w=EntryLaw.from_json(obj["law_w"]),
             law_x=EntryLaw.from_json(obj["law_x"]),
-            profile_w=StepProfile.from_json(obj["profile_w"]),
-            profile_x=StepProfile.from_json(obj["profile_x"]),
+            profile_w=StepProfile.of(obj["profile_w"]),
+            profile_x=StepProfile.of(obj["profile_x"]),
         )
 
 
@@ -393,12 +367,7 @@ def inclusion_exclusion_terms(parts: tuple[int, ...]) -> tuple[tuple[int, tuple[
 
 
 def z_lambda(
-    lam: IntegerPartition,
-    w: np.ndarray,
-    x: np.ndarray,
-    i_range: Sequence[int] | None = None,
-    j_range: Sequence[int] | None = None,
-    sums: dict[int, np.ndarray] | None = None,
+    lam: IntegerPartition, w: np.ndarray, x: np.ndarray, sums: dict[int, np.ndarray] | None = None
 ) -> np.ndarray:
     """Distinct-index block sum over the inner dimension.
 
@@ -411,23 +380,14 @@ def z_lambda(
     representative.
 
     ``sums`` is a :func:`power_sums` table of (W, X) up to at least
-    ``lam.total``, shared across calls on the same matrices; with it, the
-    row and column ranges must be left unset.
+    ``lam.total``, shared across calls on the same matrices.
     """
     parts = lam.parts
     b = len(parts)
     if b > _MAX_Z_PARTS:
         raise ValueError(f"z_lambda guarded at {_MAX_Z_PARTS} parts, got {b}")
     if sums is None:
-        w = np.asarray(w)
-        x = np.asarray(x)
-        if i_range is not None:
-            w = w[np.asarray(i_range), :]
-        if j_range is not None:
-            x = x[:, np.asarray(j_range)]
         sums = power_sums(w, x, lam.total)
-    elif i_range is not None or j_range is not None:
-        raise ValueError("row and column ranges cannot be applied to a shared power-sum table")
     elif lam.total not in sums:
         raise ValueError(f"power-sum table stops below {lam.total}")
     total = 0

@@ -57,10 +57,6 @@ class SetPartition:
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
 
-    @staticmethod
-    def from_json(ground_size: int, data: Sequence[Sequence[int]]) -> "SetPartition":
-        return SetPartition.from_blocks(ground_size, data)
-
 
 @dataclass(frozen=True)
 class IntegerPartition:
@@ -81,9 +77,6 @@ class IntegerPartition:
     @property
     def total(self) -> int:
         return sum(self.parts)
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
 
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
@@ -155,20 +148,6 @@ def count_of_type(lam: IntegerPartition) -> int:
     count = Fraction(math.factorial(n), denom)
     assert count.denominator == 1
     return int(count)
-
-
-def pair_partitions(n: int) -> int:
-    """Number of pair partitions of [n]: (n-1)!! for even n, else 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n % 2 == 1:
-        return 0
-    out = 1
-    k = n - 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
 
 
 @lru_cache(maxsize=None)

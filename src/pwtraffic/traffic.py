@@ -11,7 +11,6 @@ each, checked against the enumeration.
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 import string
@@ -111,11 +110,6 @@ class MatrixFamily:
         return label in self.items
 
 
-def _edge_tables(g: TestGraph, family: MatrixFamily):
-    """Per-edge (src, dst, nested-list matrix); validates color consistency."""
-    return [(e.src, e.dst, m.tolist()) for e, m in zip(g.edges, _checked_matrices(g, family))]
-
-
 def _assignment_sum(g: TestGraph, family: MatrixFamily, injective: bool) -> object:
     """Sum over split vertex labelings of the edge-entry product.
 
@@ -125,11 +119,10 @@ def _assignment_sum(g: TestGraph, family: MatrixFamily, injective: bool) -> obje
     """
     order = g.vertex_ids
     pos = {v: i for i, v in enumerate(order)}
-    tables = _edge_tables(g, family)
     ready: list[list[tuple[int, int, list]]] = [[] for _ in order]
-    for src, dst, mat in tables:
-        later = max(pos[src], pos[dst])
-        ready[later].append((pos[dst], pos[src], mat))
+    for e, m in zip(g.edges, _checked_matrices(g, family)):
+        later = max(pos[e.src], pos[e.dst])
+        ready[later].append((pos[e.dst], pos[e.src], m.tolist()))
     sizes = [family.layout.size(g.color[v]) for v in order]
     colors = [g.color[v] for v in order]
     n = len(order)
@@ -207,71 +200,23 @@ def _color_counts(g: TestGraph) -> tuple[int, int, int]:
     return tuple(counts)
 
 
-def delta0(
-    g: TestGraph,
-    family: MatrixFamily,
-    mode: str = "exact",
-    trials: int = 0,
-    seed: int = 0,
-) -> object:
+def delta0(g: TestGraph, family: MatrixFamily) -> object:
     """Mean edge-entry product under a uniform injective split labeling.
 
-    Exact mode averages over every injective split map (guarded); Monte Carlo
-    mode averages over sampled maps, reproducibly in the seed.  The exact
-    value times N^{-1} (N0)_{v0} (N1)_{v1} (N2)_{v2} is the injective trace
-    over N.
+    The injective trace divided by the number of injective split maps,
+    (N0)_{v0} (N1)_{v1} (N2)_{v2}: a Fraction on integer matrices.  Guarded
+    at 1e6 maps.
     """
     counts = _color_counts(g)
-    layout = family.layout
-    for c in range(3):
-        if counts[c] > layout.size(c):
-            raise ValueError(f"color {c} has more vertices than block size")
-    tables = _edge_tables(g, family)
-    order = g.vertex_ids
-    pos = {v: i for i, v in enumerate(order)}
-    by_color = {c: [i for i, v in enumerate(order) if g.color[v] == c] for c in range(3)}
-
-    def product_for(assign: list[int]) -> object:
-        prod = 1
-        for src, dst, mat in tables:
-            prod = prod * mat[assign[pos[dst]]][assign[pos[src]]]
-            if prod == 0:
-                break
-        return prod
-
-    if mode == "exact":
-        n_maps = 1
-        for c in range(3):
-            n_maps *= falling_factorial(layout.size(c), counts[c])
-        if n_maps > 10**6:
-            raise ValueError(f"exact delta0 guarded at 1e6 maps, got {n_maps}")
-        if n_maps == 0:
-            raise ValueError("no injective split maps exist")
-        total = 0
-        pools = [itertools.permutations(range(layout.size(c)), counts[c]) for c in range(3)]
-        assign = [0] * len(order)
-        for combo in itertools.product(*pools):
-            for c in range(3):
-                for slot, val in zip(by_color[c], combo[c]):
-                    assign[slot] = val
-            total = total + product_for(assign)
-        if isinstance(total, int):
-            return Fraction(total, n_maps)
-        return total / n_maps
-    if mode == "monte_carlo":
-        if trials <= 0:
-            raise ValueError("monte_carlo mode needs trials >= 1")
-        rng = np.random.default_rng([seed, 0xD0])
-        total = 0.0
-        assign = [0] * len(order)
-        for _ in range(trials):
-            for c in range(3):
-                picks = rng.choice(layout.size(c), size=counts[c], replace=False)
-                for slot, val in zip(by_color[c], picks):
-                    assign[slot] = int(val)
-            total += float(product_for(assign))
-        return total / trials
-    raise ValueError(f"unknown mode {mode!r}")
+    n_maps = math.prod(falling_factorial(family.layout.size(c), counts[c]) for c in range(3))
+    if n_maps == 0:
+        raise ValueError("no injective split maps exist: a color has more vertices than its block")
+    if n_maps > 10**6:
+        raise ValueError(f"exact delta0 guarded at 1e6 maps, got {n_maps}")
+    total = injective_trace(g, family)
+    if isinstance(total, int):
+        return Fraction(total, n_maps)
+    return total / n_maps
 
 
 # -- einsum contraction ------------------------------------------------------

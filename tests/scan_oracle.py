@@ -12,15 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from pwtraffic.graphs import TestGraph, build_auxiliary, classify, eta, has_centered_support, quotient, split_partitions
-from pwtraffic.limits import EtaScanReport
+from pwtraffic.limits import MAX_SCAN_PARTITIONS, EtaScanReport
 from pwtraffic.partitions import SetPartition, bell_number, restrict
 
 
-def eta_support_scan(
-    ref: TestGraph,
-    max_label: int = 5,
-    max_partitions: int = 5_000_000,
-) -> EtaScanReport:
+def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
     for e in ref.edges:
@@ -34,8 +30,8 @@ def eta_support_scan(
     for _, c in aux.graph.vertices:
         counts[c] += 1
     size = bell_number(counts[0]) * bell_number(counts[1]) * bell_number(counts[2])
-    if size > max_partitions:
-        raise ValueError(f"scan would enumerate {size} partitions > {max_partitions}")
+    if size > MAX_SCAN_PARTITIONS:
+        raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
 
     n_ref = len(ref.vertices)
     n_total = 0

@@ -344,3 +344,47 @@ def test_main_compare_runs_moment_3(tmp_path):
     exact = float(limit_pw(moment_cycle(3, monomial(3)), limit_params_of(resolve_ensemble(cfg))))
     records = json.loads(out.read_text())["records"]
     assert [r["exact"] for r in records if "exact" in r] == [exact, exact]
+
+
+@pytest.mark.parametrize("graph", ["moment-1", "moment-5"])
+def test_main_compare_rejects_before_sampling(tmp_path, capsys, monkeypatch, graph):
+    # h2 is even and moment-5 has 10 edges: the exact limit rejects both, so
+    # compare must exit before its Monte Carlo passes
+    import pwtraffic.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("compare sampled a graph the exact limit rejects")
+
+    monkeypatch.setattr(cli, "tau_estimates", no_sampling)
+    labels = "h2" if graph == "moment-1" else "h3"
+    path = write_config(tmp_path, base_config(graph=graph, labels=labels))
+    assert main(["compare", "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"graph": {"vertices": 5, "edges": []}, "labels": {"p": "h1"}},
+        {"graph": {"vertices": [{"id": ["u"], "color": 1}], "edges": []}, "labels": {"p": "h1"}},
+        {"labels": {"basis": "power", "coeffs": 5}},
+    ],
+    ids=["vertices-not-a-list", "unhashable-vertex-id", "coeffs-not-a-list"],
+)
+def test_main_bad_graph_or_labels_exits_2_with_one_line(tmp_path, capsys, command, overrides):
+    path = write_config(tmp_path, base_config(**overrides))
+    assert main([command, "--config", path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_even_labels_simulate_but_have_no_limit(tmp_path, capsys):
+    # the finite-N matrix is defined for any polynomial; the limits need odd labels
+    path = write_config(tmp_path, base_config(labels="h2", trials=2))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    for command in ("limit", "compare", "decompose"):
+        assert main([command, "--config", path]) == EXIT_VALIDATION, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)

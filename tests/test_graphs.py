@@ -261,10 +261,3 @@ def test_connected_components():
     g = graph({1: 0, 2: 0, 3: 0}, [("a", 1, 2, "m")])
     comps = connected_components(g)
     assert sorted(sorted(c) for c in comps) == [[1, 2], [3]]
-
-
-def test_graph_json_round_trip():
-    g = graph({"u": 1, "v": 2}, [("e", "v", "u", "lab")])
-    g2 = TestGraph.from_json(g.to_json(), reference=True)
-    assert g2.vertices == g.vertices
-    assert [(e.id, e.src, e.dst, e.label) for e in g2.edges] == [("e", "v", "u", "lab")]

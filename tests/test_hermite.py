@@ -6,7 +6,6 @@ conversion) and compared exactly; no tolerances anywhere.
 """
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -71,13 +70,13 @@ def test_hermite_examples():
 
 def test_hermite_derivative_identity():
     for n in range(1, 13):
-        assert hermite(n, max_degree=13).derivative(1) == n * hermite(n - 1, max_degree=13)
+        assert hermite(n).derivative(1) == n * hermite(n - 1)
 
 
 def test_hermite_degree_guard():
     with pytest.raises(ValueError):
         hermite(16)
-    assert hermite(16, max_degree=20).degree == 16
+    assert hermite(15).degree == 15
 
 
 def test_to_hermite_examples():
@@ -155,9 +154,9 @@ def test_polynomial_arithmetic_and_parity():
 
 def test_json_round_trip():
     p = Polynomial([Fraction(3, 2), 0, Fraction(-1, 7)])
-    for basis in ("power", "hermite"):
-        text = p.to_json(basis)
-        obj = json.loads(text)
-        assert obj["basis"] == basis
-        assert all(isinstance(c, str) for c in obj["coeffs"])
-        assert Polynomial.from_json(text) == p
+    assert Polynomial.from_json({"basis": "power", "coeffs": ["3/2", "0", "-1/7"]}) == p
+    # 3/2 - x^2/7 = (3/2 - 1/7) g_0 - g_2/7
+    assert Polynomial.from_json({"basis": "hermite", "coeffs": ["19/14", "0", "-1/7"]}) == p
+    assert Polynomial.from_json({"basis": "hermite", "coeffs": ["0", "0", "0", "1"]}) == hermite(3)
+    with pytest.raises(ValueError):
+        Polynomial.from_json({"basis": "laguerre", "coeffs": ["1"]})

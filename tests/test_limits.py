@@ -70,7 +70,7 @@ def test_delta0_graphon_two_cell_average():
 
 
 def test_delta0_graphon_matches_finite_n():
-    # finite-N injective-map average converges to the cell average (2% at N=1200)
+    # the exact finite-N injective-map average is within 2% of the cell average at N=1200
     params = LimitParams.of(
         psi=(THIRD, THIRD, THIRD), profile_w=StepProfile.of([[2, Fraction(1, 2)]])
     )
@@ -80,8 +80,8 @@ def test_delta0_graphon_matches_finite_n():
     fam = MatrixFamily(lay).add(
         "w", StepProfile.of([[2, Fraction(1, 2)]]).realize(400, 400), src_block=0, dst_block=1
     )
-    mc = delta0(g, fam, mode="monte_carlo", trials=4000, seed=1)
-    assert abs(mc - exact) <= 0.02 * exact
+    finite = delta0(g, fam)  # 400 * 400 injective maps
+    assert abs(finite - exact) <= 0.02 * exact
 
 
 def test_delta0_graphon_joint_refinement():
@@ -307,9 +307,9 @@ def test_component_limits_vanish_off_class():
 
 
 def test_breakdown_collects_quotients():
-    terms = []
-    total = limit_pw(moment_cycle(2, H1), CONSTANT, terms)
-    assert sum(t.value for t in terms) == total
+    values = limit_values(moment_cycle(2, H1), CONSTANT)
+    terms = values.breakdown
+    assert sum(t.value for t in terms) == values.pw == limit_pw(moment_cycle(2, H1), CONSTANT)
     assert len(terms) == 3  # discrete 4-cycle plus the two 2-cycle quotients
 
 

@@ -227,9 +227,45 @@ def test_delta0_examples():
     lay = BlockLayout(3, 2, 2)
     fam = MatrixFamily(lay).add("J", np.ones((2, 3), dtype=int), 0, 1)
     g = TestGraph([("m", 0), ("t", 1)], [Edge("e", "m", "t", "J")])
-    assert delta0(g, fam, mode="exact") == 1
+    assert delta0(g, fam) == 1
     empty = TestGraph([("m", 0), ("t", 1)], [])
-    assert delta0(empty, fam, mode="exact") == 1
+    assert delta0(empty, fam) == 1
+
+
+def delta0_all_maps(g: TestGraph, family: MatrixFamily) -> object:
+    """Oracle: literal average over every injective split map."""
+    lay = family.layout
+    by_color = [[v for v in g.vertex_ids if g.color[v] == c] for c in range(3)]
+    pools = [itertools.permutations(range(lay.size(c)), len(by_color[c])) for c in range(3)]
+    total, n_maps = 0, 0
+    for combo in itertools.product(*pools):
+        assign = {v: val for vs, vals in zip(by_color, combo) for v, val in zip(vs, vals)}
+        prod = 1
+        for e in g.edges:
+            prod = prod * family[e.label].matrix[assign[e.dst], assign[e.src]].item()
+        total += prod
+        n_maps += 1
+    return Fraction(total, n_maps) if isinstance(total, int) else total / n_maps
+
+
+def test_delta0_is_the_injective_map_average():
+    lay = BlockLayout(3, 3, 2)
+    graphs = [
+        TestGraph([("a", 0), ("b", 1), ("c", 2)], [Edge("r", "a", "b", "u"), Edge("q", "c", "a", "v")]),
+        TestGraph([("a", 0), ("a2", 0), ("b", 1)], [Edge("r", "a", "b", "u"), Edge("p", "a2", "b", "u"), Edge("l", "a", "a2", "s")]),
+        TestGraph([("a", 0), ("a2", 0), ("a3", 0)], [Edge("l", "a", "a2", "s"), Edge("m", "a2", "a3", "s"), Edge("k", "a3", "a", "s")]),
+    ]
+    for shift in (0, 0.5):  # integer matrices, then float ones
+        fam = MatrixFamily(lay)
+        fam.add("u", rand_int((3, 3)) + shift, src_block=0, dst_block=1)
+        fam.add("v", rand_int((3, 2)) + shift, src_block=2, dst_block=0)
+        fam.add("s", rand_int((3, 3)) + shift, src_block=0, dst_block=0)
+        for g in graphs:
+            got, want = delta0(g, fam), delta0_all_maps(g, fam)
+            if shift:
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                assert got == want and isinstance(got, Fraction)
 
 
 def test_delta0_falling_factorial_relation():
@@ -242,32 +278,22 @@ def test_delta0_falling_factorial_relation():
         [("a", 0), ("b", 1), ("c", 2)],
         [Edge("r", "a", "b", "u"), Edge("s", "c", "a", "v")],
     )
-    d0 = delta0(g, fam, mode="exact")
+    d0 = delta0(g, fam)
     inj = injective_trace(g, fam)
     counts = falling_factorial(2, 1) ** 3
     assert Fraction(inj, lay.N) == Fraction(counts, lay.N) * d0
-
-
-def test_delta0_monte_carlo_reproducible():
-    lay = BlockLayout(4, 3, 3)
-    fam = MatrixFamily(lay).add("A", rand_int((3, 4)).astype(float), 0, 1)
-    g = TestGraph([("m", 0), ("t", 1)], [Edge("e", "m", "t", "A")])
-    v1 = delta0(g, fam, mode="monte_carlo", trials=64, seed=5)
-    v2 = delta0(g, fam, mode="monte_carlo", trials=64, seed=5)
-    assert v1 == v2
-    exact = float(delta0(g, fam, mode="exact"))
-    big = delta0(g, fam, mode="monte_carlo", trials=5000, seed=5)
-    assert abs(big - exact) < 0.3
 
 
 def test_delta0_guards():
     lay = BlockLayout(60, 60, 60)
     fam = MatrixFamily(lay).add("A", np.ones((60, 60)), 0, 1)
     g = TestGraph([(i, 0) for i in range(4)] + [("t", 1)], [Edge("e", 0, "t", "A")])
-    with pytest.raises(ValueError):
-        delta0(g, fam, mode="exact")
-    with pytest.raises(ValueError):
-        delta0(g, fam, mode="monte_carlo", trials=0)
+    with pytest.raises(ValueError, match="guarded at 1e6 maps"):
+        delta0(g, fam)
+    small = MatrixFamily(BlockLayout(1, 1, 1)).add("A", np.ones((1, 1)), 0, 1)
+    two = TestGraph([(0, 0), (1, 0), ("t", 1)], [Edge("e", 0, "t", "A")])
+    with pytest.raises(ValueError, match="no injective split maps"):
+        delta0(two, small)
 
 
 def test_sample_trace_matches_direct_products():
