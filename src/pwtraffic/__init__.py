@@ -61,11 +61,9 @@ from .models import (
     equivalent_per,
     equivalent_sampler,
     equivalent_sum,
-    lambda_ell,
     model_sampler,
     per_noise_family,
     pw_matrix,
-    second_moment_profile,
     unit_skewed_law,
     z_lambda,
 )

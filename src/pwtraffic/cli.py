@@ -142,6 +142,13 @@ def _trials_and_seed(config: dict) -> tuple[int, int]:
     return config_int(config, "trials", 100, 1), config_int(config, "seed", 0, 0)
 
 
+def _thread_count(value: str) -> int:
+    """The ``--threads`` value: a decimal integer >= 1."""
+    if not (value.isascii() and value.isdigit()) or int(value) < 1:
+        raise ConfigError(f"--threads must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def resolve_ensemble(config: dict) -> ProfiledEnsemble:
     if "ensemble" not in config:
         raise ConfigError("config needs an 'ensemble' section")
@@ -375,18 +382,20 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
+    parser.add_argument("--threads", default="1", help="trial-level parallelism, an integer >= 1")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        threads = _thread_count(args.threads)
         config = load_config(args.config)
-        _trials_and_seed(config)
+        trials, _ = _trials_and_seed(config)
         kwargs = {}
         if args.command == "spectrum":
             kwargs["out_path"] = args.out
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        workers = min(threads, trials)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)
         else:
             report, code = COMMANDS[args.command](config, **kwargs)

@@ -94,9 +94,6 @@ class TestGraph:
                 return e
         raise KeyError(eid)
 
-    def degree(self, v: VertexId) -> int:
-        return sum((e.src == v) + (e.dst == v) for e in self.edges)
-
     def __repr__(self) -> str:
         return f"TestGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 

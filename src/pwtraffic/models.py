@@ -20,9 +20,7 @@ and the cell values are cached.  Profiles and coefficients are applied to a
 sampled matrix in place, one contiguous cell block at a time, so no realized
 profile matrix is built; the only floating-point step is one square root per
 cell.  The cell-level second-moment scale is normalized by the inner
-dimension (so it equals 1 for constant profiles); the N-normalized
-``lambda_ell`` matrices are exposed separately and differ by a factor
-psi0 = N0/N.
+dimension, so it equals 1 for constant profiles.
 """
 
 from __future__ import annotations
@@ -507,31 +505,6 @@ def _mu_sq_cells(ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...]
     return _lambda_cells(ensemble.profile_w, ensemble.profile_x, ensemble.layout, 2, ensemble.layout.N0)
 
 
-def lambda_ell(
-    profile_w: StepProfile, profile_x: StepProfile, layout: BlockLayout, ell: int
-) -> np.ndarray:
-    """N^{-1} (Gamma_w ^ o ell) (Gamma_x ^ o ell) as a realized N1 x N2 matrix."""
-    if ell not in (2, 3):
-        raise ValueError("lambda_ell supports ell in {2, 3}")
-    cells = _lambda_cells(profile_w, profile_x, layout, ell, layout.N)
-    return _broadcast_cells(cells, (layout.N1, layout.N2))
-
-
-def second_moment_cells(ensemble: ProfiledEnsemble) -> list[list[Fraction]]:
-    """Cellwise squared scale mu^2 = (1/N0) sum_d gamma_w^2 gamma_x^2.
-
-    Equals 1 on every cell for constant unit profiles; the entrywise square
-    root of the N-normalized lambda_2 matrix rescaled by 1/psi0.
-    """
-    return [list(row) for row in _mu_sq_cells(ensemble)]
-
-
-def second_moment_profile(ensemble: ProfiledEnsemble) -> np.ndarray:
-    """Realized entrywise scale matrix (square root of second_moment_cells)."""
-    root = [[math.sqrt(float(v)) for v in row] for row in _mu_sq_cells(ensemble)]
-    return _broadcast_cells(root, (ensemble.layout.N1, ensemble.layout.N2))
-
-
 # -- Gaussian equivalents -------------------------------------------------------
 #
 # The coefficient cells depend only on (h, ensemble[, m]) and are cached, so
@@ -583,21 +556,30 @@ def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) ->
     return tuple(out)
 
 
+def _chaos_term(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray | None:
+    """Coefficient cells times Z_m / sqrt(N), or None, with no draw, when
+    every coefficient cell is exactly zero (e.g. every even order of an odd
+    h): adding 0 * Z_m would change no entry."""
+    cells = _per_coefficient_cells(h, ensemble, m)
+    if not any(any(row) for row in cells):
+        return None
+    lay = ensemble.layout
+    z_m = np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
+    out = _scale_cells(z_m, cells)
+    out /= math.sqrt(lay.N)
+    return out
+
+
 def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray:
     """Order-m chaos equivalent: coefficient cells times Z_m / sqrt(N).
 
     The Z_m are independent standard Gaussian matrices across orders, drawn
-    from the (seed, per, m) streams.
+    from the (seed, per, m) streams; a vanishing order draws nothing.
     """
     if m < 2:
         raise ValueError("chaos orders start at m = 2")
-    lay = ensemble.layout
-    if h.degree < m:
-        return np.zeros((lay.N1, lay.N2))
-    z_m = np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
-    out = _scale_cells(z_m, _per_coefficient_cells(h, ensemble, m))
-    out /= math.sqrt(lay.N)
-    return out
+    out = _chaos_term(h, ensemble, m, seed)
+    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
 
 
 def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) -> dict[int, np.ndarray]:
@@ -616,10 +598,16 @@ def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) 
 
 
 def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """Full chaos equivalent: sum of order components over 2 <= m <= deg h."""
+    """Full chaos equivalent: sum of order components over 2 <= m <= deg h.
+
+    Orders whose coefficient cells all vanish are skipped: each order has
+    its own stream, so the others draw what they would draw anyway.
+    """
     out = np.zeros((ensemble.layout.N1, ensemble.layout.N2))
     for m in range(2, h.degree + 1):
-        out += equivalent_per(h, ensemble, m, seed)
+        term = _chaos_term(h, ensemble, m, seed)
+        if term is not None:
+            out += term
     return out
 
 

@@ -6,7 +6,8 @@ the tests is their correctness oracle.  Scalars stay exact (Python ints,
 Fractions) whenever the input matrices are exact, so the Moebius identity
 between the combinatorial and injective traces can be asserted with zero
 tolerance.  Sampled traces and graph monomials are one einsum contraction
-each, checked against the enumeration.
+each, run step by step through a memo on the matrix family, and checked
+against the enumeration.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class MatrixFamily:
     def __init__(self, layout: BlockLayout, items: Mapping[object, LabeledMatrix] | None = None) -> None:
         self.layout = layout
         self.items: dict[object, LabeledMatrix] = {}
+        self._memo: dict = {}  # contraction steps, see _contract
         for label, lm in (items or {}).items():
             self.add(label, lm.matrix, lm.src_block, lm.dst_block)
 
@@ -99,6 +101,7 @@ class MatrixFamily:
         if matrix.shape != want:
             raise ValueError(f"label {label!r}: shape {matrix.shape}, blocks demand {want}")
         self.items[label] = LabeledMatrix(matrix, src_block, dst_block)
+        self._memo.clear()
         return self
 
     def __getitem__(self, label: object) -> LabeledMatrix:
@@ -237,15 +240,52 @@ def _checked_matrices(g: TestGraph, family: MatrixFamily) -> list[np.ndarray]:
     return out
 
 
+_PAIR = ["einsum_path", (0, 1)]
+_ONES = object()  # leaf token of the ones vector of an open vertex without edges
+
+
 @lru_cache(maxsize=256)
-def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    """Greedy pairwise contraction order for one (subscripts, shapes) pair."""
+def _contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The greedy pairwise path of one einsum, as numpy's optimized einsum runs it.
+
+    Each step is (positions, call, key, perm): the operand positions numpy
+    pops, the einsum call that computes the step in canonical form (inputs
+    renamed in order of first appearance, outputs in that order), the
+    canonical subscripts that key the step, and the transposition from the
+    canonical output to numpy's intermediate axis order (None if none).  A
+    pair is passed last operand first, so that ``np.einsum`` hands it to its
+    pairwise kernel in numpy's own order.
+    """
     dummies = [np.broadcast_to(np.zeros(()), shape) for shape in shapes]
-    return np.einsum_path(subscripts, *dummies, optimize="greedy")[0]
+    path = np.einsum_path(subscripts, *dummies, optimize="greedy")[0][1:]
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    size = {c: d for term, shape in zip(terms, shapes) for c, d in zip(term, shape)}
+    steps = []
+    for k, positions in enumerate(path):
+        positions = tuple(sorted(positions, reverse=True))
+        taken = [terms.pop(p) for p in positions]
+        if k == len(path) - 1:
+            result = output
+        else:  # numpy orders an intermediate's axes by (size, subscript)
+            kept = set(output).union(*terms) & set("".join(taken))
+            result = "".join(sorted(kept, key=lambda c: (size[c], c)))
+        terms.append(result)
+        rename: dict[str, str] = {}
+        for c in "".join(taken):
+            rename.setdefault(c, _LETTERS[len(rename)])
+        canon_terms = ["".join(rename[c] for c in t) for t in taken]
+        canon_out = "".join(rename[c] for c in rename if c in result)
+        key = ",".join(canon_terms) + "->" + canon_out
+        call = ",".join(reversed(canon_terms)) + "->" + canon_out if len(taken) == 2 else key
+        perm = tuple(canon_out.index(rename[c]) for c in result)
+        steps.append((positions, call, key, None if perm == tuple(range(len(perm))) else perm))
+    return tuple(steps)
 
 
 def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> np.ndarray:
-    """Sum over split labelings of g of the edge-entry product, as one einsum.
+    """Sum over split labelings of g of the edge-entry product, as one einsum
+    run one pairwise step at a time.
 
     Every vertex is one index over its color's block.  An edge contributes
     its matrix with subscripts (dst, src), a self-loop its diagonal, so
@@ -254,18 +294,23 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
     (the opt_einsum scheme, Smith & Gray, JOSS 2018).  Vertices in
     ``open_vertices`` stay as output axes in that order; any other vertex
     without edges contributes its block size as a factor.
+
+    The path runs step by step through the family's memo.  A step is keyed
+    by its canonical subscripts and its operand tokens (a label and a
+    diagonal flag for a leaf, the making step's key and axis permutation
+    for an intermediate), so a repeated subexpression, such as the Grams of
+    a moment cycle, is computed once per family and reused as a transposed
+    view; its value does not depend on which graph computed it first.
     """
     if len(g.vertices) > len(_LETTERS):
         raise ValueError(f"einsum contraction supports at most {len(_LETTERS)} vertices")
     letter = dict(zip(g.vertex_ids, _LETTERS))
-    inputs, operands = [], []
+    inputs, operands, tokens = [], [], []
     for e, m in zip(g.edges, _checked_matrices(g, family)):
-        if e.src == e.dst:
-            inputs.append(letter[e.src])
-            operands.append(np.diagonal(m))
-        else:
-            inputs.append(letter[e.dst] + letter[e.src])
-            operands.append(m)
+        loop = e.src == e.dst
+        inputs.append(letter[e.src] if loop else letter[e.dst] + letter[e.src])
+        operands.append(np.diagonal(m) if loop else m)
+        tokens.append((e.label, loop))
     touched = {v for e in g.edges for v in (e.src, e.dst)}
     scale = 1
     for v in g.vertex_ids:
@@ -275,13 +320,26 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
         if v in open_vertices:
             inputs.append(letter[v])
             operands.append(np.ones(size))
+            tokens.append((_ONES, size))
         else:
             scale *= size
     if not operands:
         return np.asarray(scale)
     subscripts = ",".join(inputs) + "->" + "".join(letter[v] for v in open_vertices)
-    path = _einsum_path(subscripts, tuple(op.shape for op in operands))
-    out = np.einsum(subscripts, *operands, optimize=path)
+    memo = family._memo
+    for positions, call, canonical, perm in _contraction_plan(subscripts, tuple(op.shape for op in operands)):
+        args = [operands.pop(p) for p in positions]
+        key = (canonical, *(tokens.pop(p) for p in positions))
+        value = memo.get(key)
+        if value is None:
+            if len(args) == 2:
+                value = np.einsum(call, args[1], args[0], optimize=_PAIR)
+            else:
+                value = np.einsum(call, *args)
+            memo[key] = value
+        operands.append(value if perm is None else value.transpose(perm))
+        tokens.append((key, perm))
+    out = operands[0]
     return out * scale if scale != 1 else out
 
 
@@ -295,7 +353,7 @@ def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
     """
     if mono.input == mono.output:
         return np.diag(_contract(mono.graph, family, (mono.output,))).astype(float)
-    return np.asarray(_contract(mono.graph, family, (mono.output, mono.input)), dtype=float)
+    return np.array(_contract(mono.graph, family, (mono.output, mono.input)), dtype=float)  # a copy: never the memo
 
 
 def sample_trace(g: TestGraph, family: MatrixFamily) -> float:
@@ -354,10 +412,7 @@ def tau_estimates(
     return out
 
 
-def tau_estimate(
-    g: TestGraph, sampler, trials: int, seed: int, values_out: list | None = None, map_fn=None
-) -> TauEstimate:
-    """:func:`tau_estimates` for one graph; ``values_out`` is a flat list."""
-    outs = None if values_out is None else [values_out]
-    (est,) = tau_estimates([g], sampler, trials, seed, values_out=outs, map_fn=map_fn)
+def tau_estimate(g: TestGraph, sampler, trials: int, seed: int, map_fn=None) -> TauEstimate:
+    """:func:`tau_estimates` for one graph."""
+    (est,) = tau_estimates([g], sampler, trials, seed, map_fn=map_fn)
     return est

@@ -388,3 +388,41 @@ def test_even_labels_simulate_but_have_no_limit(tmp_path, capsys):
         assert main([command, "--config", path]) == EXIT_VALIDATION, command
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "1.5", "two", "", " 2", "+2"])
+def test_main_bad_threads_exits_2_with_one_line(tmp_path, capsys, threads):
+    path = write_config(tmp_path, base_config())
+    assert main(["simulate", "--config", path, "--threads", threads]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: --threads must be an integer >= 1") and err.count("\n") == 1, err
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, trials, pool", [("1", 12, None), ("3", 12, 3), ("64", 5, 5), ("1000000", 2, 2), ("8", 1, None)])
+def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, trials, pool):
+    import pwtraffic.cli as cli
+
+    RecordingPool.sizes = []
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    path = write_config(tmp_path, base_config(trials=trials))
+    out = tmp_path / "out.json"
+    assert main(["simulate", "--config", path, "--out", str(out), "--threads", threads]) == EXIT_OK
+    assert RecordingPool.sizes == ([] if pool is None else [pool])

@@ -21,7 +21,6 @@ from pwtraffic.models import (
     equivalent_per,
     equivalent_sampler,
     equivalent_sum,
-    lambda_ell,
     model_sampler,
     ones_and_pairs,
     per_matrix,
@@ -29,8 +28,6 @@ from pwtraffic.models import (
     inclusion_exclusion_terms,
     power_sums,
     pw_matrix,
-    second_moment_cells,
-    second_moment_profile,
     triple_and_pairs,
     unit_skewed_law,
     z_lambda,
@@ -373,6 +370,29 @@ def test_decompose_rejects_even_and_large():
 # -- profile matrices -------------------------------------------------------------
 
 
+def lambda_ell(profile_w, profile_x, layout, ell):
+    """Oracle: N^{-1} (Gamma_w ^ o ell) (Gamma_x ^ o ell) as a realized N1 x N2 matrix."""
+    if ell not in (2, 3):
+        raise ValueError("lambda_ell supports ell in {2, 3}")
+    cells = models._lambda_cells(profile_w, profile_x, layout, ell, layout.N)
+    return models._broadcast_cells(cells, (layout.N1, layout.N2))
+
+
+def second_moment_cells(ensemble):
+    """Oracle: cellwise squared scale mu^2 = (1/N0) sum_d gamma_w^2 gamma_x^2.
+
+    Equals 1 on every cell for constant unit profiles; the entrywise square
+    root of the N-normalized lambda_2 matrix rescaled by 1/psi0.
+    """
+    return [list(row) for row in models._mu_sq_cells(ensemble)]
+
+
+def second_moment_profile(ensemble):
+    """Oracle: realized entrywise scale matrix (square root of second_moment_cells)."""
+    root = [[math.sqrt(float(v)) for v in row] for row in models._mu_sq_cells(ensemble)]
+    return models._broadcast_cells(root, (ensemble.layout.N1, ensemble.layout.N2))
+
+
 def test_lambda_ell_constant_profile():
     lay = BlockLayout(4, 3, 5)
     lam2 = lambda_ell(StepProfile.constant(), StepProfile.constant(), lay, 2)
@@ -611,3 +631,59 @@ def test_decompose_hands_back_the_total():
     w, x = RNG.standard_normal((4, 6)), RNG.standard_normal((6, 5))
     parts = decompose(monomial(5), w, x, lay)
     assert np.array_equal(parts.total, pw_matrix(monomial(5), w, x, lay))
+
+
+# -- no draws for vanishing chaos orders --------------------------------------------
+
+
+def per_matrix_every_order(h, ensemble, seed):
+    """Oracle: every chaos order 2..deg h drawn and added, vanishing or not."""
+    lay = ensemble.layout
+    out = np.zeros((lay.N1, lay.N2))
+    for m in range(2, h.degree + 1):
+        z_m = np.random.default_rng([seed, models.STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
+        term = models._scale_cells(z_m, models._per_coefficient_cells(h, ensemble, m))
+        term /= math.sqrt(lay.N)
+        out += term
+    return out
+
+
+def recorded_streams(monkeypatch):
+    """Patch the generator factory to record every seed it is given."""
+    seeds = []
+    real = np.random.default_rng
+
+    def recording(seed):
+        seeds.append(tuple(seed))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return seeds
+
+
+def test_skipped_chaos_orders_change_nothing():
+    ens = stepped_ensemble(7, 5, 6)
+    for h in (monomial(3), monomial(5), hermite(5) + monomial(3)):
+        for seed in (0, 4, 91):
+            want = per_matrix_every_order(h, ens, seed)
+            got = per_matrix(h, ens, seed)
+            assert got.tobytes() == want.tobytes()
+            full = equivalent_lin(h, ens, seed)
+            full += want
+            full += equivalent_def(h, ens)
+            assert equivalent_sum(h, ens, seed).tobytes() == full.tobytes()
+
+
+def test_only_vanishing_orders_are_skipped(monkeypatch):
+    ens = stepped_ensemble(7, 5, 6)
+    odd, mixed = hermite(5) + monomial(3), monomial(3) + monomial(2)
+    seeds = recorded_streams(monkeypatch)
+    per_matrix(odd, ens, 4)
+    assert seeds == [(4, models.STREAM_PER, 3), (4, models.STREAM_PER, 5)]
+    seeds.clear()
+    assert not equivalent_per(odd, ens, 2, 4).any() and seeds == []
+    got = per_matrix(mixed, ens, 4)
+    assert seeds == [(4, models.STREAM_PER, 2), (4, models.STREAM_PER, 3)]
+    monkeypatch.undo()
+    assert got.tobytes() == per_matrix_every_order(mixed, ens, 4).tobytes()
+    assert equivalent_per(mixed, ens, 2, 4).all()

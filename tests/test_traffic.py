@@ -1,6 +1,7 @@
 """Trace-engine tests: evaluation, traces, the Moebius identity, delta0."""
 
 import itertools
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from pwtraffic.graphs import Edge, GraphMonomial, TestGraph, moment_cycle
 from pwtraffic.traffic import (
     BlockLayout,
     MatrixFamily,
+    _contract,
     combinatorial_trace,
     delta0,
     embed,
@@ -43,6 +45,36 @@ def combinatorial_trace_all_maps(g: TestGraph, family: MatrixFamily) -> object:
                 break
         total += prod
     return total
+
+
+def contract_oracle(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> np.ndarray:
+    """Oracle: the whole contraction as one memo-free einsum along its greedy path."""
+    letter = dict(zip(g.vertex_ids, string.ascii_letters))
+    inputs, operands = [], []
+    for e in g.edges:
+        m = family[e.label].matrix
+        if e.src == e.dst:
+            inputs.append(letter[e.src])
+            operands.append(np.diagonal(m))
+        else:
+            inputs.append(letter[e.dst] + letter[e.src])
+            operands.append(m)
+    touched = {v for e in g.edges for v in (e.src, e.dst)}
+    scale = 1
+    for v in g.vertex_ids:
+        if v in touched:
+            continue
+        size = family.layout.size(g.color[v])
+        if v in open_vertices:
+            inputs.append(letter[v])
+            operands.append(np.ones(size))
+        else:
+            scale *= size
+    if not operands:
+        return np.asarray(scale)
+    subscripts = ",".join(inputs) + "->" + "".join(letter[v] for v in open_vertices)
+    path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    return np.einsum(subscripts, *operands, optimize=path) * scale
 
 
 def one_block_family(layout_n, mats):
@@ -471,6 +503,107 @@ def test_tau_estimates_share_one_family_per_trial():
     joint = tau_estimates(graphs, sampler, trials=9, seed=4, values_out=values)
     assert len(draws) == 9
     for g, est, vals in zip(graphs, joint, values):
-        single_values = []
-        assert tau_estimate(g, sampler, trials=9, seed=4, values_out=single_values) == est
-        assert single_values == vals
+        assert tau_estimate(g, sampler, trials=9, seed=4) == est
+        single_values = [[]]
+        assert tau_estimates([g], sampler, trials=9, seed=4, values_out=single_values) == [est]
+        assert single_values == [vals]
+
+
+# -- the memoized contraction against the memo-free einsum -------------------------
+
+
+def assert_contract_matches_oracle(g, fam, open_vertices=()):
+    got = _contract(g, fam, open_vertices)
+    want = contract_oracle(g, fam, open_vertices)
+    scale = np.abs(contract_oracle(g, abs_family(fam), open_vertices)).max(initial=0.0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale, (got, want, scale)
+
+
+def test_memoized_contraction_matches_oracle_on_random_graphs():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        sizes = rng.integers(1, 4, size=3)
+        lay = BlockLayout(int(sizes[0]), int(sizes[1]), int(sizes[2]))
+        g, labels = random_colored_graph(rng, max_v=5, max_e=6)
+        fam = float_family(rng, lay, labels)
+        assert_contract_matches_oracle(g, fam)
+        ids = g.vertex_ids
+        v, w = ids[int(rng.integers(len(ids)))], ids[int(rng.integers(len(ids)))]
+        assert_contract_matches_oracle(g, fam, (v, w) if v != w else (v,))
+
+
+def test_memoized_contraction_matches_oracle_on_special_shapes():
+    rng = np.random.default_rng(14)
+    graphs, labels = special_graphs()
+    lay = BlockLayout(3, 2, 4)
+    fam = float_family(rng, lay, labels)
+    for g in graphs:
+        assert_contract_matches_oracle(g, fam)
+        for v in g.vertex_ids[:2]:
+            for w in g.vertex_ids[-2:]:
+                assert_contract_matches_oracle(g, fam, (v, w) if v != w else (v,))
+    big = MatrixFamily(BlockLayout(30, 40, 50)).add("Y", rng.standard_normal((40, 50)), 2, 1)
+    assert_contract_matches_oracle(k23(), big)
+
+
+def product_square(order):
+    """Tr[(A B)(A B)]: the product A B is needed as (i, j) and as (j, i)."""
+    ids = {"i": ("i", 1), "j": ("j", 1), "k": ("k", 0), "l": ("l", 0)}
+    edges = [Edge(0, "j", "k", "B"), Edge(1, "k", "i", "A"), Edge(2, "i", "l", "B"), Edge(3, "l", "j", "A")]
+    return TestGraph([ids[v] for v in order], edges)
+
+
+def test_reused_product_is_transposed():
+    rng = np.random.default_rng(15)
+    lay = BlockLayout(7, 5, 1)
+    a, b = rng.standard_normal((5, 7)), rng.standard_normal((7, 5))
+    want = np.trace(a @ b @ a @ b)
+    assert abs(want - np.sum((a @ b) ** 2)) > 1.0  # a missed transposition would show
+    for order in itertools.permutations("ijkl"):
+        fam = MatrixFamily(lay).add("A", a, 0, 1).add("B", b, 1, 0)
+        g = product_square(order)
+        got = sample_trace(g, fam)
+        assert sum(all(tok in (("A", False), ("B", False)) for tok in key[1:]) for key in fam._memo) == 1
+        assert np.isclose(got, want, rtol=1e-12)
+        assert got == sample_trace(g, fam)  # now every step is a memo hit
+
+
+def test_moments_alone_and_together_are_bit_identical():
+    rng = np.random.default_rng(16)
+    lay = BlockLayout(40, 30, 50)
+    y = rng.standard_normal((30, 50))
+    graphs = [moment_cycle(k, "Y") for k in (1, 2, 3, 4)]
+    alone = [sample_trace(g, MatrixFamily(lay).add("Y", y, 2, 1)) for g in graphs]
+    for g, value in zip(graphs, alone):
+        assert np.isclose(value, float(contract_oracle(g, MatrixFamily(lay).add("Y", y, 2, 1))), rtol=1e-12)
+    for order in (graphs, graphs[::-1], graphs[1::2] + graphs[::2]):
+        fam = MatrixFamily(lay).add("Y", y, 2, 1)
+        together = {id(g): sample_trace(g, fam) for g in order}
+        assert [together[id(g)] for g in graphs] == alone
+
+
+def test_moment_4_makes_one_gram():
+    lay = BlockLayout(20, 30, 25)
+    fam = MatrixFamily(lay).add("Y", np.random.default_rng(17).standard_normal((30, 25)), 2, 1)
+    sample_trace(moment_cycle(4, "Y"), fam)
+    leaf_steps = [key for key in fam._memo if all(tok == ("Y", False) for tok in key[1:])]
+    assert len(leaf_steps) == 1
+    (gram,) = leaf_steps
+    inputs, out = gram[0].split("->")
+    first, second = inputs.split(",")
+    assert len(gram) == 3 and len(out) == 2 and len(set(first) & set(second) - set(out)) == 1
+
+
+def test_add_clears_the_memo():
+    rng = np.random.default_rng(18)
+    lay = BlockLayout(6, 5, 4)
+    y, z = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+    g = moment_cycle(2, "Y")
+    fam = MatrixFamily(lay).add("Y", y, 2, 1)
+    assert sample_trace(g, fam) == sample_trace(g, MatrixFamily(lay).add("Y", y, 2, 1))
+    assert fam._memo
+    fam.add("Y", z, 2, 1)
+    assert not fam._memo
+    assert sample_trace(g, fam) == sample_trace(g, MatrixFamily(lay).add("Y", z, 2, 1))
+    assert np.isclose(sample_trace(g, fam), np.trace(z @ z.T @ z @ z.T), rtol=1e-12)
