@@ -105,7 +105,7 @@ class Polynomial:
     basis into the other.
     """
 
-    __slots__ = ("power_coeffs", "hermite_coeffs", "_hash")
+    __slots__ = ("power_coeffs", "hermite_coeffs")
 
     def __init__(self, power_coeffs: Iterable[Rational]) -> None:
         power = _trim([_frac(c) for c in power_coeffs])
@@ -191,12 +191,7 @@ class Polynomial:
         return isinstance(other, Polynomial) and self.power_coeffs == other.power_coeffs
 
     def __hash__(self) -> int:
-        # cached on first use: labels are dict and cache keys on every trial
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.power_coeffs))
-            return self._hash
+        return hash(self.power_coeffs)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.power_coeffs]})"

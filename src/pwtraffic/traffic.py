@@ -6,8 +6,8 @@ the tests is their correctness oracle.  Scalars stay exact (Python ints,
 Fractions) whenever the input matrices are exact, so the Moebius identity
 between the combinatorial and injective traces can be asserted with zero
 tolerance.  Sampled traces and graph monomials are one einsum contraction
-each, run step by step through a memo on the matrix family, and checked
-against the enumeration.
+each, run step by step so that a repeated pairwise product is computed
+once, and checked against the enumeration.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class MatrixFamily:
     def __init__(self, layout: BlockLayout, items: Mapping[object, LabeledMatrix] | None = None) -> None:
         self.layout = layout
         self.items: dict[object, LabeledMatrix] = {}
-        self._memo: dict = {}  # contraction steps, see _contract
         for label, lm in (items or {}).items():
             self.add(label, lm.matrix, lm.src_block, lm.dst_block)
 
@@ -101,7 +100,6 @@ class MatrixFamily:
         if matrix.shape != want:
             raise ValueError(f"label {label!r}: shape {matrix.shape}, blocks demand {want}")
         self.items[label] = LabeledMatrix(matrix, src_block, dst_block)
-        self._memo.clear()
         return self
 
     def __getitem__(self, label: object) -> LabeledMatrix:
@@ -295,12 +293,11 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
     ``open_vertices`` stay as output axes in that order; any other vertex
     without edges contributes its block size as a factor.
 
-    The path runs step by step through the family's memo.  A step is keyed
-    by its canonical subscripts and its operand tokens (a label and a
+    The path runs step by step through a memo local to the call.  A step is
+    keyed by its canonical subscripts and its operand tokens (a label and a
     diagonal flag for a leaf, the making step's key and axis permutation
     for an intermediate), so a repeated subexpression, such as the Grams of
-    a moment cycle, is computed once per family and reused as a transposed
-    view; its value does not depend on which graph computed it first.
+    a moment cycle, is computed once and reused as a transposed view.
     """
     if len(g.vertices) > len(_LETTERS):
         raise ValueError(f"einsum contraction supports at most {len(_LETTERS)} vertices")
@@ -326,7 +323,7 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
     if not operands:
         return np.asarray(scale)
     subscripts = ",".join(inputs) + "->" + "".join(letter[v] for v in open_vertices)
-    memo = family._memo
+    memo: dict = {}
     for positions, call, canonical, perm in _contraction_plan(subscripts, tuple(op.shape for op in operands)):
         args = [operands.pop(p) for p in positions]
         key = (canonical, *(tokens.pop(p) for p in positions))
@@ -353,7 +350,7 @@ def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
     """
     if mono.input == mono.output:
         return np.diag(_contract(mono.graph, family, (mono.output,))).astype(float)
-    return np.array(_contract(mono.graph, family, (mono.output, mono.input)), dtype=float)  # a copy: never the memo
+    return np.asarray(_contract(mono.graph, family, (mono.output, mono.input)), dtype=float)
 
 
 def sample_trace(g: TestGraph, family: MatrixFamily) -> float:

@@ -554,19 +554,33 @@ def product_square(order):
     return TestGraph([ids[v] for v in order], edges)
 
 
-def test_reused_product_is_transposed():
+def record_leaf_products(monkeypatch, leaves) -> list[str]:
+    """Subscripts of every einsum call whose operands are all matrices in ``leaves``."""
+    calls = []
+    einsum = np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        if all(any(op is m for m in leaves) for op in operands):
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    return calls
+
+
+def test_reused_product_is_transposed(monkeypatch):
     rng = np.random.default_rng(15)
     lay = BlockLayout(7, 5, 1)
     a, b = rng.standard_normal((5, 7)), rng.standard_normal((7, 5))
     want = np.trace(a @ b @ a @ b)
     assert abs(want - np.sum((a @ b) ** 2)) > 1.0  # a missed transposition would show
+    calls = record_leaf_products(monkeypatch, (a, b))
     for order in itertools.permutations("ijkl"):
         fam = MatrixFamily(lay).add("A", a, 0, 1).add("B", b, 1, 0)
-        g = product_square(order)
-        got = sample_trace(g, fam)
-        assert sum(all(tok in (("A", False), ("B", False)) for tok in key[1:]) for key in fam._memo) == 1
+        calls.clear()
+        got = sample_trace(product_square(order), fam)
+        assert len(calls) == 1
         assert np.isclose(got, want, rtol=1e-12)
-        assert got == sample_trace(g, fam)  # now every step is a memo hit
 
 
 def test_moments_alone_and_together_are_bit_identical():
@@ -583,27 +597,13 @@ def test_moments_alone_and_together_are_bit_identical():
         assert [together[id(g)] for g in graphs] == alone
 
 
-def test_moment_4_makes_one_gram():
+def test_moment_4_makes_one_gram(monkeypatch):
     lay = BlockLayout(20, 30, 25)
-    fam = MatrixFamily(lay).add("Y", np.random.default_rng(17).standard_normal((30, 25)), 2, 1)
-    sample_trace(moment_cycle(4, "Y"), fam)
-    leaf_steps = [key for key in fam._memo if all(tok == ("Y", False) for tok in key[1:])]
-    assert len(leaf_steps) == 1
-    (gram,) = leaf_steps
-    inputs, out = gram[0].split("->")
-    first, second = inputs.split(",")
-    assert len(gram) == 3 and len(out) == 2 and len(set(first) & set(second) - set(out)) == 1
-
-
-def test_add_clears_the_memo():
-    rng = np.random.default_rng(18)
-    lay = BlockLayout(6, 5, 4)
-    y, z = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-    g = moment_cycle(2, "Y")
+    y = np.random.default_rng(17).standard_normal((30, 25))
     fam = MatrixFamily(lay).add("Y", y, 2, 1)
-    assert sample_trace(g, fam) == sample_trace(g, MatrixFamily(lay).add("Y", y, 2, 1))
-    assert fam._memo
-    fam.add("Y", z, 2, 1)
-    assert not fam._memo
-    assert sample_trace(g, fam) == sample_trace(g, MatrixFamily(lay).add("Y", z, 2, 1))
-    assert np.isclose(sample_trace(g, fam), np.trace(z @ z.T @ z @ z.T), rtol=1e-12)
+    calls = record_leaf_products(monkeypatch, (y,))
+    sample_trace(moment_cycle(4, "Y"), fam)
+    (gram,) = calls
+    inputs, out = gram.split("->")
+    first, second = inputs.split(",")
+    assert len(out) == 2 and len(set(first) & set(second) - set(out)) == 1
