@@ -337,7 +337,8 @@ def cmd_decompose(config: dict, map_fn=None) -> tuple[dict, int]:
     seed = config_int(config, "seed", 0, 0)
     w, x = ensemble.sample(seed)
     parts = decompose(poly, w, x, lay)
-    residual = parts.reassembled() - parts.total
+    residual = parts.reassembled()
+    residual -= parts.total
     scale = float(np.linalg.norm(parts.total))
     report = _base_report("decompose", config, [])
     report["records"].append(
@@ -393,7 +394,7 @@ def main(argv=None) -> int:
         kwargs = {}
         if args.command == "spectrum":
             kwargs["out_path"] = args.out
-        workers = min(threads, trials)
+        workers = min(threads, trials) if args.command in ("simulate", "compare") else 1
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)

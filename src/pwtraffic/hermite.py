@@ -115,6 +115,9 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through __init__
+        return (Polynomial, (self.power_coeffs,))
+
     @classmethod
     def from_hermite(cls, coeffs: Iterable[Rational]) -> "Polynomial":
         return cls(_hermite_to_power([_frac(c) for c in coeffs]))

@@ -290,7 +290,8 @@ def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
     n0x, n2 = x.shape
     if n0 != n0x or (n1, n0, n2) != (layout.N1, layout.N0, layout.N2):
         raise ValueError("matrix shapes do not match the layout")
-    inner = (w @ x) / math.sqrt(layout.N0)
+    inner = (w @ x).astype(float, copy=False)
+    inner /= math.sqrt(layout.N0)
     coeffs = [float(c) for c in h.power_coeffs]
     if not coeffs:
         return np.zeros((n1, n2))
@@ -323,9 +324,9 @@ def triple_and_pairs(n: int) -> IntegerPartition:
 def power_sums(w: np.ndarray, x: np.ndarray, top: int) -> dict[int, np.ndarray]:
     """The table m -> (W^{om}) (X^{om}) for m = 1..top; exact on integer inputs.
 
-    The entrywise powers are built by repeated multiplication and only the
-    current pair is kept alive, so the table costs ``top`` matmuls and
-    ``top`` result matrices.
+    The entrywise powers are built by repeated multiplication, in place from
+    m = 3 on (``w`` and ``x`` are never written), so the table costs ``top``
+    matmuls, ``top`` result matrices and one pair of power buffers.
     """
     w = np.asarray(w)
     x = np.asarray(x)
@@ -335,9 +336,9 @@ def power_sums(w: np.ndarray, x: np.ndarray, top: int) -> dict[int, np.ndarray]:
     table: dict[int, np.ndarray] = {}
     w_m, x_m = w, x
     for m in range(1, top + 1):
-        if m > 1:
-            w_m = w_m * w
-            x_m = x_m * x
+        if m > 1:  # new arrays at m = 2, so w and x are never written
+            w_m = w * w if m == 2 else np.multiply(w_m, w, out=w_m)
+            x_m = x * x if m == 2 else np.multiply(x_m, x, out=x_m)
         table[m] = w_m @ x_m
     return table
 
@@ -378,7 +379,7 @@ def z_lambda(
     representative.
 
     ``sums`` is a :func:`power_sums` table of (W, X) up to at least
-    ``lam.total``, shared across calls on the same matrices.
+    ``lam.total``, shared across calls on the same matrices; never written.
     """
     parts = lam.parts
     b = len(parts)
@@ -388,12 +389,17 @@ def z_lambda(
         sums = power_sums(w, x, lam.total)
     elif lam.total not in sums:
         raise ValueError(f"power-sum table stops below {lam.total}")
-    total = 0
-    for coeff, block_sums in inclusion_exclusion_terms(parts):
-        term = sums[block_sums[0]]
-        for m in block_sums[1:]:
-            term = term * sums[m]
-        total = total + coeff * term
+    total = buf = None
+    for coeff, (head, *rest) in inclusion_exclusion_terms(parts):
+        buf = np.multiply(sums[head], sums[rest[0]] if rest else coeff, out=buf)
+        for m in rest[1:]:
+            buf *= sums[m]
+        if rest:
+            buf *= coeff
+        if total is None:
+            total, buf = buf, None
+        else:
+            total += buf
     return total
 
 
@@ -410,9 +416,9 @@ class Decomposition:
     total: np.ndarray
 
     def reassembled(self) -> np.ndarray:
-        out = self.lin + self.deformation + self.eps
-        for m in self.per.values():
-            out = out + m
+        out = self.lin + self.deformation
+        for m in (self.eps, *self.per.values()):
+            out += m
         return out
 
 
@@ -434,6 +440,12 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
     per: dict[int, np.ndarray] = {}
     deform = np.zeros(shape)
     sums = power_sums(w, x, h.degree)
+
+    def scaled(lam: IntegerPartition, factor: float) -> np.ndarray:
+        z = z_lambda(lam, w, x, sums=sums).astype(float, copy=False)
+        z *= factor
+        return z
+
     for n, a_n in enumerate(h.power_coeffs):
         if a_n == 0:
             continue
@@ -441,21 +453,21 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
         scale = gamma * float(layout.N0) ** (-n / 2)
         c_lin = expect_derivative(hn, 1)
         if c_lin != 0:
-            lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), w, x, sums=sums).astype(float)
+            lin += scaled(ones_and_pairs(n, 1), float(a_n * c_lin) * scale)
         for m in range(2, n + 1):
             c_m = expect_derivative(hn, m) / math.factorial(m)
             if c_m == 0:
                 continue
-            term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), w, x, sums=sums).astype(float)
-            per[m] = per.get(m, np.zeros(shape)) + term
+            term = scaled(ones_and_pairs(n, m), float(a_n * c_m) * scale)
+            per[m] = np.add(per[m], term, out=per[m]) if m in per else term
         if n >= 3:
             c_def = expect_derivative(hn, 3) / 6
             if c_def != 0:
-                deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), w, x, sums=sums).astype(float)
+                deform += scaled(triple_and_pairs(n), float(a_n * c_def) * scale)
     total = pw_matrix(h, w, x, layout)
-    eps = total - lin - deform
-    for mat in per.values():
-        eps = eps - mat
+    eps = total - lin
+    for mat in (deform, *per.values()):
+        eps -= mat
     return Decomposition(lin=lin, per=per, deformation=deform, eps=eps, total=total)
 
 
@@ -603,12 +615,12 @@ def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarr
     Orders whose coefficient cells all vanish are skipped: each order has
     its own stream, so the others draw what they would draw anyway.
     """
-    out = np.zeros((ensemble.layout.N1, ensemble.layout.N2))
+    out = None
     for m in range(2, h.degree + 1):
         term = _chaos_term(h, ensemble, m, seed)
         if term is not None:
-            out += term
-    return out
+            out = term if out is None else np.add(out, term, out=out)
+    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
 
 
 @lru_cache(maxsize=None)
@@ -642,10 +654,11 @@ def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
 
 
 def equivalent_sum(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """equivalent_lin + all chaos orders + equivalent_def."""
+    """equivalent_lin + all chaos orders + equivalent_def (when nonzero)."""
     out = equivalent_lin(h, ensemble, seed)
     out += per_matrix(h, ensemble, seed)
-    out += equivalent_def(h, ensemble)
+    if _def_cells(h, ensemble) is not None:
+        out += equivalent_def(h, ensemble)
     return out
 
 

@@ -424,5 +424,12 @@ def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     path = write_config(tmp_path, base_config(trials=trials))
     out = tmp_path / "out.json"
-    assert main(["simulate", "--config", path, "--out", str(out), "--threads", threads]) == EXIT_OK
-    assert RecordingPool.sizes == ([] if pool is None else [pool])
+    for command in ("simulate", "compare"):
+        RecordingPool.sizes = []
+        assert main([command, "--config", path, "--out", str(out), "--threads", threads]) == EXIT_OK
+        assert RecordingPool.sizes == ([] if pool is None else [pool])
+    # the other commands never map over trials, so they open no pool
+    RecordingPool.sizes = []
+    for command in ("limit", "spectrum", "decompose"):
+        assert main([command, "--config", path, "--out", str(out), "--threads", "4"]) == EXIT_OK
+    assert RecordingPool.sizes == []

@@ -5,8 +5,10 @@ Derived expectations are computed by independent oracles inside this file
 conversion) and compared exactly; no tolerances anywhere.
 """
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -160,3 +162,10 @@ def test_json_round_trip():
     assert Polynomial.from_json({"basis": "hermite", "coeffs": ["0", "0", "0", "1"]}) == hermite(3)
     with pytest.raises(ValueError):
         Polynomial.from_json({"basis": "laguerre", "coeffs": ["1"]})
+
+
+def test_pickle_and_deepcopy_round_trip():
+    for p in (monomial(3), hermite(5), Polynomial.zero()):
+        for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert clone == p and hash(clone) == hash(p)
+            assert clone.hermite_coeffs == p.hermite_coeffs

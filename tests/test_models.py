@@ -34,6 +34,7 @@ from pwtraffic.models import (
 )
 from pwtraffic.partitions import IntegerPartition, count_of_type, enumerate_set_partitions, integer_partitions
 from pwtraffic.traffic import BlockLayout
+import decompose_oracle
 
 RNG = np.random.default_rng(52)
 
@@ -631,6 +632,81 @@ def test_decompose_hands_back_the_total():
     w, x = RNG.standard_normal((4, 6)), RNG.standard_normal((6, 5))
     parts = decompose(monomial(5), w, x, lay)
     assert np.array_equal(parts.total, pw_matrix(monomial(5), w, x, lay))
+
+
+# -- the in-place decomposition against its allocating oracle ------------------------
+
+DECOMPOSE_LABELS = [monomial(1), monomial(3), monomial(5), monomial(7), hermite(5), hermite(7)]
+
+
+def assert_same_components(got, want):
+    assert set(got.per) == set(want.per)
+    pairs = [(got.lin, want.lin), (got.deformation, want.deformation), (got.eps, want.eps), (got.total, want.total)]
+    pairs += [(got.per[m], want.per[m]) for m in want.per]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_decompose_equals_the_allocating_oracle():
+    ens = stepped_ensemble(19, 17, 21)
+    for seed in (0, 7, 301):
+        w, x = ens.sample(seed)
+        for h in DECOMPOSE_LABELS:
+            got = decompose(h, w, x, ens.layout)
+            want = decompose_oracle.decompose(h, w, x, ens.layout)
+            assert_same_components(got, want)
+            # the allocating reassembly: ((lin + def) + eps) + per orders
+            assert np.array_equal(got.reassembled(), sum(want.per.values(), want.lin + want.deformation + want.eps))
+
+
+def test_decompose_equals_the_allocating_oracle_on_integers():
+    lay = BlockLayout(7, 5, 6)
+    w, x = RNG.integers(-3, 4, (5, 7)), RNG.integers(-3, 4, (7, 6))
+    for h in DECOMPOSE_LABELS:
+        assert_same_components(decompose(h, w, x, lay), decompose_oracle.decompose(h, w, x, lay))
+    sums = power_sums(w, x, 7)
+    for lam in partitions_up_to_parts(7, 7):
+        got = z_lambda(lam, w, x, sums=sums)
+        assert got.dtype == object and (got == decompose_oracle.z_lambda(lam, w, x)).all(), lam
+
+
+def test_in_place_steps_leave_their_inputs_alone():
+    lay = BlockLayout(9, 8, 7)
+    cases = [(RNG.standard_normal((8, 9)), RNG.standard_normal((9, 7))), (RNG.integers(-3, 4, (8, 9)), RNG.integers(-3, 4, (9, 7)))]
+    for w, x in cases:
+        w0, x0 = w.copy(), x.copy()
+        sums = power_sums(w, x, 7)
+        table0 = {m: u.copy() for m, u in sums.items()}
+        for lam in partitions_up_to_parts(7, 7):
+            z_lambda(lam, w, x)
+            z_lambda(lam, w, x, sums=sums)
+        for h in DECOMPOSE_LABELS:
+            decompose(h, w, x, lay)
+            pw_matrix(h, w, x, lay)
+        assert w.tobytes() == w0.tobytes() and x.tobytes() == x0.tobytes()
+        for m, u in sums.items():
+            assert u.dtype == table0[m].dtype and np.array_equal(u, table0[m]), m
+            if u.dtype != object:
+                assert u.tobytes() == table0[m].tobytes()
+
+
+def test_two_point_sample_is_the_where_form():
+    for law in (EntryLaw.rademacher(), unit_skewed_law()):
+        for seed in (0, 5):
+            u = np.random.default_rng(seed).random((13, 11))
+            want = np.where(u < float(law.p), float(law.a), float(law.b))
+            got = law.sample(np.random.default_rng(seed), (13, 11))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_equivalent_sum_adds_no_zero_deformation(monkeypatch):
+    gauss = ProfiledEnsemble(BlockLayout(7, 5, 6), EntryLaw.gaussian(), EntryLaw.gaussian(), STEPPED_W, STEPPED_X)
+    h = hermite(5) + monomial(3)
+    want = equivalent_lin(h, gauss, 4)
+    want += per_matrix_every_order(h, gauss, 4)
+    monkeypatch.setattr(models, "equivalent_def", lambda *args: pytest.fail("zero deformation built"))
+    assert models._def_cells(h, gauss) is None
+    assert np.array_equal(equivalent_sum(h, gauss, 4), want)
 
 
 # -- no draws for vanishing chaos orders --------------------------------------------
