@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,7 @@ def parse_polynomial(spec) -> Polynomial:
         raise ConfigError(f"unknown polynomial shorthand {spec!r}")
     try:
         if isinstance(spec, (list, tuple)):
-            return Polynomial([Fraction(str(c)) for c in spec])
+            return Polynomial([str(c) for c in spec])
         if isinstance(spec, dict):
             return Polynomial.from_json(spec)
     except TypeError as exc:
@@ -300,12 +299,8 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
     rows = []
     for family, mat in (("model", y), ("equivalent", eq)):
         sv = np.linalg.svd(mat, compute_uv=False)
-        gram_moments = []
-        m = mat @ mat.T
-        acc = np.eye(lay.N1)
-        for _ in range(4):
-            acc = acc @ m
-            gram_moments.append(float(np.trace(acc)) / lay.N1)
+        # trace((mat mat^T)^k) / N1: the squared singular values are the eigenvalues
+        gram_moments = [float(np.sum(sv ** (2 * k))) / lay.N1 for k in range(1, 5)]
         edges = np.histogram_bin_edges(sv, bins=bins)
         counts, edges = np.histogram(sv, bins=edges)
         for left, count in zip(edges[:-1], counts):

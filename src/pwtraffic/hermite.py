@@ -22,9 +22,13 @@ DEFAULT_MAX_DEGREE = 15
 
 
 def _frac(x: Rational) -> Fraction:
+    """``x`` as an exact rational; a ValueError naming ``x`` if it is none."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError) as exc:  # "1/0" raises ZeroDivisionError, inf OverflowError
+        raise ValueError(f"not a rational number: {x!r}") from exc
 
 
 def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -202,7 +206,7 @@ class Polynomial:
     @classmethod
     def from_json(cls, obj: dict) -> "Polynomial":
         """Parse {"basis": "power" | "hermite", "coeffs": [...]}."""
-        coeffs = [Fraction(c) for c in obj["coeffs"]]
+        coeffs = [_frac(c) for c in obj["coeffs"]]
         if obj["basis"] == "power":
             return cls(coeffs)
         if obj["basis"] == "hermite":

@@ -4,9 +4,11 @@ The limit of a reference graph labeled by odd polynomials is a finite sum
 over its split quotients whose image is a pseudo-cactus.  In such a
 quotient every strong component carries one channel: a table over the step
 cells (r, c) of its endpoints, built from the cell kernels
-K_l(r, c) = sum_inner mu * w(r, .)^l * x(., c)^l (``models.cell_kernel``
-over the exact joint refinement of the inner cells) and from label-level
-Gaussian expectations at scale K_2 (``hermite.expect_scaled``):
+K_l(r, c) = sum_inner mu * w(r, .)^l * x(., c)^l, mu the measures of the
+joint refinement of the inner cells, and from label-level Gaussian
+expectations at scale K_2.  Both come from ``models.cell_kernels`` at
+N0 = lcm of the inner grid sizes: the limit kernels are the finite ones at
+that size, built by the equivalents' own code.
 
 - a cut edge labeled h carries the deformation
   m3_w m3_x / 6 * K_3 * E[h'''(sqrt(K_2) xi)];
@@ -38,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Iterator
 
 from .graphs import (
@@ -52,17 +54,13 @@ from .graphs import (
     quotient,
     split_partitions,
 )
-from .hermite import Polynomial, expect_scaled
-from .models import StepProfile, cell_kernel
+from .hermite import Polynomial, _frac
+from .models import CellKernels, StepProfile, cell_kernels, cell_overlaps
 from .partitions import SetPartition, bell_number, restricted_growth_strings
 
 MAX_LIMIT_EDGES = 8
 #: Guard of the exponent scan: the Bell-number count of split partitions.
 MAX_SCAN_PARTITIONS = 5_000_000
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -86,24 +84,15 @@ class LimitParams:
     @staticmethod
     def of(psi, m3_w=0, m3_x=0, profile_w=None, profile_x=None) -> "LimitParams":
         return LimitParams(
-            psi=tuple(_frac(p) for p in psi),
-            m3_w=_frac(m3_w),
-            m3_x=_frac(m3_x),
+            psi=psi,
+            m3_w=m3_w,
+            m3_x=m3_x,
             profile_w=profile_w or StepProfile.constant(),
             profile_x=profile_x or StepProfile.constant(),
         )
 
 
 # -- cell tables and their variable elimination --------------------------------
-
-
-def _refinement(*ks: int) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Joint refinement of uniform grids of k cells on [0, 1].
-
-    One (measure, cell index in each grid) pair per refined interval.
-    """
-    pts = sorted({Fraction(i, k) for k in ks for i in range(k + 1)})
-    return [(hi - lo, tuple(min(int((lo + hi) / 2 * k), k - 1) for k in ks)) for lo, hi in zip(pts[:-1], pts[1:])]
 
 
 def _eliminate(domains: dict, factors: list[tuple[tuple, dict]]) -> Fraction:
@@ -172,10 +161,12 @@ def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
     coarse: dict[tuple[object, str, str], list[int]] = {}
     for v, color in g.vertices:
         axes = axes_of_color[color]
-        cells = _refinement(*(axis_cells(profiles[label], axis) for label, axis in axes))
-        domains[v] = [measure for measure, _ in cells]
+        ks = [axis_cells(profiles[label], axis) for label, axis in axes]
+        total = lcm(*ks)  # the joint refinement: the overlaps of lcm(ks) positions
+        runs = cell_overlaps(total, *ks)
+        domains[v] = [Fraction(n, total) for n, _ in runs]
         for k, (label, axis) in enumerate(axes):
-            coarse[(v, label, axis)] = [idx[k] for _, idx in cells]
+            coarse[(v, label, axis)] = [cells[k] for _, cells in runs]
 
     factors: list[tuple[tuple, dict]] = []
     for e in g.edges:
@@ -235,50 +226,25 @@ class LimitValues:
     breakdown: tuple[QuotientTerm, ...]
 
 
-# Channel tables, built once per (labels, profiles) and shared between walks
+# Channel tables, built once per (labels, kernels) and shared between walks
 # (read only).  Cut-edge and 2-cycle tables are keyed by the (w-row cell,
 # x-column cell) of the component's target and source; a star edge's table
 # also by the centre's inner cell.  The psi0 of a cycle is left to the walk.
 
 
 @lru_cache(maxsize=None)
-def _kernels(prof_w: StepProfile, prof_x: StepProfile) -> tuple[list, dict, dict]:
-    """The inner-cell refinement and the exact cell kernels K_2, K_3 per cell."""
-    inner = _refinement(prof_w.n_col_cells, prof_x.n_row_cells)
-    weighted = [(m, cw, rx) for m, (cw, rx) in inner]
-    k2, k3 = (cell_kernel(prof_w, prof_x, weighted, ell) for ell in (2, 3))
-    cells = [(r, c) for r in range(prof_w.n_row_cells) for c in range(prof_x.n_col_cells)]
-    return inner, {(r, c): k2[r][c] for r, c in cells}, {(r, c): k3[r][c] for r, c in cells}
-
-
-@lru_cache(maxsize=None)
-def _expect_cells(p: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict:
-    """E[p(sqrt(K_2) xi)] per cell."""
-    _, k2, _ = _kernels(prof_w, prof_x)
-    return {rc: expect_scaled(p, k) for rc, k in k2.items()}
-
-
-@lru_cache(maxsize=None)
-def _cut_table(h: Polynomial, m3: Fraction, prof_w: StepProfile, prof_x: StepProfile) -> dict:
-    """The deformation table; ``m3`` is m3_w m3_x / 6."""
-    _, _, k3 = _kernels(prof_w, prof_x)
-    third = _expect_cells(h.derivative(3), prof_w, prof_x)
-    return {rc: m3 * k * third[rc] for rc, k in k3.items()}
-
-
-@lru_cache(maxsize=None)
-def _star_table(h: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict:
-    inner, k2, _ = _kernels(prof_w, prof_x)
-    first = _expect_cells(h.derivative(1), prof_w, prof_x)
+def _star_table(h: Polynomial, kernels: CellKernels) -> dict:
+    first = kernels.expect(h.derivative(1))
+    value_w, value_x = kernels.profile_w.value, kernels.profile_x.value
     return {
-        (r, z, c): prof_w.value(r, cw) * prof_x.value(rx, c) * first[r, c]
-        for z, (_, (cw, rx)) in enumerate(inner)
-        for r, c in k2
+        (r, z, c): value_w(r, cw) * value_x(rx, c) * first[r, c]
+        for z, (_, cw, rx) in enumerate(kernels.inner)
+        for r, c in kernels.k2
     }
 
 
 @lru_cache(maxsize=None)
-def _two_cycle_tables(h1: Polynomial, h2: Polynomial, prof_w: StepProfile, prof_x: StepProfile) -> dict[str, dict]:
+def _two_cycle_tables(h1: Polynomial, h2: Polynomial, kernels: CellKernels) -> dict[str, dict]:
     """The 2-cycle's table under every rule but B.
 
     pw is E[(h1 h2)(sqrt(K_2) xi)].  lin and per are the first and the other
@@ -288,17 +254,15 @@ def _two_cycle_tables(h1: Polynomial, h2: Polynomial, prof_w: StepProfile, prof_
     linear channel as the product of the two star tables over its own
     centre, plus per.  Integrated over the centre it must reproduce pw.
     """
-    _, k2, _ = _kernels(prof_w, prof_x)
-    derivs = [
-        [_expect_cells(h.derivative(k), prof_w, prof_x) for h in (h1, h2)]
-        for k in range(max(h1.degree, h2.degree, 1) + 1)
-    ]
-    chaos = {rc: [q**k / factorial(k) * a[rc] * b[rc] for k, (a, b) in enumerate(derivs)] for rc, q in k2.items()}
+    derivs = [[kernels.expect(h.derivative(k)) for h in (h1, h2)] for k in range(max(h1.degree, h2.degree, 1) + 1)]
+    chaos = {
+        rc: [q**k / factorial(k) * a[rc] * b[rc] for k, (a, b) in enumerate(derivs)] for rc, q in kernels.k2.items()
+    }
     lin = {rc: terms[1] for rc, terms in chaos.items()}
     per = {rc: sum(terms[:1] + terms[2:]) for rc, terms in chaos.items()}
-    s1, s2 = _star_table(h1, prof_w, prof_x), _star_table(h2, prof_w, prof_x)
+    s1, s2 = _star_table(h1, kernels), _star_table(h2, kernels)
     star_sum = {(r, z, c): t * s2[r, z, c] + per[r, c] for (r, z, c), t in s1.items()}
-    return {"pw": _expect_cells(h1 * h2, prof_w, prof_x), "lin": lin, "per": per, "sum": star_sum}
+    return {"pw": kernels.expect(h1 * h2), "lin": lin, "per": per, "sum": star_sum}
 
 
 def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
@@ -314,8 +278,11 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
     """
     _validate_reference(g)
     prof_w, prof_x = params.profile_w, params.profile_x
-    centre_measures = [m for m, _ in _kernels(prof_w, prof_x)[0]]
-    measures = {1: [m for m, _ in _refinement(prof_w.n_row_cells)], 2: [m for m, _ in _refinement(prof_x.n_col_cells)]}
+    # the limit kernels are the finite ones at N0 = lcm of the inner grid sizes
+    kernels = cell_kernels(prof_w, prof_x, lcm(prof_w.n_col_cells, prof_x.n_row_cells))
+    centre_measures = [m for m, _, _ in kernels.inner]
+    n1, n2 = prof_w.n_row_cells, prof_x.n_col_cells
+    measures = {1: [Fraction(1, n1)] * n1, 2: [Fraction(1, n2)] * n2}  # uniform cells of the outer axes
     m3 = params.m3_w * params.m3_x / 6
     psi0, psi1, psi2 = params.psi
     totals = dict.fromkeys(RULES, Fraction(0))
@@ -331,11 +298,11 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
         components: list[dict[str, list]] = []
         for eid in report.cut_edges:
             e = edge[eid]
-            factors = [((var[e.dst], var[e.src]), _cut_table(e.label, m3, prof_w, prof_x))]
+            factors = [((var[e.dst], var[e.src]), kernels.deformation(e.label, m3))]
             components.append({"pw": factors, "B": factors, "sum": factors})
         for a, b in report.two_cycles:
             e = edge[a]
-            by_rule = _two_cycle_tables(e.label, edge[b].label, prof_w, prof_x)
+            by_rule = _two_cycle_tables(e.label, edge[b].label, kernels)
             centre = len(domains)
             domains[centre] = centre_measures
             comp = {rule: [((var[e.dst], var[e.src]), by_rule[rule])] for rule in ("pw", "lin", "per")}
@@ -345,7 +312,7 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
             centre = len(domains)
             domains[centre] = centre_measures
             factors = [
-                ((var[e.dst], centre, var[e.src]), _star_table(e.label, prof_w, prof_x)) for e in map(edge.get, cycle)
+                ((var[e.dst], centre, var[e.src]), _star_table(e.label, kernels)) for e in map(edge.get, cycle)
             ]
             components.append({"pw": factors, "lin": factors, "sum": factors})
         v1 = sum(1 for _, c in tq.vertices if c == 1)

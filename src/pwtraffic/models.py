@@ -16,11 +16,15 @@ tests feed to ``traffic.tau_estimates``.
 Entrywise coefficients for the equivalents are computed as exact rationals
 per distinct profile-cell value (step profiles have few cells), once per
 (polynomial, ensemble): ensembles and polynomials are frozen and hashable,
-and the cell values are cached.  Profiles and coefficients are applied to a
-sampled matrix in place, one contiguous cell block at a time, so no realized
-profile matrix is built; the only floating-point step is one square root per
-cell.  The cell-level second-moment scale is normalized by the inner
-dimension, so it equals 1 for constant profiles.
+and the cell values are cached.  They come from ``cell_kernels``, the one
+table of cell kernels K_2, K_3 and Gaussian expectations at scale K_2, which
+the exact limits read at N0 = lcm of the inner grid sizes; ``_cell_slices``
+is the one rule that puts a position in a step cell.  Profiles and
+coefficients are applied to a sampled matrix in place, one contiguous cell
+block at a time, so no realized profile matrix is built; the only
+floating-point step is one square root per cell.  The cell-level
+second-moment scale is normalized by the inner dimension, so it equals 1
+for constant profiles.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hermite import Polynomial, expect_derivative, expect_scaled, gaussian_moment
+from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment
 from .partitions import IntegerPartition, enumerate_set_partitions
 from .traffic import BlockLayout, MatrixFamily
 
@@ -45,10 +49,6 @@ STREAM_LIN_X = 12
 STREAM_PER = 20  # (seed, STREAM_PER, order)
 
 _MAX_Z_PARTS = 8
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # -- entry laws --------------------------------------------------------------
@@ -118,7 +118,7 @@ class EntryLaw:
         if kind == "rademacher":
             return EntryLaw.rademacher()
         if kind == "skewed_two_point":
-            return EntryLaw.skewed_two_point(Fraction(obj["a"]), Fraction(obj["b"]), Fraction(obj["p"]))
+            return EntryLaw.skewed_two_point(obj["a"], obj["b"], obj["p"])
         raise ValueError(f"unknown entry law kind {kind!r}")
 
 
@@ -133,15 +133,34 @@ def unit_skewed_law() -> EntryLaw:
 # -- step profiles -----------------------------------------------------------
 
 
-def _cell_of(i: int, total: int, k: int) -> int:
-    """0-based cell of 0-based row i among k cells over `total` rows."""
-    return ((i + 1) * k + total - 1) // total - 1
+@lru_cache(maxsize=None)
+def _cell_slices(total: int, k: int) -> tuple[slice, ...]:
+    """The contiguous positions of each of k uniform cells over ``total``.
+
+    The one step-cell rule: 0-based position i lies in cell
+    ceil((i + 1) k / total) - 1; a cell is empty when k > total.
+    """
+    return tuple(slice(r * total // k, (r + 1) * total // k) for r in range(k))
 
 
 @lru_cache(maxsize=None)
-def _cell_slices(total: int, k: int) -> tuple[slice, ...]:
-    """The contiguous rows of each of k cells over `total` rows (as _cell_of)."""
-    return tuple(slice(r * total // k, (r + 1) * total // k) for r in range(k))
+def cell_overlaps(total: int, *ks: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The runs of ``total`` positions that stay in one cell of every grid.
+
+    One (count, cell in each grid) pair per run, in position order, for
+    uniform grids of ``ks`` cells (:func:`_cell_slices`).  At total =
+    lcm(ks) the counts over ``total`` are the exact measures of the joint
+    refinement of the grids on [0, 1].
+    """
+    grids = [_cell_slices(total, k) for k in ks]
+    runs = []
+    lo = 0
+    while lo < total:
+        cells = tuple(next(r for r, s in enumerate(grid) if s.start <= lo < s.stop) for grid in grids)
+        hi = min(grid[r].stop for grid, r in zip(grids, cells))
+        runs.append((hi - lo, cells))
+        lo = hi
+    return tuple(runs)
 
 
 def _scale_cells(a: np.ndarray, cells: Sequence[Sequence[float]]) -> np.ndarray:
@@ -203,12 +222,6 @@ class StepProfile:
     @property
     def n_col_cells(self) -> int:
         return len(self.grid[0])
-
-    def row_cells(self, rows: int) -> list[int]:
-        return [_cell_of(i, rows, self.n_row_cells) for i in range(rows)]
-
-    def col_cells(self, cols: int) -> list[int]:
-        return [_cell_of(j, cols, self.n_col_cells) for j in range(cols)]
 
     def realize(self, rows: int, cols: int) -> np.ndarray:
         return _broadcast_cells(self.grid, (rows, cols))
@@ -471,50 +484,62 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
     return Decomposition(lin=lin, per=per, deformation=deform, eps=eps, total=total)
 
 
-# -- profile cell machinery -----------------------------------------------------
+# -- profile cell kernels -------------------------------------------------------
 
 
-def cell_kernel(
-    profile_w: StepProfile,
-    profile_x: StepProfile,
-    inner: Sequence[tuple[Fraction, int, int]],
-    ell: int,
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The cell kernel K_ell(r, c) = sum_inner weight * w(r, cw)^ell * x(rx, c)^ell.
+class CellKernels:
+    """The cell kernels of a profile pair over ``total`` inner positions.
 
-    ``inner`` lists one (weight, w-column cell, x-row cell) triple per inner
-    cell: finite counts over a normalization for a sampled ensemble, exact
-    interval measures of the joint cell refinement for the limit.  Rows run
-    over the w-row cells, columns over the x-column cells.
+    ``inner`` holds one (weight, w-column cell, x-row cell) triple per run of
+    inner positions (:func:`cell_overlaps`), the weight its count over
+    ``total``.  ``k2`` and ``k3`` map each (w-row cell, x-column cell) to
+    K_l(r, c) = sum_inner weight * w(r, cw)^l * x(rx, c)^l.  The equivalents
+    read them at total = N0, the exact limits at total = the lcm of the two
+    inner grid sizes, where the weights are the measures of the joint
+    refinement: the limit kernels are the finite ones at that size.
     """
-    return tuple(
-        tuple(
-            sum((m * profile_w.value(r, cw) ** ell * profile_x.value(rx, c) ** ell for m, cw, rx in inner), Fraction(0))
-            for c in range(profile_x.n_col_cells)
+
+    def __init__(self, profile_w: StepProfile, profile_x: StepProfile, total: int) -> None:
+        self.profile_w, self.profile_x = profile_w, profile_x
+        runs = cell_overlaps(total, profile_w.n_col_cells, profile_x.n_row_cells)
+        self.inner = tuple((Fraction(n, total), cw, rx) for n, (cw, rx) in runs)
+        cells = [(r, c) for r in range(profile_w.n_row_cells) for c in range(profile_x.n_col_cells)]
+        w, x = profile_w.value, profile_x.value
+        self.k2, self.k3 = (
+            {
+                (r, c): sum((m * w(r, cw) ** ell * x(rx, c) ** ell for m, cw, rx in self.inner), Fraction(0))
+                for r, c in cells
+            }
+            for ell in (2, 3)
         )
-        for r in range(profile_w.n_row_cells)
-    )
+
+    # cell_kernels keeps every instance for the life of the process, so these
+    # caches keep nothing alive that would otherwise be freed
+    @lru_cache(maxsize=None)
+    def expect(self, p: Polynomial) -> dict[tuple[int, int], Fraction]:
+        """E[p(sqrt(K_2) xi)] per cell."""
+        return {rc: expect_scaled(p, k) for rc, k in self.k2.items()}
+
+    @lru_cache(maxsize=None)
+    def deformation(self, h: Polynomial, m3: Fraction) -> dict[tuple[int, int], Fraction]:
+        """m3 * K_3 * E[h'''(sqrt(K_2) xi)] per cell, with m3 = m3_w m3_x / 6."""
+        third = self.expect(h.derivative(3))
+        return {rc: m3 * k * third[rc] for rc, k in self.k3.items()}
+
+    def rows(self, cells: dict) -> tuple[tuple, ...]:
+        """A per-cell table as rows over the w-row cells."""
+        n_rows, n_cols = self.profile_w.n_row_cells, self.profile_x.n_col_cells
+        return tuple(tuple(cells[r, c] for c in range(n_cols)) for r in range(n_rows))
 
 
 @lru_cache(maxsize=None)
-def _lambda_cells(
-    profile_w: StepProfile,
-    profile_x: StepProfile,
-    layout: BlockLayout,
-    ell: int,
-    denominator: int,
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Cellwise (1/denominator) sum_d gamma_w(r,d)^ell gamma_x(d,c)^ell."""
-    # how many inner indices fall in each (w-column-cell, x-row-cell) pair
-    counts: dict[tuple[int, int], int] = {}
-    for key in zip(profile_w.col_cells(layout.N0), profile_x.row_cells(layout.N0)):
-        counts[key] = counts.get(key, 0) + 1
-    inner = [(Fraction(cnt, denominator), cw, rx) for (cw, rx), cnt in counts.items()]
-    return cell_kernel(profile_w, profile_x, inner, ell)
+def cell_kernels(profile_w: StepProfile, profile_x: StepProfile, total: int) -> CellKernels:
+    """The shared :class:`CellKernels` of (profile_w, profile_x, total)."""
+    return CellKernels(profile_w, profile_x, total)
 
 
-def _mu_sq_cells(ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...]:
-    return _lambda_cells(ensemble.profile_w, ensemble.profile_x, ensemble.layout, 2, ensemble.layout.N0)
+def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
+    return cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
 
 
 # -- Gaussian equivalents -------------------------------------------------------
@@ -526,8 +551,8 @@ def _mu_sq_cells(ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...]
 @lru_cache(maxsize=None)
 def _lin_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, ...], ...]:
     """Cellwise E[h'(mu xi)] for the linear equivalent."""
-    deriv = h.derivative(1)
-    return tuple(tuple(float(expect_scaled(deriv, mu_sq)) for mu_sq in row) for row in _mu_sq_cells(ensemble))
+    kernels = _ensemble_kernels(ensemble)
+    return kernels.rows({rc: float(v) for rc, v in kernels.expect(h.derivative(1)).items()})
 
 
 def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
@@ -555,17 +580,12 @@ def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) ->
     sqrt(psi0 * m!) * mu^m * E[h^(m)(mu xi)] / m!.
     """
     lay = ensemble.layout
-    psi0 = float(lay.N0) / lay.N
-    deriv = h.derivative(m)
-    out = []
-    for row in _mu_sq_cells(ensemble):
-        line = []
-        for mu_sq in row:
-            base = expect_scaled(deriv, mu_sq)  # exact rational
-            mu_m = float(mu_sq) ** (m / 2)
-            line.append(math.sqrt(psi0 * math.factorial(m)) * mu_m * float(base) / math.factorial(m))
-        out.append(tuple(line))
-    return tuple(out)
+    scale = math.sqrt(float(lay.N0) / lay.N * math.factorial(m))  # sqrt(psi0 * m!)
+    kernels = _ensemble_kernels(ensemble)
+    base = kernels.expect(h.derivative(m))  # exact rationals
+    return kernels.rows(
+        {rc: scale * float(mu_sq) ** (m / 2) * float(base[rc]) / math.factorial(m) for rc, mu_sq in kernels.k2.items()}
+    )
 
 
 def _chaos_term(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray | None:
@@ -629,13 +649,8 @@ def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[Fractio
     m3 = ensemble.law_w.m3 * ensemble.law_x.m3
     if m3 == 0 or h.degree < 3:
         return None
-    lay = ensemble.layout
-    lam3 = _lambda_cells(ensemble.profile_w, ensemble.profile_x, lay, 3, lay.N0)
-    deriv = h.derivative(3)
-    return tuple(
-        tuple(m3 / 6 * l3 * expect_scaled(deriv, mu_sq) for l3, mu_sq in zip(row3, row2))
-        for row3, row2 in zip(lam3, _mu_sq_cells(ensemble))
-    )
+    kernels = _ensemble_kernels(ensemble)
+    return kernels.rows(kernels.deformation(h, m3 / 6))
 
 
 def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:

@@ -7,24 +7,7 @@ labeled variants fold the labels into the canonical form.
 
 import itertools
 
-from pwtraffic.graphs import Edge, TestGraph
-
-
-def _connected(pairs, ns, nt):
-    nodes = [("s", i) for i in range(ns)] + [("t", j) for j in range(nt)]
-    parent = {v: v for v in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, t in pairs:
-        a, b = find(("s", s)), find(("t", t))
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in nodes}) == 1
+from pwtraffic.graphs import Edge, TestGraph, is_connected
 
 
 def _canonical(pairs, ns, nt, labels):
@@ -51,15 +34,16 @@ def labeled_reference_graphs(max_edges, label_choices):
                         continue
                     if {t for _, t in pairs} != set(range(nt)):
                         continue
-                    if not _connected(pairs, ns, nt):
+                    vertices = [(("t", j), 1) for j in range(nt)]
+                    vertices += [(("s", i), 2) for i in range(ns)]
+                    shape = [Edge(k, ("s", s), ("t", t), None) for k, (s, t) in enumerate(pairs)]
+                    if not is_connected(TestGraph(vertices, shape)):
                         continue
                     for labels in itertools.product(label_choices, repeat=n_edges):
                         key = _canonical(pairs, ns, nt, labels)
                         if key in seen:
                             continue
                         seen.add(key)
-                        vertices = [(("t", j), 1) for j in range(nt)]
-                        vertices += [(("s", i), 2) for i in range(ns)]
                         edges = [
                             Edge(k, ("s", s), ("t", t), lab)
                             for k, ((s, t), lab) in enumerate(zip(pairs, labels))

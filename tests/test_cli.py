@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pwtraffic.cli import (
@@ -18,9 +19,11 @@ from pwtraffic.cli import (
     cmd_spectrum,
     main,
     parse_polynomial,
+    resolve_ensemble,
     resolve_graphs,
 )
 from pwtraffic.hermite import hermite, monomial
+from pwtraffic.models import equivalent_sum, pw_matrix
 
 
 def base_config(**overrides):
@@ -148,6 +151,14 @@ def test_cmd_spectrum_moments_and_histogram(tmp_path):
     assert set(fams) == {"model", "equivalent"}
     assert len(fams["model"]["gram_moments"]) == 4
     assert all(m > 0 for m in fams["model"]["gram_moments"])
+    # the moments read from the singular values are trace((M M^T)^k) / N1
+    ensemble = resolve_ensemble(base_config())
+    lay = ensemble.layout
+    model = pw_matrix(monomial(1), *ensemble.sample(2), lay)
+    for family, mat in (("model", model), ("equivalent", equivalent_sum(monomial(1), ensemble, 2))):
+        gram = mat @ mat.T
+        want = [np.trace(np.linalg.matrix_power(gram, k)) / lay.N1 for k in range(1, 5)]
+        np.testing.assert_allclose(fams[family]["gram_moments"], want, rtol=1e-12)
     assert report["histogram"]
     out = tmp_path / "spec.json"
     report2, _ = cmd_spectrum(base_config(labels="h1", seed=2), out_path=str(out))
@@ -221,6 +232,8 @@ def test_main_validation_exit_codes(tmp_path):
         ("profile_x", None),
         ("profile_w", "12"),
         ("profile_x", ["12"]),
+        ("law_x", {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/0"}),
+        ("profile_w", [["1", "1/0"]]),
     ],
 )
 def test_main_bad_ensemble_exits_2_with_one_line(tmp_path, capsys, command, key, value):
@@ -370,8 +383,9 @@ def test_main_compare_rejects_before_sampling(tmp_path, capsys, monkeypatch, gra
         {"graph": {"vertices": 5, "edges": []}, "labels": {"p": "h1"}},
         {"graph": {"vertices": [{"id": ["u"], "color": 1}], "edges": []}, "labels": {"p": "h1"}},
         {"labels": {"basis": "power", "coeffs": 5}},
+        {"labels": ["0", "1/0"]},
     ],
-    ids=["vertices-not-a-list", "unhashable-vertex-id", "coeffs-not-a-list"],
+    ids=["vertices-not-a-list", "unhashable-vertex-id", "coeffs-not-a-list", "coeff-zero-denominator"],
 )
 def test_main_bad_graph_or_labels_exits_2_with_one_line(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))

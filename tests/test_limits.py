@@ -272,25 +272,22 @@ def test_recombination_on_moments_3_and_4():
 
 def test_recombination_can_fail(monkeypatch):
     # pw reads a 2-cycle through the cell kernel K_2, sum through the stars
-    # over its own centre: a wrong K_2 must show as pw != sum
-    from pwtraffic import limits
+    # over its own centre: a wrong K_2 in the shared kernel table must show
+    # as pw != sum
+    from pwtraffic import models
 
-    caches = (limits._kernels, limits._expect_cells, limits._cut_table, limits._two_cycle_tables, limits._star_table)
-    real = limits.cell_kernel
+    class DoubledK2(models.CellKernels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.k2 = {rc: 2 * k for rc, k in self.k2.items()}
 
-    def doubled(profile_w, profile_x, inner, ell):
-        table = real(profile_w, profile_x, inner, ell)
-        return tuple(tuple(2 * k for k in row) for row in table) if ell == 2 else table
-
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(limits, "cell_kernel", doubled)
+    models.cell_kernels.cache_clear()
+    monkeypatch.setattr(models, "CellKernels", DoubledK2)
     try:
         values = limit_values(moment_cycle(1, G3 + H1), STEPPED)
         assert values.pw != values.sum
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        models.cell_kernels.cache_clear()
 
 
 def test_limit_edge_guard():

@@ -92,8 +92,9 @@ def test_step_profile_realize():
     mat = p.realize(4, 4)
     assert (mat[:2, :2] == 1).all() and (mat[:2, 2:] == 2).all()
     assert (mat[2:, :2] == 3).all() and (mat[2:, 2:] == 4).all()
-    # non-divisible sizes follow the ceiling rule
-    assert p.row_cells(3) == [0, 1, 1]
+    # non-divisible sizes follow the ceiling rule: rows 1, 2, 3 of 3 in cells 1, 2, 2
+    mat = p.realize(3, 2)
+    assert mat[:, 0].tolist() == [1, 3, 3]
 
 
 def test_step_profile_validation():
@@ -375,7 +376,9 @@ def lambda_ell(profile_w, profile_x, layout, ell):
     """Oracle: N^{-1} (Gamma_w ^ o ell) (Gamma_x ^ o ell) as a realized N1 x N2 matrix."""
     if ell not in (2, 3):
         raise ValueError("lambda_ell supports ell in {2, 3}")
-    cells = models._lambda_cells(profile_w, profile_x, layout, ell, layout.N)
+    kernels = models.cell_kernels(profile_w, profile_x, layout.N0)
+    table = kernels.k2 if ell == 2 else kernels.k3
+    cells = kernels.rows({rc: k * Fraction(layout.N0, layout.N) for rc, k in table.items()})
     return models._broadcast_cells(cells, (layout.N1, layout.N2))
 
 
@@ -385,12 +388,13 @@ def second_moment_cells(ensemble):
     Equals 1 on every cell for constant unit profiles; the entrywise square
     root of the N-normalized lambda_2 matrix rescaled by 1/psi0.
     """
-    return [list(row) for row in models._mu_sq_cells(ensemble)]
+    kernels = models.cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
+    return [list(row) for row in kernels.rows(kernels.k2)]
 
 
 def second_moment_profile(ensemble):
     """Oracle: realized entrywise scale matrix (square root of second_moment_cells)."""
-    root = [[math.sqrt(float(v)) for v in row] for row in models._mu_sq_cells(ensemble)]
+    root = [[math.sqrt(float(v)) for v in row] for row in second_moment_cells(ensemble)]
     return models._broadcast_cells(root, (ensemble.layout.N1, ensemble.layout.N2))
 
 
@@ -571,12 +575,71 @@ def test_profile_apply_matches_realize_bit_for_bit():
             want = profile.realize(rows, cols) * a
             got = profile.apply(a.copy())
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    # cell blocks follow the ceiling rule, also with more cells than rows
+    # cell blocks follow the ceiling rule, also with more cells than rows:
+    # 0-based row i of `total` lies in cell ceil((i + 1) k / total) - 1
     for total in range(1, 12):
         for k in range(1, 5):
-            p = StepProfile.of([[1]] * k)
             slices = models._cell_slices(total, k)
-            assert [r for r, rows in enumerate(slices) for _ in range(rows.start, rows.stop)] == p.row_cells(total)
+            want = [-(-(i + 1) * k // total) - 1 for i in range(total)]
+            assert [r for r, rows in enumerate(slices) for _ in range(rows.start, rows.stop)] == want
+
+
+THREE_BY_ONE = StepProfile.of([[1], [2], [Fraction(1, 3)]])
+
+
+def position_kernel(profile_w, profile_x, n0, ell):
+    """Oracle: the finite K_ell per (w-row, x-column) cell, summed over the n0
+    inner positions one at a time, each in its ceiling-rule cell."""
+    kw, kx = profile_w.n_col_cells, profile_x.n_row_cells
+    cells = [(-(-(d + 1) * kw // n0) - 1, -(-(d + 1) * kx // n0) - 1) for d in range(n0)]
+    return {
+        (r, c): sum(Fraction(1, n0) * profile_w.value(r, cw) ** ell * profile_x.value(rx, c) ** ell for cw, rx in cells)
+        for r in range(profile_w.n_row_cells)
+        for c in range(profile_x.n_col_cells)
+    }
+
+
+def interval_refinement(kw, kx):
+    """Oracle: (measure, w-column cell, x-row cell) per interval of the joint
+    refinement of two uniform grids on [0, 1], cells read at the midpoint."""
+    pts = sorted({Fraction(i, kw) for i in range(kw + 1)} | {Fraction(j, kx) for j in range(kx + 1)})
+    return [(hi - lo, int((lo + hi) / 2 * kw), int((lo + hi) / 2 * kx)) for lo, hi in zip(pts, pts[1:])]
+
+
+def interval_kernel(profile_w, profile_x, ell):
+    """Oracle: the limit K_ell per cell, integrated over the refined intervals."""
+    inner = interval_refinement(profile_w.n_col_cells, profile_x.n_row_cells)
+    return {
+        (r, c): sum(m * profile_w.value(r, cw) ** ell * profile_x.value(rx, c) ** ell for m, cw, rx in inner)
+        for r in range(profile_w.n_row_cells)
+        for c in range(profile_x.n_col_cells)
+    }
+
+
+@pytest.mark.parametrize(
+    "profile_w, profile_x",
+    [
+        (STEPPED_W, STEPPED_X),
+        (STEPPED_X, THREE_BY_ONE),
+        (THREE_BY_ONE, STEPPED_X),
+        (StepProfile.constant(), THREE_BY_ONE),
+        (StepProfile.constant(2), StepProfile.constant()),
+    ],
+)
+def test_finite_kernels_at_multiples_of_lcm_are_the_limit_kernels(profile_w, profile_x):
+    kw, kx = profile_w.n_col_cells, profile_x.n_row_cells
+    lcm = math.lcm(kw, kx)
+    # the overlap table at lcm positions is the interval refinement, in order
+    runs = models.cell_overlaps(lcm, kw, kx)
+    assert [(Fraction(n, lcm), cw, rx) for n, (cw, rx) in runs] == interval_refinement(kw, kx)
+    for n0 in range(1, 8):
+        kernels = models.cell_kernels(profile_w, profile_x, n0)
+        assert kernels.k2 == position_kernel(profile_w, profile_x, n0, 2), n0
+        assert kernels.k3 == position_kernel(profile_w, profile_x, n0, 3), n0
+    for n0 in (lcm, 2 * lcm, 5 * lcm):
+        kernels = models.cell_kernels(profile_w, profile_x, n0)
+        assert kernels.k2 == position_kernel(profile_w, profile_x, n0, 2) == interval_kernel(profile_w, profile_x, 2)
+        assert kernels.k3 == position_kernel(profile_w, profile_x, n0, 3) == interval_kernel(profile_w, profile_x, 3)
 
 
 def test_draw_and_sample_match_realized_profiles():
