@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
-from .hermite import Polynomial, hermite, monomial
+from .hermite import Polynomial, check_degree, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
 from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, pw_matrix
 from .models import equivalent_sampler, model_sampler
@@ -31,6 +31,8 @@ EXIT_VALIDATION = 2
 EXIT_FLAG = 3
 
 MAX_SPECTRUM_N1 = 4000
+MAX_BINS = 10_000
+MAX_TRIALS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -38,18 +40,21 @@ class ConfigError(ValueError):
 
 
 def parse_polynomial(spec) -> Polynomial:
-    """Accept "h3" / "g5" shorthands, coefficient lists, or basis objects."""
+    """Accept "h3" / "g5" shorthands, coefficient lists, or basis objects.
+
+    Every form is capped at degree ``hermite.DEFAULT_MAX_DEGREE`` before it
+    is built.
+    """
     if isinstance(spec, Polynomial):
         return spec
     if isinstance(spec, str):
-        if spec.startswith("h") and spec[1:].isdigit():
-            return monomial(int(spec[1:]))
-        if spec.startswith("g") and spec[1:].isdigit():
-            return hermite(int(spec[1:]))
+        if spec[:1] in ("h", "g") and spec[1:].isdigit():
+            n = check_degree(int(spec[1:]))
+            return monomial(n) if spec[0] == "h" else hermite(n)
         raise ConfigError(f"unknown polynomial shorthand {spec!r}")
     try:
         if isinstance(spec, (list, tuple)):
-            return Polynomial([str(c) for c in spec])
+            spec = {"basis": "power", "coeffs": [str(c) for c in spec]}
         if isinstance(spec, dict):
             return Polynomial.from_json(spec)
     except TypeError as exc:
@@ -137,8 +142,16 @@ def config_int(config: dict, key: str, default: int, minimum: int) -> int:
     return value
 
 
+def _config_count(config: dict, key: str, default: int, cap: int) -> int:
+    """A JSON integer in [1, cap] under ``key`` (``default`` when absent)."""
+    value = config_int(config, key, default, 1)
+    if value > cap:
+        raise ConfigError(f"{key} must be an integer <= {cap}, got {value}")
+    return value
+
+
 def _trials_and_seed(config: dict) -> tuple[int, int]:
-    return config_int(config, "trials", 100, 1), config_int(config, "seed", 0, 0)
+    return _config_count(config, "trials", 100, MAX_TRIALS), config_int(config, "seed", 0, 0)
 
 
 def _thread_count(value: str) -> int:
@@ -217,7 +230,9 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     graphs = resolve_graphs(config)
     params = limit_params_of(ensemble)
-    want_breakdown = bool(config.get("breakdown", False))
+    want_breakdown = config.get("breakdown", False)
+    if not isinstance(want_breakdown, bool):
+        raise ConfigError(f"breakdown must be true or false, got {want_breakdown!r}")
     report = _base_report("limit", config, graphs)
     flagged = False
     for name, g in graphs:
@@ -251,6 +266,13 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
     return report, EXIT_FLAG if flagged else EXIT_OK
 
 
+def _float_limit(name: str, g: TestGraph, params: LimitParams) -> float:
+    try:
+        return float(limit_pw(g, params))
+    except OverflowError:
+        raise ConfigError(f"graph {name!r}: the exact limit does not fit a float") from None
+
+
 def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     graphs = resolve_graphs(config)
@@ -258,7 +280,7 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     trials, seed = _trials_and_seed(config)
     report = _base_report("compare", config, graphs)
     gs = [g for _, g in graphs]
-    exacts = [float(limit_pw(g, params)) for g in gs]  # before sampling: a graph it rejects fails fast
+    exacts = [_float_limit(name, g, params) for name, g in graphs]  # before sampling: a graph it rejects fails fast
     labels = distinct_labels(gs)
     model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
@@ -269,7 +291,10 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
         rec_eq.update({"exact": exact, "z_score": _z_score(est_eq.mean, exact, est_eq.std_error)})
         pair_se = None
         if est_y.std_error is not None and est_eq.std_error is not None:
-            pair_se = (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
+            try:
+                pair_se = (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
+            except OverflowError:
+                raise ConfigError(f"graph {name!r}: the pairwise standard error overflows a float") from None
         report["records"].append(rec_y)
         report["records"].append(rec_eq)
         report["records"].append(
@@ -291,7 +316,7 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
     labels = config.get("labels", "h1")
     poly = parse_polynomial(labels)
     seed = config_int(config, "seed", 0, 0)
-    bins = config_int(config, "bins", 1, 1) if "bins" in config else "fd"
+    bins = _config_count(config, "bins", 1, MAX_BINS) if "bins" in config else "fd"
     w, x = ensemble.sample(seed)
     y = pw_matrix(poly, w, x, lay)
     eq = equivalent_sum(poly, ensemble, seed)
@@ -395,7 +420,7 @@ def main(argv=None) -> int:
                 report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)
         else:
             report, code = COMMANDS[args.command](config, **kwargs)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     report["wall_clock_s"] = round(time.monotonic() - started, 6)

@@ -2,8 +2,8 @@
 
 Vertices carry a split color in {0, 1, 2} and keep their insertion order;
 set partitions over a graph address vertices by that order (1-based).  Edges
-carry stable identities so that multisets, companion pairings and niche
-membership survive quotients.
+carry stable identities so that multisets and niche membership survive
+quotients.
 
 Cycle and cut-edge classification ignores edge directions.  Graphs in scope
 are desk-sized (a dozen vertices), so simple cycles are enumerated
@@ -338,27 +338,18 @@ X_LABEL = "x"
 
 
 @dataclass(frozen=True)
-class Niche:
-    internal: tuple[VertexId, ...]
-    w_edges: tuple[EdgeId, ...]
-    x_edges: tuple[EdgeId, ...]
-
-
-@dataclass(frozen=True)
 class AuxiliaryGraph:
     """Two-variable expansion of a reference graph.
 
-    Each reference edge of label n is replaced by n internal vertices; every
-    internal vertex sources one w-edge into the reference target and sinks
-    one x-edge from the reference source.  The w- and x-edge sharing an
-    internal vertex are companions.
+    Each reference edge of label n is replaced by n internal vertices (its
+    niche, ``niches[edge id]``); every internal vertex sources one w-edge
+    into the reference target and sinks one x-edge from the reference
+    source.
     """
 
     reference: TestGraph
     graph: TestGraph
-    reference_vertices: tuple[VertexId, ...]
-    niches: dict[EdgeId, Niche] = field(compare=False)
-    companion: dict[EdgeId, EdgeId] = field(compare=False)
+    niches: dict[EdgeId, tuple[VertexId, ...]] = field(compare=False)
 
     @property
     def internal_vertices(self) -> tuple[VertexId, ...]:
@@ -371,34 +362,17 @@ def build_auxiliary(ref: TestGraph) -> AuxiliaryGraph:
         raise ValueError("build_auxiliary expects a reference-tagged graph")
     vertices: list[tuple[VertexId, int]] = list(ref.vertices)
     edges: list[Edge] = []
-    niches: dict[EdgeId, Niche] = {}
-    companion: dict[EdgeId, EdgeId] = {}
+    niches: dict[EdgeId, tuple[VertexId, ...]] = {}
     for e in ref.edges:
         n = e.label
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"reference edge {e.id!r} needs an integer label >= 1, got {n!r}")
-        internal, wids, xids = [], [], []
-        for k in range(n):
-            v = ("niche", e.id, k)
-            w_id = (W_LABEL, e.id, k)
-            x_id = (X_LABEL, e.id, k)
+        niches[e.id] = tuple(("niche", e.id, k) for k in range(n))
+        for k, v in enumerate(niches[e.id]):
             vertices.append((v, 0))
-            edges.append(Edge(w_id, v, e.dst, W_LABEL))
-            edges.append(Edge(x_id, e.src, v, X_LABEL))
-            companion[w_id] = x_id
-            companion[x_id] = w_id
-            internal.append(v)
-            wids.append(w_id)
-            xids.append(x_id)
-        niches[e.id] = Niche(tuple(internal), tuple(wids), tuple(xids))
-    graph = TestGraph(vertices, edges)
-    return AuxiliaryGraph(
-        reference=ref,
-        graph=graph,
-        reference_vertices=ref.vertex_ids,
-        niches=niches,
-        companion=companion,
-    )
+            edges.append(Edge((W_LABEL, e.id, k), v, e.dst, W_LABEL))
+            edges.append(Edge((X_LABEL, e.id, k), e.src, v, X_LABEL))
+    return AuxiliaryGraph(reference=ref, graph=TestGraph(vertices, edges), niches=niches)
 
 
 def edge_groups(g: TestGraph, pi: SetPartition) -> dict[tuple, list[EdgeId]]:

@@ -1,24 +1,32 @@
 """Exact polynomial calculus for the standard Gaussian weight.
 
-Everything here is arbitrary-precision rational: polynomials are carried
-simultaneously in the power basis and in the basis of probabilists' Hermite
-polynomials g_n (three-term recurrence g_{n+1}(y) = y*g_n(y) - n*g_{n-1}(y),
-normalized so that E[g_n(xi) g_m(xi)] = delta_{n,m} * n! for a standard
-Gaussian xi).  Floating point never enters; downstream limit identities are
-checked as exact rational equalities.
+Everything here is arbitrary-precision rational: polynomials are stored in
+the power basis only, and their coefficients in the basis of probabilists'
+Hermite polynomials g_n (three-term recurrence g_{n+1}(y) = y*g_n(y) -
+n*g_{n-1}(y), normalized so that E[g_n(xi) g_m(xi)] = delta_{n,m} * n! for a
+standard Gaussian xi) are computed when read.  Floating point never enters;
+downstream limit identities are checked as exact rational equalities.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction, str]
 
-#: Degree guard for Hermite generation and basis conversion.  Desk-scale
-#: experiments use odd polynomials up to degree 9; factorials stay small.
+#: Degree cap of parsed labels, Hermite generation and basis conversion.
+#: Desk-scale experiments use odd polynomials up to degree 9; factorials stay small.
 DEFAULT_MAX_DEGREE = 15
+
+
+def check_degree(degree: int) -> int:
+    """``degree``, or a ValueError if it exceeds ``DEFAULT_MAX_DEGREE``."""
+    if degree > DEFAULT_MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the degree cap {DEFAULT_MAX_DEGREE}")
+    return degree
 
 
 def _frac(x: Rational) -> Fraction:
@@ -101,30 +109,22 @@ def _hermite_to_power(herm: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return _trim(out)
 
 
+@dataclass(frozen=True)
 class Polynomial:
-    """Univariate polynomial held in power and Hermite bases simultaneously.
+    """Immutable univariate polynomial, stored in the power basis.
 
-    Immutable.  Both coefficient tuples are trimmed and always represent the
-    same polynomial; this is asserted at construction time by converting one
-    basis into the other.
+    ``power_coeffs`` is trimmed (no trailing zeros); the Hermite-basis
+    coefficients are computed when read.
     """
 
-    __slots__ = ("power_coeffs", "hermite_coeffs")
+    power_coeffs: tuple[Fraction, ...]
 
     def __init__(self, power_coeffs: Iterable[Rational]) -> None:
-        power = _trim([_frac(c) for c in power_coeffs])
-        object.__setattr__(self, "power_coeffs", power)
-        object.__setattr__(self, "hermite_coeffs", _power_to_hermite(power))
+        object.__setattr__(self, "power_coeffs", _trim([_frac(c) for c in power_coeffs]))
 
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):  # pickle and deepcopy rebuild through __init__
-        return (Polynomial, (self.power_coeffs,))
-
-    @classmethod
-    def from_hermite(cls, coeffs: Iterable[Rational]) -> "Polynomial":
-        return cls(_hermite_to_power([_frac(c) for c in coeffs]))
+    @property
+    def hermite_coeffs(self) -> tuple[Fraction, ...]:
+        return _power_to_hermite(self.power_coeffs)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -194,23 +194,18 @@ class Polynomial:
         """The polynomial y -> p(mu * y)."""
         return Polynomial(c * mu**k for k, c in enumerate(self.power_coeffs))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.power_coeffs == other.power_coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.power_coeffs)
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.power_coeffs]})"
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polynomial":
-        """Parse {"basis": "power" | "hermite", "coeffs": [...]}."""
-        coeffs = [_frac(c) for c in obj["coeffs"]]
+        """Parse {"basis": "power" | "hermite", "coeffs": [...]}, degree capped."""
+        coeffs = _trim([_frac(c) for c in obj["coeffs"]])
+        check_degree(len(coeffs) - 1)
         if obj["basis"] == "power":
             return cls(coeffs)
         if obj["basis"] == "hermite":
-            return cls.from_hermite(coeffs)
+            return cls(from_hermite(coeffs))
         raise ValueError(f"unknown basis {obj['basis']!r}")
 
 
@@ -225,9 +220,7 @@ def hermite(n: int) -> Polynomial:
     """Probabilists' Hermite polynomial g_n, generated by the recurrence."""
     if n < 0:
         raise ValueError("Hermite order must be >= 0")
-    if n > DEFAULT_MAX_DEGREE:
-        raise ValueError(f"Hermite order {n} exceeds the degree cap {DEFAULT_MAX_DEGREE}")
-    return Polynomial(_hermite_power_coeffs(n))
+    return Polynomial(_hermite_power_coeffs(check_degree(n)))
 
 
 def to_hermite(power_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
@@ -236,8 +229,7 @@ def to_hermite(power_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     Equivalently c_n = E[p(xi) g_n(xi)] / n!.
     """
     coeffs = _trim([_frac(c) for c in power_coeffs])
-    if len(coeffs) - 1 > DEFAULT_MAX_DEGREE:
-        raise ValueError(f"degree {len(coeffs) - 1} exceeds the degree cap {DEFAULT_MAX_DEGREE}")
+    check_degree(len(coeffs) - 1)
     return _power_to_hermite(coeffs)
 
 

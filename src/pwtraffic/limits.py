@@ -68,10 +68,10 @@ class LimitParams:
     """Asymptotic data: block ratios, entry third moments, step graphons."""
 
     psi: tuple[Fraction, Fraction, Fraction]
-    m3_w: Fraction
-    m3_x: Fraction
-    profile_w: StepProfile
-    profile_x: StepProfile
+    m3_w: Fraction = Fraction(0)
+    m3_x: Fraction = Fraction(0)
+    profile_w: StepProfile = StepProfile.constant()
+    profile_x: StepProfile = StepProfile.constant()
 
     def __post_init__(self) -> None:
         psi = tuple(_frac(p) for p in self.psi)
@@ -80,16 +80,6 @@ class LimitParams:
         object.__setattr__(self, "m3_x", _frac(self.m3_x))
         if any(p <= 0 for p in psi) or sum(psi) != 1:
             raise ValueError("block ratios must be positive and sum to 1")
-
-    @staticmethod
-    def of(psi, m3_w=0, m3_x=0, profile_w=None, profile_x=None) -> "LimitParams":
-        return LimitParams(
-            psi=psi,
-            m3_w=m3_w,
-            m3_x=m3_x,
-            profile_w=profile_w or StepProfile.constant(),
-            profile_x=profile_x or StepProfile.constant(),
-        )
 
 
 # -- cell tables and their variable elimination --------------------------------
@@ -395,7 +385,7 @@ def _supported_splits(aux: AuxiliaryGraph) -> Iterator[tuple[tuple[int, ...], ..
     for v, c in aux.reference.vertices:
         index[v] = n_class[c]
         n_class[c] += 1
-    ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id].internal]
+    ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id]]
     n0 = len(ends)
     labels = [0] * n0
     w_mult: dict[tuple[int, int], int] = {}

@@ -18,7 +18,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,11 +88,9 @@ class LabeledMatrix:
 class MatrixFamily:
     """Label -> rectangular matrix with declared blocks, over one layout."""
 
-    def __init__(self, layout: BlockLayout, items: Mapping[object, LabeledMatrix] | None = None) -> None:
+    def __init__(self, layout: BlockLayout) -> None:
         self.layout = layout
         self.items: dict[object, LabeledMatrix] = {}
-        for label, lm in (items or {}).items():
-            self.add(label, lm.matrix, lm.src_block, lm.dst_block)
 
     def add(self, label: object, matrix, src_block: int, dst_block: int) -> "MatrixFamily":
         matrix = np.asarray(matrix)
@@ -404,6 +402,8 @@ def tau_estimates(
         if values_out is not None:
             values_out[k].extend(values)
         mean = sum(values) / trials
+        if not math.isfinite(mean):  # a non-finite trace, or a sum past the float range
+            raise ValueError(f"graph {k} ({graphs[k]!r}): the Monte Carlo mean is not a finite float")
         se = None if trials == 1 else statistics.stdev(values) / math.sqrt(trials)
         out.append(TauEstimate(mean=mean, std_error=se, trials=trials, seed=seed))
     return out

@@ -180,7 +180,7 @@ def test_criterion_4_exact_limit_recombination():
     mismatches = []
     n_checks = 0
     for psi, m3, (prof_w, prof_x) in itertools.product(psis, m3s, profile_pairs):
-        params = LimitParams.of(psi=psi, m3_w=m3, m3_x=m3, profile_w=prof_w, profile_x=prof_x)
+        params = LimitParams(psi=psi, m3_w=m3, m3_x=m3, profile_w=prof_w, profile_x=prof_x)
         for name, shape in graphs:
             g = TestGraph(
                 shape.vertices,
@@ -245,7 +245,7 @@ def test_criterion_7_linear_plus_chaos_match():
     half = constant_ensemble(150)
     lay = ens.layout
     h3 = monomial(3)
-    params = LimitParams.of(psi=(Fraction(1, 3),) * 3)
+    params = LimitParams(psi=(Fraction(1, 3),) * 3)
     # Exact finite-N mean of the moment-1 model with Gaussian entries:
     # psi0 psi1 psi2 E[Z^6] for Z a normalised sum of N0 products w*x.
     finite_n_moment_1 = float(

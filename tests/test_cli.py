@@ -1,6 +1,7 @@
 """CLI tests: config handling, reports, determinism, exit codes."""
 
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from pwtraffic.cli import (
     EXIT_FLAG,
     EXIT_OK,
     EXIT_VALIDATION,
+    MAX_BINS,
+    MAX_TRIALS,
     ConfigError,
     cmd_compare,
     cmd_decompose,
@@ -280,7 +283,7 @@ def test_main_bad_trials_or_seed_exits_2_with_one_line(tmp_path, capsys, command
     assert err.startswith(f"error: {key} must be an integer") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("bins", [[1], 0, -2, 2.5, "10", True, None])
+@pytest.mark.parametrize("bins", [[1], 0, -2, 2.5, "10", True, None, MAX_BINS + 1])
 def test_main_bad_bins_exits_2_with_one_line(tmp_path, capsys, bins):
     path = write_config(tmp_path, base_config(bins=bins))
     assert main(["spectrum", "--config", path]) == EXIT_VALIDATION
@@ -384,8 +387,24 @@ def test_main_compare_rejects_before_sampling(tmp_path, capsys, monkeypatch, gra
         {"graph": {"vertices": [{"id": ["u"], "color": 1}], "edges": []}, "labels": {"p": "h1"}},
         {"labels": {"basis": "power", "coeffs": 5}},
         {"labels": ["0", "1/0"]},
+        # over the degree cap of 15, rejected before any basis conversion
+        {"labels": "h16"},
+        {"labels": "h999"},
+        {"labels": ["1"] * 17},
+        {"labels": {"basis": "power", "coeffs": ["1"] * 17}},
+        {"labels": {"basis": "hermite", "coeffs": ["1"] * 1000}},
     ],
-    ids=["vertices-not-a-list", "unhashable-vertex-id", "coeffs-not-a-list", "coeff-zero-denominator"],
+    ids=[
+        "vertices-not-a-list",
+        "unhashable-vertex-id",
+        "coeffs-not-a-list",
+        "coeff-zero-denominator",
+        "h16",
+        "h999",
+        "list-degree-16",
+        "power-degree-16",
+        "hermite-degree-999",
+    ],
 )
 def test_main_bad_graph_or_labels_exits_2_with_one_line(tmp_path, capsys, command, overrides):
     path = write_config(tmp_path, base_config(**overrides))
@@ -447,3 +466,108 @@ def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, 
     for command in ("limit", "spectrum", "decompose"):
         assert main([command, "--config", path, "--out", str(out), "--threads", "4"]) == EXIT_OK
     assert RecordingPool.sizes == []
+
+
+def assert_exit_2_with_one_line(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_non_finite_monte_carlo_exits_2_with_one_line(tmp_path, capsys, command):
+    # moment-2 of h3 with a profile cell of 10**30: traces past the float
+    # range, an exact limit of about 10**360
+    cfg = base_config(graph=["moment-1", "moment-2"], labels="h3", trials=3)
+    cfg["ensemble"].update(N0=4, N1=3, N2=5, profile_w=[[10**30]])
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    want = "the Monte Carlo mean is not a finite float" if command == "simulate" else "'moment-2': the exact limit does not fit a float"
+    assert want in err
+
+
+def test_label_degree_cap_admits_degree_15(tmp_path):
+    for labels in ("h15", ["0", "1"] + ["0"] * 30):
+        path = write_config(tmp_path, base_config(labels=labels, trials=2))
+        assert main(["limit", "--config", path, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("key, value", [("trials", MAX_TRIALS + 1), ("breakdown", "no"), ("breakdown", 1), ("breakdown", None)])
+def test_main_trials_cap_and_breakdown_type_exit_2_with_one_line(tmp_path, capsys, key, value):
+    # limit runs no trials, so the trials cap is checked there at no cost
+    path = write_config(tmp_path, base_config(**{key: value}))
+    err = assert_exit_2_with_one_line(capsys, ["limit", "--config", path])
+    assert err.startswith(f"error: {key} must be")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "decompose"])
+def test_main_unallocatable_sizes_exit_2_with_one_line(tmp_path, capsys, command):
+    # 10**7 x 10**7 floats: numpy refuses the allocation at once, touching no memory
+    cfg = base_config(trials=2)
+    cfg["ensemble"].update(N0=10**7, N1=10**7, N2=10**7)
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert "allocate" in err
+
+
+def mutation_base():
+    return {
+        "ensemble": {
+            "N0": 4,
+            "N1": 3,
+            "N2": 5,
+            "law_w": {"kind": "gaussian"},
+            "law_x": {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"},
+            "profile_w": [["1", "1/2"], ["3/2", "1"]],
+            "profile_x": [["2", "1"], ["1", "1/2"]],
+        },
+        "graph": ["moment-1", "single-edge"],
+        "labels": {"basis": "hermite", "coeffs": ["0", "1", "0", "1"]},
+        "trials": 3,
+        "seed": 7,
+        "bins": 4,
+        "breakdown": True,
+    }
+
+
+def leaf_paths(node, path=()):
+    """Paths (key or index tuples) to every scalar inside a JSON tree."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+    if children is None:
+        return [path]
+    return [p for k, v in children for p in leaf_paths(v, path + (k,))]
+
+
+MUTATION_PALETTE = [None, 0, -1, 1.5, "1/0", [], {}, True, 10**30, "h999", "g999", list(range(1000)), "triangle", "cauchy"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mutated_configs_exit_0_2_or_3(tmp_path, capsys):
+    """Seeded one- and two-leaf mutations of a valid config, over the five
+    commands: each exits 0, 2 or 3, and an exit 2 prints one error: line."""
+    rng = random.Random(20241018)
+    paths = leaf_paths(mutation_base())
+    commands = ["compare", "decompose", "limit", "simulate", "spectrum"]
+    path = str(tmp_path / "cfg.json")
+    out = str(tmp_path / "out.json")
+    failures = []
+    for i in range(300):
+        cfg = mutation_base()
+        mutated = {}
+        for leaf in rng.sample(paths, 1 + i % 2):
+            node = cfg
+            for key in leaf[:-1]:
+                node = node[key]
+            node[leaf[-1]] = mutated[leaf] = rng.choice(MUTATION_PALETTE)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        command = commands[i % 5]
+        try:
+            code = main([command, "--config", path, "--out", out])
+        except Exception as exc:  # an uncaught exception is exit 1 with a traceback
+            code = f"{type(exc).__name__}: {exc}"[:200]
+        err = capsys.readouterr().err
+        errors = sum(line.startswith("error:") for line in err.splitlines())
+        if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_FLAG) or (code == EXIT_VALIDATION and errors != 1):
+            failures.append((command, {k: str(v)[:20] for k, v in mutated.items()}, code, err[-200:]))
+    assert not failures, failures

@@ -148,14 +148,17 @@ def test_classify_pseudo_cactus_edge_cover():
 def test_build_auxiliary_counts():
     aux = build_auxiliary(single_edge(3))
     g = aux.graph
-    assert len(aux.reference_vertices) == 2
+    assert len(aux.reference.vertex_ids) == 2
     assert len(aux.internal_vertices) == 3
     assert sum(1 for e in g.edges if e.label == "w") == 3
     assert sum(1 for e in g.edges if e.label == "x") == 3
-    for w_id, x_id in aux.companion.items():
-        e1, e2 = g.edge_by_id(w_id), g.edge_by_id(x_id)
-        shared = {e1.src, e1.dst} & {e2.src, e2.dst}
-        assert len(shared) == 1 and g.color[next(iter(shared))] == 0
+    # companions: the w-edge out of and the x-edge into each internal vertex
+    w_out = {e.src: e for e in g.edges if e.label == "w"}
+    x_in = {e.dst: e for e in g.edges if e.label == "x"}
+    assert set(w_out) == set(x_in) == set(aux.internal_vertices) == set(aux.niches["e"])
+    for v in aux.internal_vertices:
+        e1, e2 = w_out[v], x_in[v]
+        assert {e1.src, e1.dst} & {e2.src, e2.dst} == {v} and g.color[v] == 0
 
     aux1 = build_auxiliary(single_edge(1))
     assert len(aux1.graph.vertices) == 3 and len(aux1.graph.edges) == 2

@@ -18,6 +18,7 @@ from pwtraffic.hermite import (
     expect_derivative,
     expect_product,
     expect_scaled,
+    from_hermite,
     gaussian_moment,
     hermite,
     monomial,
@@ -101,12 +102,12 @@ def test_hermite_round_trip():
     for degree in range(13):
         coeffs = [Fraction(k * k - 3, k + 2) for k in range(degree + 1)]
         p = Polynomial(coeffs)
-        assert Polynomial.from_hermite(p.hermite_coeffs) == p
+        assert Polynomial(from_hermite(p.hermite_coeffs)) == p
 
 
 def test_dual_basis_invariant():
     p = Polynomial([1, Fraction(-2, 3), 0, 5])
-    q = Polynomial.from_hermite(p.hermite_coeffs)
+    q = Polynomial(from_hermite(p.hermite_coeffs))
     assert q.power_coeffs == p.power_coeffs
     assert q.hermite_coeffs == p.hermite_coeffs
 
@@ -169,3 +170,10 @@ def test_pickle_and_deepcopy_round_trip():
         for clone in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
             assert clone == p and hash(clone) == hash(p)
             assert clone.hermite_coeffs == p.hermite_coeffs
+
+
+def test_from_json_caps_degree_before_conversion():
+    for basis in ("power", "hermite"):
+        with pytest.raises(ValueError, match="exceeds the degree cap"):
+            Polynomial.from_json({"basis": basis, "coeffs": ["1"] * 1000})
+        assert Polynomial.from_json({"basis": basis, "coeffs": ["1"] * 16 + ["0"] * 100}).degree == 15

@@ -34,11 +34,11 @@ from limit_oracle import _limit as oracle_limit
 from refgraphs import labeled_reference_graphs
 
 THIRD = Fraction(1, 3)
-CONSTANT = LimitParams.of(psi=(THIRD, THIRD, THIRD))
-SKEWED = LimitParams.of(psi=(THIRD, THIRD, THIRD), m3_w=Fraction(3, 2), m3_x=Fraction(3, 2))
+CONSTANT = LimitParams(psi=(THIRD, THIRD, THIRD))
+SKEWED = LimitParams(psi=(THIRD, THIRD, THIRD), m3_w=Fraction(3, 2), m3_x=Fraction(3, 2))
 H1, H3, H5, G3, G5 = monomial(1), monomial(3), monomial(5), hermite(3), hermite(5)
 # step profiles and unequal, skewed third moments
-STEPPED = LimitParams.of(
+STEPPED = LimitParams(
     psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
     m3_w=Fraction(3, 2),
     m3_x=Fraction(-5, 4),
@@ -56,13 +56,13 @@ def test_delta0_graphon_constant_is_one():
 
 
 def test_delta0_graphon_zero_profile():
-    params = LimitParams.of(psi=(THIRD, THIRD, THIRD), profile_w=StepProfile.constant(0))
+    params = LimitParams(psi=(THIRD, THIRD, THIRD), profile_w=StepProfile.constant(0))
     g = TestGraph([("d", 0), ("t", 1)], [Edge("w0", "d", "t", "w")])
     assert delta0_graphon(g, params) == 0
 
 
 def test_delta0_graphon_two_cell_average():
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(THIRD, THIRD, THIRD), profile_w=StepProfile.of([[2, Fraction(1, 2)]])
     )
     g = TestGraph([("d", 0), ("t", 1)], [Edge("w0", "d", "t", "w")])
@@ -71,7 +71,7 @@ def test_delta0_graphon_two_cell_average():
 
 def test_delta0_graphon_matches_finite_n():
     # the exact finite-N injective-map average is within 2% of the cell average at N=1200
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(THIRD, THIRD, THIRD), profile_w=StepProfile.of([[2, Fraction(1, 2)]])
     )
     g = TestGraph([("d", 0), ("t", 1)], [Edge("w0", "d", "t", "w")])
@@ -86,7 +86,7 @@ def test_delta0_graphon_matches_finite_n():
 
 def test_delta0_graphon_joint_refinement():
     # a color-0 vertex refines the w-column cells jointly with the x-row cells
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(THIRD, THIRD, THIRD),
         profile_w=StepProfile.of([[1, 2]]),
         profile_x=StepProfile.of([[3], [5]]),
@@ -177,7 +177,7 @@ def test_limit_pw_finite_n_exact_for_linear_labels():
     lay = BlockLayout(12, 12, 12)
     profile_w = StepProfile.of([[1, Fraction(1, 2)], [Fraction(3, 2), 1]])
     profile_x = StepProfile.of([[2, 1], [1, Fraction(1, 2)]])
-    params = LimitParams.of(psi=(THIRD, THIRD, THIRD), profile_w=profile_w, profile_x=profile_x)
+    params = LimitParams(psi=(THIRD, THIRD, THIRD), profile_w=profile_w, profile_x=profile_x)
     value = limit_pw(moment_cycle(1, H1), params)
     gw = profile_w.realize(12, 12)
     gx = profile_x.realize(12, 12)
@@ -210,7 +210,7 @@ def test_limit_guards():
 def test_main_identity_on_step_profiles():
     profile_w = StepProfile.of([[1, Fraction(1, 2)], [Fraction(3, 2), 1]])
     profile_x = StepProfile.of([[2, 1], [1, Fraction(1, 2)]])
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
         m3_w=Fraction(3, 2),
         m3_x=Fraction(3, 2),
@@ -227,7 +227,7 @@ def test_main_identity_on_step_profiles():
 def test_recombination_on_every_reference_graph_up_to_four_edges():
     # pw = the equivalent sum, one channel per strong component, on all
     # connected reference graphs with <= 4 edges labelled h1 or g3
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
         m3_w=Fraction(3, 2),
         m3_x=Fraction(3, 2),
@@ -560,7 +560,7 @@ def test_limit_pw_matches_brute_partition_sum_mixed_cycle():
 
 def test_limit_pw_matches_brute_partition_sum_step_profiles():
     law = unit_skewed_law()
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
         m3_w=Fraction(3, 2),
         m3_x=Fraction(3, 2),
@@ -598,7 +598,7 @@ def test_two_cycle_closed_form():
     # limit of the doubled edge (p, q) is psi0 psi1 psi2 <E[p(mu xi) q(mu xi)]>
     from pwtraffic.hermite import expect_scaled
 
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
         m3_w=Fraction(3, 2),
         m3_x=Fraction(3, 2),
@@ -622,7 +622,7 @@ def test_single_edge_closed_form():
     # limit of one edge labeled p is psi1 psi2 (m3 m3 / 6) <lambda3 E[p'''(mu xi)]>
     from pwtraffic.hermite import expect_scaled
 
-    params = LimitParams.of(
+    params = LimitParams(
         psi=(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
         m3_w=Fraction(3, 2),
         m3_x=Fraction(3, 2),
