@@ -323,9 +323,12 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
     report = _base_report("spectrum", config, [])
     rows = []
     for family, mat in (("model", y), ("equivalent", eq)):
-        sv = np.linalg.svd(mat, compute_uv=False)
-        # trace((mat mat^T)^k) / N1: the squared singular values are the eigenvalues
-        gram_moments = [float(np.sum(sv ** (2 * k))) / lay.N1 for k in range(1, 5)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sv = np.linalg.svd(mat, compute_uv=False)
+            # trace((mat mat^T)^k) / N1: the squared singular values are the eigenvalues
+            gram_moments = [float(np.sum(sv ** (2 * k))) / lay.N1 for k in range(1, 5)]
+        if not (np.isfinite(sv).all() and np.isfinite(gram_moments).all()):
+            raise ConfigError(f"the {family} spectrum or its Gram moments do not fit a float")
         edges = np.histogram_bin_edges(sv, bins=bins)
         counts, edges = np.histogram(sv, bins=edges)
         for left, count in zip(edges[:-1], counts):

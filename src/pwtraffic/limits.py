@@ -32,6 +32,10 @@ or the Gaussian expectations shows as a full limit that differs from the
 sum (the CLI's ``mismatch`` flag).  Everything is rational
 arithmetic.  Reference graphs are guarded at ``MAX_LIMIT_EDGES`` = 8 edges,
 so the CLI's ``limit`` and ``compare`` run up to moment-4.
+
+The exponent scan (``eta_support_scan``) walks the supported split partitions
+of the auxiliary graph in one flat recursion, counts the leaves and their
+block counts in place, and materialises only the exponent-zero leaves.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
-from typing import Iterator
 
 from .graphs import (
     AuxiliaryGraph,
@@ -367,58 +370,58 @@ class EtaScanReport:
     violations: list[SetPartition]
 
 
-def _supported_splits(aux: AuxiliaryGraph) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every split partition of the auxiliary graph with centered support.
+def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
+    """Walk the split partitions of the auxiliary graph with centered support.
 
-    Yields (internal, targets, sources): the restricted-growth labels of the
-    color-0 vertices in niche order and of the color-1 and color-2 vertices
-    in vertex order.  The two reference classes are partitioned outright;
-    the internal labels are assigned one vertex at a time while the
-    multiplicities of the w-groups (internal block, target block) and the
-    x-groups (source block, internal block) are counted.  Each unassigned
-    vertex joins one group of each kind, so it closes at most one singleton
-    of each; a prefix is cut as soon as either singleton count exceeds the
-    number of vertices still unassigned.
+    Under each pair of reference partitions one recursion assigns the internal
+    labels in niche order, with the w- and x-group multiplicities in flat lists
+    (reference block * n0 + internal block).  A prefix is cut once either
+    singleton count exceeds the vertices still unassigned.  Returns the count,
+    the largest block count (-1 if none) and the (internal, targets, sources)
+    labels of the leaves with ``offset`` blocks.
     """
-    index: dict = {}
-    n_class = {1: 0, 2: 0}
-    for v, c in aux.reference.vertices:
-        index[v] = n_class[c]
-        n_class[c] += 1
+    by_class = {c: [v for v, cv in aux.reference.vertices if cv == c] for c in (1, 2)}
+    index = {v: k for vs in by_class.values() for k, v in enumerate(vs)}
     ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id]]
     n0 = len(ends)
     labels = [0] * n0
-    w_mult: dict[tuple[int, int], int] = {}
-    x_mult: dict[tuple[int, int], int] = {}
+    w_mult, x_mult = [0] * (len(by_class[1]) * n0), [0] * (len(by_class[2]) * n0)
+    n_supported, max_blocks, zeros = 0, -1, []
 
-    def walk(i: int, n_blocks: int, w_single: int, x_single: int, keys: list) -> Iterator[tuple[int, ...]]:
+    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> None:
+        nonlocal n_supported, max_blocks
         if i == n0:
-            yield tuple(labels)
+            n_supported += 1
+            n_blocks += outer  # the target and source blocks
+            if n_blocks > max_blocks:
+                max_blocks = n_blocks
+            if n_blocks == offset:
+                zeros.append((tuple(labels), targets, sources))
             return
-        t, s = keys[i]
-        left = n0 - 1 - i
+        bw, bx, left = w_base[i], x_base[i], n0 - 1 - i
         for b in range(n_blocks + 1):
-            kw, kx = (b, t), (s, b)
-            mw, mx = w_mult.get(kw, 0), x_mult.get(kx, 0)
+            kw, kx = bw + b, bx + b
+            mw, mx = w_mult[kw], x_mult[kx]
             ws = w_single + (mw == 0) - (mw == 1)
             xs = x_single + (mx == 0) - (mx == 1)
-            if ws > left or xs > left:
-                continue
-            w_mult[kw], x_mult[kx] = mw + 1, mx + 1
-            labels[i] = b
-            yield from walk(i + 1, max(n_blocks, b + 1), ws, xs, keys)
-            w_mult[kw], x_mult[kx] = mw, mx
+            if ws <= left and xs <= left:
+                w_mult[kw], x_mult[kx] = mw + 1, mx + 1
+                labels[i] = b
+                walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
+                w_mult[kw], x_mult[kx] = mw, mx
 
-    for targets in restricted_growth_strings(n_class[1]):
-        for sources in restricted_growth_strings(n_class[2]):
-            keys = [(targets[t], sources[s]) for t, s in ends]
-            for internal in walk(0, 0, 0, 0, keys):
-                yield internal, targets, sources
+    for targets in restricted_growth_strings(len(by_class[1])):
+        for sources in restricted_growth_strings(len(by_class[2])):
+            w_base = [targets[t] * n0 for t, _ in ends]
+            x_base = [sources[s] * n0 for _, s in ends]
+            outer = max(targets, default=-1) + max(sources, default=-1) + 2
+            walk(0, 0, 0, 0)
+    return n_supported, max_blocks, zeros
 
 
-def _eta_offset(ref: TestGraph) -> Fraction:
-    """1 + |E|/2 + sum_e n(e)/2: a quotient's exponent is its block count minus this."""
-    return 1 + Fraction(len(ref.edges) + sum(e.label for e in ref.edges), 2)
+def _eta_offset(ref: TestGraph) -> int:
+    """1 + (|E| + sum_e n(e))/2, an integer for odd labels: a quotient's exponent is its block count minus this."""
+    return 1 + (len(ref.edges) + sum(e.label for e in ref.edges)) // 2
 
 
 def _from_labels(ground_size: int, classes) -> SetPartition:
@@ -439,14 +442,12 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     pseudo-cactus on the reference vertices.  Labels must be odd (even
     niches break the parity arguments and the traces themselves diverge).
 
-    The partitions are walked as restricted-growth strings, and a prefix of
-    internal labels is pruned once it can no longer reach support
-    (``_supported_splits``), so ``n_partitions`` is the Bell-number count of
-    split partitions, not the number visited.  The exponent of a quotient is
-    read from its block count, |V^pi| - 1 - |E|/2 - sum_e n(e)/2.  Only the
-    exponent-zero quotients become :class:`SetPartition` objects, listed in
-    ``split_partitions`` order, and the pseudo-cactus test runs once per
-    partition of the reference vertices.
+    One flat walk (``_scan_splits``) prunes the restricted-growth strings, so
+    ``n_partitions`` is the Bell-number count of split partitions, not the
+    number visited.  It counts the supported quotients and their largest block
+    count (the exponent plus ``_eta_offset``) in place.  Only exponent-zero
+    leaves become :class:`SetPartition` objects, in ``split_partitions``
+    order; the pseudo-cactus test runs once per reference-vertex partition.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -458,26 +459,15 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     if any(c == 0 for _, c in ref.vertices):
         raise ValueError("reference vertices must have color 1 or 2")
     aux = build_auxiliary(ref)
-    positions: dict[int, list[int]] = {0: [], 1: [], 2: []}
-    for i, (_, c) in enumerate(aux.graph.vertices):
-        positions[c].append(i + 1)
+    positions = {c: [i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)}
     size = prod(bell_number(len(p)) for p in positions.values())
     if size > MAX_SCAN_PARTITIONS:
         raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
 
     offset = _eta_offset(ref)
-    n_supported = 0
-    max_blocks = -1
-    zeros: list[tuple[tuple[int, ...], ...]] = []
-    for labels in _supported_splits(aux):
-        n_supported += 1
-        n_blocks = sum(max(rgs, default=-1) + 1 for rgs in labels)
-        max_blocks = max(max_blocks, n_blocks)
-        if n_blocks == offset:
-            zeros.append(labels)
+    n_supported, max_blocks, zeros = _scan_splits(aux, offset)
     zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
 
-    n_ref = len(ref.vertices)
     pseudo_cactus: dict[tuple, bool] = {}
     zero_partitions: list[SetPartition] = []
     violations: list[SetPartition] = []
@@ -486,14 +476,14 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
         zero_partitions.append(pi)
         key = labels[1:]  # the reference labels: pi restricted to the reference vertices
         if key not in pseudo_cactus:
-            rho = _from_labels(n_ref, zip((positions[1], positions[2]), key))
+            rho = _from_labels(len(ref.vertices), zip((positions[1], positions[2]), key))
             pseudo_cactus[key] = classify(quotient(ref, rho)).is_pseudo_cactus
         if not pseudo_cactus[key]:
             violations.append(pi)
     return EtaScanReport(
         n_partitions=size,
         n_supported=n_supported,
-        max_eta=max_blocks - offset if n_supported else None,
+        max_eta=Fraction(max_blocks - offset) if n_supported else None,
         eta_zero_partitions=zero_partitions,
         pseudo_cactus_ok=not violations,
         violations=violations,

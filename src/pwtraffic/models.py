@@ -297,17 +297,22 @@ class ProfiledEnsemble:
         )
 
 
+def _check_shapes(w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> None:
+    if (*w.shape, *x.shape) != (layout.N1, layout.N0, layout.N0, layout.N2):
+        raise ValueError("matrix shapes do not match the layout")
+
+
 def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """sqrt(psi0)/sqrt(N) times the entrywise evaluation of h on WX/sqrt(N0)."""
-    n1, n0 = w.shape
-    n0x, n2 = x.shape
-    if n0 != n0x or (n1, n0, n2) != (layout.N1, layout.N0, layout.N2):
-        raise ValueError("matrix shapes do not match the layout")
+    _check_shapes(w, x, layout)
     inner = (w @ x).astype(float, copy=False)
     inner /= math.sqrt(layout.N0)
-    coeffs = [float(c) for c in h.power_coeffs]
-    if not coeffs:
-        return np.zeros((n1, n2))
+    return _horner(h, inner, layout)
+
+
+def _horner(h: Polynomial, inner: np.ndarray, layout: BlockLayout) -> np.ndarray:
+    """sqrt(N0)/N times h evaluated entrywise on the float matrix ``inner``."""
+    coeffs = [float(c) for c in h.power_coeffs] or [0.0]  # the zero polynomial has no coefficients
     acc = np.full_like(inner, coeffs[-1])
     for c in reversed(coeffs[:-1]):  # Horner, in place
         acc *= inner
@@ -447,12 +452,13 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
         raise ValueError("decompose expects an odd polynomial")
     if h.degree > 7:
         raise ValueError("decompose guarded at degree 7")
+    _check_shapes(w, x, layout)
     shape = (layout.N1, layout.N2)
     gamma = math.sqrt(layout.N0) / layout.N  # sqrt(psi0)/sqrt(N)
     lin = np.zeros(shape)
     per: dict[int, np.ndarray] = {}
     deform = np.zeros(shape)
-    sums = power_sums(w, x, h.degree)
+    sums = power_sums(w, x, max(h.degree, 1))
 
     def scaled(lam: IntegerPartition, factor: float) -> np.ndarray:
         z = z_lambda(lam, w, x, sums=sums).astype(float, copy=False)
@@ -477,7 +483,8 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
             c_def = expect_derivative(hn, 3) / 6
             if c_def != 0:
                 deform += scaled(triple_and_pairs(n), float(a_n * c_def) * scale)
-    total = pw_matrix(h, w, x, layout)
+    # pw_matrix's Horner step on W@X from the table: a new array, sums is never written
+    total = _horner(h, (sums[1] / math.sqrt(layout.N0)).astype(float, copy=False), layout)
     eps = total - lin
     for mat in (deform, *per.values()):
         eps -= mat

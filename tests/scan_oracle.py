@@ -1,19 +1,33 @@
-"""Reference exponent scan: enumerate every split partition, then filter.
+"""Reference exponent scans: enumerate every split partition, then filter.
 
 The slow form of ``pwtraffic.limits.eta_support_scan``, kept as a test
 oracle.  Every split partition of the auxiliary graph is built as a
 ``SetPartition``; the support filter regroups its edges (``edge_groups``)
 and the exponent comes from ``graphs.eta``, which also runs the w-subgraph
 union-find.  The validation and the partition guard are the scan's own.
+
+``supported_splits`` is the pruned walk as a chain of generators, one per
+internal vertex, yielding the labels of every supported partition: the
+oracle of the flat walk ``limits._scan_splits``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
-from pwtraffic.graphs import TestGraph, build_auxiliary, classify, eta, has_centered_support, quotient, split_partitions
+from pwtraffic.graphs import (
+    AuxiliaryGraph,
+    TestGraph,
+    build_auxiliary,
+    classify,
+    eta,
+    has_centered_support,
+    quotient,
+    split_partitions,
+)
 from pwtraffic.limits import MAX_SCAN_PARTITIONS, EtaScanReport
-from pwtraffic.partitions import SetPartition, bell_number, restrict
+from pwtraffic.partitions import SetPartition, bell_number, restrict, restricted_growth_strings
 
 
 def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
@@ -60,3 +74,52 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
         pseudo_cactus_ok=not violations,
         violations=violations,
     )
+
+
+def supported_splits(aux: AuxiliaryGraph) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every split partition of the auxiliary graph with centered support.
+
+    Yields (internal, targets, sources): the restricted-growth labels of the
+    color-0 vertices in niche order and of the color-1 and color-2 vertices
+    in vertex order.  The two reference classes are partitioned outright;
+    the internal labels are assigned one vertex at a time while the
+    multiplicities of the w-groups (internal block, target block) and the
+    x-groups (source block, internal block) are counted.  Each unassigned
+    vertex joins one group of each kind, so it closes at most one singleton
+    of each; a prefix is cut as soon as either singleton count exceeds the
+    number of vertices still unassigned.
+    """
+    index: dict = {}
+    n_class = {1: 0, 2: 0}
+    for v, c in aux.reference.vertices:
+        index[v] = n_class[c]
+        n_class[c] += 1
+    ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id]]
+    n0 = len(ends)
+    labels = [0] * n0
+    w_mult: dict[tuple[int, int], int] = {}
+    x_mult: dict[tuple[int, int], int] = {}
+
+    def walk(i: int, n_blocks: int, w_single: int, x_single: int, keys: list) -> Iterator[tuple[int, ...]]:
+        if i == n0:
+            yield tuple(labels)
+            return
+        t, s = keys[i]
+        left = n0 - 1 - i
+        for b in range(n_blocks + 1):
+            kw, kx = (b, t), (s, b)
+            mw, mx = w_mult.get(kw, 0), x_mult.get(kx, 0)
+            ws = w_single + (mw == 0) - (mw == 1)
+            xs = x_single + (mx == 0) - (mx == 1)
+            if ws > left or xs > left:
+                continue
+            w_mult[kw], x_mult[kx] = mw + 1, mx + 1
+            labels[i] = b
+            yield from walk(i + 1, max(n_blocks, b + 1), ws, xs, keys)
+            w_mult[kw], x_mult[kx] = mw, mx
+
+    for targets in restricted_growth_strings(n_class[1]):
+        for sources in restricted_growth_strings(n_class[2]):
+            keys = [(targets[t], sources[s]) for t, s in ends]
+            for internal in walk(0, 0, 0, 0, keys):
+                yield internal, targets, sources

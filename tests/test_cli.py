@@ -487,6 +487,19 @@ def test_non_finite_monte_carlo_exits_2_with_one_line(tmp_path, capsys, command)
     assert want in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_spectrum_past_float_range_exits_2_with_one_line(tmp_path, capsys):
+    # a profile cell of 10**30 with h3: singular values near 10**90, whose
+    # fourth Gram moment overflows a float; no warning, no Infinity written
+    cfg = base_config(labels="h3")
+    cfg["ensemble"].update(N0=4, N1=3, N2=5, profile_w=[[10**30]])
+    assert main(["spectrum", "--config", write_config(tmp_path, cfg)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "do not fit a float" in err
+    assert "Infinity" not in out
+
+
 def test_label_degree_cap_admits_degree_15(tmp_path):
     for labels in ("h15", ["0", "1"] + ["0"] * 30):
         path = write_config(tmp_path, base_config(labels=labels, trials=2))

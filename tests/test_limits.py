@@ -707,6 +707,36 @@ def test_scan_matches_oracle(monkeypatch):
     assert checked == 18 + 26
 
 
+def test_flat_walk_matches_generator_oracle():
+    # the flat walk against the generator walk it replaced: the supported
+    # count, the largest block count and the exponent-zero labels, on every
+    # graph of <= 2 edges (the two 231,950-partition (5, 5) graphs included)
+    # and the 21 three-edge graphs of label sum 9
+    from pwtraffic.graphs import build_auxiliary
+    from pwtraffic.limits import _eta_offset, _scan_splits
+    from scan_oracle import supported_splits
+
+    graphs = [g for _, g in labeled_reference_graphs(2, [1, 3, 5])]
+    graphs += [
+        g
+        for _, g in labeled_reference_graphs(3, [1, 3, 5])
+        if len(g.edges) == 3 and sum(e.label for e in g.edges) == 9
+    ]
+    assert len(graphs) == 21 + 21
+    for g in graphs:
+        aux = build_auxiliary(g)
+        offset = _eta_offset(g)
+        n_supported, max_blocks, zeros = 0, -1, []
+        for labels in supported_splits(aux):
+            n_supported += 1
+            n_blocks = sum(max(rgs, default=-1) + 1 for rgs in labels)
+            max_blocks = max(max_blocks, n_blocks)
+            if n_blocks == offset:
+                zeros.append(labels)
+        got_supported, got_max, got_zeros = _scan_splits(aux, offset)
+        assert (got_supported, got_max, sorted(got_zeros)) == (n_supported, max_blocks, sorted(zeros))
+
+
 def test_equivalent_family_matches_limit_mc():
     g = moment_cycle(1, H3)
     exact = float(limit_pw(g, CONSTANT))
