@@ -11,7 +11,9 @@ Sampling is deterministic per (ensemble, seed): every independent matrix is
 drawn from its own generator seeded by (seed, stream tag), so components can
 be built concurrently without sharing generator state.  ``model_sampler`` and
 ``equivalent_sampler`` build the per-trial families that the CLI and the
-tests feed to ``traffic.tau_estimates``.
+tests feed to ``traffic.tau_estimates``.  Draws, products and equivalents
+are written into trial buffers (``traffic.take_buffer``), so a warm trial
+allocates no matrix.
 
 Entrywise coefficients for the equivalents are computed as exact rationals
 per distinct profile-cell value (step profiles have few cells), once per
@@ -39,7 +41,7 @@ import numpy as np
 
 from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment
 from .partitions import IntegerPartition, enumerate_set_partitions
-from .traffic import BlockLayout, MatrixFamily
+from .traffic import BlockLayout, MatrixFamily, give_buffers, take_buffer
 
 # RNG stream tags (seed, tag, ...) for independent components.
 STREAM_W = 1
@@ -104,11 +106,19 @@ class EntryLaw:
     def m3(self) -> Fraction:
         return self.moment(3)
 
-    def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, out: tuple[int, int] | np.ndarray) -> np.ndarray:
+        """Draw i.i.d. entries into ``out``: an array, or the shape of a new one.
+
+        A two-point law draws u uniform on [0, 1) into ``out`` and writes
+        ``a`` where u < p and ``b`` elsewhere: ``np.where(u < p, a, b)``.
+        """
+        out = np.empty(out) if isinstance(out, tuple) else out
         if self.kind == "gaussian":
-            return rng.standard_normal(shape)
-        u = rng.random(shape)
-        return np.where(u < float(self.p), float(self.a), float(self.b))
+            return rng.standard_normal(out=out)
+        below = rng.random(out=out) < float(self.p)
+        out.fill(float(self.b))
+        np.copyto(out, float(self.a), where=below)
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "EntryLaw":
@@ -178,9 +188,12 @@ def _scale_cells(a: np.ndarray, cells: Sequence[Sequence[float]]) -> np.ndarray:
     return a
 
 
-def _broadcast_cells(cells: Sequence[Sequence], shape: tuple[int, int]) -> np.ndarray:
-    """The matrix of the given shape holding each cell's float value."""
-    return _scale_cells(np.ones(shape), [[float(v) for v in row] for row in cells])
+def _broadcast_cells(cells: Sequence[Sequence], out: tuple[int, int] | np.ndarray) -> np.ndarray:
+    """The matrix holding each cell's float value, written into ``out``: an
+    array, or the shape of a new one."""
+    out = np.empty(out) if isinstance(out, tuple) else out
+    out.fill(1.0)
+    return _scale_cells(out, [[float(v) for v in row] for row in cells])
 
 
 @dataclass(frozen=True)
@@ -269,10 +282,10 @@ class ProfiledEnsemble:
         self, rng_w: np.random.Generator, rng_x: np.random.Generator | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(W, X) = (profile o W', profile o X'): W' from ``rng_w``, then X'
-        from ``rng_x`` (default: the same generator)."""
+        from ``rng_x`` (default: the same generator), into trial buffers."""
         lay = self.layout
-        w = self.profile_w.apply(self.law_w.sample(rng_w, (lay.N1, lay.N0)))
-        x = self.profile_x.apply(self.law_x.sample(rng_x or rng_w, (lay.N0, lay.N2)))
+        w = self.profile_w.apply(self.law_w.sample(rng_w, take_buffer((lay.N1, lay.N0))))
+        x = self.profile_x.apply(self.law_x.sample(rng_x or rng_w, take_buffer((lay.N0, lay.N2))))
         return w, x
 
     def sample(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,15 +318,20 @@ def _check_shapes(w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> None:
 def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """sqrt(psi0)/sqrt(N) times the entrywise evaluation of h on WX/sqrt(N0)."""
     _check_shapes(w, x, layout)
-    inner = (w @ x).astype(float, copy=False)
+    # integer and object inputs are multiplied exactly, then cast as astype(float) would
+    inner = np.matmul(w, x, out=take_buffer((layout.N1, layout.N2)), casting="unsafe")
     inner /= math.sqrt(layout.N0)
-    return _horner(h, inner, layout)
+    out = _horner(h, inner, layout)
+    give_buffers(inner)
+    return out
 
 
 def _horner(h: Polynomial, inner: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """sqrt(N0)/N times h evaluated entrywise on the float matrix ``inner``."""
+    """sqrt(N0)/N times h evaluated entrywise on the float matrix ``inner``,
+    into a trial buffer."""
     coeffs = [float(c) for c in h.power_coeffs] or [0.0]  # the zero polynomial has no coefficients
-    acc = np.full_like(inner, coeffs[-1])
+    acc = take_buffer(inner.shape)
+    acc.fill(coeffs[-1])
     for c in reversed(coeffs[:-1]):  # Horner, in place
         acc *= inner
         if c:
@@ -552,7 +570,7 @@ def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
 # -- Gaussian equivalents -------------------------------------------------------
 #
 # The coefficient cells depend only on (h, ensemble[, m]) and are cached, so
-# every sampled trial reuses them.
+# every sampled trial reuses them; each equivalent is built in trial buffers.
 
 
 @lru_cache(maxsize=None)
@@ -569,10 +587,12 @@ def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.n
     the (seed, lin) streams.
     """
     lay = ensemble.layout
-    w_gau = np.random.default_rng([seed, STREAM_LIN_W]).standard_normal((lay.N1, lay.N0))
-    x_gau = np.random.default_rng([seed, STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
-    product = ensemble.profile_w.apply(w_gau) @ ensemble.profile_x.apply(x_gau)
-    out = _scale_cells(product, _lin_coefficient_cells(h, ensemble))
+    w_gau, x_gau = take_buffer((lay.N1, lay.N0)), take_buffer((lay.N0, lay.N2))
+    np.random.default_rng([seed, STREAM_LIN_W]).standard_normal(out=w_gau)
+    np.random.default_rng([seed, STREAM_LIN_X]).standard_normal(out=x_gau)
+    out = np.matmul(ensemble.profile_w.apply(w_gau), ensemble.profile_x.apply(x_gau), out=take_buffer((lay.N1, lay.N2)))
+    give_buffers(w_gau, x_gau)
+    _scale_cells(out, _lin_coefficient_cells(h, ensemble))
     out /= lay.N
     return out
 
@@ -596,15 +616,16 @@ def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) ->
 
 
 def _chaos_term(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray | None:
-    """Coefficient cells times Z_m / sqrt(N), or None, with no draw, when
-    every coefficient cell is exactly zero (e.g. every even order of an odd
-    h): adding 0 * Z_m would change no entry."""
+    """Coefficient cells times Z_m / sqrt(N), in a trial buffer, or None,
+    with no draw, when every coefficient cell is exactly zero (e.g. every
+    even order of an odd h): adding 0 * Z_m would change no entry."""
     cells = _per_coefficient_cells(h, ensemble, m)
     if not any(any(row) for row in cells):
         return None
     lay = ensemble.layout
-    z_m = np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
-    out = _scale_cells(z_m, cells)
+    out = take_buffer((lay.N1, lay.N2))
+    np.random.default_rng([seed, STREAM_PER, m]).standard_normal(out=out)
+    _scale_cells(out, cells)
     out /= math.sqrt(lay.N)
     return out
 
@@ -645,19 +666,34 @@ def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarr
     out = None
     for m in range(2, h.degree + 1):
         term = _chaos_term(h, ensemble, m, seed)
-        if term is not None:
-            out = term if out is None else np.add(out, term, out=out)
-    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
+        if term is None:
+            continue
+        if out is None:
+            out = term
+        else:
+            out += term
+            give_buffers(term)
+    if out is None:
+        out = take_buffer((ensemble.layout.N1, ensemble.layout.N2))
+        out.fill(0.0)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[Fraction, ...], ...] | None:
+def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, ...], ...] | None:
     """Cellwise m3 lambda_3 E[h^(3)(mu xi)] / 6, or None when m3 or h^(3) vanishes."""
     m3 = ensemble.law_w.m3 * ensemble.law_x.m3
     if m3 == 0 or h.degree < 3:
         return None
     kernels = _ensemble_kernels(ensemble)
-    return kernels.rows(kernels.deformation(h, m3 / 6))
+    return kernels.rows({rc: float(v) for rc, v in kernels.deformation(h, m3 / 6).items()})
+
+
+def _deformation_term(cells: Sequence[Sequence[float]], layout: BlockLayout) -> np.ndarray:
+    """The deformation cells broadcast and divided by N."""
+    out = _broadcast_cells(cells, take_buffer((layout.N1, layout.N2)))
+    out /= layout.N
+    return out
 
 
 def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
@@ -666,21 +702,23 @@ def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
     Entries are O(1/N); the zero matrix whenever either entry law has
     vanishing third moment.
     """
-    lay = ensemble.layout
     cells = _def_cells(h, ensemble)
     if cells is None:
-        return np.zeros((lay.N1, lay.N2))
-    out = _broadcast_cells(cells, (lay.N1, lay.N2))
-    out /= lay.N
-    return out
+        return np.zeros((ensemble.layout.N1, ensemble.layout.N2))
+    return _deformation_term(cells, ensemble.layout)
 
 
 def equivalent_sum(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """equivalent_lin + all chaos orders + equivalent_def (when nonzero)."""
+    """equivalent_lin + (the sum of all chaos orders) + equivalent_def (when nonzero)."""
     out = equivalent_lin(h, ensemble, seed)
-    out += per_matrix(h, ensemble, seed)
-    if _def_cells(h, ensemble) is not None:
-        out += equivalent_def(h, ensemble)
+    chaos = per_matrix(h, ensemble, seed)
+    out += chaos
+    give_buffers(chaos)
+    cells = _def_cells(h, ensemble)
+    if cells is not None:
+        deformation = _deformation_term(cells, ensemble.layout)
+        out += deformation
+        give_buffers(deformation)
     return out
 
 
@@ -701,6 +739,7 @@ def model_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial]):
     """Per-trial family: one (W, X) draw, one model matrix per label.
 
     The trial generator draws W', then X' (:meth:`ProfiledEnsemble.draw`).
+    The family owns its matrices; W and X go back to the free list.
     """
     labels = list(labels)
     lay = ensemble.layout
@@ -709,7 +748,8 @@ def model_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial]):
         w, x = ensemble.draw(rng)
         family = MatrixFamily(lay)
         for poly in labels:
-            family.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1)
+            family.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1, owned=True)
+        give_buffers(w, x)
         return family
 
     return sampler
@@ -719,7 +759,7 @@ def equivalent_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial])
     """Per-trial family of assembled equivalents, one per label.
 
     The trial generator draws one integer, the seed of every equivalent's
-    streams.
+    streams.  The family owns its matrices.
     """
     labels = list(labels)
     lay = ensemble.layout
@@ -728,7 +768,7 @@ def equivalent_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial])
         seed = int(rng.integers(0, 2**63 - 1))
         family = MatrixFamily(lay)
         for poly in labels:
-            family.add(poly, equivalent_sum(poly, ensemble, seed), src_block=2, dst_block=1)
+            family.add(poly, equivalent_sum(poly, ensemble, seed), src_block=2, dst_block=1, owned=True)
         return family
 
     return sampler

@@ -336,6 +336,24 @@ def test_main_compare_report_same_at_any_thread_count(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_main_compare_g5_non_square_same_at_any_thread_count(tmp_path):
+    # chaos orders 3 and 5 and a deformation, on N0 != N1 != N2 with 2x2
+    # profiles: the trial buffers of several shapes are shared by 4 threads
+    skewed = {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"}
+    cfg = base_config(graph=["moment-1", "moment-2", "moment-3"], labels="g5", trials=8, seed=21)
+    cfg["ensemble"].update(
+        {"N0": 50, "N1": 31, "N2": 19, "law_w": skewed, "law_x": skewed,
+         "profile_w": [["1", "1/2"], ["3/2", "1"]], "profile_x": [["2", "1"], ["1", "1/2"]]}
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    outs = []
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads-{threads}.json"
+        assert main(["compare", "--config", cfg_path, "--out", str(out), "--threads", threads]) == EXIT_OK
+        outs.append(re.sub(r'"wall_clock_s": [0-9.e-]+', '"wall_clock_s": 0', out.read_text()))
+    assert outs[0] == outs[1]
+
+
 def test_main_limit_beyond_edge_guard_exits_2_with_one_line(tmp_path, capsys):
     nine = {
         "vertices": [{"id": "u", "color": 1}, {"id": "v", "color": 2}],

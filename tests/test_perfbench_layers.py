@@ -2,9 +2,11 @@
 
 ``perfbench/child.py --trace 1`` wraps every function its ``LAYERS`` table
 names; a rename or deletion in ``src/`` would break the traced run, so the
-table is checked here against the current library.
+table is checked here against the current library, and the samplers are
+checked to call the layers that the traced run attributes their time to.
 """
 
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -47,3 +49,71 @@ def test_layer_resolves(name, module_name, attr_path):
     raw = vars(owner)[attr]
     fn = raw.__func__ if isinstance(raw, staticmethod) else raw
     assert inspect.isfunction(fn), f"{module_name}.{attr_path} is not a function"
+
+
+def count_layer_calls(monkeypatch) -> collections.Counter:
+    """Wrap every layer the way ``Tracer.install`` does, with a call counter.
+
+    The owner's attribute is replaced, and for a module-level function also
+    every pwtraffic module global that holds it.
+    """
+    calls: collections.Counter = collections.Counter()
+    for name, module_name, attr_path in LAYERS:
+        owner = importlib.import_module(module_name)
+        *parents, attr = attr_path.split(".")
+        for p in parents:
+            owner = getattr(owner, p)
+        raw = vars(owner)[attr]
+        original = raw.__func__ if isinstance(raw, staticmethod) else raw
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, staticmethod(counted) if isinstance(raw, staticmethod) else counted)
+        if parents:
+            continue
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "pwtraffic":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_samplers_run_through_the_traced_layers(monkeypatch):
+    # the traced run attributes sampling time to these layers only while the
+    # samplers call them: a sampler path that bypassed them would read 0 calls
+    from pwtraffic.graphs import moment_cycle
+    from pwtraffic.hermite import hermite
+    from pwtraffic.models import (
+        EntryLaw,
+        ProfiledEnsemble,
+        StepProfile,
+        equivalent_sampler,
+        model_sampler,
+        unit_skewed_law,
+    )
+    from pwtraffic.traffic import BlockLayout, tau_estimates
+
+    profile = StepProfile.of([[1, "1/2"], ["3/2", 1]])
+    ens = ProfiledEnsemble(BlockLayout(12, 10, 8), EntryLaw.gaussian(), unit_skewed_law(), profile, profile)
+    h = hermite(3)
+    graphs = [moment_cycle(1, h), moment_cycle(2, h)]
+    model, equivalent = model_sampler(ens, [h]), equivalent_sampler(ens, [h])
+    calls = count_layer_calls(monkeypatch)
+    tau_estimates(graphs, model, trials=3, seed=0)
+    assert {k: calls[k] for k in ("models.EntryLaw.sample", "models.pw_matrix", "traffic.sample_trace")} == {
+        "models.EntryLaw.sample": 6,
+        "models.pw_matrix": 3,
+        "traffic.sample_trace": 6,
+    }
+    assert calls["models.equivalent_sum"] == 0
+    calls.clear()
+    tau_estimates(graphs, equivalent, trials=3, seed=0)
+    assert {k: calls[k] for k in ("models.equivalent_sum", "models.equivalent_lin", "models.per_matrix")} == {
+        "models.equivalent_sum": 3,
+        "models.equivalent_lin": 3,
+        "models.per_matrix": 3,
+    }
+    assert calls["models.pw_matrix"] == calls["models.EntryLaw.sample"] == 0
