@@ -423,15 +423,15 @@ def main(argv=None) -> int:
                 report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)
         else:
             report, code = COMMANDS[args.command](config, **kwargs)
-    except (ConfigError, ValueError, KeyError, MemoryError) as exc:
+        report["wall_clock_s"] = round(time.monotonic() - started, 6)
+        if args.out:
+            with open(args.out, "w", newline="") as fh:
+                _write_report(report, fh, args.format)
+        else:
+            _write_report(report, sys.stdout, args.format)
+    except (ConfigError, ValueError, KeyError, MemoryError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report["wall_clock_s"] = round(time.monotonic() - started, 6)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            _write_report(report, fh, args.format)
-    else:
-        _write_report(report, sys.stdout, args.format)
     return code
 
 

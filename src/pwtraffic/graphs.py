@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .partitions import SetPartition, enumerate_set_partitions
 
@@ -42,12 +42,10 @@ class TestGraph:
 
     def __init__(
         self,
-        vertices: Sequence[tuple[VertexId, int]] | Mapping[VertexId, int],
+        vertices: Sequence[tuple[VertexId, int]],
         edges: Iterable[Edge | tuple],
         reference: bool = False,
     ) -> None:
-        if isinstance(vertices, Mapping):
-            vertices = list(vertices.items())
         self.vertices: tuple[tuple[VertexId, int], ...] = tuple((v, int(c)) for v, c in vertices)
         ids = [v for v, _ in self.vertices]
         if len(set(ids)) != len(ids):

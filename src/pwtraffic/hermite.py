@@ -144,11 +144,6 @@ class Polynomial:
         """True iff only odd-degree power coefficients are present."""
         return all(c == 0 for k, c in enumerate(self.power_coeffs) if k % 2 == 0)
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.power_coeffs):
-            return self.power_coeffs[k]
-        return Fraction(0)
-
     def derivative(self, m: int = 1) -> "Polynomial":
         coeffs = self.power_coeffs
         for _ in range(m):

@@ -11,9 +11,9 @@ Sampling is deterministic per (ensemble, seed): every independent matrix is
 drawn from its own generator seeded by (seed, stream tag), so components can
 be built concurrently without sharing generator state.  ``model_sampler`` and
 ``equivalent_sampler`` build the per-trial families that the CLI and the
-tests feed to ``traffic.tau_estimates``.  Draws, products and equivalents
-are written into trial buffers (``traffic.take_buffer``), so a warm trial
-allocates no matrix.
+tests feed to ``traffic.tau_estimates``.  Each trial makes its draws,
+products and equivalents as new arrays; the heap setting that ``traffic``
+makes when imported lets them reuse the pages the last trial freed.
 
 Entrywise coefficients for the equivalents are computed as exact rationals
 per distinct profile-cell value (step profiles have few cells), once per
@@ -41,7 +41,7 @@ import numpy as np
 
 from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment
 from .partitions import IntegerPartition, enumerate_set_partitions
-from .traffic import BlockLayout, MatrixFamily, give_buffers, take_buffer
+from .traffic import BlockLayout, MatrixFamily
 
 # RNG stream tags (seed, tag, ...) for independent components.
 STREAM_W = 1
@@ -106,19 +106,11 @@ class EntryLaw:
     def m3(self) -> Fraction:
         return self.moment(3)
 
-    def sample(self, rng: np.random.Generator, out: tuple[int, int] | np.ndarray) -> np.ndarray:
-        """Draw i.i.d. entries into ``out``: an array, or the shape of a new one.
-
-        A two-point law draws u uniform on [0, 1) into ``out`` and writes
-        ``a`` where u < p and ``b`` elsewhere: ``np.where(u < p, a, b)``.
-        """
-        out = np.empty(out) if isinstance(out, tuple) else out
+    def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
         if self.kind == "gaussian":
-            return rng.standard_normal(out=out)
-        below = rng.random(out=out) < float(self.p)
-        out.fill(float(self.b))
-        np.copyto(out, float(self.a), where=below)
-        return out
+            return rng.standard_normal(shape)
+        u = rng.random(shape)
+        return np.where(u < float(self.p), float(self.a), float(self.b))
 
     @staticmethod
     def from_json(obj: dict) -> "EntryLaw":
@@ -188,12 +180,9 @@ def _scale_cells(a: np.ndarray, cells: Sequence[Sequence[float]]) -> np.ndarray:
     return a
 
 
-def _broadcast_cells(cells: Sequence[Sequence], out: tuple[int, int] | np.ndarray) -> np.ndarray:
-    """The matrix holding each cell's float value, written into ``out``: an
-    array, or the shape of a new one."""
-    out = np.empty(out) if isinstance(out, tuple) else out
-    out.fill(1.0)
-    return _scale_cells(out, [[float(v) for v in row] for row in cells])
+def _broadcast_cells(cells: Sequence[Sequence], shape: tuple[int, int]) -> np.ndarray:
+    """The matrix of the given shape holding each cell's float value."""
+    return _scale_cells(np.ones(shape), [[float(v) for v in row] for row in cells])
 
 
 @dataclass(frozen=True)
@@ -282,10 +271,10 @@ class ProfiledEnsemble:
         self, rng_w: np.random.Generator, rng_x: np.random.Generator | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(W, X) = (profile o W', profile o X'): W' from ``rng_w``, then X'
-        from ``rng_x`` (default: the same generator), into trial buffers."""
+        from ``rng_x`` (default: the same generator)."""
         lay = self.layout
-        w = self.profile_w.apply(self.law_w.sample(rng_w, take_buffer((lay.N1, lay.N0))))
-        x = self.profile_x.apply(self.law_x.sample(rng_x or rng_w, take_buffer((lay.N0, lay.N2))))
+        w = self.profile_w.apply(self.law_w.sample(rng_w, (lay.N1, lay.N0)))
+        x = self.profile_x.apply(self.law_x.sample(rng_x or rng_w, (lay.N0, lay.N2)))
         return w, x
 
     def sample(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -318,20 +307,15 @@ def _check_shapes(w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> None:
 def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """sqrt(psi0)/sqrt(N) times the entrywise evaluation of h on WX/sqrt(N0)."""
     _check_shapes(w, x, layout)
-    # integer and object inputs are multiplied exactly, then cast as astype(float) would
-    inner = np.matmul(w, x, out=take_buffer((layout.N1, layout.N2)), casting="unsafe")
+    inner = (w @ x).astype(float, copy=False)
     inner /= math.sqrt(layout.N0)
-    out = _horner(h, inner, layout)
-    give_buffers(inner)
-    return out
+    return _horner(h, inner, layout)
 
 
 def _horner(h: Polynomial, inner: np.ndarray, layout: BlockLayout) -> np.ndarray:
-    """sqrt(N0)/N times h evaluated entrywise on the float matrix ``inner``,
-    into a trial buffer."""
+    """sqrt(N0)/N times h evaluated entrywise on the float matrix ``inner``."""
     coeffs = [float(c) for c in h.power_coeffs] or [0.0]  # the zero polynomial has no coefficients
-    acc = take_buffer(inner.shape)
-    acc.fill(coeffs[-1])
+    acc = np.full_like(inner, coeffs[-1])
     for c in reversed(coeffs[:-1]):  # Horner, in place
         acc *= inner
         if c:
@@ -570,7 +554,7 @@ def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
 # -- Gaussian equivalents -------------------------------------------------------
 #
 # The coefficient cells depend only on (h, ensemble[, m]) and are cached, so
-# every sampled trial reuses them; each equivalent is built in trial buffers.
+# every sampled trial reuses them.
 
 
 @lru_cache(maxsize=None)
@@ -587,12 +571,10 @@ def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.n
     the (seed, lin) streams.
     """
     lay = ensemble.layout
-    w_gau, x_gau = take_buffer((lay.N1, lay.N0)), take_buffer((lay.N0, lay.N2))
-    np.random.default_rng([seed, STREAM_LIN_W]).standard_normal(out=w_gau)
-    np.random.default_rng([seed, STREAM_LIN_X]).standard_normal(out=x_gau)
-    out = np.matmul(ensemble.profile_w.apply(w_gau), ensemble.profile_x.apply(x_gau), out=take_buffer((lay.N1, lay.N2)))
-    give_buffers(w_gau, x_gau)
-    _scale_cells(out, _lin_coefficient_cells(h, ensemble))
+    w_gau = np.random.default_rng([seed, STREAM_LIN_W]).standard_normal((lay.N1, lay.N0))
+    x_gau = np.random.default_rng([seed, STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
+    product = ensemble.profile_w.apply(w_gau) @ ensemble.profile_x.apply(x_gau)
+    out = _scale_cells(product, _lin_coefficient_cells(h, ensemble))
     out /= lay.N
     return out
 
@@ -616,16 +598,15 @@ def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) ->
 
 
 def _chaos_term(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray | None:
-    """Coefficient cells times Z_m / sqrt(N), in a trial buffer, or None,
-    with no draw, when every coefficient cell is exactly zero (e.g. every
-    even order of an odd h): adding 0 * Z_m would change no entry."""
+    """Coefficient cells times Z_m / sqrt(N), or None, with no draw, when
+    every coefficient cell is exactly zero (e.g. every even order of an odd
+    h): adding 0 * Z_m would change no entry."""
     cells = _per_coefficient_cells(h, ensemble, m)
     if not any(any(row) for row in cells):
         return None
     lay = ensemble.layout
-    out = take_buffer((lay.N1, lay.N2))
-    np.random.default_rng([seed, STREAM_PER, m]).standard_normal(out=out)
-    _scale_cells(out, cells)
+    z_m = np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
+    out = _scale_cells(z_m, cells)
     out /= math.sqrt(lay.N)
     return out
 
@@ -666,17 +647,9 @@ def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarr
     out = None
     for m in range(2, h.degree + 1):
         term = _chaos_term(h, ensemble, m, seed)
-        if term is None:
-            continue
-        if out is None:
-            out = term
-        else:
-            out += term
-            give_buffers(term)
-    if out is None:
-        out = take_buffer((ensemble.layout.N1, ensemble.layout.N2))
-        out.fill(0.0)
-    return out
+        if term is not None:
+            out = term if out is None else np.add(out, term, out=out)
+    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
 
 
 @lru_cache(maxsize=None)
@@ -691,7 +664,7 @@ def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, 
 
 def _deformation_term(cells: Sequence[Sequence[float]], layout: BlockLayout) -> np.ndarray:
     """The deformation cells broadcast and divided by N."""
-    out = _broadcast_cells(cells, take_buffer((layout.N1, layout.N2)))
+    out = _broadcast_cells(cells, (layout.N1, layout.N2))
     out /= layout.N
     return out
 
@@ -709,16 +682,12 @@ def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
 
 
 def equivalent_sum(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """equivalent_lin + (the sum of all chaos orders) + equivalent_def (when nonzero)."""
+    """equivalent_lin + all chaos orders + equivalent_def (when nonzero)."""
     out = equivalent_lin(h, ensemble, seed)
-    chaos = per_matrix(h, ensemble, seed)
-    out += chaos
-    give_buffers(chaos)
+    out += per_matrix(h, ensemble, seed)
     cells = _def_cells(h, ensemble)
     if cells is not None:
-        deformation = _deformation_term(cells, ensemble.layout)
-        out += deformation
-        give_buffers(deformation)
+        out += _deformation_term(cells, ensemble.layout)
     return out
 
 
@@ -739,7 +708,6 @@ def model_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial]):
     """Per-trial family: one (W, X) draw, one model matrix per label.
 
     The trial generator draws W', then X' (:meth:`ProfiledEnsemble.draw`).
-    The family owns its matrices; W and X go back to the free list.
     """
     labels = list(labels)
     lay = ensemble.layout
@@ -748,8 +716,7 @@ def model_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial]):
         w, x = ensemble.draw(rng)
         family = MatrixFamily(lay)
         for poly in labels:
-            family.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1, owned=True)
-        give_buffers(w, x)
+            family.add(poly, pw_matrix(poly, w, x, lay), src_block=2, dst_block=1)
         return family
 
     return sampler
@@ -759,7 +726,7 @@ def equivalent_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial])
     """Per-trial family of assembled equivalents, one per label.
 
     The trial generator draws one integer, the seed of every equivalent's
-    streams.  The family owns its matrices.
+    streams.
     """
     labels = list(labels)
     lay = ensemble.layout
@@ -768,7 +735,7 @@ def equivalent_sampler(ensemble: ProfiledEnsemble, labels: Sequence[Polynomial])
         seed = int(rng.integers(0, 2**63 - 1))
         family = MatrixFamily(lay)
         for poly in labels:
-            family.add(poly, equivalent_sum(poly, ensemble, seed), src_block=2, dst_block=1, owned=True)
+            family.add(poly, equivalent_sum(poly, ensemble, seed), src_block=2, dst_block=1)
         return family
 
     return sampler

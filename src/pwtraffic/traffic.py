@@ -9,16 +9,19 @@ tolerance.  Sampled traces and graph monomials are one einsum contraction
 each, run step by step so that a repeated pairwise product is computed
 once, and checked against the enumeration.
 
-Monte Carlo trials draw their matrices into buffers from one free list keyed
-by shape (:func:`take_buffer`, :func:`give_buffers`), so a warm trial makes
-no matrix-sized allocation.
+A Monte Carlo trial frees and remakes the same float matrices, so importing
+this module tells glibc to keep freed heap memory in the process
+(:func:`_keep_freed_heap`): a warm trial's matrices land on pages it has
+already touched.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import statistics
 import string
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +32,33 @@ import numpy as np
 from .graphs import GraphMonomial, TestGraph, quotient, split_partitions
 
 _LETTERS = string.ascii_letters
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> bool:
+    """Stop glibc from giving freed heap memory back to the OS (``man 3 mallopt``).
+
+    glibc serves a block past its mmap threshold from fresh mmap pages and
+    unmaps it when freed, and trims the heap top past its trim threshold, so
+    a matrix remade every trial page-faults on its first write.  With these
+    settings blocks below 32 MiB come from the heap, and up to 1 GiB of free
+    heap top is kept.  The trim threshold is set only once the mmap
+    threshold took: set alone, it would freeze glibc's dynamic mmap
+    threshold where it stands (128 KiB at start).  True when both took;
+    False, doing nothing, off Linux or where the C library has no
+    ``mallopt``.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 1 << 30))
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True)
@@ -89,73 +119,20 @@ class LabeledMatrix:
     dst_block: int
 
 
-# -- trial buffers -------------------------------------------------------------
-#
-# A Monte Carlo trial makes the same float matrices every time: the draws,
-# the products, the family matrices and the contraction steps.  They come
-# from one free list keyed by shape and go back once nothing reads them, so
-# a warm trial allocates no matrix and writes to no fresh page.  A buffer
-# belongs to one holder from take_buffer to give_buffers; list.pop and
-# list.append are atomic, so trials may run on threads.  A buffer that
-# reaches a caller is never given back.  The list keeps, per shape, as many
-# buffers as were ever in use at once, for the shapes given back last.
-
-_FREE: dict[tuple[int, ...], list[np.ndarray]] = {}
-_MAX_SHAPES = 9  # (N_a, N_b) over the three blocks: every shape one layout's trials make
-
-
-def take_buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """A float array of ``shape`` with undefined contents: a free one, else a new one."""
-    try:
-        return _FREE[shape].pop()
-    except (KeyError, IndexError):
-        return np.empty(shape)
-
-
-def give_buffers(*buffers: np.ndarray) -> None:
-    """Put buffers from :func:`take_buffer` back; nothing may read them after.
-
-    A shape new to the free list drops the oldest shapes past
-    ``_MAX_SHAPES``, so a process that moves to other sizes frees the old ones.
-    """
-    for b in buffers:
-        stack = _FREE.get(b.shape)
-        if stack is None:
-            stack = _FREE.setdefault(b.shape, [])
-            for shape in list(_FREE)[:-_MAX_SHAPES]:
-                _FREE.pop(shape, None)
-        stack.append(b)
-
-
 class MatrixFamily:
-    """Label -> rectangular matrix with declared blocks, over one layout.
-
-    Labels added with ``owned=True`` hold a trial buffer that no one else
-    reads; :meth:`release` gives those back.
-    """
+    """Label -> rectangular matrix with declared blocks, over one layout."""
 
     def __init__(self, layout: BlockLayout) -> None:
         self.layout = layout
         self.items: dict[object, LabeledMatrix] = {}
-        self.owned: set = set()
 
-    def add(self, label: object, matrix, src_block: int, dst_block: int, owned: bool = False) -> "MatrixFamily":
+    def add(self, label: object, matrix, src_block: int, dst_block: int) -> "MatrixFamily":
         matrix = np.asarray(matrix)
         want = (self.layout.size(dst_block), self.layout.size(src_block))
         if matrix.shape != want:
             raise ValueError(f"label {label!r}: shape {matrix.shape}, blocks demand {want}")
         self.items[label] = LabeledMatrix(matrix, src_block, dst_block)
-        if owned:
-            self.owned.add(label)
-        else:
-            self.owned.discard(label)
         return self
-
-    def release(self) -> None:
-        """Give the owned matrices back to the free list and drop their labels,
-        so that no one reads them once they may be overwritten."""
-        give_buffers(*(self.items.pop(label).matrix for label in self.owned))
-        self.owned.clear()
 
     def __getitem__(self, label: object) -> LabeledMatrix:
         if label not in self.items:
@@ -301,14 +278,13 @@ _ONES = object()  # leaf token of the ones vector of an open vertex without edge
 def _contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
     """The greedy pairwise path of one einsum, as numpy's optimized einsum runs it.
 
-    Each step is (positions, call, key, perm, form): the operand positions
-    numpy pops, the einsum call that computes the step in canonical form
-    (inputs renamed in order of first appearance, outputs in that order),
-    the canonical subscripts that key the step, the transposition from the
-    canonical output to numpy's intermediate axis order (None if none), and
-    the step's :func:`_matmul_form`.  A pair is passed last operand first,
-    so that ``np.einsum`` hands it to its pairwise kernel in numpy's own
-    order, which runs the key on the popped operands.
+    Each step is (positions, call, key, perm): the operand positions numpy
+    pops, the einsum call that computes the step in canonical form (inputs
+    renamed in order of first appearance, outputs in that order), the
+    canonical subscripts that key the step, and the transposition from the
+    canonical output to numpy's intermediate axis order (None if none).  A
+    pair is passed last operand first, so that ``np.einsum`` hands it to its
+    pairwise kernel in numpy's own order.
     """
     dummies = [np.broadcast_to(np.zeros(()), shape) for shape in shapes]
     path = np.einsum_path(subscripts, *dummies, optimize="greedy")[0][1:]
@@ -333,62 +309,8 @@ def _contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> t
         key = ",".join(canon_terms) + "->" + canon_out
         call = ",".join(reversed(canon_terms)) + "->" + canon_out if len(taken) == 2 else key
         perm = tuple(canon_out.index(rename[c]) for c in result)
-        form = _matmul_form(canon_terms, canon_out) if all(size[c] > 1 for c in rename) else None
-        steps.append((positions, call, key, None if perm == tuple(range(len(perm))) else perm, form))
+        steps.append((positions, call, key, None if perm == tuple(range(len(perm))) else perm))
     return tuple(steps)
-
-
-_INNER = "inner"
-
-
-def _matmul_form(terms: list[str], out: str) -> tuple[bool, bool, bool] | str | None:
-    """The matmul that numpy's pairwise einsum kernel runs for ``a,b->out``
-    on two matrices, for the two steps it runs as one matmul and a view.
-
-    A plain matrix product (one summed index, the two free indices out) is
-    ``a' @ b'`` read as ``out``, with ``a'`` holding the free index first
-    and ``b'`` the summed one: the form says whether a, b and the product
-    are transposed.  A full contraction of two matrices with the same
-    subscripts is the row of ``a`` in C order times the column of ``b``:
-    :data:`_INNER`.  None for any other step.  The kernel drops axes of
-    size 1, so only steps without them are given a form.
-
-    The forms follow numpy 2.4's kernel (``bmm_einsum``); a numpy whose
-    pairwise kernel calls matmul otherwise can differ from ``np.einsum``
-    in the last bit on these steps.  Run through ``np.einsum(..., out=)``,
-    the steps would still make a full-size temporary each.
-    """
-    if len(terms) != 2 or any(len(set(t)) != 2 for t in terms):
-        return None
-    a, b = terms
-    if a == b and not out:
-        return _INNER
-    if len(set(a + b)) != 3:
-        return None
-    (k,) = set(a) & set(b)
-    free_a, free_b = a.replace(k, ""), b.replace(k, "")
-    if out not in (free_a + free_b, free_b + free_a):
-        return None
-    return a[0] == k, b[1] == k, out[0] != free_a
-
-
-def _matmul_step(form, a: np.ndarray, b: np.ndarray, taken: list[np.ndarray]) -> np.ndarray:
-    """The step's value as numpy's pairwise kernel computes it, with every
-    matrix it makes in a trial buffer (appended to ``taken``)."""
-    if form == _INNER:  # the kernel reshapes a to a row and b to a column, copying each unless C-contiguous
-        flat = []
-        for m in (a, b):
-            if not m.flags.c_contiguous:
-                copy = take_buffer(m.shape)
-                np.copyto(copy, m)
-                taken.append(copy)
-                m = copy
-            flat.append(m)
-        return np.matmul(flat[0].reshape(1, -1), flat[1].reshape(-1, 1)).reshape(())
-    a, b = (m.T if t else m for m, t in zip((a, b), form))
-    value = np.matmul(a, b, out=take_buffer((a.shape[0], b.shape[1])))
-    taken.append(value)
-    return value.T if form[2] else value
 
 
 def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> np.ndarray:
@@ -434,15 +356,12 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
         return np.asarray(scale)
     subscripts = ",".join(inputs) + "->" + "".join(letter[v] for v in open_vertices)
     memo: dict = {}
-    taken: list[np.ndarray] = []
-    for positions, call, canonical, perm, form in _contraction_plan(subscripts, tuple(op.shape for op in operands)):
+    for positions, call, canonical, perm in _contraction_plan(subscripts, tuple(op.shape for op in operands)):
         args = [operands.pop(p) for p in positions]
         key = (canonical, *(tokens.pop(p) for p in positions))
         value = memo.get(key)
         if value is None:
-            if form is not None and args[0].dtype == args[1].dtype == np.float64:
-                value = _matmul_step(form, *args, taken)
-            elif len(args) == 2:
+            if len(args) == 2:
                 value = np.einsum(call, args[1], args[0], optimize=_PAIR)
             else:
                 value = np.einsum(call, *args)
@@ -450,10 +369,7 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
         operands.append(value if perm is None else value.transpose(perm))
         tokens.append((key, perm))
     out = operands[0]
-    if scale != 1:
-        out = out * scale
-    give_buffers(*(b for b in taken if not np.may_share_memory(b, out)))  # out reaches the caller
-    return out
+    return out * scale if scale != 1 else out
 
 
 def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
@@ -504,9 +420,6 @@ def tau_estimates(
     sqrt(trials), None for a single trial.  ``values_out`` holds one list
     per graph that receives its per-trial values.  map_fn lets a harness run
     trials concurrently (e.g. an executor's map); it must preserve order.
-
-    A trial's family never reaches a caller, so its owned matrices go back
-    to the free list once the traces are taken.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -514,9 +427,7 @@ def tau_estimates(
 
     def one_trial(t: int) -> list[float]:
         family = sampler(np.random.default_rng([seed, t]))
-        row = [sample_trace(g, family) / family.layout.N for g in graphs]
-        family.release()
-        return row
+        return [sample_trace(g, family) / family.layout.N for g in graphs]
 
     rows = list((map_fn or map)(one_trial, range(trials)))
     out = []

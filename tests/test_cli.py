@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pwtraffic.cli import (
+    COMMANDS,
     EXIT_FLAG,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -271,6 +272,17 @@ def test_main_csv_format(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_main_out_in_missing_directory_exits_2_with_one_line(tmp_path, capsys, command):
+    # spectrum fails first on its .hist.csv beside the report
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "missing" / "report.json"
+    assert main([command, "--config", path, "--out", str(out)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "missing" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "decompose"])
 @pytest.mark.parametrize(
     "key, value",
@@ -338,7 +350,7 @@ def test_main_compare_report_same_at_any_thread_count(tmp_path):
 
 def test_main_compare_g5_non_square_same_at_any_thread_count(tmp_path):
     # chaos orders 3 and 5 and a deformation, on N0 != N1 != N2 with 2x2
-    # profiles: the trial buffers of several shapes are shared by 4 threads
+    # profiles: trial matrices of several shapes made on 4 threads at once
     skewed = {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"}
     cfg = base_config(graph=["moment-1", "moment-2", "moment-3"], labels="g5", trials=8, seed=21)
     cfg["ensemble"].update(

@@ -2,9 +2,6 @@
 
 import itertools
 import string
-import sys
-import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -33,11 +30,9 @@ from pwtraffic.traffic import (
     eval_monomial,
     extract,
     falling_factorial,
-    give_buffers,
     injective_trace,
     moebius_check,
     sample_trace,
-    take_buffer,
     tau_estimate,
     tau_estimates,
 )
@@ -572,42 +567,16 @@ def product_square(order):
 
 
 def record_leaf_products(monkeypatch, leaves) -> list[str]:
-    """Subscripts of every einsum or matmul call whose operands are all
-    matrices in ``leaves``.  A matmul operand may also be a leaf's transpose,
-    or its reshape to a row or a column; the matmul is recorded as the
-    einsum it computes over the leaves' own axes."""
+    """Subscripts of every einsum call whose operands are all matrices in ``leaves``."""
     calls = []
-    einsum, matmul = np.einsum, np.matmul
+    einsum = np.einsum
 
     def recording(subscripts, *operands, **kwargs):
         if all(any(op is m for m in leaves) for op in operands):
             calls.append(subscripts)
         return einsum(subscripts, *operands, **kwargs)
 
-    def leaf_axes(op, rows: str, cols: str) -> str | None:
-        """The subscripts of the leaf that ``op`` views, given the names of
-        op's rows and columns; a reshape to a row (column) names the leaf's
-        axes by the column (row) name, two letters long."""
-        for m in leaves:
-            if op is m:
-                return rows + cols
-            if op.base is m and op.shape == m.shape[::-1] and op.strides == m.strides[::-1]:
-                return cols + rows
-            if op.base is m and m.flags.c_contiguous and op.shape in ((1, m.size), (m.size, 1)):
-                return cols if op.shape[0] == 1 else rows
-        return None
-
-    def recording_matmul(a, b, **kwargs):
-        if a.shape[0] == 1 and b.shape[1] == 1:  # a row times a column: a full contraction
-            first, second, out = leaf_axes(a, "", "ab"), leaf_axes(b, "ab", ""), ""
-        else:
-            first, second, out = leaf_axes(a, "a", "b"), leaf_axes(b, "b", "c"), "ac"
-        if first is not None and second is not None:
-            calls.append(f"{first},{second}->{out}")
-        return matmul(a, b, **kwargs)
-
     monkeypatch.setattr(np, "einsum", recording)
-    monkeypatch.setattr(np, "matmul", recording_matmul)
     return calls
 
 
@@ -652,7 +621,7 @@ def test_moment_4_makes_one_gram(monkeypatch):
     assert len(out) == 2 and len(set(first) & set(second) - set(out)) == 1
 
 
-# -- trial buffers ---------------------------------------------------------------
+# -- trial memory ----------------------------------------------------------------
 
 
 def profiled_ensemble(n0, n1, n2):
@@ -666,28 +635,38 @@ def profiled_ensemble(n0, n1, n2):
     )
 
 
+@pytest.mark.skipif(not traffic._keep_freed_heap(), reason="the heap setting needs glibc's mallopt")
 def test_warm_trials_allocate_no_matrix():
-    # numpy reports its data buffers to tracemalloc, whatever the allocator:
-    # once the free list holds a trial's buffers, no trial allocates even the
-    # smallest matrix it makes (the moment-2 Gram, min(N1, N2) squared).  What
-    # a trial does allocate is small: the two-point law's boolean mask and
-    # the ufunc iterator's scratch (at most 2 x 64 KB) when a profile scales
-    # a step-cell block in place.
+    # with freed heap memory kept in the process, a warm trial's matrices
+    # land on pages it has touched before: 4 trials make fewer minor page
+    # faults than the pages of the smallest matrix a trial makes (the
+    # moment-2 Gram, min(N1, N2) squared), where fresh pages fault over a
+    # thousand times
+    import resource  # Unix only, like the setting
+
     ens = profiled_ensemble(240, 200, 180)
     h = hermite(5)  # chaos orders 3 and 5
     graphs = [moment_cycle(1, h), moment_cycle(2, h)]
-    smallest = 8 * 180 * 180
+    smallest_pages = 8 * 180 * 180 // resource.getpagesize()
     for make in (model_sampler, equivalent_sampler):
         sampler = make(ens, [h])
-        tau_estimates(graphs, sampler, trials=1, seed=0)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tau_estimates(graphs, sampler, trials=4, seed=1)
-            grown = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert grown < smallest, (make.__name__, grown)
+        tau_estimates(graphs, sampler, trials=2, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        tau_estimates(graphs, sampler, trials=4, seed=1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < smallest_pages, (make.__name__, faults)
+
+
+def test_heap_setting_is_quiet_without_mallopt(monkeypatch):
+    monkeypatch.setattr(traffic.ctypes, "CDLL", lambda name: object())  # a C library without mallopt
+    assert traffic._keep_freed_heap() is False
+
+    def no_library(name):
+        raise AssertionError("no C library is opened off Linux")
+
+    monkeypatch.setattr(traffic.ctypes, "CDLL", no_library)
+    monkeypatch.setattr(traffic.sys, "platform", "darwin")
+    assert traffic._keep_freed_heap() is False
 
 
 def test_buffers_that_reach_a_caller_stay_unchanged():
@@ -712,51 +691,3 @@ def test_buffers_that_reach_a_caller_stay_unchanged():
     for m, c in zip(kept, copies):
         assert m.tobytes() == c.tobytes()
     assert model_family[h].matrix.tobytes() == model_sampler(ens, [h])(np.random.default_rng(1))[h].matrix.tobytes()
-
-
-def test_released_family_drops_only_its_owned_labels():
-    lay = BlockLayout(3, 2, 4)
-    fixed = RNG.standard_normal((2, 4))
-    fam = MatrixFamily(lay).add("fixed", fixed, 2, 1).add("owned", np.zeros((2, 4)), 2, 1, owned=True)
-    fam.release()
-    assert "owned" not in fam and fam["fixed"].matrix is fixed
-    fam.release()  # a spent family gives nothing back twice
-    assert "fixed" in fam
-
-
-def test_free_list_hands_each_buffer_to_one_holder_at_a_time():
-    # more threads than cores and a short switch interval: a buffer handed to
-    # two holders at once would show another holder's mark
-    shape = (3, 7)  # no other test makes this shape
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-
-        def hold(mark: int) -> bool:
-            for _ in range(500):
-                held = [take_buffer(shape) for _ in range(3)]
-                for b in held:
-                    b.fill(mark)
-                time.sleep(0)
-                intact = all((b == mark).all() for b in held)
-                give_buffers(*held)
-                if not intact:
-                    return False
-            return True
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(hold, mark) for mark in range(8)]
-            assert all(f.result(timeout=60) for f in futures)
-        free = traffic._FREE.pop(shape)
-        assert len({id(b) for b in free}) == len(free) <= 24
-    finally:
-        sys.setswitchinterval(switch)
-
-
-def test_free_list_keeps_only_the_latest_shapes():
-    shapes = [(2, 100 + k) for k in range(traffic._MAX_SHAPES + 2)]  # no other test makes these
-    for shape in shapes:
-        give_buffers(take_buffer(shape))
-    assert [s for s in shapes if s in traffic._FREE] == shapes[2:]
-    held = traffic._FREE[shapes[-1]][-1]
-    assert take_buffer(shapes[-1]) is held
