@@ -3,27 +3,19 @@
 from .hermite import (
     Polynomial,
     expect_derivative,
-    expect_product,
     expect_scaled,
     gaussian_moment,
     hermite,
     monomial,
-    to_hermite,
 )
 from .partitions import (
     IntegerPartition,
     SetPartition,
-    count_of_type,
     enumerate_set_partitions,
-    is_split,
-    kernel,
-    restrict,
-    type_of,
 )
 from .graphs import (
     AuxiliaryGraph,
     Edge,
-    GraphMonomial,
     StrongComponentReport,
     TestGraph,
     build_auxiliary,
@@ -31,7 +23,6 @@ from .graphs import (
     eta,
     moment_cycle,
     quotient,
-    rho_tilde,
     single_edge,
     skeleton,
     split_partitions,
@@ -41,13 +32,7 @@ from .traffic import (
     LabeledMatrix,
     MatrixFamily,
     combinatorial_trace,
-    delta0,
-    embed,
-    eval_monomial,
-    injective_trace,
-    moebius_check,
     sample_trace,
-    tau_estimate,
     tau_estimates,
 )
 from .models import (
@@ -56,15 +41,11 @@ from .models import (
     StepProfile,
     decompose,
     distinct_labels,
-    equivalent_def,
     equivalent_lin,
-    equivalent_per,
     equivalent_sampler,
     equivalent_sum,
     model_sampler,
-    per_noise_family,
     pw_matrix,
-    unit_skewed_law,
     z_lambda,
 )
 from .limits import (

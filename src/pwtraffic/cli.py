@@ -24,7 +24,7 @@ from .hermite import Polynomial, check_degree, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
 from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, pw_matrix
 from .models import equivalent_sampler, model_sampler
-from .traffic import TauEstimate, tau_estimates
+from .traffic import _LETTERS, TauEstimate, tau_estimates
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,7 +85,13 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if item == "single-edge":
                 out.append((item, single_edge(poly)))
             elif item.startswith("moment-"):
-                out.append((item, moment_cycle(int(item.split("-", 1)[1]), poly)))
+                k = int(item.split("-", 1)[1])
+                if 2 * k > len(_LETTERS):  # before the 2k vertices are built
+                    raise ConfigError(
+                        f"graph preset {item!r} has {2 * k} vertices, "
+                        f"more than the {len(_LETTERS)} a trace contraction takes"
+                    )
+                out.append((item, moment_cycle(k, poly)))
             else:
                 raise ConfigError(f"unknown graph preset {item!r}")
         elif isinstance(item, dict):

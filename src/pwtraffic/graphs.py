@@ -86,27 +86,8 @@ class TestGraph:
         """Vertex -> 1-based position in insertion order."""
         return {v: i + 1 for i, (v, _) in enumerate(self.vertices)}
 
-    def edge_by_id(self, eid: EdgeId) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
     def __repr__(self) -> str:
         return f"TestGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
-
-
-@dataclass(frozen=True)
-class GraphMonomial:
-    """Test graph with distinguished input and output vertices."""
-
-    graph: TestGraph
-    input: VertexId
-    output: VertexId
-
-    def __post_init__(self) -> None:
-        if self.input not in self.graph.color or self.output not in self.graph.color:
-            raise ValueError("input/output must be vertices of the graph")
 
 
 # -- connectivity and quotients -------------------------------------------
@@ -349,10 +330,6 @@ class AuxiliaryGraph:
     graph: TestGraph
     niches: dict[EdgeId, tuple[VertexId, ...]] = field(compare=False)
 
-    @property
-    def internal_vertices(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self.graph.vertex_ids if self.graph.color[v] == 0)
-
 
 def build_auxiliary(ref: TestGraph) -> AuxiliaryGraph:
     """Expand every reference edge into its niche (label = niche size >= 1)."""
@@ -442,30 +419,3 @@ def eta(aux: AuxiliaryGraph, pi: SetPartition) -> EtaBreakdown:
     assert eta1 + eta2 == total_eta
     return EtaBreakdown(eta=total_eta, eta1=eta1, eta2=eta2, w_components=c_w)
 
-
-def rho_tilde(aux: AuxiliaryGraph, pi: SetPartition) -> SetPartition:
-    """Coarsening of the reference restriction of a split quotient.
-
-    Color-1 vertices merge iff they share a connected component of the
-    quotiented w-subgraph; color-2 vertices merge iff the partition merges
-    them.  The plain restriction of pi refines this.
-    """
-    g = aux.graph
-    _check_split(g, pi)
-    idx = pi.block_index()
-    pos = g.vertex_position()
-    block_of = {v: idx[pos[v]] for v in g.vertex_ids}
-    w_root = _w_components(g, block_of)
-
-    ref = aux.reference
-    ref_pos = ref.vertex_position()
-    groups: dict[tuple, list[int]] = {}
-    for v in ref.vertex_ids:
-        if ref.color[v] == 1:
-            key = ("w-comp", w_root[block_of[v]])
-        elif ref.color[v] == 2:
-            key = ("pi", block_of[v])
-        else:
-            raise ValueError("reference graphs carry only colors 1 and 2")
-        groups.setdefault(key, []).append(ref_pos[v])
-    return SetPartition.from_blocks(len(ref.vertices), groups.values())

@@ -1,11 +1,11 @@
 """Exact polynomial calculus for the standard Gaussian weight.
 
 Everything here is arbitrary-precision rational: polynomials are stored in
-the power basis only, and their coefficients in the basis of probabilists'
-Hermite polynomials g_n (three-term recurrence g_{n+1}(y) = y*g_n(y) -
+the power basis, and a label given in the basis of probabilists' Hermite
+polynomials g_n (three-term recurrence g_{n+1}(y) = y*g_n(y) -
 n*g_{n-1}(y), normalized so that E[g_n(xi) g_m(xi)] = delta_{n,m} * n! for a
-standard Gaussian xi) are computed when read.  Floating point never enters;
-downstream limit identities are checked as exact rational equalities.
+standard Gaussian xi) is converted to it when parsed.  Floating point never
+enters; downstream limit identities are checked as exact rational equalities.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction, str]
 
-#: Degree cap of parsed labels, Hermite generation and basis conversion.
+#: Degree cap of parsed labels and Hermite generation.
 #: Desk-scale experiments use odd polynomials up to degree 9; factorials stay small.
 DEFAULT_MAX_DEGREE = 15
 
@@ -85,20 +85,6 @@ def _hermite_power_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _power_to_hermite(power: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # Back-substitution: g_n is monic, so the conversion matrix is unitriangular.
-    work = list(power)
-    herm = [Fraction(0)] * len(work)
-    for n in range(len(work) - 1, -1, -1):
-        c = work[n]
-        if c == 0:
-            continue
-        herm[n] = c
-        for k, g in enumerate(_hermite_power_coeffs(n)):
-            work[k] -= c * g
-    return _trim(herm)
-
-
 def _hermite_to_power(herm: Sequence[Fraction]) -> tuple[Fraction, ...]:
     out = [Fraction(0)] * len(herm)
     for n, c in enumerate(herm):
@@ -113,18 +99,13 @@ def _hermite_to_power(herm: Sequence[Fraction]) -> tuple[Fraction, ...]:
 class Polynomial:
     """Immutable univariate polynomial, stored in the power basis.
 
-    ``power_coeffs`` is trimmed (no trailing zeros); the Hermite-basis
-    coefficients are computed when read.
+    ``power_coeffs`` is trimmed (no trailing zeros).
     """
 
     power_coeffs: tuple[Fraction, ...]
 
     def __init__(self, power_coeffs: Iterable[Rational]) -> None:
         object.__setattr__(self, "power_coeffs", _trim([_frac(c) for c in power_coeffs]))
-
-    @property
-    def hermite_coeffs(self) -> tuple[Fraction, ...]:
-        return _power_to_hermite(self.power_coeffs)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -134,10 +115,6 @@ class Polynomial:
     def degree(self) -> int:
         """Degree, with the convention degree(0) = 0."""
         return max(len(self.power_coeffs) - 1, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.power_coeffs
 
     @property
     def is_odd(self) -> bool:
@@ -185,10 +162,6 @@ class Polynomial:
                 out[i + j] += ca * cb
         return Polynomial(out)
 
-    def scaled_argument(self, mu: Fraction) -> "Polynomial":
-        """The polynomial y -> p(mu * y)."""
-        return Polynomial(c * mu**k for k, c in enumerate(self.power_coeffs))
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.power_coeffs]})"
 
@@ -218,29 +191,14 @@ def hermite(n: int) -> Polynomial:
     return Polynomial(_hermite_power_coeffs(check_degree(n)))
 
 
-def to_hermite(power_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """Hermite-basis coefficients c_n with p = sum_n c_n g_n.
-
-    Equivalently c_n = E[p(xi) g_n(xi)] / n!.
-    """
-    coeffs = _trim([_frac(c) for c in power_coeffs])
-    check_degree(len(coeffs) - 1)
-    return _power_to_hermite(coeffs)
-
-
 def from_hermite(hermite_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
-    """Inverse of :func:`to_hermite`: power-basis coefficients."""
+    """Power-basis coefficients of sum_n c_n g_n, given the c_n."""
     return _hermite_to_power([_frac(c) for c in hermite_coeffs])
 
 
 def expect_value(p: Polynomial) -> Fraction:
     """E[p(xi)] for standard Gaussian xi, exactly."""
     return sum((c * gaussian_moment(k) for k, c in enumerate(p.power_coeffs)), Fraction(0))
-
-
-def expect_product(p: Polynomial, q: Polynomial) -> Fraction:
-    """E[p(xi) q(xi)]; on Hermite inputs this is delta_{n,m} * n!."""
-    return expect_value(p * q)
 
 
 def expect_derivative(p: Polynomial, m: int = 1) -> Fraction:

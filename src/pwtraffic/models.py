@@ -124,14 +124,6 @@ class EntryLaw:
         raise ValueError(f"unknown entry law kind {kind!r}")
 
 
-def unit_skewed_law() -> EntryLaw:
-    """The two-point law with values (2, -1/2), probabilities (1/5, 4/5).
-
-    Centered, unit variance, third moment 3/2.
-    """
-    return EntryLaw.skewed_two_point(2, Fraction(-1, 2), Fraction(1, 5))
-
-
 # -- step profiles -----------------------------------------------------------
 
 
@@ -611,33 +603,6 @@ def _chaos_term(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) ->
     return out
 
 
-def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray:
-    """Order-m chaos equivalent: coefficient cells times Z_m / sqrt(N).
-
-    The Z_m are independent standard Gaussian matrices across orders, drawn
-    from the (seed, per, m) streams; a vanishing order draws nothing.
-    """
-    if m < 2:
-        raise ValueError("chaos orders start at m = 2")
-    out = _chaos_term(h, ensemble, m, seed)
-    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
-
-
-def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) -> dict[int, np.ndarray]:
-    """The unprofiled chaos noises: order n >= 2 -> i.i.d. Gaussian matrix
-    with entry variance psi0 * n! / N (zero matrices for orders 0 and 1 are
-    omitted).  Streams match :func:`equivalent_per`, so assembling a
-    polynomial from these noises or from the per-components agrees.
-    """
-    lay = ensemble.layout
-    psi0 = float(lay.N0) / lay.N
-    out: dict[int, np.ndarray] = {}
-    for n in range(2, max_order + 1):
-        g = np.random.default_rng([seed, STREAM_PER, n]).standard_normal((lay.N1, lay.N2))
-        out[n] = math.sqrt(psi0 * math.factorial(n) / lay.N) * g
-    return out
-
-
 def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
     """Full chaos equivalent: sum of order components over 2 <= m <= deg h.
 
@@ -669,20 +634,13 @@ def _deformation_term(cells: Sequence[Sequence[float]], layout: BlockLayout) -> 
     return out
 
 
-def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
-    """Deterministic deformation: third moments times the cubed-profile factor.
-
-    Entries are O(1/N); the zero matrix whenever either entry law has
-    vanishing third moment.
-    """
-    cells = _def_cells(h, ensemble)
-    if cells is None:
-        return np.zeros((ensemble.layout.N1, ensemble.layout.N2))
-    return _deformation_term(cells, ensemble.layout)
-
-
 def equivalent_sum(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """equivalent_lin + all chaos orders + equivalent_def (when nonzero)."""
+    """equivalent_lin + all chaos orders + the deterministic deformation (when nonzero).
+
+    The deformation is third moments times the cubed-profile factor, with
+    entries of order 1/N; it vanishes when either entry law has a vanishing
+    third moment.
+    """
     out = equivalent_lin(h, ensemble, seed)
     out += per_matrix(h, ensemble, seed)
     cells = _def_cells(h, ensemble)

@@ -1,13 +1,12 @@
 """Numerical trace engine: graph evaluation in matrix families.
 
-Exact traces enumerate vertex labelings block by block (the split structure)
-with early termination on zero partial products; a naive all-maps loop in
-the tests is their correctness oracle.  Scalars stay exact (Python ints,
-Fractions) whenever the input matrices are exact, so the Moebius identity
-between the combinatorial and injective traces can be asserted with zero
-tolerance.  Sampled traces and graph monomials are one einsum contraction
-each, run step by step so that a repeated pairwise product is computed
-once, and checked against the enumeration.
+The exact combinatorial trace enumerates vertex labelings block by block
+(the split structure) with early termination on zero partial products; a
+naive all-maps loop in the tests is its correctness oracle.  Scalars stay
+exact (Python ints, Fractions) whenever the input matrices are exact.
+Sampled traces are one einsum contraction each, run step by step so that a
+repeated pairwise product is computed once, and checked against the
+enumeration.
 
 A Monte Carlo trial frees and remakes the same float matrices, so importing
 this module tells glibc to keep freed heap memory in the process
@@ -29,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import GraphMonomial, TestGraph, quotient, split_partitions
+from .graphs import TestGraph
 
 _LETTERS = string.ascii_letters
 
@@ -80,30 +79,9 @@ class BlockLayout:
     def size(self, block: int) -> int:
         return (self.N0, self.N1, self.N2)[block]
 
-    def start(self, block: int) -> int:
-        return (0, self.N0, self.N0 + self.N1)[block]
-
     def psi(self, block: int) -> Fraction:
         """Empirical ratio N_block / N."""
         return Fraction(self.size(block), self.N)
-
-
-def embed(a: np.ndarray, blocks: tuple[int, int], layout: BlockLayout) -> np.ndarray:
-    """Place a rectangular matrix in block (row, col) of an N x N matrix."""
-    row, col = blocks
-    a = np.asarray(a)
-    if a.shape != (layout.size(row), layout.size(col)):
-        raise ValueError(f"matrix shape {a.shape} does not fit block ({row},{col})")
-    out = np.zeros((layout.N, layout.N), dtype=a.dtype)
-    out[layout.start(row) : layout.start(row) + layout.size(row),
-        layout.start(col) : layout.start(col) + layout.size(col)] = a
-    return out
-
-
-def extract(a: np.ndarray, blocks: tuple[int, int], layout: BlockLayout) -> np.ndarray:
-    row, col = blocks
-    return np.asarray(a)[layout.start(row) : layout.start(row) + layout.size(row),
-                         layout.start(col) : layout.start(col) + layout.size(col)]
 
 
 @dataclass(frozen=True)
@@ -193,65 +171,6 @@ def combinatorial_trace(g: TestGraph, family: MatrixFamily) -> object:
     return _assignment_sum(g, family, injective=False)
 
 
-def injective_trace(g: TestGraph, family: MatrixFamily) -> object:
-    """Combinatorial trace restricted to injective split labelings."""
-    return _assignment_sum(g, family, injective=True)
-
-
-@dataclass(frozen=True)
-class MoebiusReport:
-    lhs: object
-    rhs: object
-    equal: bool
-
-
-def moebius_check(g: TestGraph, family: MatrixFamily) -> MoebiusReport:
-    """Combinatorial trace vs the sum of injective traces over split quotients.
-
-    Exact integer equality when the inputs are integer matrices.
-    """
-    if len(g.vertices) > 8:
-        raise ValueError("moebius_check guarded at 8 vertices")
-    lhs = combinatorial_trace(g, family)
-    rhs = 0
-    for pi in split_partitions(g):
-        rhs += injective_trace(quotient(g, pi), family)
-    return MoebiusReport(lhs=lhs, rhs=rhs, equal=lhs == rhs)
-
-
-def falling_factorial(m: int, n: int) -> int:
-    out = 1
-    for k in range(n):
-        out *= m - k
-    return out
-
-
-def _color_counts(g: TestGraph) -> tuple[int, int, int]:
-    counts = [0, 0, 0]
-    for _, c in g.vertices:
-        counts[c] += 1
-    return tuple(counts)
-
-
-def delta0(g: TestGraph, family: MatrixFamily) -> object:
-    """Mean edge-entry product under a uniform injective split labeling.
-
-    The injective trace divided by the number of injective split maps,
-    (N0)_{v0} (N1)_{v1} (N2)_{v2}: a Fraction on integer matrices.  Guarded
-    at 1e6 maps.
-    """
-    counts = _color_counts(g)
-    n_maps = math.prod(falling_factorial(family.layout.size(c), counts[c]) for c in range(3))
-    if n_maps == 0:
-        raise ValueError("no injective split maps exist: a color has more vertices than its block")
-    if n_maps > 10**6:
-        raise ValueError(f"exact delta0 guarded at 1e6 maps, got {n_maps}")
-    total = injective_trace(g, family)
-    if isinstance(total, int):
-        return Fraction(total, n_maps)
-    return total / n_maps
-
-
 # -- einsum contraction ------------------------------------------------------
 
 
@@ -271,7 +190,6 @@ def _checked_matrices(g: TestGraph, family: MatrixFamily) -> list[np.ndarray]:
 
 
 _PAIR = ["einsum_path", (0, 1)]
-_ONES = object()  # leaf token of the ones vector of an open vertex without edges
 
 
 @lru_cache(maxsize=256)
@@ -313,7 +231,7 @@ def _contraction_plan(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> t
     return tuple(steps)
 
 
-def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> np.ndarray:
+def _contract(g: TestGraph, family: MatrixFamily) -> np.ndarray:
     """Sum over split labelings of g of the edge-entry product, as one einsum
     run one pairwise step at a time.
 
@@ -321,9 +239,8 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
     its matrix with subscripts (dst, src), a self-loop its diagonal, so
     parallel edges become entrywise products and paths and cycles matrix
     products along a greedy pairwise path, cached per subscripts and shapes
-    (the opt_einsum scheme, Smith & Gray, JOSS 2018).  Vertices in
-    ``open_vertices`` stay as output axes in that order; any other vertex
-    without edges contributes its block size as a factor.
+    (the opt_einsum scheme, Smith & Gray, JOSS 2018).  A vertex without
+    edges contributes its block size as a factor.
 
     The path runs step by step through a memo local to the call.  A step is
     keyed by its canonical subscripts and its operand tokens (a label and a
@@ -341,20 +258,10 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
         operands.append(np.diagonal(m) if loop else m)
         tokens.append((e.label, loop))
     touched = {v for e in g.edges for v in (e.src, e.dst)}
-    scale = 1
-    for v in g.vertex_ids:
-        if v in touched:
-            continue
-        size = family.layout.size(g.color[v])
-        if v in open_vertices:
-            inputs.append(letter[v])
-            operands.append(np.ones(size))
-            tokens.append((_ONES, size))
-        else:
-            scale *= size
+    scale = math.prod(family.layout.size(g.color[v]) for v in g.vertex_ids if v not in touched)
     if not operands:
         return np.asarray(scale)
-    subscripts = ",".join(inputs) + "->" + "".join(letter[v] for v in open_vertices)
+    subscripts = ",".join(inputs) + "->"
     memo: dict = {}
     for positions, call, canonical, perm in _contraction_plan(subscripts, tuple(op.shape for op in operands)):
         args = [operands.pop(p) for p in positions]
@@ -370,19 +277,6 @@ def _contract(g: TestGraph, family: MatrixFamily, open_vertices: tuple = ()) -> 
         tokens.append((key, perm))
     out = operands[0]
     return out * scale if scale != 1 else out
-
-
-def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
-    """Evaluate a graph monomial to a rectangular float matrix.
-
-    Entry (i, j) sums the edge-entry product over split labelings with the
-    output pinned to i and the input pinned to j; rows live in the output
-    vertex's block, columns in the input vertex's block.  When input and
-    output coincide the matrix is diagonal.
-    """
-    if mono.input == mono.output:
-        return np.diag(_contract(mono.graph, family, (mono.output,))).astype(float)
-    return np.asarray(_contract(mono.graph, family, (mono.output, mono.input)), dtype=float)
 
 
 def sample_trace(g: TestGraph, family: MatrixFamily) -> float:
@@ -442,8 +336,3 @@ def tau_estimates(
         out.append(TauEstimate(mean=mean, std_error=se, trials=trials, seed=seed))
     return out
 
-
-def tau_estimate(g: TestGraph, sampler, trials: int, seed: int, map_fn=None) -> TauEstimate:
-    """:func:`tau_estimates` for one graph."""
-    (est,) = tau_estimates([g], sampler, trials, seed, map_fn=map_fn)
-    return est

@@ -18,6 +18,7 @@ from typing import Sequence
 from pwtraffic.graphs import Edge, TestGraph, W_LABEL, X_LABEL, classify, quotient, split_partitions
 from pwtraffic.hermite import gaussian_moment
 from pwtraffic.limits import LimitParams, QuotientTerm, _validate_reference, delta0_graphon
+from graphs_oracle import edge_by_id
 
 
 # -- niche expansion of a pseudo-cactus quotient -------------------------------
@@ -45,7 +46,7 @@ def _niche_expansion(tq: TestGraph, plan: Sequence[tuple[str, tuple, dict]]) -> 
     edges: list[Edge] = []
     counter = [0]
     for style, eids, ns in plan:
-        es = [tq.edge_by_id(eid) for eid in eids]
+        es = [edge_by_id(tq, eid) for eid in eids]
         if style == "cut":
             (e,) = es
             n = ns[e.id]

@@ -1,0 +1,72 @@
+"""Ensemble definitions that only the tests use.
+
+The skewed two-point entry law of the tests, one chaos order of the
+Gaussian equivalent on its own, the unprofiled chaos noises and the
+deterministic deformation as a matrix.  They share the streams and cell
+tables of ``pwtraffic.models``, so what they build agrees with the pieces
+of ``equivalent_sum``.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from pwtraffic.hermite import Polynomial
+from pwtraffic.models import (
+    STREAM_PER,
+    EntryLaw,
+    ProfiledEnsemble,
+    _chaos_term,
+    _def_cells,
+    _deformation_term,
+)
+
+
+def unit_skewed_law() -> EntryLaw:
+    """The two-point law with values (2, -1/2), probabilities (1/5, 4/5).
+
+    Centered, unit variance, third moment 3/2.
+    """
+    return EntryLaw.skewed_two_point(2, Fraction(-1, 2), Fraction(1, 5))
+
+
+def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray:
+    """Order-m chaos equivalent: coefficient cells times Z_m / sqrt(N).
+
+    The Z_m are independent standard Gaussian matrices across orders, drawn
+    from the (seed, per, m) streams; a vanishing order draws nothing.
+    """
+    if m < 2:
+        raise ValueError("chaos orders start at m = 2")
+    out = _chaos_term(h, ensemble, m, seed)
+    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
+
+
+def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) -> dict[int, np.ndarray]:
+    """The unprofiled chaos noises: order n >= 2 -> i.i.d. Gaussian matrix
+    with entry variance psi0 * n! / N (zero matrices for orders 0 and 1 are
+    omitted).  Streams match :func:`equivalent_per`, so assembling a
+    polynomial from these noises or from the per-components agrees.
+    """
+    lay = ensemble.layout
+    psi0 = float(lay.N0) / lay.N
+    out: dict[int, np.ndarray] = {}
+    for n in range(2, max_order + 1):
+        g = np.random.default_rng([seed, STREAM_PER, n]).standard_normal((lay.N1, lay.N2))
+        out[n] = math.sqrt(psi0 * math.factorial(n) / lay.N) * g
+    return out
+
+
+def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
+    """Deterministic deformation: third moments times the cubed-profile factor.
+
+    Entries are O(1/N); the zero matrix whenever either entry law has
+    vanishing third moment.
+    """
+    cells = _def_cells(h, ensemble)
+    if cells is None:
+        return np.zeros((ensemble.layout.N1, ensemble.layout.N2))
+    return _deformation_term(cells, ensemble.layout)

@@ -27,7 +27,8 @@ from pwtraffic.graphs import (
     split_partitions,
 )
 from pwtraffic.limits import MAX_SCAN_PARTITIONS, EtaScanReport
-from pwtraffic.partitions import SetPartition, bell_number, restrict, restricted_growth_strings
+from pwtraffic.partitions import SetPartition, bell_number, restricted_growth_strings
+from partitions_oracle import restrict
 
 
 def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:

@@ -35,7 +35,7 @@ import numpy as np
 from refgraphs import labeled_reference_graphs
 
 from pwtraffic.graphs import Edge, TestGraph, moment_cycle, single_edge
-from pwtraffic.hermite import expect_product, hermite, monomial, to_hermite
+from pwtraffic.hermite import hermite, monomial
 from pwtraffic.limits import LimitParams, eta_support_scan, limit_pw, limit_values
 from pwtraffic.models import (
     EntryLaw,
@@ -45,11 +45,13 @@ from pwtraffic.models import (
     distinct_labels,
     equivalent_sampler,
     model_sampler,
-    unit_skewed_law,
     z_lambda,
 )
-from pwtraffic.partitions import integer_partitions
-from pwtraffic.traffic import BlockLayout, MatrixFamily, moebius_check, tau_estimate, tau_estimates
+from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
+from hermite_oracle import expect_product, to_hermite
+from models_oracle import unit_skewed_law
+from partitions_oracle import integer_partitions
+from traffic_oracle import moebius_check
 
 
 def report(num, name, ok, detail, started):
@@ -62,7 +64,7 @@ def report(num, name, ok, detail, started):
 def paired_combination(runs, weights):
     """Mean and standard error of sum_i weights[i] * runs[i][t] over trials t.
 
-    The runs are per-trial values of tau_estimate calls at one seed, so trial t
+    The runs are per-trial values of tau_estimates calls at one seed, so trial t
     of each draws from the stream (seed, t) and the runs are correlated;
     combining them trial by trial gives a standard error that accounts for it.
     With weights (1/mean_a, -1/mean_b) the standard error is the delta-method
@@ -206,7 +208,7 @@ def test_criterion_5_first_moment_convergence():
     started = time.time()
     ens = constant_ensemble(500)
     g = moment_cycle(1, monomial(1))
-    est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=400, seed=1500)
+    est = tau_estimates([g], model_sampler(ens, distinct_labels([g])), trials=400, seed=1500)[0]
     exact = 1 / 27
     z = (est.mean - exact) / est.std_error
     rel_bias = abs(est.mean - exact) / exact
@@ -225,7 +227,7 @@ def test_criterion_6_third_moment_channel():
     started = time.time()
     ens = constant_ensemble(400, law=unit_skewed_law())
     g = single_edge(monomial(3))
-    est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=200, seed=1200)
+    est = tau_estimates([g], model_sampler(ens, distinct_labels([g])), trials=200, seed=1200)[0]
     exact = float(Fraction(1, 3) * Fraction(1, 3) * Fraction(9, 4))
     z = (est.mean - exact) / est.std_error
     ok = abs(z) <= 3 and time.time() - started < 120

