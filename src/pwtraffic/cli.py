@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -85,7 +86,10 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if item == "single-edge":
                 out.append((item, single_edge(poly)))
             elif item.startswith("moment-"):
-                k = int(item.split("-", 1)[1])
+                digits = item.removeprefix("moment-")
+                if not re.fullmatch("0|[1-9][0-9]*", digits):
+                    raise ConfigError(f"graph preset {item!r}: k must be written as a plain decimal number")
+                k = int(digits)
                 if 2 * k > len(_LETTERS):  # before the 2k vertices are built
                     raise ConfigError(
                         f"graph preset {item!r} has {2 * k} vertices, "

@@ -34,8 +34,9 @@ arithmetic.  Reference graphs are guarded at ``MAX_LIMIT_EDGES`` = 8 edges,
 so the CLI's ``limit`` and ``compare`` run up to moment-4.
 
 The exponent scan (``eta_support_scan``) walks the supported split partitions
-of the auxiliary graph in one flat recursion, counts the leaves and their
-block counts in place, and materialises only the exponent-zero leaves.
+of the auxiliary graph in one pruned recursion that counts each walk state
+once: the supported leaves below it, their block counts and the labels of
+its exponent-zero leaves.  Only those leaves become partitions.
 """
 
 from __future__ import annotations
@@ -376,28 +377,29 @@ def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple
     Under each pair of reference partitions one recursion assigns the internal
     labels in niche order, with the w- and x-group multiplicities in flat lists
     (reference block * n0 + internal block).  A prefix is cut once either
-    singleton count exceeds the vertices still unassigned.  Returns the count,
-    the largest block count (-1 if none) and the (internal, targets, sources)
-    labels of the leaves with ``offset`` blocks.
+    singleton count exceeds the vertices still unassigned.  The position, the
+    internal block count and the two multiplicity lists fix everything below a
+    state, so each state is counted once per pair: its number of supported
+    leaves, a bitmask of their internal block counts and the label suffixes of
+    the leaves with ``offset`` blocks in all.  Returns the count, the largest
+    block count (-1 if none) and the (internal, targets, sources) labels of
+    those leaves.
     """
     by_class = {c: [v for v, cv in aux.reference.vertices if cv == c] for c in (1, 2)}
     index = {v: k for vs in by_class.values() for k, v in enumerate(vs)}
     ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id]]
     n0 = len(ends)
-    labels = [0] * n0
     w_mult, x_mult = [0] * (len(by_class[1]) * n0), [0] * (len(by_class[2]) * n0)
     n_supported, max_blocks, zeros = 0, -1, []
 
-    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> None:
-        nonlocal n_supported, max_blocks
+    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, list]:
         if i == n0:
-            n_supported += 1
-            n_blocks += outer  # the target and source blocks
-            if n_blocks > max_blocks:
-                max_blocks = n_blocks
-            if n_blocks == offset:
-                zeros.append((tuple(labels), targets, sources))
-            return
+            return 1, 1 << n_blocks, [()] if n_blocks == zero_blocks else []
+        key = (i, n_blocks, tuple(w_mult), tuple(x_mult))
+        seen = memo.get(key)
+        if seen is not None:
+            return seen
+        count, mask, suffixes = 0, 0, []
         bw, bx, left = w_base[i], x_base[i], n0 - 1 - i
         for b in range(n_blocks + 1):
             kw, kx = bw + b, bx + b
@@ -406,16 +408,26 @@ def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple
             xs = x_single + (mx == 0) - (mx == 1)
             if ws <= left and xs <= left:
                 w_mult[kw], x_mult[kx] = mw + 1, mx + 1
-                labels[i] = b
-                walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
+                below, below_mask, below_zeros = walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
                 w_mult[kw], x_mult[kx] = mw, mx
+                count += below
+                mask |= below_mask
+                suffixes += [(b, *s) for s in below_zeros]
+        memo[key] = seen = count, mask, suffixes
+        return seen
 
     for targets in restricted_growth_strings(len(by_class[1])):
         for sources in restricted_growth_strings(len(by_class[2])):
             w_base = [targets[t] * n0 for t, _ in ends]
             x_base = [sources[s] * n0 for _, s in ends]
-            outer = max(targets, default=-1) + max(sources, default=-1) + 2
-            walk(0, 0, 0, 0)
+            outer = max(targets, default=-1) + max(sources, default=-1) + 2  # the target and source blocks
+            zero_blocks = offset - outer
+            memo: dict[tuple, tuple[int, int, list]] = {}
+            count, mask, suffixes = walk(0, 0, 0, 0)
+            if count:
+                n_supported += count
+                max_blocks = max(max_blocks, mask.bit_length() - 1 + outer)
+                zeros += [(s, targets, sources) for s in suffixes]
     return n_supported, max_blocks, zeros
 
 
@@ -425,12 +437,21 @@ def _eta_offset(ref: TestGraph) -> int:
 
 
 def _from_labels(ground_size: int, classes) -> SetPartition:
-    """The split partition whose class on each position list has those RGS labels."""
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for k, (positions, labels) in enumerate(classes):
+    """The split partition whose class on each ascending position list has those RGS labels.
+
+    Built in canonical form: each block collects ascending positions, and the
+    blocks are ordered by least element.
+    """
+    blocks: list[list[int]] = []
+    for positions, labels in classes:
+        own = [[] for _ in range(max(labels, default=-1) + 1)]
         for p, lab in zip(positions, labels):
-            blocks.setdefault((k, lab), []).append(p)
-    return SetPartition.from_blocks(ground_size, blocks.values())
+            own[lab].append(p)
+        blocks += own
+    if sorted(itertools.chain.from_iterable(blocks)) != list(range(1, ground_size + 1)):
+        raise ValueError("blocks must partition {1..n} exactly")
+    blocks.sort()  # disjoint blocks compare by their least elements
+    return SetPartition(ground_size, tuple(map(tuple, blocks)))
 
 
 def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
@@ -442,12 +463,14 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     pseudo-cactus on the reference vertices.  Labels must be odd (even
     niches break the parity arguments and the traces themselves diverge).
 
-    One flat walk (``_scan_splits``) prunes the restricted-growth strings, so
-    ``n_partitions`` is the Bell-number count of split partitions, not the
-    number visited.  It counts the supported quotients and their largest block
-    count (the exponent plus ``_eta_offset``) in place.  Only exponent-zero
-    leaves become :class:`SetPartition` objects, in ``split_partitions``
-    order; the pseudo-cactus test runs once per reference-vertex partition.
+    One pruned walk (``_scan_splits``) over the restricted-growth strings
+    counts each of its states once, so ``n_partitions`` is the Bell-number
+    count of split partitions, not the number visited.  It gives the number
+    of supported quotients, their largest block count (the exponent plus
+    ``_eta_offset``) and the labels of the exponent-zero leaves.  Only those
+    leaves become :class:`SetPartition` objects, built in canonical form and
+    listed in ``split_partitions`` order; the pseudo-cactus test runs once per
+    reference-vertex partition.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")

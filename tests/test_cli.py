@@ -406,6 +406,15 @@ def test_main_moment_preset_past_contraction_size_exits_2_at_once(tmp_path, caps
     assert err.startswith(f"error: graph preset 'moment-{k}' has {2 * k} vertices"), err
 
 
+@pytest.mark.parametrize("graph", ["moment-0_2", "moment- 2", "moment-٢", "moment-+2", "moment-02", "moment-2 "])
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+def test_main_moment_preset_with_odd_spelling_exits_2(tmp_path, capsys, command, graph):
+    # int() would read each of these as 2; only a plain decimal k names a preset
+    path = write_config(tmp_path, base_config(graph=graph, labels="h3"))
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", path])
+    assert err.startswith(f"error: graph preset {graph!r}: k must be written as a plain decimal number"), err
+
+
 @pytest.mark.parametrize("graph", ["moment-1", "moment-5"])
 def test_main_compare_rejects_before_sampling(tmp_path, capsys, monkeypatch, graph):
     # h2 is even and moment-5 has 10 edges: the exact limit rejects both, so

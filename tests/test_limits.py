@@ -672,6 +672,66 @@ def test_eta_nonpositive_on_three_edge_graphs_of_label_sum_9():
     assert checked == 21
 
 
+def test_eta_nonpositive_on_every_three_edge_graph():
+    # labels {1, 3, 5}: 93 three-edge graphs, of which 16 pass the scan's
+    # Bell-product guard and the other 77 have no positive exponent and only
+    # pseudo-cactus exponent-zero quotients
+    refused, checked = 0, 0
+    for name, g in labeled_reference_graphs(3, [1, 3, 5]):
+        if len(g.edges) != 3:
+            continue
+        try:
+            rep = eta_support_scan(g, max_label=5)
+        except ValueError as exc:
+            assert str(exc).startswith("scan would enumerate"), name
+            refused += 1
+            continue
+        checked += 1
+        assert rep.max_eta is not None and rep.max_eta <= 0, name
+        assert rep.pseudo_cactus_ok and not rep.violations, name
+    assert (refused, checked) == (16, 77)
+
+
+def test_leaf_partitions_are_built_canonical():
+    # on every exponent-zero leaf and reference key of the 19 eta_scan graphs
+    # (<= 2 edges, the two (5, 5) graphs on three vertices left out), the
+    # canonical build equals SetPartition.from_blocks on the same blocks
+    from pwtraffic.graphs import build_auxiliary
+    from pwtraffic.limits import _eta_offset, _from_labels, _scan_splits
+    from pwtraffic.partitions import SetPartition
+
+    def grouped(ground_size, classes):
+        blocks: dict = {}
+        for k, (positions, labels) in enumerate(classes):
+            for p, lab in zip(positions, labels):
+                blocks.setdefault((k, lab), []).append(p)
+        return SetPartition.from_blocks(ground_size, blocks.values())
+
+    graphs = [
+        g
+        for _, g in labeled_reference_graphs(2, [1, 3, 5])
+        if not (len(g.vertices) == 3 and all(e.label == 5 for e in g.edges))
+    ]
+    assert len(graphs) == 19
+    n_leaves = 0
+    for g in graphs:
+        aux = build_auxiliary(g)
+        positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
+        for labels in _scan_splits(aux, _eta_offset(g))[2]:
+            leaf = list(zip(positions, labels))
+            key = leaf[1:]  # the reference labels, on positions 1..len(g.vertices)
+            assert _from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
+            assert _from_labels(len(g.vertices), key) == grouped(len(g.vertices), key)
+            n_leaves += 1
+    assert n_leaves == 1395
+    with pytest.raises(ValueError, match="partition"):
+        _from_labels(4, [([1, 2], (0, 1)), ([3], (0,))])  # 4 is in no block
+    with pytest.raises(ValueError, match="partition"):
+        _from_labels(3, [([1, 2], (0, 0)), ([2, 3], (0, 1))])  # 2 is in two blocks
+    with pytest.raises(ValueError, match="partition"):
+        _from_labels(3, [([1, 2, 3], (0, 1))])  # a position without a label
+
+
 def test_scan_matches_oracle(monkeypatch):
     # the pruned walk against enumerate-then-filter: every report field, the
     # zero-exponent and violation lists as ordered lists; and on every
