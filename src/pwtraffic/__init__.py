@@ -24,7 +24,6 @@ from .graphs import (
     moment_cycle,
     quotient,
     single_edge,
-    skeleton,
     split_partitions,
 )
 from .traffic import (

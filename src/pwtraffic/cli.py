@@ -102,14 +102,20 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if not isinstance(labels, dict):
                 raise ConfigError("explicit graphs need a 'labels' mapping of key -> polynomial")
             table = {k: parse_polynomial(v) for k, v in labels.items()}
+            name = item.get("name", "custom")
+            if not isinstance(name, str):
+                raise ConfigError(f"a graph's name must be a string, got {name!r}")
             try:
                 vertices = [(v["id"], v["color"]) for v in item["vertices"]]
+                for vid, color in vertices:
+                    if type(color) is not int or color not in (0, 1, 2):
+                        raise ConfigError(f"vertex {vid!r}: color must be the JSON integer 0, 1 or 2, got {color!r}")
                 edges = []
                 for e in item["edges"]:
                     if e["label"] not in table:
                         raise ConfigError(f"edge label {e['label']!r} missing from 'labels'")
                     edges.append(Edge(e["id"], e["src"], e["dst"], table[e["label"]]))
-                out.append((item.get("name", "custom"), TestGraph(vertices, edges, reference=True)))
+                out.append((name, TestGraph(vertices, edges, reference=True)))
             except TypeError as exc:
                 raise ConfigError(f"bad graph {item!r}: {exc}") from exc
         else:

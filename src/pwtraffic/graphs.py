@@ -5,9 +5,9 @@ set partitions over a graph address vertices by that order (1-based).  Edges
 carry stable identities so that multisets and niche membership survive
 quotients.
 
-Cycle and cut-edge classification ignores edge directions.  Graphs in scope
-are desk-sized (a dozen vertices), so simple cycles are enumerated
-exhaustively.
+Cycle and cut-edge classification ignores edge directions.  It reads the
+fundamental cycles of one spanning tree, which are all the simple cycles
+exactly when the graph is a pseudo-cactus (no edge on two cycles).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Sequence
 
-from .partitions import SetPartition, enumerate_set_partitions
+from .partitions import SetPartition, restricted_growth_strings
 
 VertexId = Hashable
 EdgeId = Hashable
@@ -29,10 +29,6 @@ class Edge:
     src: VertexId
     dst: VertexId
     label: object
-
-    @property
-    def endpoints(self) -> frozenset:
-        return frozenset((self.src, self.dst))
 
 
 class TestGraph:
@@ -125,21 +121,15 @@ def split_partitions(g: TestGraph):
     """All partitions of the vertex set whose blocks are monochromatic.
 
     Yields one SetPartition (over the graph's vertex order) per combination
-    of independent partitions of the color classes.
+    of restricted-growth strings of the color classes, colors in increasing
+    order and the first color outermost.
     """
-    n = len(g.vertices)
     by_color: dict[int, list[int]] = {}
     for i, (_, c) in enumerate(g.vertices):
         by_color.setdefault(c, []).append(i + 1)
-    colors = sorted(by_color)
-    class_partitions = [list(enumerate_set_partitions(len(by_color[c]))) for c in colors]
-    for combo in product(*class_partitions):
-        blocks = []
-        for c, pi in zip(colors, combo):
-            positions = by_color[c]
-            for b in pi.blocks:
-                blocks.append(tuple(positions[x - 1] for x in b))
-        yield SetPartition.from_blocks(n, blocks)
+    classes = [by_color[c] for c in sorted(by_color)]
+    for labels in product(*(restricted_growth_strings(len(p)) for p in classes)):
+        yield SetPartition.from_labels(len(g.vertices), zip(classes, labels))
 
 
 class NonSplitPartitionError(ValueError):
@@ -178,25 +168,18 @@ def quotient(g: TestGraph, pi: SetPartition) -> TestGraph:
     return TestGraph(new_vertices, new_edges, reference=False)
 
 
-def skeleton(g: TestGraph) -> dict[frozenset, list[EdgeId]]:
-    """One key per endpoint pair (direction ignored) -> merged edge ids."""
-    out: dict[frozenset, list[EdgeId]] = {}
-    for e in g.edges:
-        out.setdefault(e.endpoints, []).append(e.id)
-    return out
-
-
-# -- simple cycles and the cactus family -----------------------------------
+# -- cycles and the cactus family -------------------------------------------
 
 
 @dataclass(frozen=True)
 class StrongComponentReport:
-    """Cut edges and simple cycles of a connected multigraph.
+    """Cut edges and cycles of a connected multigraph.
 
-    ``two_cycles`` holds unordered pairs of parallel edge ids; ``long_cycles``
-    holds edge-id sequences of the remaining cycles (self-loops included as
-    length-1 sequences).  ``is_pseudo_cactus`` holds when no edge lies on two
-    simple cycles.
+    ``two_cycles`` holds pairs of parallel edge ids in edge order;
+    ``long_cycles`` holds edge-id sequences of the remaining cycles in walking
+    order (self-loops included as length-1 sequences).  ``is_pseudo_cactus``
+    holds when no edge lies on two simple cycles, and only then are the
+    cycles all the simple cycles of the graph (see :func:`classify`).
     """
 
     cut_edges: tuple[EdgeId, ...]
@@ -209,80 +192,63 @@ class StrongComponentReport:
         return tuple(self.two_cycles) + tuple(self.long_cycles)
 
 
-def _vertex_cycles(adj: dict, order: list) -> list[list]:
-    """Simple cycles (length >= 3) as vertex lists, one per rotation class."""
-    pos = {v: i for i, v in enumerate(order)}
-    cycles = []
-    for start in order:
-        path = [start]
-        on_path = {start}
-
-        def extend() -> None:
-            here = path[-1]
-            for nxt in adj.get(here, ()):  # neighbors on the skeleton
-                if nxt == start and len(path) >= 3:
-                    # fix direction: the second vertex smaller than the last
-                    if pos[path[1]] < pos[path[-1]]:
-                        cycles.append(list(path))
-                elif nxt not in on_path and pos[nxt] > pos[start]:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    extend()
-                    path.pop()
-                    on_path.remove(nxt)
-
-        extend()
-    return cycles
-
-
-def simple_cycles(g: TestGraph) -> list[tuple[EdgeId, ...]]:
-    """All simple cycles as edge-id tuples, directions ignored.
-
-    Parallel edges between the same endpoints produce one 2-cycle per
-    unordered pair of edges, and one cycle per choice of parallel edge along
-    longer vertex cycles.  Self-loops are length-1 cycles.
-    """
-    skel = skeleton(g)
-    cycles: list[tuple[EdgeId, ...]] = []
-    for pair, eids in skel.items():
-        if len(pair) == 1:
-            cycles.extend((eid,) for eid in eids)
-        elif len(eids) >= 2:
-            for i in range(len(eids)):
-                for j in range(i + 1, len(eids)):
-                    cycles.append((eids[i], eids[j]))
-    adj: dict[VertexId, list] = {}
-    for pair in skel:
-        if len(pair) == 2:
-            a, b = tuple(pair)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-    order = list(g.vertex_ids)
-    for vcycle in _vertex_cycles(adj, order):
-        k = len(vcycle)
-        choices = [skel[frozenset((vcycle[i], vcycle[(i + 1) % k]))] for i in range(k)]
-        for combo in product(*choices):
-            cycles.append(tuple(combo))
-    return cycles
-
-
 def classify(g: TestGraph) -> StrongComponentReport:
-    """Cut edges, simple cycles, and the pseudo-cactus test of a connected graph."""
-    if not is_connected(g):
+    """Cut edges, cycles and the pseudo-cactus test of a connected graph, from one spanning tree.
+
+    The tree grows breadth first from the first vertex, in vertex order and
+    then edge order.  Each edge off the tree (every self-loop and every extra
+    parallel edge among them) closes one fundamental cycle with the tree path
+    between its ends, and an edge on none of them is a cut edge.  The graph
+    is a pseudo-cactus iff no two fundamental cycles share an edge; they are
+    then all of its simple cycles, since every cycle is a sum of fundamental
+    cycles and a sum of two or more edge-disjoint cycles is not simple.  For
+    any other graph the cycle lists hold the fundamental cycles only.
+    """
+    edges = g.edges
+    incident: dict[VertexId, list[int]] = {v: [] for v in g.vertex_ids}
+    for k, e in enumerate(edges):
+        incident[e.src].append(k)
+        if e.dst != e.src:
+            incident[e.dst].append(k)
+
+    def across(k: int, v: VertexId) -> VertexId:
+        return edges[k].dst if edges[k].src == v else edges[k].src
+
+    queue = list(g.vertex_ids[:1])
+    depth = dict.fromkeys(queue, 0)
+    up: dict[VertexId, int] = {}  # vertex -> its tree edge towards the first vertex
+    for v in queue:
+        for k in incident[v]:
+            w = across(k, v)
+            if w not in depth:
+                depth[w], up[w] = depth[v] + 1, k
+                queue.append(w)
+    if len(depth) != len(incident):
         raise ValueError("classify expects a connected graph; classify components separately")
-    cycles = simple_cycles(g)
-    in_cycles: dict[EdgeId, int] = {e.id: 0 for e in g.edges}
-    for cyc in cycles:
-        for eid in cyc:
-            in_cycles[eid] += 1
-    cut_edges = tuple(e.id for e in g.edges if in_cycles[e.id] == 0)
-    two_cycles = tuple(tuple(c) for c in cycles if len(c) == 2)
-    long_cycles = tuple(tuple(c) for c in cycles if len(c) != 2)
+    tree = set(up.values())
+    uses = [0] * len(edges)
+    cycles: list[list[int]] = []
+    for k, e in enumerate(edges):
+        if k in tree:
+            continue
+        a, b, a_side, b_side = e.src, e.dst, [], []  # climb to the common ancestor
+        while a != b:
+            if depth[a] >= depth[b]:
+                a_side.append(up[a])
+                a = across(up[a], a)
+            else:
+                b_side.append(up[b])
+                b = across(up[b], b)
+        cycle = [k, *a_side, *reversed(b_side)]  # in walking order
+        for j in cycle:
+            uses[j] += 1
+        cycles.append(cycle)
+    ids = [e.id for e in edges]
     return StrongComponentReport(
-        cut_edges=cut_edges,
-        two_cycles=two_cycles,
-        long_cycles=long_cycles,
-        is_pseudo_cactus=all(n <= 1 for n in in_cycles.values()),
+        cut_edges=tuple(i for i, n in zip(ids, uses) if n == 0),
+        two_cycles=tuple((ids[min(c)], ids[max(c)]) for c in cycles if len(c) == 2),
+        long_cycles=tuple(tuple(ids[j] for j in c) for c in cycles if len(c) != 2),
+        is_pseudo_cactus=max(uses, default=0) <= 1,
     )
 
 

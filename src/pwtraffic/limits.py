@@ -436,24 +436,6 @@ def _eta_offset(ref: TestGraph) -> int:
     return 1 + (len(ref.edges) + sum(e.label for e in ref.edges)) // 2
 
 
-def _from_labels(ground_size: int, classes) -> SetPartition:
-    """The split partition whose class on each ascending position list has those RGS labels.
-
-    Built in canonical form: each block collects ascending positions, and the
-    blocks are ordered by least element.
-    """
-    blocks: list[list[int]] = []
-    for positions, labels in classes:
-        own = [[] for _ in range(max(labels, default=-1) + 1)]
-        for p, lab in zip(positions, labels):
-            own[lab].append(p)
-        blocks += own
-    if sorted(itertools.chain.from_iterable(blocks)) != list(range(1, ground_size + 1)):
-        raise ValueError("blocks must partition {1..n} exactly")
-    blocks.sort()  # disjoint blocks compare by their least elements
-    return SetPartition(ground_size, tuple(map(tuple, blocks)))
-
-
 def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     """Scan every split quotient of the auxiliary graph for the size exponent.
 
@@ -495,11 +477,11 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     zero_partitions: list[SetPartition] = []
     violations: list[SetPartition] = []
     for labels in zeros:
-        pi = _from_labels(len(aux.graph.vertices), zip(positions.values(), labels))
+        pi = SetPartition.from_labels(len(aux.graph.vertices), zip(positions.values(), labels))
         zero_partitions.append(pi)
         key = labels[1:]  # the reference labels: pi restricted to the reference vertices
         if key not in pseudo_cactus:
-            rho = _from_labels(len(ref.vertices), zip((positions[1], positions[2]), key))
+            rho = SetPartition.from_labels(len(ref.vertices), zip((positions[1], positions[2]), key))
             pseudo_cactus[key] = classify(quotient(ref, rho)).is_pseudo_cactus
         if not pseudo_cactus[key]:
             violations.append(pi)

@@ -9,8 +9,9 @@ out of interactive use.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 #: Enumeration guard: Bell(12) is about 4.2 million.
 MAX_ENUM_SIZE = 12
@@ -34,6 +35,24 @@ class SetPartition:
         if sorted(seen) != list(range(1, ground_size + 1)):
             raise ValueError("blocks must partition {1..n} exactly")
         return SetPartition(ground_size, canon)
+
+    @staticmethod
+    def from_labels(ground_size: int, classes: Iterable[tuple[Iterable[int], Sequence[int]]]) -> "SetPartition":
+        """The partition whose class on each ascending position list has those RGS labels.
+
+        Built in canonical form: each block collects ascending positions, and
+        the blocks are ordered by least element.
+        """
+        blocks: list[list[int]] = []
+        for positions, labels in classes:
+            own: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+            for p, lab in zip(positions, labels):
+                own[lab].append(p)
+            blocks += own
+        if sorted(itertools.chain.from_iterable(blocks)) != list(range(1, ground_size + 1)):
+            raise ValueError("blocks must partition {1..n} exactly")
+        blocks.sort()  # disjoint blocks compare by their least elements
+        return SetPartition(ground_size, tuple(map(tuple, blocks)))
 
     @property
     def num_blocks(self) -> int:
@@ -74,23 +93,19 @@ class IntegerPartition:
 
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
     """All Bell(n) partitions of {1..n}, canonical (restricted-growth) order."""
+    for labels in restricted_growth_strings(n):
+        yield SetPartition.from_labels(n, [(range(1, n + 1), labels)])
+
+
+def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """RGS of length n: a[0]=0 and a[i] <= 1 + max(a[:i]).
+
+    Guarded at ``MAX_ENUM_SIZE``, checked when the first string is asked for.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_ENUM_SIZE:
         raise PartitionSizeError(f"refusing to enumerate partitions of {n} > {MAX_ENUM_SIZE} elements")
-    if n == 0:
-        yield SetPartition(0, ())
-        return
-    for labels in restricted_growth_strings(n):
-        k = max(labels) + 1
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for i, lab in enumerate(labels):
-            blocks[lab].append(i + 1)
-        yield SetPartition(n, tuple(tuple(b) for b in blocks))
-
-
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """RGS of length n: a[0]=0 and a[i] <= 1 + max(a[:i])."""
     labels = [0] * n
     maxes = [0] * n
 

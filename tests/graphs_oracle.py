@@ -1,22 +1,27 @@
 """Graph definitions that only the tests use.
 
 Graph monomials (a test graph with input and output vertices), edge lookup
-by id, the internal vertices of an auxiliary graph and the coarsened
-reference restriction ``rho_tilde`` of a split quotient.
+by id, the internal vertices of an auxiliary graph, the coarsened
+reference restriction ``rho_tilde`` of a split quotient, and the exhaustive
+simple-cycle enumeration (``skeleton``, ``simple_cycles``) behind
+``classify_oracle``, the oracle of the spanning-tree ``graphs.classify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from pwtraffic.graphs import (
     AuxiliaryGraph,
     Edge,
     EdgeId,
+    StrongComponentReport,
     TestGraph,
     VertexId,
     _check_split,
     _w_components,
+    is_connected,
 )
 from pwtraffic.partitions import SetPartition
 
@@ -71,3 +76,88 @@ def rho_tilde(aux: AuxiliaryGraph, pi: SetPartition) -> SetPartition:
             raise ValueError("reference graphs carry only colors 1 and 2")
         groups.setdefault(key, []).append(ref_pos[v])
     return SetPartition.from_blocks(len(ref.vertices), groups.values())
+
+
+def skeleton(g: TestGraph) -> dict[frozenset, list[EdgeId]]:
+    """One key per endpoint pair (direction ignored) -> merged edge ids."""
+    out: dict[frozenset, list[EdgeId]] = {}
+    for e in g.edges:
+        out.setdefault(frozenset((e.src, e.dst)), []).append(e.id)
+    return out
+
+
+def _vertex_cycles(adj: dict, order: list) -> list[list]:
+    """Simple cycles (length >= 3) as vertex lists, one per rotation class."""
+    pos = {v: i for i, v in enumerate(order)}
+    cycles = []
+    for start in order:
+        path = [start]
+        on_path = {start}
+
+        def extend() -> None:
+            here = path[-1]
+            for nxt in adj.get(here, ()):  # neighbors on the skeleton
+                if nxt == start and len(path) >= 3:
+                    # fix direction: the second vertex smaller than the last
+                    if pos[path[1]] < pos[path[-1]]:
+                        cycles.append(list(path))
+                elif nxt not in on_path and pos[nxt] > pos[start]:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    extend()
+                    path.pop()
+                    on_path.remove(nxt)
+
+        extend()
+    return cycles
+
+
+def simple_cycles(g: TestGraph) -> list[tuple[EdgeId, ...]]:
+    """All simple cycles as edge-id tuples, directions ignored.
+
+    Parallel edges between the same endpoints produce one 2-cycle per
+    unordered pair of edges, and one cycle per choice of parallel edge along
+    longer vertex cycles.  Self-loops are length-1 cycles.
+    """
+    skel = skeleton(g)
+    cycles: list[tuple[EdgeId, ...]] = []
+    for pair, eids in skel.items():
+        if len(pair) == 1:
+            cycles.extend((eid,) for eid in eids)
+        elif len(eids) >= 2:
+            for i in range(len(eids)):
+                for j in range(i + 1, len(eids)):
+                    cycles.append((eids[i], eids[j]))
+    adj: dict[VertexId, list] = {}
+    for pair in skel:
+        if len(pair) == 2:
+            a, b = tuple(pair)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+    order = list(g.vertex_ids)
+    for vcycle in _vertex_cycles(adj, order):
+        k = len(vcycle)
+        choices = [skel[frozenset((vcycle[i], vcycle[(i + 1) % k]))] for i in range(k)]
+        for combo in product(*choices):
+            cycles.append(tuple(combo))
+    return cycles
+
+
+def classify_oracle(g: TestGraph) -> StrongComponentReport:
+    """Cut edges, simple cycles, and the pseudo-cactus test of a connected graph."""
+    if not is_connected(g):
+        raise ValueError("classify expects a connected graph; classify components separately")
+    cycles = simple_cycles(g)
+    in_cycles: dict[EdgeId, int] = {e.id: 0 for e in g.edges}
+    for cyc in cycles:
+        for eid in cyc:
+            in_cycles[eid] += 1
+    cut_edges = tuple(e.id for e in g.edges if in_cycles[e.id] == 0)
+    two_cycles = tuple(tuple(c) for c in cycles if len(c) == 2)
+    long_cycles = tuple(tuple(c) for c in cycles if len(c) != 2)
+    return StrongComponentReport(
+        cut_edges=cut_edges,
+        two_cycles=two_cycles,
+        long_cycles=long_cycles,
+        is_pseudo_cactus=all(n <= 1 for n in in_cycles.values()),
+    )

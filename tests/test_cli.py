@@ -81,6 +81,7 @@ def test_resolve_graphs_presets_and_explicit():
     cfg2 = base_config(graph=explicit, labels={"p": "h1", "q": "g3"})
     (name, g), = resolve_graphs(cfg2)
     assert name == "pair" and len(g.edges) == 2
+    assert g.vertices == (("u", 1), ("v", 2))
     assert g.edges[1].label == hermite(3)
     with pytest.raises(ConfigError):
         resolve_graphs(base_config(graph="hexagon"))
@@ -464,6 +465,33 @@ def test_main_bad_graph_or_labels_exits_2_with_one_line(tmp_path, capsys, comman
     assert main([command, "--config", path]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def single_edge_graph(name, color=1):
+    return {
+        "name": name,
+        "vertices": [{"id": "u", "color": color}, {"id": "v", "color": 2}],
+        "edges": [{"id": "a", "src": "v", "dst": "u", "label": "p"}],
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+@pytest.mark.parametrize("name", [[1], 5, None, {}], ids=["list", "int", "null", "object"])
+def test_main_graph_name_not_a_string_exits_2_with_one_line(tmp_path, capsys, command, name):
+    # beside a graph with a string name, so that a non-string name cannot pass
+    # as a lone key of the report's graph_expansion
+    cfg = base_config(graph=[single_edge_graph("ok"), single_edge_graph(name)], labels={"p": "h1"}, trials=3)
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert "name must be a string" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+@pytest.mark.parametrize("color", [1.5, True, "1", 1.0])
+def test_main_vertex_color_not_an_integer_0_1_or_2_exits_2(tmp_path, capsys, command, color):
+    # each of these would otherwise run as color 1
+    cfg = base_config(graph=single_edge_graph("g", color=color), labels={"p": "h1"}, trials=3)
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert "color must be the JSON integer 0, 1 or 2" in err
 
 
 def test_even_labels_simulate_but_have_no_limit(tmp_path, capsys):

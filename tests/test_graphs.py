@@ -1,5 +1,8 @@
 """Graph-core tests: quotients, cycles, cactus family, niches, exponents."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from pwtraffic.graphs import (
@@ -14,12 +17,12 @@ from pwtraffic.graphs import (
     moment_cycle,
     quotient,
     single_edge,
-    skeleton,
     split_partitions,
 )
 from pwtraffic.partitions import SetPartition, enumerate_set_partitions
-from graphs_oracle import internal_vertices, rho_tilde
+from graphs_oracle import classify_oracle, internal_vertices, rho_tilde, skeleton
 from partitions_oracle import restrict, singletons
+from refgraphs import labeled_reference_graphs
 
 
 def graph(colors, edges):
@@ -130,8 +133,10 @@ def test_classify_pseudo_cactus_figure_shape():
 
 def test_classify_doubled_triangle_not_pseudo_cactus():
     edges = [("a", 1, 2, "m"), ("a2", 1, 2, "m"), ("b", 2, 3, "m"), ("c", 3, 1, "m")]
-    rep = classify(graph({1: 0, 2: 0, 3: 0}, edges))
+    g = graph({1: 0, 2: 0, 3: 0}, edges)
+    assert not classify(g).is_pseudo_cactus
     # the doubled edge lies in one 2-cycle and two 3-cycles
+    rep = classify_oracle(g)
     assert not rep.is_pseudo_cactus
     assert len(rep.two_cycles) == 1
     assert len(rep.long_cycles) == 2
@@ -144,6 +149,57 @@ def test_classify_pseudo_cactus_edge_cover():
     covered = list(rep.cut_edges) + [e for c in rep.all_cycles for e in c]
     assert sorted(covered) == ["cut", "d1", "d2"]
     assert len(rep.cut_edges) + sum(len(c) for c in rep.all_cycles) == 3
+
+
+def random_connected_multigraph(rng):
+    """At most 7 vertices and 9 edges: a random spanning tree plus extra edges,
+    about a third of them loops or copies (same or reversed) of an earlier edge."""
+    n = rng.randint(1, 7)
+    names = rng.sample(range(100), n)
+    pairs = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    for _ in range(rng.randint(0, 9 - len(pairs))):
+        kind = rng.random()
+        if kind < 0.15:
+            v = rng.choice(names)
+            pairs.append((v, v))
+        elif kind < 0.35 and pairs:
+            pairs.append(rng.choice(pairs))
+        else:
+            pairs.append((rng.choice(names), rng.choice(names)))
+    pairs = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+    rng.shuffle(pairs)
+    rng.shuffle(names)
+    return graph({v: 0 for v in names}, [(f"e{k}", s, t, "m") for k, (s, t) in enumerate(pairs)])
+
+
+def test_classify_matches_simple_cycle_oracle():
+    # every split quotient of moment-1..4 and of the three-edge reference
+    # graphs, the empty graph, and 2,000 random connected multigraphs with
+    # loops and parallel and antiparallel edges
+    graphs = [graph({}, [])]
+    refs = [moment_cycle(k, 1) for k in range(1, 5)] + [g for _, g in labeled_reference_graphs(3, [1])]
+    graphs += [quotient(ref, pi) for ref in refs for pi in split_partitions(ref)]
+    rng = random.Random(1809)
+    graphs += [random_connected_multigraph(rng) for _ in range(2000)]
+    n_pseudo = 0
+    for g in graphs:
+        rep, oracle = classify(g), classify_oracle(g)
+        assert rep.is_pseudo_cactus == oracle.is_pseudo_cactus, g.edges
+        assert rep.cut_edges == oracle.cut_edges, g.edges
+        # the fundamental cycles: simple cycles, one per edge off the spanning tree
+        assert {frozenset(c) for c in rep.all_cycles} <= {frozenset(c) for c in oracle.all_cycles}, g.edges
+        assert len(rep.all_cycles) == len(g.edges) - len(g.vertices) + (1 if g.vertices else 0)
+        if oracle.is_pseudo_cactus:
+            n_pseudo += 1
+            assert Counter(map(frozenset, rep.two_cycles)) == Counter(map(frozenset, oracle.two_cycles)), g.edges
+            assert Counter(map(frozenset, rep.long_cycles)) == Counter(map(frozenset, oracle.long_cycles)), g.edges
+    assert 0 < n_pseudo < len(graphs)
+
+
+def test_classify_rejects_disconnected_graph():
+    g = graph({1: 0, 2: 0, 3: 0}, [("a", 1, 2, "m"), ("b", 2, 1, "m")])
+    with pytest.raises(ValueError, match="connected"):
+        classify(g)
 
 
 def test_build_auxiliary_counts():

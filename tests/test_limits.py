@@ -639,39 +639,6 @@ def test_single_edge_closed_form():
         assert limit_pw(single_edge(p), params) == closed
 
 
-def test_eta_nonpositive_on_three_edge_graphs():
-    # reduced three-edge sweep: small label sums keep the partition count sane
-    import sys
-
-    sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
-    from refgraphs import labeled_reference_graphs
-
-    checked = 0
-    for name, g in labeled_reference_graphs(3, [1, 3]):
-        if len(g.edges) != 3 or sum(e.label for e in g.edges) > 7:
-            continue
-        rep = eta_support_scan(g, max_label=5)
-        checked += 1
-        if rep.max_eta is not None:
-            assert rep.max_eta <= 0, name
-        assert rep.pseudo_cactus_ok, name
-    assert checked >= 10
-
-
-def test_eta_nonpositive_on_three_edge_graphs_of_label_sum_9():
-    # labels {1, 3, 5} summing to 9: 1,395,702 split partitions in all
-    checked = 0
-    for name, g in labeled_reference_graphs(3, [1, 3, 5]):
-        if len(g.edges) != 3 or sum(e.label for e in g.edges) != 9:
-            continue
-        rep = eta_support_scan(g, max_label=5)
-        checked += 1
-        if rep.max_eta is not None:
-            assert rep.max_eta <= 0, name
-        assert rep.pseudo_cactus_ok, name
-    assert checked == 21
-
-
 def test_eta_nonpositive_on_every_three_edge_graph():
     # labels {1, 3, 5}: 93 three-edge graphs, of which 16 pass the scan's
     # Bell-product guard and the other 77 have no positive exponent and only
@@ -697,7 +664,7 @@ def test_leaf_partitions_are_built_canonical():
     # (<= 2 edges, the two (5, 5) graphs on three vertices left out), the
     # canonical build equals SetPartition.from_blocks on the same blocks
     from pwtraffic.graphs import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _from_labels, _scan_splits
+    from pwtraffic.limits import _eta_offset, _scan_splits
     from pwtraffic.partitions import SetPartition
 
     def grouped(ground_size, classes):
@@ -720,16 +687,16 @@ def test_leaf_partitions_are_built_canonical():
         for labels in _scan_splits(aux, _eta_offset(g))[2]:
             leaf = list(zip(positions, labels))
             key = leaf[1:]  # the reference labels, on positions 1..len(g.vertices)
-            assert _from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
-            assert _from_labels(len(g.vertices), key) == grouped(len(g.vertices), key)
+            assert SetPartition.from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
+            assert SetPartition.from_labels(len(g.vertices), key) == grouped(len(g.vertices), key)
             n_leaves += 1
     assert n_leaves == 1395
     with pytest.raises(ValueError, match="partition"):
-        _from_labels(4, [([1, 2], (0, 1)), ([3], (0,))])  # 4 is in no block
+        SetPartition.from_labels(4, [([1, 2], (0, 1)), ([3], (0,))])  # 4 is in no block
     with pytest.raises(ValueError, match="partition"):
-        _from_labels(3, [([1, 2], (0, 0)), ([2, 3], (0, 1))])  # 2 is in two blocks
+        SetPartition.from_labels(3, [([1, 2], (0, 0)), ([2, 3], (0, 1))])  # 2 is in two blocks
     with pytest.raises(ValueError, match="partition"):
-        _from_labels(3, [([1, 2, 3], (0, 1))])  # a position without a label
+        SetPartition.from_labels(3, [([1, 2, 3], (0, 1))])  # a position without a label
 
 
 def test_scan_matches_oracle(monkeypatch):
