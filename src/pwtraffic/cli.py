@@ -72,7 +72,8 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
 
     Presets: "moment-k" and "single-edge" use the single polynomial from
     "labels"; an explicit graph object carries label keys resolved through
-    the "labels" mapping.  A list mixes any of these.
+    the "labels" mapping.  A list mixes any of these; no two graphs may share
+    a name (an explicit graph without one is named "custom").
     """
     spec = config.get("graph", "moment-1")
     specs = spec if isinstance(spec, list) else [spec]
@@ -120,6 +121,10 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
                 raise ConfigError(f"bad graph {item!r}: {exc}") from exc
         else:
             raise ConfigError(f"cannot parse graph spec {item!r}")
+    names = [name for name, _ in out]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConfigError(f"graph name {name!r} is used twice; give each graph its own name")
     return out
 
 

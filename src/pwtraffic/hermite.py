@@ -168,6 +168,8 @@ class Polynomial:
     @classmethod
     def from_json(cls, obj: dict) -> "Polynomial":
         """Parse {"basis": "power" | "hermite", "coeffs": [...]}, degree capped."""
+        if not isinstance(obj["coeffs"], (list, tuple)):
+            raise ValueError(f"polynomial coeffs must be an array, got {obj['coeffs']!r}")
         coeffs = _trim([_frac(c) for c in obj["coeffs"]])
         check_degree(len(coeffs) - 1)
         if obj["basis"] == "power":

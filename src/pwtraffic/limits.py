@@ -6,9 +6,10 @@ quotient every strong component carries one channel: a table over the step
 cells (r, c) of its endpoints, built from the cell kernels
 K_l(r, c) = sum_inner mu * w(r, .)^l * x(., c)^l, mu the measures of the
 joint refinement of the inner cells, and from label-level Gaussian
-expectations at scale K_2.  Both come from ``models.cell_kernels`` at
-N0 = lcm of the inner grid sizes: the limit kernels are the finite ones at
-that size, built by the equivalents' own code.
+expectations at scale K_2.  Every exact value here reads these and the
+cell measures and w and x values from one ``models.CellKernels`` at N0 =
+lcm of the inner grid sizes (``_limit_kernels``): the limit tables are the
+finite ones at that size, built by the equivalents' own code.
 
 - a cut edge labeled h carries the deformation
   m3_w m3_x / 6 * K_3 * E[h'''(sqrt(K_2) xi)];
@@ -19,19 +20,20 @@ that size, built by the equivalents' own code.
   sum_c mu(c) prod_e w(d_e, c) x(c, s_e) E[h_e'(sqrt(K_2(d_e, s_e)) xi)].
 
 The tables are multiplied and integrated over the quotient-vertex cells and
-the star centres by one variable-elimination loop, the loop that
-``delta0_graphon`` runs on a two-variable test graph.  One walk over the
-split quotients (``limit_values``) gives all five limits: the full limit,
-the deterministic, linear and chaos limits (every component in that one
-channel), and their sum with one channel per strong component, which must
-reproduce the full limit for odd labels.  The sum is its own elimination:
-a 2-cycle's chaos table is the Wiener chaos series of its product moment
-(orders other than one) and its linear channel is the product of its two
-star tables over a centre of its own, so a fault in the kernels, the stars
-or the Gaussian expectations shows as a full limit that differs from the
-sum (the CLI's ``mismatch`` flag).  Everything is rational
-arithmetic.  Reference graphs are guarded at ``MAX_LIMIT_EDGES`` = 8 edges,
-so the CLI's ``limit`` and ``compare`` run up to moment-4.
+the star centres by one variable-elimination loop (``_eliminate``), which
+``delta0_graphon`` runs on a two-variable test graph with one w or x value
+table per edge.  One walk over the split quotients (``limit_values``) gives
+all five limits: the full limit, the deterministic, linear and chaos limits
+(every component in that one channel), and their sum with one channel per
+strong component, which must reproduce the full limit for odd labels.  The
+sum is its own elimination: a 2-cycle's chaos table is the Wiener chaos
+series of its product moment (orders other than one) and its linear channel
+is the product of its two star tables over a centre of its own, so a fault
+in the kernels, the stars or the Gaussian expectations shows as a full
+limit that differs from the sum (the CLI's ``mismatch`` flag).  Everything
+is rational arithmetic.  Reference graphs are guarded at
+``MAX_LIMIT_EDGES`` = 8 edges, so the CLI's ``limit`` and ``compare`` run
+up to moment-4.
 
 The exponent scan (``eta_support_scan``) walks the supported split partitions
 of the auxiliary graph in one pruned recursion that counts each walk state
@@ -59,7 +61,7 @@ from .graphs import (
     split_partitions,
 )
 from .hermite import Polynomial, _frac
-from .models import CellKernels, StepProfile, cell_kernels, cell_overlaps
+from .models import CellKernels, StepProfile, cell_kernels
 from .partitions import SetPartition, bell_number, restricted_growth_strings
 
 MAX_LIMIT_EDGES = 8
@@ -131,45 +133,31 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]]) -> Fraction:
     return scalar
 
 
+def _limit_kernels(params: LimitParams) -> CellKernels:
+    """The limit cell tables: the finite ones at N0 = lcm of the inner grid sizes."""
+    prof_w, prof_x = params.profile_w, params.profile_x
+    return cell_kernels(prof_w, prof_x, lcm(prof_w.n_col_cells, prof_x.n_row_cells))
+
+
 def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
     """Limit of the injective-map entry-product average for step profiles.
 
     Every vertex is assigned an independent uniform position in [0, 1] for
     its block (injectivity corrections vanish in the limit); the value is the
-    exact cell sum of the edge-value product weighted by cell measures.
-    Edges must be labeled "w" or "x"; colors route vertices to profile axes:
-    color 1 to the w rows, color 2 to the x columns, color 0 to both inner
-    axes (their cell grids are refined jointly).
+    exact cell sum of the edge-value product weighted by cell measures, over
+    the cells of :attr:`CellKernels.measures` by vertex colour.  A "w" edge
+    runs from color 0 to color 1 and reads ``w_table``, an "x" edge from
+    color 2 to color 0 and reads ``x_table``; any other edge is a ValueError.
     """
-    profiles = {W_LABEL: params.profile_w, X_LABEL: params.profile_x}
-    axes_of_color = {
-        1: ((W_LABEL, "row"),),
-        2: ((X_LABEL, "col"),),
-        0: ((W_LABEL, "col"), (X_LABEL, "row")),
-    }
-
-    def axis_cells(profile: StepProfile, axis: str) -> int:
-        return profile.n_row_cells if axis == "row" else profile.n_col_cells
-
-    domains: dict[object, list] = {}
-    coarse: dict[tuple[object, str, str], list[int]] = {}
-    for v, color in g.vertices:
-        axes = axes_of_color[color]
-        ks = [axis_cells(profiles[label], axis) for label, axis in axes]
-        total = lcm(*ks)  # the joint refinement: the overlaps of lcm(ks) positions
-        runs = cell_overlaps(total, *ks)
-        domains[v] = [Fraction(n, total) for n, _ in runs]
-        for k, (label, axis) in enumerate(axes):
-            coarse[(v, label, axis)] = [cells[k] for _, cells in runs]
-
+    kernels = _limit_kernels(params)
+    ends = {W_LABEL: (0, 1, kernels.w_table), X_LABEL: (2, 0, kernels.x_table)}
     factors: list[tuple[tuple, dict]] = []
     for e in g.edges:
-        profile = profiles[e.label]
-        rows = coarse[(e.dst, e.label, "row")]
-        cols = coarse[(e.src, e.label, "col")]
-        table = {(cd, cs): profile.value(r, c) for cd, r in enumerate(rows) for cs, c in enumerate(cols)}
+        src_color, dst_color, table = ends.get(e.label, (None, None, None))
+        if (g.color[e.src], g.color[e.dst]) != (src_color, dst_color):
+            raise ValueError(f"edge {e.id!r}: a graphon edge is w from color 0 to 1 or x from color 2 to 0")
         factors.append(((e.dst, e.src), table))
-    return _eliminate(domains, factors)
+    return _eliminate({v: kernels.measures[color] for v, color in g.vertices}, factors)
 
 
 # -- the walk over split quotients -------------------------------------------------
@@ -229,12 +217,8 @@ class LimitValues:
 @lru_cache(maxsize=None)
 def _star_table(h: Polynomial, kernels: CellKernels) -> dict:
     first = kernels.expect(h.derivative(1))
-    value_w, value_x = kernels.profile_w.value, kernels.profile_x.value
-    return {
-        (r, z, c): value_w(r, cw) * value_x(rx, c) * first[r, c]
-        for z, (_, cw, rx) in enumerate(kernels.inner)
-        for r, c in kernels.k2
-    }
+    w, x = kernels.w_table, kernels.x_table
+    return {(r, z, c): w[r, z] * x[z, c] * first[r, c] for z in range(len(kernels.measures[0])) for r, c in first}
 
 
 @lru_cache(maxsize=None)
@@ -271,14 +255,8 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
     color 1, 2.
     """
     _validate_reference(g)
-    prof_w, prof_x = params.profile_w, params.profile_x
-    # the limit kernels are the finite ones at N0 = lcm of the inner grid sizes
-    kernels = cell_kernels(prof_w, prof_x, lcm(prof_w.n_col_cells, prof_x.n_row_cells))
-    centre_measures = [m for m, _, _ in kernels.inner]
-    n1, n2 = prof_w.n_row_cells, prof_x.n_col_cells
-    measures = {1: [Fraction(1, n1)] * n1, 2: [Fraction(1, n2)] * n2}  # uniform cells of the outer axes
-    m3 = params.m3_w * params.m3_x / 6
-    psi0, psi1, psi2 = params.psi
+    kernels = _limit_kernels(params)
+    measures, psi, m3 = kernels.measures, params.psi, params.m3_w * params.m3_x / 6
     totals = dict.fromkeys(RULES, Fraction(0))
     breakdown: list[QuotientTerm] = []
     for rho0 in split_partitions(g):
@@ -298,19 +276,18 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
             e = edge[a]
             by_rule = _two_cycle_tables(e.label, edge[b].label, kernels)
             centre = len(domains)
-            domains[centre] = centre_measures
+            domains[centre] = measures[0]
             comp = {rule: [((var[e.dst], var[e.src]), by_rule[rule])] for rule in ("pw", "lin", "per")}
             comp["sum"] = [((var[e.dst], centre, var[e.src]), by_rule["sum"])]
             components.append(comp)
         for cycle in report.long_cycles:
             centre = len(domains)
-            domains[centre] = centre_measures
+            domains[centre] = measures[0]
             factors = [
                 ((var[e.dst], centre, var[e.src]), _star_table(e.label, kernels)) for e in map(edge.get, cycle)
             ]
             components.append({"pw": factors, "lin": factors, "sum": factors})
-        v1 = sum(1 for _, c in tq.vertices if c == 1)
-        scale = psi0 ** len(report.all_cycles) * psi1**v1 * psi2 ** (len(tq.vertices) - v1)
+        scale = psi[0] ** len(report.all_cycles) * prod(psi[color] for _, color in tq.vertices)
         for rule in RULES:
             if all(rule in comp for comp in components):
                 factors = [f for comp in components for f in comp[rule]]

@@ -489,28 +489,33 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
 
 
 class CellKernels:
-    """The cell kernels of a profile pair over ``total`` inner positions.
+    """The exact cell tables of a profile pair over ``total`` inner positions.
 
-    ``inner`` holds one (weight, w-column cell, x-row cell) triple per run of
-    inner positions (:func:`cell_overlaps`), the weight its count over
-    ``total``.  ``k2`` and ``k3`` map each (w-row cell, x-column cell) to
-    K_l(r, c) = sum_inner weight * w(r, cw)^l * x(rx, c)^l.  The equivalents
-    read them at total = N0, the exact limits at total = the lcm of the two
-    inner grid sizes, where the weights are the measures of the joint
-    refinement: the limit kernels are the finite ones at that size.
+    ``measures`` maps a vertex colour to its cell measures: colour 0 the runs
+    of inner positions in one w-column and one x-row cell
+    (:func:`cell_overlaps`, count over ``total``), colours 1 and 2 the
+    uniform w-row and x-column cells.  ``w_table`` maps (w-row cell, run) to
+    w, ``x_table`` (run, x-column cell) to x, and ``k2``, ``k3`` each (w-row
+    cell, x-column cell) to K_l(r, c) = sum_z mu(z) w(r, z)^l x(z, c)^l.  The
+    equivalents read them at total = N0, the exact limits at total = the lcm
+    of the two inner grid sizes, where the run measures are those of the
+    joint refinement: the limit tables are the finite ones at that size.
     """
 
     def __init__(self, profile_w: StepProfile, profile_x: StepProfile, total: int) -> None:
-        self.profile_w, self.profile_x = profile_w, profile_x
         runs = cell_overlaps(total, profile_w.n_col_cells, profile_x.n_row_cells)
-        self.inner = tuple((Fraction(n, total), cw, rx) for n, (cw, rx) in runs)
-        cells = [(r, c) for r in range(profile_w.n_row_cells) for c in range(profile_x.n_col_cells)]
-        w, x = profile_w.value, profile_x.value
+        n_rows, n_cols = profile_w.n_row_cells, profile_x.n_col_cells
+        self.measures = {
+            0: tuple(Fraction(n, total) for n, _ in runs),
+            1: (Fraction(1, n_rows),) * n_rows,
+            2: (Fraction(1, n_cols),) * n_cols,
+        }
+        self.w_table = {(r, z): profile_w.value(r, cw) for r in range(n_rows) for z, (_, (cw, _)) in enumerate(runs)}
+        self.x_table = {(z, c): profile_x.value(rx, c) for z, (_, (_, rx)) in enumerate(runs) for c in range(n_cols)}
+        w, x, inner = self.w_table, self.x_table, tuple(enumerate(self.measures[0]))
+        cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
         self.k2, self.k3 = (
-            {
-                (r, c): sum((m * w(r, cw) ** ell * x(rx, c) ** ell for m, cw, rx in self.inner), Fraction(0))
-                for r, c in cells
-            }
+            {(r, c): sum((m * w[r, z] ** ell * x[z, c] ** ell for z, m in inner), Fraction(0)) for r, c in cells}
             for ell in (2, 3)
         )
 
@@ -529,8 +534,7 @@ class CellKernels:
 
     def rows(self, cells: dict) -> tuple[tuple, ...]:
         """A per-cell table as rows over the w-row cells."""
-        n_rows, n_cols = self.profile_w.n_row_cells, self.profile_x.n_col_cells
-        return tuple(tuple(cells[r, c] for c in range(n_cols)) for r in range(n_rows))
+        return tuple(tuple(cells[r, c] for c in range(len(self.measures[2]))) for r in range(len(self.measures[1])))
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,11 @@
 """Numerical trace engine: graph evaluation in matrix families.
 
-The exact combinatorial trace enumerates vertex labelings block by block
-(the split structure) with early termination on zero partial products; a
-naive all-maps loop in the tests is its correctness oracle.  Scalars stay
-exact (Python ints, Fractions) whenever the input matrices are exact.
-Sampled traces are one einsum contraction each, run step by step so that a
-repeated pairwise product is computed once, and checked against the
-enumeration.
+The exact combinatorial trace enumerates every split vertex labeling, with
+early termination on zero partial products, and has no other mode; a naive
+all-maps loop in the tests is its oracle.  Scalars stay exact (Python ints,
+Fractions) whenever the input matrices are exact.  Sampled traces are one
+einsum contraction each, run step by step so that a repeated pairwise
+product is computed once, and checked against the enumeration.
 
 A Monte Carlo trial frees and remakes the same float matrices, so importing
 this module tells glibc to keep freed heap memory in the process
@@ -121,8 +120,8 @@ class MatrixFamily:
         return label in self.items
 
 
-def _assignment_sum(g: TestGraph, family: MatrixFamily, injective: bool) -> object:
-    """Sum over split vertex labelings of the edge-entry product.
+def combinatorial_trace(g: TestGraph, family: MatrixFamily) -> object:
+    """Sum over split vertex labelings of the product of edge entries.
 
     Labelings are block-local (vertex of color c ranges over [N_c]); with
     embedded matrices this equals the sum over all of [N] except for the
@@ -132,43 +131,26 @@ def _assignment_sum(g: TestGraph, family: MatrixFamily, injective: bool) -> obje
     pos = {v: i for i, v in enumerate(order)}
     ready: list[list[tuple[int, int, list]]] = [[] for _ in order]
     for e, m in zip(g.edges, _checked_matrices(g, family)):
-        later = max(pos[e.src], pos[e.dst])
-        ready[later].append((pos[e.dst], pos[e.src], m.tolist()))
+        ready[max(pos[e.src], pos[e.dst])].append((pos[e.dst], pos[e.src], m.tolist()))
     sizes = [family.layout.size(g.color[v]) for v in order]
-    colors = [g.color[v] for v in order]
-    n = len(order)
-    assign = [0] * n
-    used: dict[int, set[int]] = {0: set(), 1: set(), 2: set()}
+    assign = [0] * len(order)
 
     def rec(i: int, partial):
-        if i == n:
+        if i == len(order):
             return partial
         total = 0
-        color = colors[i]
         for val in range(sizes[i]):
-            if injective and val in used[color]:
-                continue
             assign[i] = val
             prod = partial
             for dst_i, src_i, mat in ready[i]:
                 prod = prod * mat[assign[dst_i]][assign[src_i]]
                 if prod == 0:
                     break
-            if prod == 0:
-                continue
-            if injective:
-                used[color].add(val)
-            total += rec(i + 1, prod)
-            if injective:
-                used[color].remove(val)
+            if prod != 0:
+                total += rec(i + 1, prod)
         return total
 
     return rec(0, 1)
-
-
-def combinatorial_trace(g: TestGraph, family: MatrixFamily) -> object:
-    """Sum over split vertex labelings of the product of edge entries."""
-    return _assignment_sum(g, family, injective=False)
 
 
 # -- einsum contraction ------------------------------------------------------

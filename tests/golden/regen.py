@@ -82,6 +82,10 @@ CONFIGS = {
         "ensemble": ensemble((40, 40, 40)), "graph": "moment-1", "labels": "h3", "trials": 20, "seed": 5}),
     "compare-profiled-skewed-h3": ("compare", {
         "ensemble": PROFILED_SKEWED, "graph": ["moment-1", "moment-2"], "labels": "h3", "trials": 12, "seed": 9}),
+    # both laws skewed: the Gaussian equivalent carries the deformation cells
+    "compare-profiled-both-skewed-h3": ("compare", {
+        "ensemble": ensemble((48, 36, 24), SKEWED, SKEWED, PROFILE_W, PROFILE_X),
+        "graph": ["single-edge", "moment-1"], "labels": "h3", "trials": 16, "seed": 13}),
     "compare-rademacher-g3": ("compare", {
         "ensemble": ensemble((30, 20, 40), RADEMACHER, RADEMACHER), "graph": ["single-edge", "moment-1"],
         "labels": "g3", "trials": 10, "seed": 1}),

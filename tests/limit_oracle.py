@@ -4,21 +4,69 @@ The slow form of ``pwtraffic.limits.limit_values``, kept as a test oracle.
 Every label is expanded into monomials; for each monomial term each strong
 component of a pseudo-cactus split quotient takes one option (a weight and
 a niche style), the options' niche blocks are assembled into one two-variable
-test graph, and ``delta0_graphon`` evaluates that graph's step-graphon
-average.  ``_limit(g, params, rule)`` computes one rule in
-{"pw", "B", "lin", "per", "sum"}.
+test graph, and ``delta0_graphon_oracle`` evaluates that graph's
+step-graphon average with its own colour-to-cell rule, apart from the
+``models.CellKernels`` tables that the walk and ``delta0_graphon`` read.
+``_limit(g, params, rule)`` computes one rule in {"pw", "B", "lin", "per",
+"sum"}.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from pwtraffic.graphs import Edge, TestGraph, W_LABEL, X_LABEL, classify, quotient, split_partitions
 from pwtraffic.hermite import gaussian_moment
-from pwtraffic.limits import LimitParams, QuotientTerm, _validate_reference, delta0_graphon
+from pwtraffic.limits import LimitParams, QuotientTerm, _eliminate, _validate_reference
+from pwtraffic.models import StepProfile, cell_overlaps
 from graphs_oracle import edge_by_id
+
+
+# -- the step-graphon average, with its own cell rule -----------------------------
+
+
+def delta0_graphon_oracle(g: TestGraph, params: LimitParams) -> Fraction:
+    """Limit of the injective-map entry-product average for step profiles.
+
+    Every vertex is assigned an independent uniform position in [0, 1] for
+    its block (injectivity corrections vanish in the limit); the value is the
+    exact cell sum of the edge-value product weighted by cell measures.
+    Edges must be labeled "w" or "x"; colors route vertices to profile axes:
+    color 1 to the w rows, color 2 to the x columns, color 0 to both inner
+    axes (their cell grids are refined jointly).
+    """
+    profiles = {W_LABEL: params.profile_w, X_LABEL: params.profile_x}
+    axes_of_color = {
+        1: ((W_LABEL, "row"),),
+        2: ((X_LABEL, "col"),),
+        0: ((W_LABEL, "col"), (X_LABEL, "row")),
+    }
+
+    def axis_cells(profile: StepProfile, axis: str) -> int:
+        return profile.n_row_cells if axis == "row" else profile.n_col_cells
+
+    domains: dict[object, list] = {}
+    coarse: dict[tuple[object, str, str], list[int]] = {}
+    for v, color in g.vertices:
+        axes = axes_of_color[color]
+        ks = [axis_cells(profiles[label], axis) for label, axis in axes]
+        total = lcm(*ks)  # the joint refinement: the overlaps of lcm(ks) positions
+        runs = cell_overlaps(total, *ks)
+        domains[v] = [Fraction(n, total) for n, _ in runs]
+        for k, (label, axis) in enumerate(axes):
+            coarse[(v, label, axis)] = [cells[k] for _, cells in runs]
+
+    factors: list[tuple[tuple, dict]] = []
+    for e in g.edges:
+        profile = profiles[e.label]
+        rows = coarse[(e.dst, e.label, "row")]
+        cols = coarse[(e.src, e.label, "col")]
+        table = {(cd, cs): profile.value(r, c) for cd, r in enumerate(rows) for cs, c in enumerate(cols)}
+        factors.append(((e.dst, e.src), table))
+    return _eliminate(domains, factors)
 
 
 # -- niche expansion of a pseudo-cactus quotient -------------------------------
@@ -164,7 +212,7 @@ def _limit(g: TestGraph, params: LimitParams, rule: str, breakdown: list | None 
                 for (_, eids), (w, style) in zip(components, choice):
                     weight *= w
                     plan.append((style, eids, ns))
-                value += weight * delta0_graphon(_niche_expansion(tq, plan), params)
+                value += weight * delta0_graphon_oracle(_niche_expansion(tq, plan), params)
         if value == 0:
             continue
         v1 = sum(1 for _, c in tq.vertices if c == 1)

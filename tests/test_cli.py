@@ -485,6 +485,50 @@ def test_main_graph_name_not_a_string_exits_2_with_one_line(tmp_path, capsys, co
     assert "name must be a string" in err
 
 
+def unnamed(graph):
+    return {k: v for k, v in graph.items() if k != "name"}
+
+
+def double_edge_graph(name):
+    graph = single_edge_graph(name)
+    graph["edges"] = graph["edges"] + [{"id": "b", "src": "v", "dst": "u", "label": "p"}]
+    return graph
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        [unnamed(single_edge_graph("")), unnamed(double_edge_graph(""))],
+        [single_edge_graph("g"), double_edge_graph("g")],
+        ["moment-1", "moment-1"],
+    ],
+    ids=["two-unnamed", "two-explicit", "preset-twice"],
+)
+def test_main_repeated_graph_name_exits_2_with_one_line(tmp_path, capsys, command, graphs):
+    # the report's graph_expansion is keyed by name: a second graph of one
+    # name would hide the first one's expansion
+    labels = "h1" if isinstance(graphs[0], str) else {"p": "h1"}
+    cfg = base_config(graph=graphs, labels=labels, trials=3)
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert "is used twice" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+@pytest.mark.parametrize("coeffs", ["123", {"0": "1", "1": "2"}], ids=["string", "object"])
+@pytest.mark.parametrize("where", ["preset", "explicit"])
+def test_main_polynomial_coeffs_not_an_array_exits_2_with_one_line(tmp_path, capsys, command, coeffs, where):
+    # a string was read character by character ("123" as 1 + 2x + 3x^2) and
+    # an object by its keys ({"0": .., "1": ..} as x)
+    label = {"basis": "power", "coeffs": coeffs}
+    if where == "preset":
+        cfg = base_config(labels=label, trials=3)
+    else:
+        cfg = base_config(graph=single_edge_graph("g"), labels={"p": label}, trials=3)
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert "coeffs must be an array" in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "limit"])
 @pytest.mark.parametrize("color", [1.5, True, "1", 1.0])
 def test_main_vertex_color_not_an_integer_0_1_or_2_exits_2(tmp_path, capsys, command, color):

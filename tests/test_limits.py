@@ -1,6 +1,7 @@
 """Limit-calculator tests: exact values, component identities, the scan."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from pwtraffic.models import (
 )
 from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
 from limit_oracle import _limit as oracle_limit
+from limit_oracle import delta0_graphon_oracle
 from models_oracle import unit_skewed_law
 from traffic_oracle import delta0
 from refgraphs import labeled_reference_graphs
@@ -98,6 +100,52 @@ def test_delta0_graphon_joint_refinement():
     )
     # both axes have 2 cells over [0,1]; the joint values are (1,3), (2,5)
     assert delta0_graphon(g, params) == Fraction(1 * 3 + 2 * 5, 2)
+
+
+def random_wx_graph(rng: random.Random) -> TestGraph:
+    """Colour-0/1/2 vertices, w edges 0 -> 1, x edges 2 -> 0, some vertices isolated."""
+    by_color = {c: [(c, k) for k in range(rng.randint(0 if c else 1, 3))] for c in (0, 1, 2)}
+    edges = []
+    for k in range(rng.randint(0, 5)):
+        if by_color[1] and (not by_color[2] or rng.random() < 0.5):
+            edges.append(Edge(k, rng.choice(by_color[0]), rng.choice(by_color[1]), "w"))
+        elif by_color[2]:
+            edges.append(Edge(k, rng.choice(by_color[2]), rng.choice(by_color[0]), "x"))
+    return TestGraph([(v, c) for c in (0, 1, 2) for v in by_color[c]], edges)
+
+
+@pytest.mark.parametrize(
+    "profile_w, profile_x",
+    [
+        (StepProfile.constant(), StepProfile.constant()),
+        (StepProfile.of([[1, Fraction(1, 2)], [Fraction(3, 2), 1]]), StepProfile.of([[Fraction(1, 2), 1], [1, 2]])),
+        (StepProfile.of([[1, 2, Fraction(1, 3)]]), StepProfile.of([[Fraction(5, 2)], [Fraction(1, 4)]])),
+    ],
+    ids=["constant", "baseline-2x2", "1x3-2x1"],
+)
+def test_delta0_graphon_matches_its_oracle_on_random_graphs(profile_w, profile_x):
+    # the cell tables of models.CellKernels against the oracle's own
+    # colour-to-cell rule (cell_overlaps per vertex, coarse cell maps)
+    rng = random.Random(1909)
+    params = LimitParams(psi=(THIRD, THIRD, THIRD), profile_w=profile_w, profile_x=profile_x)
+    for k in range(300):
+        g = random_wx_graph(rng)
+        assert delta0_graphon(g, params) == delta0_graphon_oracle(g, params), (k, g.vertices, g.edges)
+
+
+@pytest.mark.parametrize(
+    "vertices, edge",
+    [
+        ([("d", 0), ("t", 1)], Edge("w0", "t", "d", "w")),  # w from color 1 to color 0
+        ([("s", 2), ("t", 1)], Edge("w1", "s", "t", "w")),  # w from color 2 to color 1
+        ([("d", 0), ("s", 2)], Edge("x0", "d", "s", "x")),  # x from color 0 to color 2
+        ([("s", 2), ("t", 1)], Edge("x1", "s", "t", "x")),  # x from color 2 to color 1
+        ([("d", 0), ("t", 1)], Edge("y0", "d", "t", "y")),  # neither w nor x
+    ],
+)
+def test_delta0_graphon_rejects_a_bad_edge(vertices, edge):
+    with pytest.raises(ValueError, match=f"edge {edge.id!r}"):
+        delta0_graphon(TestGraph(vertices, [edge]), STEPPED)
 
 
 # -- exact limit values ------------------------------------------------------------

@@ -5,11 +5,13 @@ injective traces, the exact injective-map average ``delta0``, block
 embedding, and graph monomials evaluated as one memo-free einsum
 (``contract_oracle``, the oracle of ``traffic._contract``).  Scalars stay
 exact on exact matrices, so the Moebius identity is asserted with zero
-tolerance.
+tolerance, between two independent enumerations: ``combinatorial_trace``
+and ``injective_trace``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from pwtraffic.graphs import TestGraph, quotient, split_partitions
-from pwtraffic.traffic import BlockLayout, MatrixFamily, _assignment_sum, combinatorial_trace
+from pwtraffic.traffic import BlockLayout, MatrixFamily, combinatorial_trace
 from graphs_oracle import GraphMonomial
 
 
@@ -45,8 +47,25 @@ def extract(a: np.ndarray, blocks: tuple[int, int], layout: BlockLayout) -> np.n
 
 
 def injective_trace(g: TestGraph, family: MatrixFamily) -> object:
-    """Combinatorial trace restricted to injective split labelings."""
-    return _assignment_sum(g, family, injective=True)
+    """Combinatorial trace restricted to injective split labelings.
+
+    An enumeration of its own, apart from ``combinatorial_trace``: it goes
+    over every split labeling (a vertex of color c ranges over [N_c]), skips
+    those that give two vertices of one color the same index, and reads the
+    entries through ``tolist()``, so integer matrices give an exact int.
+    """
+    pos = {v: i for i, v in enumerate(g.vertex_ids)}
+    edges = [(pos[e.dst], pos[e.src], family[e.label].matrix.tolist()) for e in g.edges]
+    colors = [g.color[v] for v in g.vertex_ids]
+    total = 0
+    for labels in itertools.product(*(range(family.layout.size(c)) for c in colors)):
+        if len(set(zip(colors, labels))) < len(labels):
+            continue
+        term = 1
+        for dst, src, m in edges:
+            term = term * m[labels[dst]][labels[src]]
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
