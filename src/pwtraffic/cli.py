@@ -57,6 +57,7 @@ def parse_polynomial(spec) -> Polynomial:
         if isinstance(spec, (list, tuple)):
             spec = {"basis": "power", "coeffs": [str(c) for c in spec]}
         if isinstance(spec, dict):
+            _fields(spec, f"polynomial {spec!r}", "basis", "coeffs")
             return Polynomial.from_json(spec)
     except TypeError as exc:
         raise ConfigError(f"bad polynomial {spec!r}: {exc}") from exc
@@ -107,15 +108,15 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if not isinstance(name, str):
                 raise ConfigError(f"a graph's name must be a string, got {name!r}")
             try:
-                vertices = [(v["id"], v["color"]) for v in item["vertices"]]
+                vertex_specs, edge_specs = _fields(item, f"graph {name!r}", "vertices", "edges")
+                vertices = [_fields(v, f"graph {name!r}: vertex {v!r}", "id", "color") for v in vertex_specs]
                 for vid, color in vertices:
                     if type(color) is not int or color not in (0, 1, 2):
                         raise ConfigError(f"vertex {vid!r}: color must be the JSON integer 0, 1 or 2, got {color!r}")
                 edges = []
-                for e in item["edges"]:
-                    if e["label"] not in table:
-                        raise ConfigError(f"edge label {e['label']!r} missing from 'labels'")
-                    edges.append(Edge(e["id"], e["src"], e["dst"], table[e["label"]]))
+                for e in edge_specs:
+                    eid, src, dst, label = _fields(e, f"graph {name!r}: edge {e!r}", "id", "src", "dst", "label")
+                    edges.append(Edge(eid, src, dst, *_fields(table, f"graph {name!r}: the 'labels' mapping", label)))
                 out.append((name, TestGraph(vertices, edges, reference=True)))
             except TypeError as exc:
                 raise ConfigError(f"bad graph {item!r}: {exc}") from exc
@@ -126,6 +127,13 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
         if name in names[:k]:
             raise ConfigError(f"graph name {name!r} is used twice; give each graph its own name")
     return out
+
+
+def _fields(obj, owner: str, *keys: str) -> tuple:
+    """``obj[key]`` for each key; a missing key is a ConfigError naming its owner."""
+    if missing := [key for key in keys if key not in obj]:
+        raise ConfigError(f"{owner} has no {missing[0]!r} key")
+    return tuple(obj[key] for key in keys)
 
 
 def _graph_echo(g: TestGraph) -> dict:

@@ -36,9 +36,9 @@ is rational arithmetic.  Reference graphs are guarded at
 up to moment-4.
 
 The exponent scan (``eta_support_scan``) walks the supported split partitions
-of the auxiliary graph in one pruned recursion that counts each walk state
-once: the supported leaves below it, their block counts and the labels of
-its exponent-zero leaves.  Only those leaves become partitions.
+of the auxiliary graph once per walk state, keeping its leaf count, block
+counts and the children that reach an exponent-zero leaf; one descent lists
+those leaves, each built from cached reference blocks and its niche blocks.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .graphs import (
 )
 from .hermite import Polynomial, _frac
 from .models import CellKernels, StepProfile, cell_kernels
-from .partitions import SetPartition, bell_number, restricted_growth_strings
+from .partitions import SetPartition, bell_number, label_blocks, restricted_growth_strings
 
 MAX_LIMIT_EDGES = 8
 #: Guard of the exponent scan: the Bell-number count of split partitions.
@@ -356,27 +356,27 @@ def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple
     (reference block * n0 + internal block).  A prefix is cut once either
     singleton count exceeds the vertices still unassigned.  The position, the
     internal block count and the two multiplicity lists fix everything below a
-    state, so each state is counted once per pair: its number of supported
-    leaves, a bitmask of their internal block counts and the label suffixes of
-    the leaves with ``offset`` blocks in all.  Returns the count, the largest
-    block count (-1 if none) and the (internal, targets, sources) labels of
-    those leaves.
+    state, so each state is walked once per pair: its count of supported
+    leaves, a bitmask of their internal block counts and its (label, child)
+    pairs that reach a leaf of ``offset`` blocks in all, which one descent
+    follows to write the labels of those leaves.  Returns the count, the
+    largest block count (-1 if none) and the (internal, targets, sources) labels.
     """
     by_class = {c: [v for v, cv in aux.reference.vertices if cv == c] for c in (1, 2)}
     index = {v: k for vs in by_class.values() for k, v in enumerate(vs)}
     ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id]]
     n0 = len(ends)
-    w_mult, x_mult = [0] * (len(by_class[1]) * n0), [0] * (len(by_class[2]) * n0)
+    w_mult, x_mult, labels = [0] * (len(by_class[1]) * n0), [0] * (len(by_class[2]) * n0), [0] * n0
     n_supported, max_blocks, zeros = 0, -1, []
 
     def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, list]:
         if i == n0:
-            return 1, 1 << n_blocks, [()] if n_blocks == zero_blocks else []
+            return 1, 1 << n_blocks, []
         key = (i, n_blocks, tuple(w_mult), tuple(x_mult))
         seen = memo.get(key)
         if seen is not None:
             return seen
-        count, mask, suffixes = 0, 0, []
+        count, mask, reaching = 0, 0, []
         bw, bx, left = w_base[i], x_base[i], n0 - 1 - i
         for b in range(n_blocks + 1):
             kw, kx = bw + b, bx + b
@@ -385,26 +385,34 @@ def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple
             xs = x_single + (mx == 0) - (mx == 1)
             if ws <= left and xs <= left:
                 w_mult[kw], x_mult[kx] = mw + 1, mx + 1
-                below, below_mask, below_zeros = walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
+                below = walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
                 w_mult[kw], x_mult[kx] = mw, mx
-                count += below
-                mask |= below_mask
-                suffixes += [(b, *s) for s in below_zeros]
-        memo[key] = seen = count, mask, suffixes
+                count += below[0]
+                mask |= below[1]
+                if below[1] & zero_bit:
+                    reaching.append((b, below))
+        memo[key] = seen = count, mask, reaching
         return seen
+
+    def descend(i: int, state: tuple[int, int, list]) -> None:
+        if i == n0:
+            zeros.append((tuple(labels), targets, sources))
+        for b, child in state[2]:
+            labels[i] = b
+            descend(i + 1, child)
 
     for targets in restricted_growth_strings(len(by_class[1])):
         for sources in restricted_growth_strings(len(by_class[2])):
             w_base = [targets[t] * n0 for t, _ in ends]
             x_base = [sources[s] * n0 for _, s in ends]
             outer = max(targets, default=-1) + max(sources, default=-1) + 2  # the target and source blocks
-            zero_blocks = offset - outer
+            zero_bit = 1 << (offset - outer) if offset >= outer else 0
             memo: dict[tuple, tuple[int, int, list]] = {}
-            count, mask, suffixes = walk(0, 0, 0, 0)
-            if count:
-                n_supported += count
-                max_blocks = max(max_blocks, mask.bit_length() - 1 + outer)
-                zeros += [(s, targets, sources) for s in suffixes]
+            count, mask, _ = root = walk(0, 0, 0, 0)
+            n_supported += count
+            max_blocks = max(max_blocks, mask.bit_length() - 1 + outer if count else -1)
+            if mask & zero_bit:
+                descend(0, root)
     return n_supported, max_blocks, zeros
 
 
@@ -419,17 +427,16 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     Quotients failing the centered-entry support filter (some w- or x-group
     of multiplicity one) are skipped.  The claim under test: the exponent is
     never positive, and every exponent-zero quotient restricts to a
-    pseudo-cactus on the reference vertices.  Labels must be odd (even
-    niches break the parity arguments and the traces themselves diverge).
+    pseudo-cactus on the reference vertices.  The graph must be connected and
+    its labels odd (even niches break the parity arguments; their traces diverge).
 
-    One pruned walk (``_scan_splits``) over the restricted-growth strings
-    counts each of its states once, so ``n_partitions`` is the Bell-number
-    count of split partitions, not the number visited.  It gives the number
-    of supported quotients, their largest block count (the exponent plus
-    ``_eta_offset``) and the labels of the exponent-zero leaves.  Only those
-    leaves become :class:`SetPartition` objects, built in canonical form and
-    listed in ``split_partitions`` order; the pseudo-cactus test runs once per
-    reference-vertex partition.
+    ``n_partitions`` is the Bell-number count of split partitions, not the
+    number that the pruned walk (``_scan_splits``) visits.  The walk gives
+    the supported count, the largest block count (the exponent plus
+    ``_eta_offset``) and the labels of the exponent-zero leaves, listed in
+    ``split_partitions`` order.  Each leaf's partition is its reference
+    blocks, built and classified once per reference partition, then its
+    niche blocks.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -438,10 +445,14 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
             raise ValueError(f"edge {e.id!r} needs an integer label in 1..{max_label}")
         if e.label % 2 == 0:
             raise ValueError("the exponent bound holds for odd labels only")
-    if any(c == 0 for _, c in ref.vertices):
-        raise ValueError("reference vertices must have color 1 or 2")
     aux = build_auxiliary(ref)
+    n = len(aux.graph.vertices)
     positions = {c: [i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)}
+    # color 0 is the niches alone, after the reference vertices: a leaf is its reference blocks, then its niche blocks
+    if positions[0] != list(range(len(ref.vertices) + 1, n + 1)):
+        raise ValueError("reference vertices must have color 1 or 2")
+    if not is_connected(ref):
+        raise ValueError("the exponent scan needs a connected reference graph")
     size = prod(bell_number(len(p)) for p in positions.values())
     if size > MAX_SCAN_PARTITIONS:
         raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
@@ -450,17 +461,16 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     n_supported, max_blocks, zeros = _scan_splits(aux, offset)
     zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
 
-    pseudo_cactus: dict[tuple, bool] = {}
-    zero_partitions: list[SetPartition] = []
-    violations: list[SetPartition] = []
+    reference, zero_partitions, violations = {}, [], []  # reference: labels[1:] -> (blocks, is a pseudo-cactus)
     for labels in zeros:
-        pi = SetPartition.from_labels(len(aux.graph.vertices), zip(positions.values(), labels))
-        zero_partitions.append(pi)
-        key = labels[1:]  # the reference labels: pi restricted to the reference vertices
-        if key not in pseudo_cactus:
+        key = labels[1:]
+        if key not in reference:
             rho = SetPartition.from_labels(len(ref.vertices), zip((positions[1], positions[2]), key))
-            pseudo_cactus[key] = classify(quotient(ref, rho)).is_pseudo_cactus
-        if not pseudo_cactus[key]:
+            reference[key] = rho.blocks, classify(quotient(ref, rho)).is_pseudo_cactus
+        ref_blocks, ok = reference[key]
+        pi = SetPartition(n, ref_blocks + label_blocks(positions[0], labels[0]))
+        zero_partitions.append(pi)
+        if not ok:
             violations.append(pi)
     return EtaScanReport(
         n_partitions=size,

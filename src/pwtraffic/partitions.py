@@ -43,16 +43,10 @@ class SetPartition:
         Built in canonical form: each block collects ascending positions, and
         the blocks are ordered by least element.
         """
-        blocks: list[list[int]] = []
-        for positions, labels in classes:
-            own: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
-            for p, lab in zip(positions, labels):
-                own[lab].append(p)
-            blocks += own
+        blocks = sorted(b for positions, labels in classes for b in label_blocks(positions, labels))
         if sorted(itertools.chain.from_iterable(blocks)) != list(range(1, ground_size + 1)):
             raise ValueError("blocks must partition {1..n} exactly")
-        blocks.sort()  # disjoint blocks compare by their least elements
-        return SetPartition(ground_size, tuple(map(tuple, blocks)))
+        return SetPartition(ground_size, tuple(blocks))  # disjoint blocks sort by their least elements
 
     @property
     def num_blocks(self) -> int:
@@ -89,6 +83,14 @@ class IntegerPartition:
     @property
     def total(self) -> int:
         return sum(self.parts)
+
+
+def label_blocks(positions: Iterable[int], labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The blocks that the RGS ``labels`` make of the ascending ``positions``, in label order."""
+    blocks: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for p, lab in zip(positions, labels):
+        blocks[lab].append(p)
+    return tuple(map(tuple, blocks))
 
 
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:

@@ -529,6 +529,62 @@ def test_main_polynomial_coeffs_not_an_array_exits_2_with_one_line(tmp_path, cap
     assert "coeffs must be an array" in err
 
 
+def without(graph, part, key):
+    """A copy of ``graph`` whose first vertex or edge (``part``) lacks ``key``; part None drops a top-level key."""
+    graph = json.loads(json.dumps(graph))
+    if part is None:
+        del graph[key]
+    else:
+        del graph[part][0][key]
+    return graph
+
+
+NO_BASIS = {"coeffs": ["0", "1"]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
+@pytest.mark.parametrize(
+    "graph, labels, message",
+    [
+        ("moment-1", NO_BASIS, "polynomial {'coeffs': ['0', '1']} has no 'basis' key"),
+        (single_edge_graph("g"), {"p": NO_BASIS}, "polynomial {'coeffs': ['0', '1']} has no 'basis' key"),
+        (single_edge_graph("g"), {"p": {"basis": "power"}}, "polynomial {'basis': 'power'} has no 'coeffs' key"),
+        (
+            without(single_edge_graph("g"), "edges", "label"),
+            {"p": "h1"},
+            "graph 'g': edge {'id': 'a', 'src': 'v', 'dst': 'u'} has no 'label' key",
+        ),
+        (
+            without(single_edge_graph("g"), "edges", "src"),
+            {"p": "h1"},
+            "graph 'g': edge {'id': 'a', 'dst': 'u', 'label': 'p'} has no 'src' key",
+        ),
+        (without(single_edge_graph("g"), "vertices", "id"), {"p": "h1"}, "graph 'g': vertex {'color': 1} has no 'id' key"),
+        (
+            without(single_edge_graph("g"), "vertices", "color"),
+            {"p": "h1"},
+            "graph 'g': vertex {'id': 'u'} has no 'color' key",
+        ),
+        (unnamed(without(single_edge_graph(""), None, "edges")), {"p": "h1"}, "graph 'custom' has no 'edges' key"),
+    ],
+    ids=[
+        "preset-no-basis",
+        "explicit-no-basis",
+        "no-coeffs",
+        "edge-no-label",
+        "edge-no-src",
+        "vertex-no-id",
+        "vertex-no-color",
+        "no-edges",
+    ],
+)
+def test_main_missing_key_names_its_owner(tmp_path, capsys, command, graph, labels, message):
+    # a missing required key was reported as its bare repr ("error: 'basis'")
+    cfg = base_config(graph=graph, labels=labels, trials=3)
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    assert err == f"error: {message}\n", err
+
+
 @pytest.mark.parametrize("command", ["simulate", "limit"])
 @pytest.mark.parametrize("color", [1.5, True, "1", 1.0])
 def test_main_vertex_color_not_an_integer_0_1_or_2_exits_2(tmp_path, capsys, command, color):

@@ -813,6 +813,66 @@ def test_flat_walk_matches_generator_oracle():
         assert (got_supported, got_max, sorted(got_zeros)) == (n_supported, max_blocks, sorted(zeros))
 
 
+def test_leaf_templates_match_labels_to_partition(monkeypatch):
+    # every eta_zero_partitions and violations entry, built from the cached
+    # reference blocks and the niche blocks, against SetPartition.from_labels
+    # on the same labels in the same order; on the 19 eta_scan graphs and the
+    # 77 three-edge graphs that fit the guard.  No quotient here fails the
+    # pseudo-cactus test, so a stand-in classify fails every quotient with an
+    # even vertex count, which puts about half of the leaves on the violation list
+    from pwtraffic import limits
+    from pwtraffic.graphs import build_auxiliary
+    from pwtraffic.limits import _eta_offset, _scan_splits
+    from pwtraffic.partitions import SetPartition
+
+    def odd_only(tq):
+        report = classify(tq)
+        return type(report)(report.cut_edges, report.two_cycles, report.long_cycles, len(tq.vertices) % 2 == 1)
+
+    monkeypatch.setattr(limits, "classify", odd_only)
+    graphs = [
+        g
+        for _, g in labeled_reference_graphs(2, [1, 3, 5])
+        if not (len(g.vertices) == 3 and all(e.label == 5 for e in g.edges))
+    ]
+    graphs += [g for _, g in labeled_reference_graphs(3, [1, 3, 5]) if len(g.edges) == 3]
+    checked, n_leaves, n_violations = 0, 0, 0
+    for g in graphs:
+        try:
+            rep = eta_support_scan(g)
+        except ValueError as exc:
+            assert str(exc).startswith("scan would enumerate")
+            continue
+        checked += 1
+        aux = build_auxiliary(g)
+        positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
+        leaves = sorted(_scan_splits(aux, _eta_offset(g))[2])
+        expected = [SetPartition.from_labels(len(aux.graph.vertices), zip(positions, labels)) for labels in leaves]
+        violations = [
+            pi
+            for labels, pi in zip(leaves, expected)
+            if len(SetPartition.from_labels(len(g.vertices), zip(positions[1:], labels[1:])).blocks) % 2 == 0
+        ]
+        assert rep.eta_zero_partitions == expected
+        assert rep.violations == violations and rep.pseudo_cactus_ok == (not violations)
+        n_leaves += len(expected)
+        n_violations += len(violations)
+    assert checked == 19 + 77
+    assert 0 < n_violations < n_leaves
+
+
+@pytest.mark.parametrize("labels", [(a, b) for a in (1, 3, 5) for b in (1, 3, 5)])
+def test_scan_rejects_disconnected_reference_graph(labels):
+    # two disjoint edges: refused at entry, before the walk, on every label pair
+    g = TestGraph(
+        [("t0", 1), ("t1", 1), ("s0", 2), ("s1", 2)],
+        [Edge("a", "s0", "t0", labels[0]), Edge("b", "s1", "t1", labels[1])],
+        reference=True,
+    )
+    with pytest.raises(ValueError, match="the exponent scan needs a connected reference graph"):
+        eta_support_scan(g)
+
+
 def test_equivalent_family_matches_limit_mc():
     g = moment_cycle(1, H3)
     exact = float(limit_pw(g, CONSTANT))
