@@ -11,7 +11,6 @@ from .hermite import (
 from .partitions import (
     IntegerPartition,
     SetPartition,
-    enumerate_set_partitions,
 )
 from .graphs import (
     AuxiliaryGraph,

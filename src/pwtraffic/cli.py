@@ -193,6 +193,10 @@ def _thread_count(value: str) -> int:
 def resolve_ensemble(config: dict) -> ProfiledEnsemble:
     if "ensemble" not in config:
         raise ConfigError("config needs an 'ensemble' section")
+    for name in ("law_w", "law_x"):
+        law = config["ensemble"].get(name) if isinstance(config["ensemble"], dict) else None
+        if isinstance(law, dict):
+            _fields(law, name, "kind", *(("a", "b", "p") if law.get("kind") == "skewed_two_point" else ()))
     try:
         return ProfiledEnsemble.from_json(config["ensemble"])
     except (KeyError, ValueError, TypeError) as exc:

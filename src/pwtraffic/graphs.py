@@ -187,10 +187,6 @@ class StrongComponentReport:
     long_cycles: tuple[tuple[EdgeId, ...], ...]
     is_pseudo_cactus: bool
 
-    @property
-    def all_cycles(self) -> tuple[tuple[EdgeId, ...], ...]:
-        return tuple(self.two_cycles) + tuple(self.long_cycles)
-
 
 def classify(g: TestGraph) -> StrongComponentReport:
     """Cut edges, cycles and the pseudo-cactus test of a connected graph, from one spanning tree.

@@ -22,7 +22,9 @@ finite ones at that size, built by the equivalents' own code.
 The tables are multiplied and integrated over the quotient-vertex cells and
 the star centres by one variable-elimination loop (``_eliminate``), which
 ``delta0_graphon`` runs on a two-variable test graph with one w or x value
-table per edge.  One walk over the split quotients (``limit_values``) gives
+table per edge.  One pruned walk (``_pseudo_cacti``) lists the
+pseudo-cactus split quotients, and ``limit_values`` eliminates one quotient
+per isomorphism class (``_class_key``) and per distinct factor list, for
 all five limits: the full limit, the deterministic, linear and chaos limits
 (every component in that one channel), and their sum with one channel per
 strong component, which must reproduce the full limit for odd labels.  The
@@ -32,8 +34,8 @@ is the product of its two star tables over a centre of its own, so a fault
 in the kernels, the stars or the Gaussian expectations shows as a full
 limit that differs from the sum (the CLI's ``mismatch`` flag).  Everything
 is rational arithmetic.  Reference graphs are guarded at
-``MAX_LIMIT_EDGES`` = 8 edges, so the CLI's ``limit`` and ``compare`` run
-up to moment-4.
+``MAX_LIMIT_EDGES`` = 12 edges, so the CLI's ``limit`` and ``compare`` run
+up to moment-6.
 
 The exponent scan (``eta_support_scan``) walks the supported split partitions
 of the auxiliary graph once per walk state, keeping its leaf count, block
@@ -46,8 +48,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, lcm, prod
+from functools import cache, lru_cache
+from math import lcm, prod
 
 from .graphs import (
     AuxiliaryGraph,
@@ -58,13 +60,12 @@ from .graphs import (
     classify,
     is_connected,
     quotient,
-    split_partitions,
 )
 from .hermite import Polynomial, _frac
 from .models import CellKernels, StepProfile, cell_kernels
 from .partitions import SetPartition, bell_number, label_blocks, restricted_growth_strings
 
-MAX_LIMIT_EDGES = 8
+MAX_LIMIT_EDGES = 12
 #: Guard of the exponent scan: the Bell-number count of split partitions.
 MAX_SCAN_PARTITIONS = 5_000_000
 
@@ -97,40 +98,42 @@ def _eliminate(domains: dict, factors: list[tuple[tuple, dict]]) -> Fraction:
     ``domains`` maps each variable to the measures of its cells, in the
     order that breaks elimination ties; a factor is (variables, table keyed
     by their cell tuple).  Variables are summed out one at a time, the one
-    with the fewest neighbours first.
+    with the fewest neighbours first.  A measure shared by all cells of a
+    variable is taken out of the sum, any other is one more table.  Each
+    step builds the neighbour sets once and reads each touching table
+    through its slots in the step's (neighbours..., variable) cell tuple.
     """
-    remaining = set(domains)
-    scalar = Fraction(1)
+    uniform = {v: measures[0] for v, measures in domains.items() if len(set(measures)) == 1}
+    scalar = prod(uniform.values(), start=Fraction(1))
+    factors = [*factors, *(((v,), {(c,): x for c, x in enumerate(m)}) for v, m in domains.items() if v not in uniform)]
     order = {v: i for i, v in enumerate(domains)}
-    while remaining:
-        v = min(
-            remaining,
-            key=lambda u: (len({w for vars_, _ in factors for w in vars_ if u in vars_ and w != u}), order[u]),
-        )
-        touching = [f for f in factors if v in f[0]]
+    while order:
+        neighbors: dict = {v: set() for v in order}
+        for vars_, _ in factors:
+            for u in vars_:
+                neighbors[u].update(vars_)
+        v = min(order, key=lambda u: (len(neighbors[u] - {u}), order[u]))
+        touching = [f for f in factors if v in f[0]] or [((), {(): 1})]
         factors = [f for f in factors if v not in f[0]]
-        neighbor_vars = sorted({w for vars_, _ in touching for w in vars_ if w != v}, key=order.get)
+        neighbor_vars = sorted(neighbors[v] - {v}, key=order.get)
+        slot = {w: i for i, w in enumerate([*neighbor_vars, v])}
+        (first, head), *rest = [(tuple(slot[w] for w in vars_), tab) for vars_, tab in touching]
         table: dict[tuple, Fraction] = {}
         for assign in itertools.product(*(range(len(domains[w])) for w in neighbor_vars)):
-            ctx = dict(zip(neighbor_vars, assign))
-            total = Fraction(0)
-            for cv, measure in enumerate(domains[v]):
-                ctx[v] = cv
-                prod = measure
-                for vars_, tab in touching:
-                    prod *= tab[tuple(ctx[w] for w in vars_)]
-                    if prod == 0:
+            cells = [*assign, 0]
+            total = None
+            for cv in range(len(domains[v])):
+                cells[-1] = cv
+                term = head[tuple([cells[i] for i in first])]
+                for slots, tab in rest:
+                    if not term:
                         break
-                total += prod
+                    term *= tab[tuple([cells[i] for i in slots])]
+                total = term if total is None else total + term
             table[assign] = total
-        if neighbor_vars:
-            factors.append((tuple(neighbor_vars), table))
-        else:
-            scalar *= table[()]
-        remaining.remove(v)
-    for vars_, tab in factors:  # pragma: no cover - all vars were eliminated
-        raise AssertionError("variable elimination left a live factor")
-    return scalar
+        factors.append((tuple(neighbor_vars), table))
+        del order[v]
+    return scalar * prod(tab[()] for _, tab in factors)  # only variable-free factors are left
 
 
 def _limit_kernels(params: LimitParams) -> CellKernels:
@@ -233,9 +236,10 @@ def _two_cycle_tables(h1: Polynomial, h2: Polynomial, kernels: CellKernels) -> d
     centre, plus per.  Integrated over the centre it must reproduce pw.
     """
     derivs = [[kernels.expect(h.derivative(k)) for h in (h1, h2)] for k in range(max(h1.degree, h2.degree, 1) + 1)]
-    chaos = {
-        rc: [q**k / factorial(k) * a[rc] * b[rc] for k, (a, b) in enumerate(derivs)] for rc, q in kernels.k2.items()
-    }
+    chaos = {}
+    for rc, q in kernels.k2.items():
+        weights = itertools.accumulate(range(1, len(derivs)), lambda w, k: w * q / k, initial=Fraction(1))  # q^k/k!
+        chaos[rc] = [w * a[rc] * b[rc] if a[rc] and b[rc] else Fraction(0) for w, (a, b) in zip(weights, derivs)]
     lin = {rc: terms[1] for rc, terms in chaos.items()}
     per = {rc: sum(terms[:1] + terms[2:]) for rc, terms in chaos.items()}
     s1, s2 = _star_table(h1, kernels), _star_table(h2, kernels)
@@ -243,60 +247,157 @@ def _two_cycle_tables(h1: Polynomial, h2: Polynomial, kernels: CellKernels) -> d
     return {"pw": kernels.expect(h1 * h2), "lin": lin, "per": per, "sum": star_sum}
 
 
-def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
-    """All five exact limits of ``g`` from one walk over its split quotients.
+def _pseudo_cacti(g: TestGraph):
+    """Every split quotient of ``g`` that is a pseudo-cactus, in ``split_partitions`` order.
 
-    Each pseudo-cactus quotient is classified once.  Every strong component
-    offers one cell table per rule: a cut edge under pw, B and sum; a
-    2-cycle under pw, lin, per and sum (under sum over a centre of its own);
-    a longer cycle its star under pw, lin and sum.  A rule that some component does not offer gets nothing
-    from the quotient; otherwise the quotient adds the eliminated product of
-    the tables, times psi0 per cycle and psi1, psi2 per quotient vertex of
-    color 1, 2.
+    One walk over restricted-growth labels, colour 1 outermost, then colour
+    2; the quotient vertices are the colour-1 blocks, then the colour-2
+    blocks.  Each colour-2 vertex joins a block and adds its edges to a copy
+    of the prefix's quotient.  A path of cut edges is the only path between
+    its ends, so the breadth-first path between a new edge's ends decides:
+    none leaves a cut edge, one of cut edges closes a cycle, and one through
+    a cycle edge puts that edge on two cycles.  Later vertices only add
+    vertices and edges, so that prefix is cut.
+
+    Yields (colour-1 labels, colour-2 labels, vertex count, colour-1 block
+    count, edge -> (source, target), cut edges, cycles as (vertices, edges)
+    in walking order, edge i joining vertex i to the next).
+    """
+    ids = {c: [v for v, cv in g.vertices if cv == c] for c in (1, 2)}
+    rank = {v: r for vs in ids.values() for r, v in enumerate(vs)}
+    out_edges = [[(k, rank[e.dst]) for k, e in enumerate(g.edges) if e.src == s] for s in ids[2]]
+    ends: list = [None] * len(g.edges)  # written along the current path, so whole at a leaf
+    labels2 = [0] * len(ids[2])
+
+    def add(k: int, a: int, b: int, adj: list[list], cycles: list) -> bool:
+        via = {a: None}
+        for x in (queue := [a]):
+            for j, y in adj[x]:
+                if y not in via:
+                    via[y] = x, j
+                    queue.append(y)
+        if b in via:
+            verts, edges, y = [a], [k], b
+            while y != a:
+                verts.append(y)
+                y, j = via[y]
+                edges.append(j)
+            if {j for _, es in cycles for j in es}.intersection(edges):
+                return False
+            cycles.append((tuple(verts), tuple(edges)))
+        ends[k] = a, b
+        adj[a].append((k, b))
+        adj[b].append((k, a))
+        return True
+
+    def walk(i: int, n_blocks: int, adj: list[list], cycles: list):
+        if i == len(ids[2]):
+            cut_edges = [k for k in range(len(g.edges)) if all(k not in es for _, es in cycles)]
+            yield labels1, tuple(labels2), m1 + n_blocks, m1, ends, cut_edges, cycles
+            return
+        for blk in range(n_blocks + 1):
+            adj2, cycles2 = [list(x) for x in adj], list(cycles)
+            if all(add(k, m1 + blk, labels1[t], adj2, cycles2) for k, t in out_edges[i]):
+                labels2[i] = blk
+                yield from walk(i + 1, n_blocks + (blk == n_blocks), adj2, cycles2)
+
+    for labels1 in restricted_growth_strings(len(ids[1])):
+        m1 = max(labels1) + 1
+        yield from walk(0, 0, [[] for _ in range(m1 + len(ids[2]))], [])
+
+
+def _class_key(leaf: tuple, label_id: list[int], intern: dict) -> int:
+    """The isomorphism class of a pseudo-cactus quotient, as an interned int.
+
+    AHU on the block-cut tree: a vertex hanging from one of its blocks (or
+    from none, at a root) reads as its colour and the sorted forms of its
+    other blocks; a block entered at a vertex reads as its edge labels and
+    the forms of its other vertices in walking order, a cycle in the lesser
+    of its two directions.  Equal forms get equal ints from ``intern`` (one
+    per call); the class is the least form over the roots on the most
+    blocks.  The colours fix the edge directions.
+    """
+    _, _, n_vertices, m1, ends, cut_edges, cycles = leaf
+    blocks = [(ends[k], (k,)) for k in cut_edges] + cycles
+    at = [[b for b, (verts, _) in enumerate(blocks) if v in verts] for v in range(n_vertices)]
+
+    @cache
+    def vertex(v: int, via: int | None) -> int:
+        return intern.setdefault((v >= m1, tuple(sorted(block(b, v) for b in at[v] if b != via))), len(intern))
+
+    @cache
+    def block(b: int, v: int) -> tuple:
+        verts, edges = blocks[b]
+        i = verts.index(v)
+        if len(edges) == 1:
+            return ((label_id[edges[0]], vertex(verts[1 - i], b)),)
+        labels = [label_id[k] for k in edges[i:] + edges[:i]]  # edge j joins the j-th and the next vertex from v on
+        ahead = [vertex(u, b) for u in verts[i + 1 :] + verts[:i]] + [-1]
+        return min(tuple(zip(labels, ahead)), tuple(zip(labels[::-1], ahead[-2::-1] + [-1])))
+
+    most = max(map(len, at))
+    return min(vertex(v, None) for v in range(n_vertices) if len(at[v]) == most)
+
+
+def _quotient_values(labels: list, leaf: tuple, kernels: CellKernels, params: LimitParams) -> tuple[Fraction, ...]:
+    """The five rule values of one pseudo-cactus quotient (edge ``labels``), in ``RULES`` order.
+
+    A cut edge offers its table under pw, B and sum; a 2-cycle under pw,
+    lin, per and sum (under sum over a centre of its own); a longer cycle
+    its star under pw, lin and sum.  A rule that some component does not
+    offer gets 0, any other the eliminated product of the tables, times psi0
+    per cycle and psi1, psi2 per quotient vertex of colour 1, 2.
+    """
+    _, _, n_vertices, m1, ends, cut_edges, cycles = leaf
+    measures, psi, m3 = kernels.measures, params.psi, params.m3_w * params.m3_x / 6
+    domains = {v: measures[1 if v < m1 else 2] for v in range(n_vertices)}
+    # rules offered one list share it: equal factor lists are the same objects
+    components = [
+        dict.fromkeys(("pw", "B", "sum"), [(ends[k][::-1], kernels.deformation(labels[k], m3))]) for k in cut_edges
+    ]
+    for _, edges in cycles:
+        centre = len(domains)
+        domains[centre] = measures[0]
+        if len(edges) == 2:
+            (src, dst), tables = ends[edges[0]], _two_cycle_tables(*(labels[k] for k in sorted(edges)), kernels)
+            components.append({rule: [((dst, src), t)] for rule, t in tables.items()})
+            components[-1]["sum"] = [((dst, centre, src), tables["sum"])]
+        else:
+            factors = [((ends[k][1], centre, ends[k][0]), _star_table(labels[k], kernels)) for k in edges]
+            components.append(dict.fromkeys(("pw", "lin", "sum"), factors))
+    scale = psi[0] ** len(cycles) * psi[1] ** m1 * psi[2] ** (n_vertices - m1)
+    values, eliminated = dict.fromkeys(RULES, Fraction(0)), {}
+    for rule in (rule for rule in RULES if all(rule in comp for comp in components)):
+        if (key := tuple(id(comp[rule]) for comp in components)) not in eliminated:
+            factors = [f for comp in components for f in comp[rule]]
+            used = {v for vars_, _ in factors for v in vars_}
+            eliminated[key] = scale * _eliminate({v: m for v, m in domains.items() if v in used}, factors)
+        values[rule] = eliminated[key]
+    return tuple(values.values())
+
+
+def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
+    """All five exact limits of ``g`` from one walk over its pseudo-cactus split quotients.
+
+    Values are computed once per isomorphism class, in a memo local to this
+    call; ``breakdown`` lists the quotients in ``split_partitions`` order.
     """
     _validate_reference(g)
     kernels = _limit_kernels(params)
-    measures, psi, m3 = kernels.measures, params.psi, params.m3_w * params.m3_x / 6
-    totals = dict.fromkeys(RULES, Fraction(0))
-    breakdown: list[QuotientTerm] = []
-    for rho0 in split_partitions(g):
-        tq = quotient(g, rho0)
-        report = classify(tq)
-        if not report.is_pseudo_cactus:
-            continue
-        var = {v: i for i, v in enumerate(tq.vertex_ids)}
-        domains = {var[v]: measures[color] for v, color in tq.vertices}
-        edge = {e.id: e for e in tq.edges}
-        components: list[dict[str, list]] = []
-        for eid in report.cut_edges:
-            e = edge[eid]
-            factors = [((var[e.dst], var[e.src]), kernels.deformation(e.label, m3))]
-            components.append({"pw": factors, "B": factors, "sum": factors})
-        for a, b in report.two_cycles:
-            e = edge[a]
-            by_rule = _two_cycle_tables(e.label, edge[b].label, kernels)
-            centre = len(domains)
-            domains[centre] = measures[0]
-            comp = {rule: [((var[e.dst], var[e.src]), by_rule[rule])] for rule in ("pw", "lin", "per")}
-            comp["sum"] = [((var[e.dst], centre, var[e.src]), by_rule["sum"])]
-            components.append(comp)
-        for cycle in report.long_cycles:
-            centre = len(domains)
-            domains[centre] = measures[0]
-            factors = [
-                ((var[e.dst], centre, var[e.src]), _star_table(e.label, kernels)) for e in map(edge.get, cycle)
-            ]
-            components.append({"pw": factors, "lin": factors, "sum": factors})
-        scale = psi[0] ** len(report.all_cycles) * prod(psi[color] for _, color in tq.vertices)
-        for rule in RULES:
-            if all(rule in comp for comp in components):
-                factors = [f for comp in components for f in comp[rule]]
-                used = {v for vars_, _ in factors for v in vars_}
-                value = scale * _eliminate({v: m for v, m in domains.items() if v in used}, factors)
-                totals[rule] += value
-                if rule == "pw" and value != 0:
-                    breakdown.append(QuotientTerm(partition=rho0, value=value))
-    return LimitValues(**totals, breakdown=tuple(breakdown))
+    labels = [e.label for e in g.edges]
+    label_id = [labels.index(h) for h in labels]
+    positions = [[i + 1 for i, (_, c) in enumerate(g.vertices) if c == color] for color in (1, 2)]
+    intern, classes, totals, breakdown = {}, {}, [Fraction(0)] * len(RULES), []
+    for leaf in _pseudo_cacti(g):
+        key = _class_key(leaf, label_id, intern)
+        if key not in classes:
+            classes[key] = _quotient_values(labels, leaf, kernels, params)
+        values = classes[key]
+        totals = [t + v for t, v in zip(totals, values)]
+        if values[0]:
+            partition = SetPartition.from_labels(len(g.vertices), zip(positions, leaf[:2]))
+            breakdown.append(QuotientTerm(partition, values[0]))
+    return LimitValues(*totals, breakdown=tuple(breakdown))
 
 
 def limit_pw(g: TestGraph, params: LimitParams) -> Fraction:

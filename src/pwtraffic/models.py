@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment
-from .partitions import IntegerPartition, enumerate_set_partitions
+from .partitions import IntegerPartition, restricted_growth_strings
 from .traffic import BlockLayout, MatrixFamily
 
 # RNG stream tags (seed, tag, ...) for independent components.
@@ -157,18 +157,23 @@ def cell_overlaps(total: int, *ks: int) -> tuple[tuple[int, tuple[int, ...]], ..
     return tuple(runs)
 
 
+@lru_cache(maxsize=None)
+def _row_vectors(cells: tuple[tuple[float, ...], ...], n_cols: int) -> tuple[np.ndarray | None, ...]:
+    """Per row cell, its values spread over ``n_cols`` columns, or None when all are 1."""
+    counts = [s.stop - s.start for s in _cell_slices(n_cols, len(cells[0]))]
+    return tuple(None if all(v == 1 for v in row) else np.repeat(np.array(row, dtype=float), counts) for row in cells)
+
+
 def _scale_cells(a: np.ndarray, cells: Sequence[Sequence[float]]) -> np.ndarray:
     """Multiply each cell block of ``a`` in place by its value; returns ``a``.
 
     Entry for entry the product of ``a`` with the broadcast cell matrix,
-    without building that matrix.
+    without building that matrix: one multiply per row cell, by that row's
+    cached vector over the columns (a factor of 1.0 changes no entry).
     """
-    rows = _cell_slices(a.shape[0], len(cells))
-    cols = _cell_slices(a.shape[1], len(cells[0]))
-    for rs, row in zip(rows, cells):
-        for cs, v in zip(cols, row):
-            if v != 1:
-                a[rs, cs] *= v
+    for rs, vector in zip(_cell_slices(a.shape[0], len(cells)), _row_vectors(tuple(map(tuple, cells)), a.shape[1])):
+        if vector is not None:
+            a[rs] *= vector
     return a
 
 
@@ -366,12 +371,13 @@ def inclusion_exclusion_terms(parts: tuple[int, ...]) -> tuple[tuple[int, tuple[
     coefficients, in first-seen order.
     """
     grouped: dict[tuple[int, ...], int] = {}
-    for sigma in enumerate_set_partitions(len(parts)):
-        weight = 1
-        sums = []
-        for block in sigma.blocks:
-            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
-            sums.append(sum(parts[k - 1] for k in block))
+    for labels in restricted_growth_strings(len(parts)):  # sigma: the block label of each part
+        n_blocks = max(labels, default=-1) + 1
+        sums, sizes = [0] * n_blocks, [0] * n_blocks
+        for part, label in zip(parts, labels):
+            sums[label] += part
+            sizes[label] += 1
+        weight = math.prod((-1) ** (n - 1) * math.factorial(n - 1) for n in sizes)
         key = tuple(sorted(sums, reverse=True))
         grouped[key] = grouped.get(key, 0) + weight
     return tuple((c, key) for key, c in grouped.items() if c != 0)

@@ -93,12 +93,6 @@ def label_blocks(positions: Iterable[int], labels: Sequence[int]) -> tuple[tuple
     return tuple(map(tuple, blocks))
 
 
-def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
-    """All Bell(n) partitions of {1..n}, canonical (restricted-growth) order."""
-    for labels in restricted_growth_strings(n):
-        yield SetPartition.from_labels(n, [(range(1, n + 1), labels)])
-
-
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     """RGS of length n: a[0]=0 and a[i] <= 1 + max(a[:i]).
 

@@ -5,7 +5,8 @@ The allocating form of ``pwtraffic.models.power_sums``, ``z_lambda``,
 forms.  Both run the same IEEE operations on the same operands in the same
 order, so their results agree entry for entry (``np.array_equal``); only
 the sign of an exactly zero entry may differ, because the in-place forms
-never add a term to a literal zero.
+never add a term to a literal zero.  Also the ``SetPartition`` form of
+``models.inclusion_exclusion_terms``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,21 @@ import numpy as np
 
 from pwtraffic.hermite import Polynomial, expect_derivative
 from pwtraffic.models import Decomposition, inclusion_exclusion_terms, ones_and_pairs, triple_and_pairs
+from partitions_oracle import enumerate_set_partitions
+
+
+def inclusion_exclusion_terms_oracle(parts):
+    """``models.inclusion_exclusion_terms`` over built ``SetPartition`` objects."""
+    grouped = {}
+    for sigma in enumerate_set_partitions(len(parts)):
+        weight = 1
+        sums = []
+        for block in sigma.blocks:
+            weight *= (-1) ** (len(block) - 1) * math.factorial(len(block) - 1)
+            sums.append(sum(parts[k - 1] for k in block))
+        key = tuple(sorted(sums, reverse=True))
+        grouped[key] = grouped.get(key, 0) + weight
+    return tuple((c, key) for key, c in grouped.items() if c != 0)
 
 
 def power_sums(w, x, top):

@@ -1,9 +1,10 @@
 """Graph definitions that only the tests use.
 
-Graph monomials (a test graph with input and output vertices), edge lookup
-by id, the internal vertices of an auxiliary graph, the coarsened
-reference restriction ``rho_tilde`` of a split quotient, and the exhaustive
-simple-cycle enumeration (``skeleton``, ``simple_cycles``) behind
+Graph monomials (a test graph with input and output vertices), the cycles
+of a ``classify`` report in one list, edge lookup by id, the internal
+vertices of an auxiliary graph, the coarsened reference restriction
+``rho_tilde`` of a split quotient, and the exhaustive simple-cycle
+enumeration (``skeleton``, ``simple_cycles``) behind
 ``classify_oracle``, the oracle of the spanning-tree ``graphs.classify``.
 """
 
@@ -37,6 +38,11 @@ class GraphMonomial:
     def __post_init__(self) -> None:
         if self.input not in self.graph.color or self.output not in self.graph.color:
             raise ValueError("input/output must be vertices of the graph")
+
+
+def all_cycles(report: StrongComponentReport) -> tuple[tuple[EdgeId, ...], ...]:
+    """The 2-cycles, then the longer cycles, of a classify report."""
+    return tuple(report.two_cycles) + tuple(report.long_cycles)
 
 
 def edge_by_id(g: TestGraph, eid: EdgeId) -> Edge:

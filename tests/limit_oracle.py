@@ -9,20 +9,84 @@ step-graphon average with its own colour-to-cell rule, apart from the
 ``models.CellKernels`` tables that the walk and ``delta0_graphon`` read.
 ``_limit(g, params, rule)`` computes one rule in {"pw", "B", "lin", "per",
 "sum"}.
+
+``limit_values_loop`` is the per-partition loop that ``limit_values``
+replaced: every split partition built, quotiented and classified, one
+``_eliminate`` per rule.  ``delta0_graphon_oracle`` runs
+``eliminate_oracle``, the elimination as it stood before the slot reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from pwtraffic.graphs import Edge, TestGraph, W_LABEL, X_LABEL, classify, quotient, split_partitions
 from pwtraffic.hermite import gaussian_moment
-from pwtraffic.limits import LimitParams, QuotientTerm, _eliminate, _validate_reference
+from pwtraffic.limits import (
+    RULES,
+    LimitParams,
+    LimitValues,
+    QuotientTerm,
+    _eliminate,
+    _limit_kernels,
+    _star_table,
+    _two_cycle_tables,
+    _validate_reference,
+)
 from pwtraffic.models import StepProfile, cell_overlaps
-from graphs_oracle import edge_by_id
+from graphs_oracle import all_cycles, edge_by_id
+
+
+# -- variable elimination, as it stood before the slot reads ----------------------
+
+
+def eliminate_oracle(domains: dict, factors: list[tuple[tuple, dict]]) -> Fraction:
+    """Sum over all cell assignments of the cell measures times the factors.
+
+    The elimination loop as it stood before ``limits._eliminate`` read its
+    tables through slot tuples: neighbour sets rebuilt per candidate, each
+    key built from a dict of the current assignment.
+
+    ``domains`` maps each variable to the measures of its cells, in the
+    order that breaks elimination ties; a factor is (variables, table keyed
+    by their cell tuple).  Variables are summed out one at a time, the one
+    with the fewest neighbours first.
+    """
+    remaining = set(domains)
+    scalar = Fraction(1)
+    order = {v: i for i, v in enumerate(domains)}
+    while remaining:
+        v = min(
+            remaining,
+            key=lambda u: (len({w for vars_, _ in factors for w in vars_ if u in vars_ and w != u}), order[u]),
+        )
+        touching = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        neighbor_vars = sorted({w for vars_, _ in touching for w in vars_ if w != v}, key=order.get)
+        table: dict[tuple, Fraction] = {}
+        for assign in itertools.product(*(range(len(domains[w])) for w in neighbor_vars)):
+            ctx = dict(zip(neighbor_vars, assign))
+            total = Fraction(0)
+            for cv, measure in enumerate(domains[v]):
+                ctx[v] = cv
+                prod = measure
+                for vars_, tab in touching:
+                    prod *= tab[tuple(ctx[w] for w in vars_)]
+                    if prod == 0:
+                        break
+                total += prod
+            table[assign] = total
+        if neighbor_vars:
+            factors.append((tuple(neighbor_vars), table))
+        else:
+            scalar *= table[()]
+        remaining.remove(v)
+    for vars_, tab in factors:  # pragma: no cover - all vars were eliminated
+        raise AssertionError("variable elimination left a live factor")
+    return scalar
 
 
 # -- the step-graphon average, with its own cell rule -----------------------------
@@ -66,7 +130,7 @@ def delta0_graphon_oracle(g: TestGraph, params: LimitParams) -> Fraction:
         cols = coarse[(e.src, e.label, "col")]
         table = {(cd, cs): profile.value(r, c) for cd, r in enumerate(rows) for cs, c in enumerate(cols)}
         factors.append(((e.dst, e.src), table))
-    return _eliminate(domains, factors)
+    return eliminate_oracle(domains, factors)
 
 
 # -- niche expansion of a pseudo-cactus quotient -------------------------------
@@ -202,7 +266,7 @@ def _limit(g: TestGraph, params: LimitParams, rule: str, breakdown: list | None 
         if not report.is_pseudo_cactus:
             continue
         components = [("cut", (eid,)) for eid in report.cut_edges]
-        components += [("cycle", c) for c in report.all_cycles]
+        components += [("cycle", c) for c in all_cycles(report)]
         value = Fraction(0)
         for coeff, ns in terms:
             options = [_options(rule, kind, eids, ns, params) for kind, eids in components]
@@ -222,3 +286,65 @@ def _limit(g: TestGraph, params: LimitParams, rule: str, breakdown: list | None 
             breakdown.append(QuotientTerm(partition=rho0, value=value))
         total += value
     return total
+
+
+# -- the per-partition loop that the walk replaced ----------------------------------
+
+
+def limit_values_loop(g: TestGraph, params: LimitParams) -> LimitValues:
+    """All five exact limits of ``g`` from every split quotient, built, quotiented and classified.
+
+    The loop that ``limits.limit_values`` replaced with one pruned walk and a
+    memo per isomorphism class; it shares the cell tables and ``_eliminate``.
+
+    Each pseudo-cactus quotient is classified once.  Every strong component
+    offers one cell table per rule: a cut edge under pw, B and sum; a
+    2-cycle under pw, lin, per and sum (under sum over a centre of its own);
+    a longer cycle its star under pw, lin and sum.  A rule that some component does not offer gets nothing
+    from the quotient; otherwise the quotient adds the eliminated product of
+    the tables, times psi0 per cycle and psi1, psi2 per quotient vertex of
+    color 1, 2.
+    """
+    _validate_reference(g)
+    kernels = _limit_kernels(params)
+    measures, psi, m3 = kernels.measures, params.psi, params.m3_w * params.m3_x / 6
+    totals = dict.fromkeys(RULES, Fraction(0))
+    breakdown: list[QuotientTerm] = []
+    for rho0 in split_partitions(g):
+        tq = quotient(g, rho0)
+        report = classify(tq)
+        if not report.is_pseudo_cactus:
+            continue
+        var = {v: i for i, v in enumerate(tq.vertex_ids)}
+        domains = {var[v]: measures[color] for v, color in tq.vertices}
+        edge = {e.id: e for e in tq.edges}
+        components: list[dict[str, list]] = []
+        for eid in report.cut_edges:
+            e = edge[eid]
+            factors = [((var[e.dst], var[e.src]), kernels.deformation(e.label, m3))]
+            components.append({"pw": factors, "B": factors, "sum": factors})
+        for a, b in report.two_cycles:
+            e = edge[a]
+            by_rule = _two_cycle_tables(e.label, edge[b].label, kernels)
+            centre = len(domains)
+            domains[centre] = measures[0]
+            comp = {rule: [((var[e.dst], var[e.src]), by_rule[rule])] for rule in ("pw", "lin", "per")}
+            comp["sum"] = [((var[e.dst], centre, var[e.src]), by_rule["sum"])]
+            components.append(comp)
+        for cycle in report.long_cycles:
+            centre = len(domains)
+            domains[centre] = measures[0]
+            factors = [
+                ((var[e.dst], centre, var[e.src]), _star_table(e.label, kernels)) for e in map(edge.get, cycle)
+            ]
+            components.append({"pw": factors, "lin": factors, "sum": factors})
+        scale = psi[0] ** len(all_cycles(report)) * prod(psi[color] for _, color in tq.vertices)
+        for rule in RULES:
+            if all(rule in comp for comp in components):
+                factors = [f for comp in components for f in comp[rule]]
+                used = {v for vars_, _ in factors for v in vars_}
+                value = scale * _eliminate({v: m for v, m in domains.items() if v in used}, factors)
+                totals[rule] += value
+                if rule == "pw" and value != 0:
+                    breakdown.append(QuotientTerm(partition=rho0, value=value))
+    return LimitValues(**totals, breakdown=tuple(breakdown))

@@ -1,8 +1,8 @@
 """Partition definitions that only the tests use.
 
-Kernels of index tuples, block types and their exact counts, integer
-partitions, restriction to a subset, the splitness test and the discrete
-partition.
+The enumeration of every set partition, kernels of index tuples, block
+types and their exact counts, integer partitions, restriction to a subset,
+the splitness test and the discrete partition.
 """
 
 from __future__ import annotations
@@ -10,9 +10,21 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from pwtraffic.partitions import MAX_ENUM_SIZE, IntegerPartition, PartitionSizeError, SetPartition
+from pwtraffic.partitions import (
+    MAX_ENUM_SIZE,
+    IntegerPartition,
+    PartitionSizeError,
+    SetPartition,
+    restricted_growth_strings,
+)
+
+
+def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
+    """All Bell(n) partitions of {1..n}, canonical (restricted-growth) order."""
+    for labels in restricted_growth_strings(n):
+        yield SetPartition.from_labels(n, [(range(1, n + 1), labels)])
 
 
 def singletons(n: int) -> SetPartition:

@@ -368,14 +368,14 @@ def test_main_compare_g5_non_square_same_at_any_thread_count(tmp_path):
 
 
 def test_main_limit_beyond_edge_guard_exits_2_with_one_line(tmp_path, capsys):
-    nine = {
+    thirteen = {
         "vertices": [{"id": "u", "color": 1}, {"id": "v", "color": 2}],
-        "edges": [{"id": k, "src": "v", "dst": "u", "label": "p"} for k in range(9)],
+        "edges": [{"id": k, "src": "v", "dst": "u", "label": "p"} for k in range(13)],
     }
-    path = write_config(tmp_path, base_config(graph=nine, labels={"p": "h1"}))
+    path = write_config(tmp_path, base_config(graph=thirteen, labels={"p": "h1"}))
     assert main(["limit", "--config", path]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: limit evaluation guarded at 8 edges") and err.count("\n") == 1, err
+    assert err.startswith("error: limit evaluation guarded at 12 edges") and err.count("\n") == 1, err
 
 
 def test_main_compare_runs_moment_3(tmp_path):
@@ -389,6 +389,21 @@ def test_main_compare_runs_moment_3(tmp_path):
     out = tmp_path / "r.json"
     assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
     exact = float(limit_pw(moment_cycle(3, monomial(3)), limit_params_of(resolve_ensemble(cfg))))
+    records = json.loads(out.read_text())["records"]
+    assert [r["exact"] for r in records if "exact" in r] == [exact, exact]
+
+
+def test_main_compare_runs_moment_5(tmp_path):
+    from pwtraffic.cli import limit_params_of, resolve_ensemble
+    from pwtraffic.graphs import moment_cycle
+    from pwtraffic.limits import limit_pw
+
+    cfg = base_config(graph="moment-5", labels="h3", trials=3)
+    for key in ("N0", "N1", "N2"):
+        cfg["ensemble"][key] = 20
+    out = tmp_path / "r.json"
+    assert main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+    exact = float(limit_pw(moment_cycle(5, monomial(3)), limit_params_of(resolve_ensemble(cfg))))
     records = json.loads(out.read_text())["records"]
     assert [r["exact"] for r in records if "exact" in r] == [exact, exact]
 
@@ -416,9 +431,9 @@ def test_main_moment_preset_with_odd_spelling_exits_2(tmp_path, capsys, command,
     assert err.startswith(f"error: graph preset {graph!r}: k must be written as a plain decimal number"), err
 
 
-@pytest.mark.parametrize("graph", ["moment-1", "moment-5"])
+@pytest.mark.parametrize("graph", ["moment-1", "moment-7"])
 def test_main_compare_rejects_before_sampling(tmp_path, capsys, monkeypatch, graph):
-    # h2 is even and moment-5 has 10 edges: the exact limit rejects both, so
+    # h2 is even and moment-7 has 14 edges: the exact limit rejects both, so
     # compare must exit before its Monte Carlo passes
     import pwtraffic.cli as cli
 
@@ -583,6 +598,23 @@ def test_main_missing_key_names_its_owner(tmp_path, capsys, command, graph, labe
     cfg = base_config(graph=graph, labels=labels, trials=3)
     err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
     assert err == f"error: {message}\n", err
+
+
+SKEWED_LAW = {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"}
+
+
+@pytest.mark.parametrize("law", ["law_w", "law_x"])
+@pytest.mark.parametrize(
+    "spec, key",
+    [({}, "kind"), ({"a": 1}, "kind")] + [({k: v for k, v in SKEWED_LAW.items() if k != key}, key) for key in "abp"],
+    ids=["empty-no-kind", "a-no-kind", "skewed-no-a", "skewed-no-b", "skewed-no-p"],
+)
+def test_main_ensemble_law_missing_key_names_the_law(tmp_path, capsys, law, spec, key):
+    # a law without a required key was reported as "bad ensemble config: 'kind'"
+    cfg = base_config()
+    cfg["ensemble"][law] = spec
+    err = assert_exit_2_with_one_line(capsys, ["limit", "--config", write_config(tmp_path, cfg)])
+    assert err == f"error: {law} has no {key!r} key\n", err
 
 
 @pytest.mark.parametrize("command", ["simulate", "limit"])

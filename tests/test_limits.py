@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pwtraffic.graphs import Edge, TestGraph, classify, moment_cycle, quotient, single_edge, split_partitions
-from pwtraffic.hermite import hermite, monomial
+from pwtraffic.hermite import expect_value, hermite, monomial
 from pwtraffic.limits import (
     MAX_LIMIT_EDGES,
     RULES,
@@ -30,9 +30,11 @@ from pwtraffic.models import (
     model_sampler,
 )
 from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
+from graphs_oracle import all_cycles
 from limit_oracle import _limit as oracle_limit
-from limit_oracle import delta0_graphon_oracle
+from limit_oracle import delta0_graphon_oracle, limit_values_loop
 from models_oracle import unit_skewed_law
+from pw_oracle import pw_moments
 from traffic_oracle import delta0
 from refgraphs import labeled_reference_graphs
 
@@ -319,6 +321,97 @@ def test_recombination_on_moments_3_and_4():
         assert limit_pw(g, STEPPED) == limit_equivalent_sum(g, STEPPED), k
 
 
+def test_recombination_on_moment_6():
+    values = limit_values(moment_cycle(6, G5 + H3), STEPPED)
+    assert values.pw == values.sum != 0
+
+
+def assert_walk_matches_loop(g, params, name=""):
+    """All five values equal; the breakdown equal as a map from partition to value, in split_partitions order."""
+    values, loop = limit_values(g, params), limit_values_loop(g, params)
+    for rule in RULES:
+        assert getattr(values, rule) == getattr(loop, rule), (name, rule)
+    assert {t.partition: t.value for t in values.breakdown} == {t.partition: t.value for t in loop.breakdown}, name
+    rank = {pi: i for i, pi in enumerate(split_partitions(g))}
+    order = [rank[t.partition] for t in values.breakdown]
+    assert order == sorted(order), name
+    return values
+
+
+def test_limit_walk_matches_the_per_partition_loop():
+    # the pruned walk with one elimination per class against the loop it
+    # replaced (tests/limit_oracle.py), on the graphs and parameters that the
+    # limit tests use
+    for labels, max_edges in (({"h1": H1, "g3+h1": G3 + H1, "g5+h3": G5 + H3}, 3), ({"h1": H1, "g3": G3}, 4)):
+        for name, ref in labeled_reference_graphs(max_edges, list(labels)):
+            edges = [Edge(e.id, e.src, e.dst, labels[e.label]) for e in ref.edges]
+            assert_walk_matches_loop(TestGraph(ref.vertices, edges, reference=True), STEPPED, name)
+    for params in (CONSTANT, SKEWED, STEPPED):
+        for g in (single_edge(H3), single_edge(H5), moment_cycle(1, G3 + H1), moment_cycle(2, H3)):
+            assert_walk_matches_loop(g, params)
+    for k in (3, 4):
+        assert_walk_matches_loop(moment_cycle(k, G5 + H3), STEPPED, k)
+
+
+def test_limit_walk_matches_the_per_partition_loop_on_moment_5():
+    values = assert_walk_matches_loop(moment_cycle(5, G5 + H3), STEPPED)
+    assert values.pw == values.sum != 0  # the recombination on moment-5
+
+
+def test_every_class_memo_hit_equals_its_quotient_from_scratch():
+    # limit_values eliminates one quotient per isomorphism class and reuses
+    # its values for the rest of the class: recompute every reuse
+    from pwtraffic.limits import _class_key, _limit_kernels, _pseudo_cacti, _quotient_values
+
+    kernels = _limit_kernels(STEPPED)
+    for k, n_leaves in ((4, 55), (5, 273)):
+        g = moment_cycle(k, G5 + H3)
+        label_id = [0] * len(g.edges)  # one label
+        intern, first, hits = {}, {}, 0
+        for leaf in _pseudo_cacti(g):
+            key = _class_key(leaf, label_id, intern)
+            values = _quotient_values([e.label for e in g.edges], leaf, kernels, STEPPED)
+            if key in first:
+                assert values == first[key], (k, leaf[:2])
+                hits += 1
+            else:
+                first[key] = values
+        assert hits + len(first) == n_leaves and hits > len(first), k
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+        (THIRD, Fraction(1, 2), Fraction(1, 6)),
+        (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)),
+    ],
+    ids=["1/2,1/4,1/4", "1/3,1/2,1/6", "1/5,1/5,3/5"],
+)
+def test_constant_profile_limits_match_pennington_worah(psi):
+    # with constant profiles the moment-k limits are psi1 (psi0 psi2)^k times
+    # the k-th moment of Pennington and Worah's fixed point
+    # (tests/pw_oracle.py): pw at (eta, zeta), lin at (zeta, zeta) and per at
+    # (eta - zeta, 0), with eta = E[h^2] and zeta = E[h']^2; B = 0 whatever m3
+    for name, h in {"h1": H1, "h3": H3, "g3": G3, "g5+h3": G5 + H3}.items():
+        eta, zeta = expect_value(h * h), expect_value(h.derivative(1)) ** 2
+        top = 6 if name == "g5+h3" and psi == (THIRD, Fraction(1, 2), Fraction(1, 6)) else 4
+        closed = {
+            rule: pw_moments(e, z, psi[0] / psi[2], psi[0] / psi[1], top)
+            for rule, (e, z) in {"pw": (eta, zeta), "lin": (zeta, zeta), "per": (eta - zeta, 0)}.items()
+        }
+        for m3 in ((0, 0), (Fraction(3, 2), Fraction(-5, 4))):
+            params = LimitParams(psi=psi, m3_w=m3[0], m3_x=m3[1])
+            for k in range(1, top + 1):
+                if k > 4 and m3 == (0, 0):
+                    continue
+                values = limit_values(moment_cycle(k, h), params)
+                norm = psi[1] * (psi[0] * psi[2]) ** k
+                for rule, moments in closed.items():
+                    assert getattr(values, rule) == norm * moments[k - 1], (name, m3, k, rule)
+                assert values.B == 0, (name, m3, k)
+
+
 def test_recombination_can_fail(monkeypatch):
     # pw reads a 2-cycle through the cell kernel K_2, sum through the stars
     # over its own centre: a wrong K_2 in the shared kernel table must show
@@ -340,10 +433,10 @@ def test_recombination_can_fail(monkeypatch):
 
 
 def test_limit_edge_guard():
-    assert MAX_LIMIT_EDGES == 8
-    nine = TestGraph([("u", 1), ("v", 2)], [Edge(k, "v", "u", H1) for k in range(9)], reference=True)
-    with pytest.raises(ValueError, match="guarded at 8 edges"):
-        limit_values(nine, CONSTANT)
+    assert MAX_LIMIT_EDGES == 12
+    thirteen = TestGraph([("u", 1), ("v", 2)], [Edge(k, "v", "u", H1) for k in range(13)], reference=True)
+    with pytest.raises(ValueError, match="guarded at 12 edges"):
+        limit_values(thirteen, CONSTANT)
 
 
 def test_component_limits_vanish_off_class():
@@ -452,7 +545,7 @@ def test_internal_block_count_identity():
             if not report.is_pseudo_cactus:
                 continue
             components = [("cut", (eid,)) for eid in report.cut_edges]
-            components += [("cycle", c) for c in report.all_cycles]
+            components += [("cycle", c) for c in all_cycles(report)]
             plan = []
             ok = True
             for kind, eids in components:

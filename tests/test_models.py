@@ -28,12 +28,12 @@ from pwtraffic.models import (
     triple_and_pairs,
     z_lambda,
 )
-from pwtraffic.partitions import IntegerPartition, enumerate_set_partitions
+from pwtraffic.partitions import IntegerPartition
 from pwtraffic.traffic import BlockLayout
 import decompose_oracle
 from hermite_oracle import hermite_coeffs
 from models_oracle import equivalent_def, equivalent_per, per_noise_family, unit_skewed_law
-from partitions_oracle import count_of_type, integer_partitions
+from partitions_oracle import count_of_type, enumerate_set_partitions, integer_partitions
 
 RNG = np.random.default_rng(52)
 
@@ -271,6 +271,12 @@ def test_power_sums_table():
         assert (u == (w.astype(object) ** m) @ (x.astype(object) ** m)).all()
     with pytest.raises(ValueError):
         z_lambda(IntegerPartition.of([3, 2]), w, x, sums=table)
+
+
+def test_inclusion_exclusion_terms_match_the_set_partition_oracle():
+    # the restricted-growth form equals the SetPartition one, term order included
+    for lam in partitions_up_to_parts(7, 9):
+        assert inclusion_exclusion_terms(lam.parts) == decompose_oracle.inclusion_exclusion_terms_oracle(lam.parts), lam
 
 
 def test_grouped_coefficients_are_signed_cycle_type_counts():

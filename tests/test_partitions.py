@@ -8,9 +8,8 @@ from pwtraffic.partitions import (
     PartitionSizeError,
     SetPartition,
     bell_number,
-    enumerate_set_partitions,
 )
-from partitions_oracle import count_of_type, integer_partitions, is_split, kernel, restrict, singletons, type_of
+from partitions_oracle import count_of_type, enumerate_set_partitions, integer_partitions, is_split, kernel, restrict, singletons, type_of
 
 
 def bell_oracle(n):
