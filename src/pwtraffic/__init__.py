@@ -43,6 +43,7 @@ from .models import (
     equivalent_sampler,
     equivalent_sum,
     model_sampler,
+    power_sums,
     pw_matrix,
     z_lambda,
 )

@@ -23,7 +23,7 @@ import numpy as np
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
 from .hermite import Polynomial, check_degree, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
-from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, pw_matrix
+from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, power_sums, pw_matrix
 from .models import equivalent_sampler, model_sampler
 from .traffic import _LETTERS, TauEstimate, tau_estimates
 
@@ -391,24 +391,22 @@ def cmd_decompose(config: dict, map_fn=None) -> tuple[dict, int]:
     lay = ensemble.layout
     poly = parse_polynomial(config.get("labels", "h3"))
     seed = config_int(config, "seed", 0, 0)
-    w, x = ensemble.sample(seed)
-    parts = decompose(poly, w, x, lay)
+    # no local holds W, X or the table, so decompose frees the table before its Horner step
+    parts = decompose(poly, power_sums(*ensemble.sample(seed), max(poly.degree, 1)), lay)
     residual = parts.reassembled()
     residual -= parts.total
     scale = float(np.linalg.norm(parts.total))
+    norms = {
+        "lin": float(np.linalg.norm(parts.lin)),
+        "per": {str(m): float(np.linalg.norm(v)) for m, v in sorted(parts.per.items())},
+        "def": float(np.linalg.norm(parts.deformation)),
+        "eps": float(np.linalg.norm(parts.eps)),
+    }
+    residual_norm = float(np.linalg.norm(residual)) / (scale or 1.0)
+    if not np.isfinite([norms["lin"], *norms["per"].values(), norms["def"], norms["eps"], residual_norm]).all():
+        raise ConfigError("the decomposition's norms do not fit a float")
     report = _base_report("decompose", config, [])
-    report["records"].append(
-        {
-            "label": _poly_echo(poly),
-            "norms": {
-                "lin": float(np.linalg.norm(parts.lin)),
-                "per": {str(m): float(np.linalg.norm(v)) for m, v in sorted(parts.per.items())},
-                "def": float(np.linalg.norm(parts.deformation)),
-                "eps": float(np.linalg.norm(parts.eps)),
-            },
-            "reassembly_residual": float(np.linalg.norm(residual)) / (scale or 1.0),
-        }
-    )
+    report["records"].append({"label": _poly_echo(poly), "norms": norms, "reassembly_residual": residual_norm})
     return report, EXIT_OK
 
 

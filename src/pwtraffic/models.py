@@ -51,6 +51,7 @@ STREAM_LIN_X = 12
 STREAM_PER = 20  # (seed, STREAM_PER, order)
 
 _MAX_Z_PARTS = 8
+_ROW_TILE = 32  # rows of a z_lambda result built per pass, the height of its scratch buffer
 
 
 # -- entry laws --------------------------------------------------------------
@@ -296,14 +297,10 @@ class ProfiledEnsemble:
         )
 
 
-def _check_shapes(w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> None:
-    if (*w.shape, *x.shape) != (layout.N1, layout.N0, layout.N0, layout.N2):
-        raise ValueError("matrix shapes do not match the layout")
-
-
 def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """sqrt(psi0)/sqrt(N) times the entrywise evaluation of h on WX/sqrt(N0)."""
-    _check_shapes(w, x, layout)
+    if (*w.shape, *x.shape) != (layout.N1, layout.N0, layout.N0, layout.N2):
+        raise ValueError("matrix shapes do not match the layout")
     inner = (w @ x).astype(float, copy=False)
     inner /= math.sqrt(layout.N0)
     return _horner(h, inner, layout)
@@ -398,6 +395,8 @@ def z_lambda(
 
     ``sums`` is a :func:`power_sums` table of (W, X) up to at least
     ``lam.total``, shared across calls on the same matrices; never written.
+    ``w`` and ``x`` are read only when it is None.  Filled ``_ROW_TILE`` rows
+    at a time, each entry by the whole-matrix form's operations in order.
     """
     parts = lam.parts
     b = len(parts)
@@ -407,18 +406,20 @@ def z_lambda(
         sums = power_sums(w, x, lam.total)
     elif lam.total not in sums:
         raise ValueError(f"power-sum table stops below {lam.total}")
-    total = buf = None
-    for coeff, (head, *rest) in inclusion_exclusion_terms(parts):
-        buf = np.multiply(sums[head], sums[rest[0]] if rest else coeff, out=buf)
-        for m in rest[1:]:
-            buf *= sums[m]
-        if rest:
-            buf *= coeff
-        if total is None:
-            total, buf = buf, None
-        else:
-            total += buf
-    return total
+    out = np.empty_like(sums[lam.total])
+    buf = np.empty_like(out[:_ROW_TILE])
+    for start in range(0, len(out), _ROW_TILE):
+        rows = slice(start, start + _ROW_TILE)
+        acc, u = out[rows], {m: s[rows] for m, s in sums.items()}
+        for k, (coeff, (head, *rest)) in enumerate(inclusion_exclusion_terms(parts)):
+            term = np.multiply(u[head], u[rest[0]] if rest else coeff, out=buf[: len(acc)] if k else acc)
+            for m in rest[1:]:
+                term *= u[m]
+            if rest:
+                term *= coeff
+            if k:
+                acc += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -440,28 +441,32 @@ class Decomposition:
         return out
 
 
-def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> Decomposition:
+def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -> Decomposition:
     """Four-part split of the model matrix along distinct-index block types.
 
     The linear part collects the single-free-index blocks weighted by
     E[h_n'], the order-m perturbative parts the m-ones blocks weighted by
     E[h_n^(m)]/m!, the deformation the one-triple blocks weighted by
     E[h_n''']/6; the remainder is what is left of the full matrix.
+
+    ``sums`` is the :func:`power_sums` table of the layout's W and X up to
+    at least max(h.degree, 1), never written; it is dropped before the Horner
+    step on S_1 = W@X, which frees a table passed as a temporary.
     """
     if not h.is_odd:
         raise ValueError("decompose expects an odd polynomial")
     if h.degree > 7:
         raise ValueError("decompose guarded at degree 7")
-    _check_shapes(w, x, layout)
+    if any(m not in sums for m in range(1, max(h.degree, 1) + 1)) or sums[1].shape != (layout.N1, layout.N2):
+        raise ValueError("decompose needs a power-sum table of N1 x N2 matrices up to max(h.degree, 1)")
     shape = (layout.N1, layout.N2)
     gamma = math.sqrt(layout.N0) / layout.N  # sqrt(psi0)/sqrt(N)
     lin = np.zeros(shape)
     per: dict[int, np.ndarray] = {}
     deform = np.zeros(shape)
-    sums = power_sums(w, x, max(h.degree, 1))
 
     def scaled(lam: IntegerPartition, factor: float) -> np.ndarray:
-        z = z_lambda(lam, w, x, sums=sums).astype(float, copy=False)
+        z = z_lambda(lam, None, None, sums=sums).astype(float, copy=False)
         z *= factor
         return z
 
@@ -483,8 +488,10 @@ def decompose(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
             c_def = expect_derivative(hn, 3) / 6
             if c_def != 0:
                 deform += scaled(triple_and_pairs(n), float(a_n * c_def) * scale)
-    # pw_matrix's Horner step on W@X from the table: a new array, sums is never written
-    total = _horner(h, (sums[1] / math.sqrt(layout.N0)).astype(float, copy=False), layout)
+    # pw_matrix's Horner step on W@X from the table, in new arrays
+    inner = (sums[1] / math.sqrt(layout.N0)).astype(float, copy=False)
+    del sums
+    total = _horner(h, inner, layout)
     eps = total - lin
     for mat in (deform, *per.values()):
         eps -= mat
@@ -553,6 +560,19 @@ def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
     return cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
 
 
+def _float_rows(kernels: CellKernels, name: str, value) -> tuple[tuple[float, ...], ...]:
+    """``kernels.rows`` of ``float(value(cell))``; a cell past the float range raises ValueError."""
+    cells = {}
+    for rc in kernels.k2:
+        try:
+            cells[rc] = float(value(rc))
+        except OverflowError:
+            cells[rc] = math.inf
+        if not math.isfinite(cells[rc]):
+            raise ValueError(f"the {name} coefficient of profile cell {rc} does not fit a float")
+    return kernels.rows(cells)
+
+
 # -- Gaussian equivalents -------------------------------------------------------
 #
 # The coefficient cells depend only on (h, ensemble[, m]) and are cached, so
@@ -563,7 +583,7 @@ def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
 def _lin_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, ...], ...]:
     """Cellwise E[h'(mu xi)] for the linear equivalent."""
     kernels = _ensemble_kernels(ensemble)
-    return kernels.rows({rc: float(v) for rc, v in kernels.expect(h.derivative(1)).items()})
+    return _float_rows(kernels, "linear", kernels.expect(h.derivative(1)).get)
 
 
 def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
@@ -594,8 +614,8 @@ def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) ->
     scale = math.sqrt(float(lay.N0) / lay.N * math.factorial(m))  # sqrt(psi0 * m!)
     kernels = _ensemble_kernels(ensemble)
     base = kernels.expect(h.derivative(m))  # exact rationals
-    return kernels.rows(
-        {rc: scale * float(mu_sq) ** (m / 2) * float(base[rc]) / math.factorial(m) for rc, mu_sq in kernels.k2.items()}
+    return _float_rows(
+        kernels, f"order-{m} chaos", lambda rc: scale * float(kernels.k2[rc]) ** (m / 2) * float(base[rc]) / math.factorial(m)
     )
 
 
@@ -634,7 +654,7 @@ def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, 
     if m3 == 0 or h.degree < 3:
         return None
     kernels = _ensemble_kernels(ensemble)
-    return kernels.rows({rc: float(v) for rc, v in kernels.deformation(h, m3 / 6).items()})
+    return _float_rows(kernels, "deformation", kernels.deformation(h, m3 / 6).get)
 
 
 def _deformation_term(cells: Sequence[Sequence[float]], layout: BlockLayout) -> np.ndarray:

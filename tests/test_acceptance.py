@@ -45,6 +45,7 @@ from pwtraffic.models import (
     distinct_labels,
     equivalent_sampler,
     model_sampler,
+    power_sums,
     z_lambda,
 )
 from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
@@ -297,7 +298,7 @@ def test_criterion_8_remainder_vanishing():
 
         def sampler(rng):
             w, x = ens.draw(rng)
-            eps = decompose(h5, w, x, lay).eps
+            eps = decompose(h5, power_sums(w, x, 5), lay).eps
             return MatrixFamily(lay).add(h5, eps, src_block=2, dst_block=1)
 
         return sampler

@@ -194,6 +194,35 @@ def test_cmd_decompose_records():
     assert report_h5["records"][0]["reassembly_residual"] < 1e-10
 
 
+def test_cmd_decompose_peak_memory():
+    """Peak traced memory of one g7 decomposition at N0 = N1 = N2 = 200, in
+    units of one N1 x N2 float array: at most 13.5.
+
+    The block sums are the peak.  Live then: the d = 7 power sums S_1..S_7
+    (W, X and the entrywise power buffers are freed once the table is
+    built), the accumulated ``lin``, ``deformation`` and the three ``per``
+    orders of g7 (3, 5, 7), and the one block sum being filled, 12 + 1 = 13
+    arrays, with slack for the 32-row scratch tile (0.16 at N1 = 200) and
+    small objects.  The table is dropped before the Horner step.  Whole-matrix
+    block sums, with W, X and two full-size z_lambda temporaries live, read
+    16.0.
+    """
+    import tracemalloc
+
+    n = 200
+    cfg = base_config(labels="g7", seed=0)
+    cfg["ensemble"].update(N0=n, N1=n, N2=n)
+    cmd_decompose(cfg)  # caches and lazy imports filled outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cmd_decompose(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.5 * n * n * 8, peak / (n * n * 8)
+
+
 def test_main_reports_are_deterministic(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -697,6 +726,19 @@ def test_non_finite_monte_carlo_exits_2_with_one_line(tmp_path, capsys, command)
     cfg["ensemble"].update(N0=4, N1=3, N2=5, profile_w=[[10**30]])
     err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
     want = "the Monte Carlo mean is not a finite float" if command == "simulate" else "'moment-2': the exact limit does not fit a float"
+    assert want in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["spectrum", "decompose"])
+def test_profile_past_float_range_exits_2_with_one_line(tmp_path, capsys, command):
+    # a profile cell of 1e300: K_2 near 1e600, so the equivalent's coefficient
+    # cells overflow a float, and the model's entries and norms overflow to
+    # inf and NaN; no traceback and no NaN written to a report
+    cfg = base_config(labels="h3", seed=1)
+    cfg["ensemble"].update(N0=6, N1=5, N2=4, profile_w=[["1e300"]])
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
+    want = "linear coefficient of profile cell (0, 0) does not fit" if command == "spectrum" else "norms do not fit a float"
     assert want in err
 
 

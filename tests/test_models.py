@@ -312,7 +312,7 @@ def test_named_partition_families():
 def test_decompose_h1():
     lay = BlockLayout(10, 8, 9)
     w, x = RNG.standard_normal((8, 10)), RNG.standard_normal((10, 9))
-    d = decompose(monomial(1), w, x, lay)
+    d = decompose(monomial(1), power_sums(w, x, 1), lay)
     assert np.allclose(d.lin, pw_matrix(monomial(1), w, x, lay))
     assert d.per == {}
     assert not d.deformation.any() and np.allclose(d.eps, 0)
@@ -321,7 +321,7 @@ def test_decompose_h1():
 def test_decompose_h3_exact_cover():
     lay = BlockLayout(10, 8, 9)
     w, x = RNG.standard_normal((8, 10)), RNG.standard_normal((10, 9))
-    d = decompose(monomial(3), w, x, lay)
+    d = decompose(monomial(3), power_sums(w, x, 3), lay)
     assert np.abs(d.eps).max() < 1e-12
     assert set(d.per) == {3}
 
@@ -329,7 +329,7 @@ def test_decompose_h3_exact_cover():
 def test_decompose_h5_remainder_is_lambda_sum():
     lay = BlockLayout(8, 6, 7)
     w, x = RNG.standard_normal((6, 8)), RNG.standard_normal((8, 7))
-    d = decompose(monomial(5), w, x, lay)
+    d = decompose(monomial(5), power_sums(w, x, 5), lay)
     gamma = math.sqrt(lay.N0) / lay.N
     oracle = np.zeros((lay.N1, lay.N2))
     for parts in [(5,), (4, 1), (3, 1, 1)]:
@@ -342,7 +342,7 @@ def test_decompose_reassembles_exactly():
     lay = BlockLayout(20, 18, 22)
     w, x = RNG.standard_normal((18, 20)), RNG.standard_normal((20, 22))
     for p in (monomial(1), monomial(3), monomial(5), hermite(3), hermite(5)):
-        d = decompose(p, w, x, lay)
+        d = decompose(p, power_sums(w, x, p.degree), lay)
         y = pw_matrix(p, w, x, lay)
         assert np.abs(d.reassembled() - y).max() < 1e-10 * max(1.0, np.abs(y).max())
 
@@ -353,9 +353,9 @@ def test_decompose_g7_matches_oracle_decomposition(monkeypatch):
     lay = BlockLayout(20, 18, 22)
     w, x = RNG.standard_normal((18, 20)), RNG.standard_normal((20, 22))
     g7 = hermite(7)
-    d = decompose(g7, w, x, lay)
-    monkeypatch.setattr(models, "z_lambda", lambda lam, w, x, sums=None: z_lambda_oracle(lam, w, x))
-    ref = models.decompose(g7, w, x, lay)
+    d = decompose(g7, power_sums(w, x, 7), lay)
+    monkeypatch.setattr(models, "z_lambda", lambda lam, _w, _x, sums=None: z_lambda_oracle(lam, w, x))
+    ref = models.decompose(g7, power_sums(w, x, 7), lay)
     assert set(d.per) == set(ref.per)
     pairs = [(d.lin, ref.lin), (d.deformation, ref.deformation), (d.eps, ref.eps)]
     pairs += [(d.per[m], ref.per[m]) for m in ref.per]
@@ -369,9 +369,9 @@ def test_decompose_rejects_even_and_large():
     lay = BlockLayout(4, 4, 4)
     w, x = np.ones((4, 4)), np.ones((4, 4))
     with pytest.raises(ValueError):
-        decompose(monomial(2), w, x, lay)
+        decompose(monomial(2), power_sums(w, x, 2), lay)
     with pytest.raises(ValueError):
-        decompose(monomial(9), w, x, lay)
+        decompose(monomial(9), power_sums(w, x, 9), lay)
 
 
 # -- profile matrices -------------------------------------------------------------
@@ -539,6 +539,21 @@ def test_equivalent_def_examples():
     assert not equivalent_def(monomial(1), skew).any()
 
 
+def test_coefficient_cells_past_the_float_range_are_refused_by_cell():
+    # w-row cell 1 of 1e300: K_2 about 1e600 and K_3 about 1e900 in cell
+    # (1, 0), exact as rationals but past the float range; cell (0, 0) fits
+    law = unit_skewed_law()
+    ens = ProfiledEnsemble(BlockLayout(6, 5, 4), law, law, StepProfile.of([["1"], ["1e300"]]), StepProfile.constant())
+    h3 = monomial(3)
+    for cells in (
+        lambda: models._lin_coefficient_cells(h3, ens),
+        lambda: models._per_coefficient_cells(h3, ens, 3),
+        lambda: models._def_cells(h3, ens),
+    ):
+        with pytest.raises(ValueError, match=r"profile cell \(1, 0\) does not fit a float"):
+            cells()
+
+
 def test_equivalent_sum_assembles():
     ens = const_ensemble(6, 5, 4, law=unit_skewed_law())
     h3 = monomial(3)
@@ -695,10 +710,18 @@ def test_samplers_draw_order():
     assert distinct_labels([moment_cycle(2, h3), single_edge(g3), single_edge(h3)]) == [h3, g3]
 
 
+def test_decompose_refuses_a_short_or_misshapen_table():
+    lay = BlockLayout(4, 3, 5)
+    w, x = np.ones((3, 4)), np.ones((4, 5))
+    for sums in (power_sums(w, x, 4), power_sums(x.T, w.T, 5)):  # stops below 5; N2 x N1
+        with pytest.raises(ValueError, match="power-sum table"):
+            decompose(monomial(5), sums, lay)
+
+
 def test_decompose_hands_back_the_total():
     lay = BlockLayout(6, 4, 5)
     w, x = RNG.standard_normal((4, 6)), RNG.standard_normal((6, 5))
-    parts = decompose(monomial(5), w, x, lay)
+    parts = decompose(monomial(5), power_sums(w, x, 5), lay)
     assert np.array_equal(parts.total, pw_matrix(monomial(5), w, x, lay))
 
 
@@ -712,30 +735,45 @@ def assert_same_components(got, want):
     pairs = [(got.lin, want.lin), (got.deformation, want.deformation), (got.eps, want.eps), (got.total, want.total)]
     pairs += [(got.per[m], want.per[m]) for m in want.per]
     for a, b in pairs:
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_decompose_equals_the_allocating_oracle():
-    ens = stepped_ensemble(19, 17, 21)
-    for seed in (0, 7, 301):
-        w, x = ens.sample(seed)
-        for h in DECOMPOSE_LABELS:
-            got = decompose(h, w, x, ens.layout)
-            want = decompose_oracle.decompose(h, w, x, ens.layout)
-            assert_same_components(got, want)
-            # the allocating reassembly: ((lin + def) + eps) + per orders
-            assert np.array_equal(got.reassembled(), sum(want.per.values(), want.lin + want.deformation + want.eps))
+    # N1 = 17 fills one short row tile of z_lambda; 2 tiles + 5 rows ends on a short one
+    for ens in (stepped_ensemble(19, 17, 21), stepped_ensemble(19, 2 * models._ROW_TILE + 5, 21)):
+        for seed in (0, 7, 301):
+            w, x = ens.sample(seed)
+            for h in DECOMPOSE_LABELS:
+                got = decompose(h, power_sums(w, x, h.degree), ens.layout)
+                want = decompose_oracle.decompose(h, w, x, ens.layout)
+                assert_same_components(got, want)
+                # the allocating reassembly: ((lin + def) + eps) + per orders
+                assert np.array_equal(got.reassembled(), sum(want.per.values(), want.lin + want.deformation + want.eps))
 
 
 def test_decompose_equals_the_allocating_oracle_on_integers():
     lay = BlockLayout(7, 5, 6)
     w, x = RNG.integers(-3, 4, (5, 7)), RNG.integers(-3, 4, (7, 6))
     for h in DECOMPOSE_LABELS:
-        assert_same_components(decompose(h, w, x, lay), decompose_oracle.decompose(h, w, x, lay))
+        assert_same_components(decompose(h, power_sums(w, x, h.degree), lay), decompose_oracle.decompose(h, w, x, lay))
     sums = power_sums(w, x, 7)
     for lam in partitions_up_to_parts(7, 7):
         got = z_lambda(lam, w, x, sums=sums)
         assert got.dtype == object and (got == decompose_oracle.z_lambda(lam, w, x)).all(), lam
+
+
+def test_z_lambda_stays_exact_across_row_tiles():
+    # two full row tiles and a short one, on integer inputs: object arrays,
+    # equal to the allocating oracle in every row
+    rng = np.random.default_rng(22)
+    lay = BlockLayout(6, 2 * models._ROW_TILE + 5, 4)
+    w, x = rng.integers(-3, 4, (lay.N1, lay.N0)), rng.integers(-3, 4, (lay.N0, lay.N2))
+    sums = power_sums(w, x, 7)
+    for lam in partitions_up_to_parts(7, 7):
+        for got in (z_lambda(lam, w, x), z_lambda(lam, w, x, sums=sums)):
+            assert got.dtype == object and (got == decompose_oracle.z_lambda(lam, w, x)).all(), lam
+    for h in DECOMPOSE_LABELS:
+        assert_same_components(decompose(h, power_sums(w, x, h.degree), lay), decompose_oracle.decompose(h, w, x, lay))
 
 
 def test_in_place_steps_leave_their_inputs_alone():
@@ -749,7 +787,7 @@ def test_in_place_steps_leave_their_inputs_alone():
             z_lambda(lam, w, x)
             z_lambda(lam, w, x, sums=sums)
         for h in DECOMPOSE_LABELS:
-            decompose(h, w, x, lay)
+            decompose(h, sums, lay)
             pw_matrix(h, w, x, lay)
         assert w.tobytes() == w0.tobytes() and x.tobytes() == x0.tobytes()
         for m, u in sums.items():
