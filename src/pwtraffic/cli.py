@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
-from .hermite import Polynomial, check_degree, hermite, monomial
+from .hermite import Polynomial, _frac, check_degree, from_hermite, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
-from .models import ProfiledEnsemble, decompose, distinct_labels, equivalent_sum, power_sums, pw_matrix
-from .models import equivalent_sampler, model_sampler
-from .traffic import _LETTERS, TauEstimate, tau_estimates
+from .models import EntryLaw, ProfiledEnsemble, StepProfile, check_decompose_label, decompose, distinct_labels
+from .models import equivalent_sampler, equivalent_sum, model_sampler, power_sums, pw_matrix
+from .traffic import _LETTERS, BlockLayout, TauEstimate, tau_estimates
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,10 +41,11 @@ class ConfigError(ValueError):
 
 
 def parse_polynomial(spec) -> Polynomial:
-    """Accept "h3" / "g5" shorthands, coefficient lists, or basis objects.
+    """Accept "h3" / "g5" shorthands, coefficient lists, or basis objects
+    {"basis": "power" | "hermite", "coeffs": [...]}.
 
     Every form is capped at degree ``hermite.DEFAULT_MAX_DEGREE`` before it
-    is built.
+    is built.  List entries are read through their strings, so 0.1 is 1/10.
     """
     if isinstance(spec, Polynomial):
         return spec
@@ -53,15 +54,20 @@ def parse_polynomial(spec) -> Polynomial:
             n = check_degree(int(spec[1:]))
             return monomial(n) if spec[0] == "h" else hermite(n)
         raise ConfigError(f"unknown polynomial shorthand {spec!r}")
-    try:
-        if isinstance(spec, (list, tuple)):
-            spec = {"basis": "power", "coeffs": [str(c) for c in spec]}
-        if isinstance(spec, dict):
-            _fields(spec, f"polynomial {spec!r}", "basis", "coeffs")
-            return Polynomial.from_json(spec)
-    except TypeError as exc:
-        raise ConfigError(f"bad polynomial {spec!r}: {exc}") from exc
-    raise ConfigError(f"cannot parse polynomial spec {spec!r}")
+    if isinstance(spec, (list, tuple)):
+        spec = {"basis": "power", "coeffs": [str(c) for c in spec]}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"cannot parse polynomial spec {spec!r}")
+    basis, coeffs = _fields(spec, f"polynomial {spec!r}", "basis", "coeffs")
+    if not isinstance(coeffs, (list, tuple)):
+        raise ConfigError(f"polynomial coeffs must be an array, got {coeffs!r}")
+    coeffs = [_frac(c) for c in coeffs]
+    check_degree(max((k for k, c in enumerate(coeffs) if c), default=0))  # the degree in either basis
+    if basis == "power":
+        return Polynomial(coeffs)
+    if basis == "hermite":
+        return Polynomial(from_hermite(coeffs))
+    raise ConfigError(f"unknown basis {basis!r}")
 
 
 def _poly_echo(p: Polynomial) -> dict:
@@ -82,7 +88,8 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
     out: list[tuple[str, TestGraph]] = []
     for item in specs:
         if isinstance(item, str):
-            if not isinstance(labels, (str, list, tuple, dict)) or isinstance(labels, dict) and "coeffs" not in labels:
+            polynomial_object = isinstance(labels, dict) and not {"basis", "coeffs"}.isdisjoint(labels)
+            if not isinstance(labels, (str, list, tuple)) and not polynomial_object:
                 raise ConfigError("presets need a single polynomial under 'labels'")
             poly = parse_polynomial(labels)
             if item == "single-edge":
@@ -191,16 +198,34 @@ def _thread_count(value: str) -> int:
 
 
 def resolve_ensemble(config: dict) -> ProfiledEnsemble:
-    if "ensemble" not in config:
-        raise ConfigError("config needs an 'ensemble' section")
-    for name in ("law_w", "law_x"):
-        law = config["ensemble"].get(name) if isinstance(config["ensemble"], dict) else None
-        if isinstance(law, dict):
-            _fields(law, name, "kind", *(("a", "b", "p") if law.get("kind") == "skewed_two_point" else ()))
-    try:
-        return ProfiledEnsemble.from_json(config["ensemble"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad ensemble config: {exc}") from exc
+    """The "ensemble" section: sizes N0, N1, N2, entry laws law_w, law_x and
+    step profiles profile_w, profile_x; a missing key is a ConfigError naming it."""
+    (section,) = _fields(config, "config", "ensemble")
+    if not isinstance(section, dict):
+        raise ConfigError(f"ensemble must be an object, got {section!r}")
+    _fields(section, "ensemble", "N0", "N1", "N2", "law_w", "law_x", "profile_w", "profile_x")
+    return ProfiledEnsemble(
+        BlockLayout(*(config_int(section, key, 1, 1) for key in ("N0", "N1", "N2"))),
+        *(_entry_law(section[name], name) for name in ("law_w", "law_x")),
+        *(_step_profile(section[name], name) for name in ("profile_w", "profile_x")),
+    )
+
+
+def _entry_law(spec, name: str) -> EntryLaw:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be an object with a 'kind' key, got {spec!r}")
+    (kind,) = _fields(spec, name, "kind")
+    if kind == "skewed_two_point":
+        return EntryLaw.skewed_two_point(*_fields(spec, name, "a", "b", "p"))
+    if kind not in ("gaussian", "rademacher"):
+        raise ConfigError(f"{name}: unknown entry law kind {kind!r}")
+    return EntryLaw.gaussian() if kind == "gaussian" else EntryLaw.rademacher()
+
+
+def _step_profile(spec, name: str) -> StepProfile:
+    if not isinstance(spec, list) or not all(isinstance(row, list) for row in spec):
+        raise ConfigError(f"{name} must be a list of rows of values, got {spec!r}")
+    return StepProfile.of(spec)
 
 
 def limit_params_of(ensemble: ProfiledEnsemble) -> LimitParams:
@@ -389,7 +414,7 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
 def cmd_decompose(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     lay = ensemble.layout
-    poly = parse_polynomial(config.get("labels", "h3"))
+    poly = check_decompose_label(parse_polynomial(config.get("labels", "h3")))  # before the draw
     seed = config_int(config, "seed", 0, 0)
     # no local holds W, X or the table, so decompose frees the table before its Horner step
     parts = decompose(poly, power_sums(*ensemble.sample(seed), max(poly.degree, 1)), lay)

@@ -4,8 +4,8 @@ Everything here is arbitrary-precision rational: polynomials are stored in
 the power basis, and a label given in the basis of probabilists' Hermite
 polynomials g_n (three-term recurrence g_{n+1}(y) = y*g_n(y) -
 n*g_{n-1}(y), normalized so that E[g_n(xi) g_m(xi)] = delta_{n,m} * n! for a
-standard Gaussian xi) is converted to it when parsed.  Floating point never
-enters; downstream limit identities are checked as exact rational equalities.
+standard Gaussian xi) is converted to it by ``from_hermite``.  Floating
+point never enters; downstream limit identities are exact rational equalities.
 """
 
 from __future__ import annotations
@@ -165,19 +165,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.power_coeffs]})"
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polynomial":
-        """Parse {"basis": "power" | "hermite", "coeffs": [...]}, degree capped."""
-        if not isinstance(obj["coeffs"], (list, tuple)):
-            raise ValueError(f"polynomial coeffs must be an array, got {obj['coeffs']!r}")
-        coeffs = _trim([_frac(c) for c in obj["coeffs"]])
-        check_degree(len(coeffs) - 1)
-        if obj["basis"] == "power":
-            return cls(coeffs)
-        if obj["basis"] == "hermite":
-            return cls(from_hermite(coeffs))
-        raise ValueError(f"unknown basis {obj['basis']!r}")
-
 
 def monomial(n: int) -> Polynomial:
     """h_n : x -> x^n."""
@@ -198,14 +185,9 @@ def from_hermite(hermite_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     return _hermite_to_power([_frac(c) for c in hermite_coeffs])
 
 
-def expect_value(p: Polynomial) -> Fraction:
-    """E[p(xi)] for standard Gaussian xi, exactly."""
-    return sum((c * gaussian_moment(k) for k, c in enumerate(p.power_coeffs)), Fraction(0))
-
-
 def expect_derivative(p: Polynomial, m: int = 1) -> Fraction:
-    """E[p^(m)(xi)]."""
-    return expect_value(p.derivative(m))
+    """E[p^(m)(xi)] for standard Gaussian xi, exactly."""
+    return expect_scaled(p.derivative(m), 1)
 
 
 def expect_scaled(p: Polynomial, mu_sq: Fraction) -> Fraction:

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,17 @@ STREAM_PER = 20  # (seed, STREAM_PER, order)
 
 _MAX_Z_PARTS = 8
 _ROW_TILE = 32  # rows of a z_lambda result built per pass, the height of its scratch buffer
+
+
+def _fit_float(what: str, compute: Callable[[], object]) -> float:
+    """``float(compute())``; a value past the float range raises ValueError saying that ``what`` does not fit."""
+    try:
+        out = float(compute())
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{what} does not fit a float")
+    return out
 
 
 # -- entry laws --------------------------------------------------------------
@@ -110,19 +121,9 @@ class EntryLaw:
     def sample(self, rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal(shape)
+        p, a, b = (_fit_float(f"the {self.kind} law's {key}", lambda: getattr(self, key)) for key in "pab")
         u = rng.random(shape)
-        return np.where(u < float(self.p), float(self.a), float(self.b))
-
-    @staticmethod
-    def from_json(obj: dict) -> "EntryLaw":
-        kind = obj["kind"]
-        if kind == "gaussian":
-            return EntryLaw.gaussian()
-        if kind == "rademacher":
-            return EntryLaw.rademacher()
-        if kind == "skewed_two_point":
-            return EntryLaw.skewed_two_point(obj["a"], obj["b"], obj["p"])
-        raise ValueError(f"unknown entry law kind {kind!r}")
+        return np.where(u < p, a, b)
 
 
 # -- step profiles -----------------------------------------------------------
@@ -207,8 +208,6 @@ class StepProfile:
 
     @staticmethod
     def of(rows: Sequence[Sequence]) -> "StepProfile":
-        if isinstance(rows, str) or any(isinstance(r, str) for r in rows):
-            raise ValueError(f"a profile is a list of rows of values, got {rows!r}")
         return StepProfile(tuple(tuple(_frac(v) for v in r) for r in rows))
 
     @staticmethod
@@ -224,7 +223,7 @@ class StepProfile:
         return len(self.grid[0])
 
     def realize(self, rows: int, cols: int) -> np.ndarray:
-        return _broadcast_cells(self.grid, (rows, cols))
+        return self.apply(np.ones((rows, cols)))
 
     def apply(self, a: np.ndarray) -> np.ndarray:
         """Multiply ``a`` in place by this profile realized on its shape.
@@ -239,7 +238,8 @@ class StepProfile:
 
 @lru_cache(maxsize=None)
 def _float_grid(profile: StepProfile) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in profile.grid)
+    cells = enumerate(profile.grid)
+    return tuple(tuple(_fit_float(f"profile cell {(r, c)}", lambda: v) for c, v in enumerate(row)) for r, row in cells)
 
 
 # -- the profiled ensemble ----------------------------------------------------
@@ -280,22 +280,6 @@ class ProfiledEnsemble:
         X' from the (seed, X) stream."""
         return self.draw(np.random.default_rng([seed, STREAM_W]), np.random.default_rng([seed, STREAM_X]))
 
-    @staticmethod
-    def from_json(obj: dict) -> "ProfiledEnsemble":
-        sizes = []
-        for key in ("N0", "N1", "N2"):
-            n = obj[key]
-            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {n!r}")
-            sizes.append(n)
-        return ProfiledEnsemble(
-            layout=BlockLayout(*sizes),
-            law_w=EntryLaw.from_json(obj["law_w"]),
-            law_x=EntryLaw.from_json(obj["law_x"]),
-            profile_w=StepProfile.of(obj["profile_w"]),
-            profile_x=StepProfile.of(obj["profile_x"]),
-        )
-
 
 def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """sqrt(psi0)/sqrt(N) times the entrywise evaluation of h on WX/sqrt(N0)."""
@@ -308,7 +292,8 @@ def pw_matrix(h: Polynomial, w: np.ndarray, x: np.ndarray, layout: BlockLayout) 
 
 def _horner(h: Polynomial, inner: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """sqrt(N0)/N times h evaluated entrywise on the float matrix ``inner``."""
-    coeffs = [float(c) for c in h.power_coeffs] or [0.0]  # the zero polynomial has no coefficients
+    coeffs = [_fit_float(f"the label coefficient of x^{k}", lambda: c) for k, c in enumerate(h.power_coeffs)]
+    coeffs = coeffs or [0.0]  # the zero polynomial has no coefficients
     acc = np.full_like(inner, coeffs[-1])
     for c in reversed(coeffs[:-1]):  # Horner, in place
         acc *= inner
@@ -380,9 +365,7 @@ def inclusion_exclusion_terms(parts: tuple[int, ...]) -> tuple[tuple[int, tuple[
     return tuple((c, key) for key, c in grouped.items() if c != 0)
 
 
-def z_lambda(
-    lam: IntegerPartition, w: np.ndarray, x: np.ndarray, sums: dict[int, np.ndarray] | None = None
-) -> np.ndarray:
+def z_lambda(lam: IntegerPartition, sums: dict[int, np.ndarray]) -> np.ndarray:
     """Distinct-index block sum over the inner dimension.
 
     Entry (i, j) sums, over tuples of pairwise distinct inner indices (one
@@ -395,16 +378,14 @@ def z_lambda(
 
     ``sums`` is a :func:`power_sums` table of (W, X) up to at least
     ``lam.total``, shared across calls on the same matrices; never written.
-    ``w`` and ``x`` are read only when it is None.  Filled ``_ROW_TILE`` rows
-    at a time, each entry by the whole-matrix form's operations in order.
+    Filled ``_ROW_TILE`` rows at a time, each entry by the whole-matrix
+    form's operations in order.
     """
     parts = lam.parts
     b = len(parts)
     if b > _MAX_Z_PARTS:
         raise ValueError(f"z_lambda guarded at {_MAX_Z_PARTS} parts, got {b}")
-    if sums is None:
-        sums = power_sums(w, x, lam.total)
-    elif lam.total not in sums:
+    if lam.total not in sums:
         raise ValueError(f"power-sum table stops below {lam.total}")
     out = np.empty_like(sums[lam.total])
     buf = np.empty_like(out[:_ROW_TILE])
@@ -441,6 +422,15 @@ class Decomposition:
         return out
 
 
+def check_decompose_label(h: Polynomial) -> Polynomial:
+    """``h``, or a ValueError if :func:`decompose` does not take it: odd, of degree at most 7."""
+    if not h.is_odd:
+        raise ValueError("decompose expects an odd polynomial")
+    if h.degree > 7:
+        raise ValueError("decompose guarded at degree 7")
+    return h
+
+
 def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -> Decomposition:
     """Four-part split of the model matrix along distinct-index block types.
 
@@ -453,10 +443,7 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
     at least max(h.degree, 1), never written; it is dropped before the Horner
     step on S_1 = W@X, which frees a table passed as a temporary.
     """
-    if not h.is_odd:
-        raise ValueError("decompose expects an odd polynomial")
-    if h.degree > 7:
-        raise ValueError("decompose guarded at degree 7")
+    check_decompose_label(h)
     if any(m not in sums for m in range(1, max(h.degree, 1) + 1)) or sums[1].shape != (layout.N1, layout.N2):
         raise ValueError("decompose needs a power-sum table of N1 x N2 matrices up to max(h.degree, 1)")
     shape = (layout.N1, layout.N2)
@@ -465,9 +452,9 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
     per: dict[int, np.ndarray] = {}
     deform = np.zeros(shape)
 
-    def scaled(lam: IntegerPartition, factor: float) -> np.ndarray:
-        z = z_lambda(lam, None, None, sums=sums).astype(float, copy=False)
-        z *= factor
+    def scaled(lam: IntegerPartition, coeff: Fraction, scale: float) -> np.ndarray:
+        z = z_lambda(lam, sums).astype(float, copy=False)
+        z *= _fit_float(f"the coefficient of the {lam.parts} block sum", lambda: coeff) * scale
         return z
 
     for n, a_n in enumerate(h.power_coeffs):
@@ -477,17 +464,17 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
         scale = gamma * float(layout.N0) ** (-n / 2)
         c_lin = expect_derivative(hn, 1)
         if c_lin != 0:
-            lin += scaled(ones_and_pairs(n, 1), float(a_n * c_lin) * scale)
+            lin += scaled(ones_and_pairs(n, 1), a_n * c_lin, scale)
         for m in range(2, n + 1):
             c_m = expect_derivative(hn, m) / math.factorial(m)
             if c_m == 0:
                 continue
-            term = scaled(ones_and_pairs(n, m), float(a_n * c_m) * scale)
+            term = scaled(ones_and_pairs(n, m), a_n * c_m, scale)
             per[m] = np.add(per[m], term, out=per[m]) if m in per else term
         if n >= 3:
             c_def = expect_derivative(hn, 3) / 6
             if c_def != 0:
-                deform += scaled(triple_and_pairs(n), float(a_n * c_def) * scale)
+                deform += scaled(triple_and_pairs(n), a_n * c_def, scale)
     # pw_matrix's Horner step on W@X from the table, in new arrays
     inner = (sums[1] / math.sqrt(layout.N0)).astype(float, copy=False)
     del sums
@@ -562,14 +549,7 @@ def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
 
 def _float_rows(kernels: CellKernels, name: str, value) -> tuple[tuple[float, ...], ...]:
     """``kernels.rows`` of ``float(value(cell))``; a cell past the float range raises ValueError."""
-    cells = {}
-    for rc in kernels.k2:
-        try:
-            cells[rc] = float(value(rc))
-        except OverflowError:
-            cells[rc] = math.inf
-        if not math.isfinite(cells[rc]):
-            raise ValueError(f"the {name} coefficient of profile cell {rc} does not fit a float")
+    cells = {rc: _fit_float(f"the {name} coefficient of profile cell {rc}", lambda: value(rc)) for rc in kernels.k2}
     return kernels.rows(cells)
 
 

@@ -50,9 +50,7 @@ def power_sums(w, x, top):
     return table
 
 
-def z_lambda(lam, w, x, sums=None):
-    if sums is None:
-        sums = power_sums(w, x, lam.total)
+def z_lambda(lam, sums):
     total = 0
     for coeff, block_sums in inclusion_exclusion_terms(lam.parts):
         term = sums[block_sums[0]]
@@ -86,17 +84,17 @@ def decompose(h, w, x, layout):
         scale = gamma * float(layout.N0) ** (-n / 2)
         c_lin = expect_derivative(hn, 1)
         if c_lin != 0:
-            lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), w, x, sums).astype(float)
+            lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), sums).astype(float)
         for m in range(2, n + 1):
             c_m = expect_derivative(hn, m) / math.factorial(m)
             if c_m == 0:
                 continue
-            term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), w, x, sums).astype(float)
+            term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), sums).astype(float)
             per[m] = per.get(m, np.zeros(shape)) + term
         if n >= 3:
             c_def = expect_derivative(hn, 3) / 6
             if c_def != 0:
-                deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), w, x, sums).astype(float)
+                deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), sums).astype(float)
     total = pw_matrix(h, w, x, layout)
     eps = total - lin - deform
     for mat in per.values():

@@ -17,7 +17,7 @@ from pwtraffic.hermite import (
     _hermite_power_coeffs,
     _trim,
     check_degree,
-    expect_value,
+    expect_scaled,
 )
 
 
@@ -61,4 +61,4 @@ def to_hermite(power_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
 
 def expect_product(p: Polynomial, q: Polynomial) -> Fraction:
     """E[p(xi) q(xi)]; on Hermite inputs this is delta_{n,m} * n!."""
-    return expect_value(p * q)
+    return expect_scaled(p * q, 1)

@@ -358,7 +358,7 @@ def test_criterion_9_z_lambda_oracle():
         x = rng.integers(-3, 4, size=(n0, cols))
         lam = lams[int(rng.integers(0, len(lams)))]
         checks += 1
-        got = z_lambda(lam, w, x)
+        got = z_lambda(lam, power_sums(w, x, lam.total))
         brute = np.zeros((rows, cols), dtype=object)
         for i in range(rows):
             for j in range(cols):

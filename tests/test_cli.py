@@ -839,3 +839,81 @@ def test_mutated_configs_exit_0_2_or_3(tmp_path, capsys):
         if code not in (EXIT_OK, EXIT_VALIDATION, EXIT_FLAG) or (code == EXIT_VALIDATION and errors != 1):
             failures.append((command, {k: str(v)[:20] for k, v in mutated.items()}, code, err[-200:]))
     assert not failures, failures
+
+
+def key_paths(node, path=()):
+    """Paths (key tuples) to every dict key at every depth of a JSON tree."""
+    if not isinstance(node, dict):
+        return []
+    return [p for k, v in node.items() for p in [path + (k,), *key_paths(v, path + (k,))]]
+
+
+def test_configs_missing_a_key_exit_2_naming_it(tmp_path, capsys):
+    # a missing ensemble key was reported as its bare repr ("error: bad
+    # ensemble config: 'N0'"); a key with a default runs without it
+    cases = []
+    for path in key_paths(mutation_base()):
+        cfg = mutation_base()
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        cases.append((path, cfg, repr(path[-1])))
+    for key, value in [("ensemble", 5), ("law_w", "gaussian")]:
+        cfg = mutation_base()
+        (cfg["ensemble"] if key == "law_w" else cfg)[key] = value
+        cases.append(((key, "=", value), cfg, f"{key} must be an object"))
+    commands = ["compare", "decompose", "limit", "simulate", "spectrum"]
+    failures = []
+    for path, cfg, name in cases:
+        config = write_config(tmp_path, cfg)
+        for command in commands:
+            code = main([command, "--config", config, "--out", str(tmp_path / "out.json")])
+            err = capsys.readouterr().err
+            if code == EXIT_OK and not err:
+                continue
+            lines = err.splitlines()
+            if code != EXIT_VALIDATION or len(lines) != 1 or not lines[0].startswith("error: ") or name not in err:
+                failures.append((path, command, code, err[-200:]))
+    assert not failures, failures
+    no_n0 = mutation_base()
+    del no_n0["ensemble"]["N0"]
+    err = assert_exit_2_with_one_line(capsys, ["simulate", "--config", write_config(tmp_path, no_n0)])
+    assert err == "error: ensemble has no 'N0' key\n", err
+
+
+def past_float_range(case):
+    """A config whose one value is exact but past the float range."""
+    cfg = base_config(trials=2)
+    cfg["ensemble"].update(N0=6, N1=5, N2=4)
+    if case == "profile":
+        cfg["ensemble"]["profile_w"] = [["1e400"]]
+    elif case == "label":
+        cfg["labels"] = ["0", "1e400"]
+    else:  # centred and unit-variance: p a + (1 - p) b = 0 and p a^2 + (1 - p) b^2 = 1
+        cfg["ensemble"]["law_w"] = {"kind": "skewed_two_point", "a": "1e400", "b": "-1e-400", "p": f"1/{10**800 + 1}"}
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "spectrum", "decompose", "compare", "limit"])
+@pytest.mark.parametrize("case", ["profile", "label", "law"])
+def test_values_past_float_range_exit_2_with_one_line(tmp_path, capsys, case, command):
+    # each float command exited 1 with an OverflowError traceback; limit stays exact
+    argv = [command, "--config", write_config(tmp_path, past_float_range(case)), "--out", str(tmp_path / "r.json")]
+    if command == "limit":
+        assert main(argv) == EXIT_OK
+    else:
+        assert "does not fit a float" in assert_exit_2_with_one_line(capsys, argv)
+
+
+@pytest.mark.parametrize("label", ["h2", "h9"])
+def test_decompose_refuses_its_label_before_the_draw(tmp_path, capsys, monkeypatch, label):
+    # the power-sum table was built up to the label's degree before decompose refused it
+    import pwtraffic.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "power_sums", lambda *args: calls.append(args))
+    path = write_config(tmp_path, base_config(labels=label))
+    err = assert_exit_2_with_one_line(capsys, ["decompose", "--config", path])
+    assert "decompose" in err and calls == []

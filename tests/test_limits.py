@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pwtraffic.graphs import Edge, TestGraph, classify, moment_cycle, quotient, single_edge, split_partitions
-from pwtraffic.hermite import expect_value, hermite, monomial
+from pwtraffic.hermite import expect_scaled, hermite, monomial
 from pwtraffic.limits import (
     MAX_LIMIT_EDGES,
     RULES,
@@ -394,7 +394,7 @@ def test_constant_profile_limits_match_pennington_worah(psi):
     # (tests/pw_oracle.py): pw at (eta, zeta), lin at (zeta, zeta) and per at
     # (eta - zeta, 0), with eta = E[h^2] and zeta = E[h']^2; B = 0 whatever m3
     for name, h in {"h1": H1, "h3": H3, "g3": G3, "g5+h3": G5 + H3}.items():
-        eta, zeta = expect_value(h * h), expect_value(h.derivative(1)) ** 2
+        eta, zeta = expect_scaled(h * h, 1), expect_scaled(h.derivative(1), 1) ** 2
         top = 6 if name == "g5+h3" and psi == (THIRD, Fraction(1, 2), Fraction(1, 6)) else 4
         closed = {
             rule: pw_moments(e, z, psi[0] / psi[2], psi[0] / psi[1], top)

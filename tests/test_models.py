@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pwtraffic.models as models
+from pwtraffic.cli import resolve_ensemble
 from pwtraffic.graphs import moment_cycle, single_edge
 from pwtraffic.hermite import expect_scaled, gaussian_moment, hermite, monomial
 from pwtraffic.models import (
@@ -74,13 +75,19 @@ def test_law_sampling_statistics():
         assert abs((x**3).mean() - float(law.m3)) < 8 / math.sqrt(n)
 
 
+def law_of(spec):
+    """``spec`` read as law_w of an ensemble config."""
+    section = {"N0": 1, "N1": 1, "N2": 1, "law_w": spec, "law_x": {"kind": "gaussian"}, "profile_w": [[1]], "profile_x": [[1]]}
+    return resolve_ensemble({"ensemble": section}).law_w
+
+
 def test_law_json_round_trip():
-    assert EntryLaw.from_json({"kind": "gaussian"}) == EntryLaw.gaussian()
-    assert EntryLaw.from_json({"kind": "rademacher"}) == EntryLaw.rademacher()
+    assert law_of({"kind": "gaussian"}) == EntryLaw.gaussian()
+    assert law_of({"kind": "rademacher"}) == EntryLaw.rademacher()
     skewed = {"kind": "skewed_two_point", "a": "2", "b": "-1/2", "p": "1/5"}
-    assert EntryLaw.from_json(skewed) == unit_skewed_law()
+    assert law_of(skewed) == unit_skewed_law()
     with pytest.raises(ValueError):
-        EntryLaw.from_json({"kind": "cauchy"})
+        law_of({"kind": "cauchy"})
 
 
 # -- profiles -----------------------------------------------------------------
@@ -197,19 +204,19 @@ def z_lambda_oracle(lam, w, x):
 
 def test_z_lambda_single_part_is_product():
     w, x = RNG.integers(-3, 4, (3, 4)), RNG.integers(-3, 4, (4, 3))
-    assert (z_lambda(IntegerPartition.of([1]), w, x) == w @ x).all()
+    assert (z_lambda(IntegerPartition.of([1]), power_sums(w, x, 1)) == w @ x).all()
 
 
 def test_z_lambda_power_sum():
     w, x = RNG.integers(-3, 4, (1, 3)), RNG.integers(-3, 4, (3, 1))
-    val = z_lambda(IntegerPartition.of([2]), w, x)[0, 0]
+    val = z_lambda(IntegerPartition.of([2]), power_sums(w, x, 2))[0, 0]
     direct = sum(int(w[0, d]) ** 2 * int(x[d, 0]) ** 2 for d in range(3))
     assert val == direct
 
 
 def test_z_lambda_two_singletons_pattern():
     w, x = RNG.integers(-3, 4, (3, 4)), RNG.integers(-3, 4, (4, 3))
-    got = z_lambda(IntegerPartition.of([1, 1]), w, x)
+    got = z_lambda(IntegerPartition.of([1, 1]), power_sums(w, x, 2))
     pattern = (w @ x) * (w @ x) - (w**2) @ (x**2)
     assert (got == pattern).all()
     assert (got == brute_z((1, 1), w, x)).all()
@@ -220,13 +227,13 @@ def test_z_lambda_matches_brute_force():
         for lam in integer_partitions(n):
             w = RNG.integers(-3, 4, (2, 5))
             x = RNG.integers(-3, 4, (5, 2))
-            assert (z_lambda(lam, w, x) == brute_z(lam.parts, w, x)).all()
+            assert (z_lambda(lam, power_sums(w, x, lam.total)) == brute_z(lam.parts, w, x)).all()
 
 
 def test_z_lambda_part_guard():
     w, x = RNG.integers(-3, 4, (4, 4)), RNG.integers(-3, 4, (4, 4))
     with pytest.raises(ValueError):
-        z_lambda(IntegerPartition.of([1] * 9), w, x)
+        z_lambda(IntegerPartition.of([1] * 9), power_sums(w, x, 9))
 
 
 def partitions_up_to_parts(max_parts, max_total):
@@ -238,8 +245,8 @@ def test_z_lambda_matches_oracle_exactly():
     sums = power_sums(w, x, 9)
     for lam in partitions_up_to_parts(7, 9):
         oracle = z_lambda_oracle(lam, w, x)
-        assert (z_lambda(lam, w, x) == oracle).all(), lam
-        assert (z_lambda(lam, w, x, sums=sums) == oracle).all(), lam
+        assert (z_lambda(lam, power_sums(w, x, lam.total)) == oracle).all(), lam
+        assert (z_lambda(lam, sums) == oracle).all(), lam
 
 
 def expansion_scale(lam, w, x):
@@ -258,7 +265,7 @@ def test_z_lambda_matches_oracle_on_floats():
     for lam in partitions_up_to_parts(7, 7):
         oracle = z_lambda_oracle(lam, w, x)
         scale = expansion_scale(lam, w, x)
-        for got in (z_lambda(lam, w, x), z_lambda(lam, w, x, sums=sums)):
+        for got in (z_lambda(lam, power_sums(w, x, lam.total)), z_lambda(lam, sums)):
             assert np.abs(got - oracle).max() <= 1e-12 * scale, lam
 
 
@@ -270,7 +277,7 @@ def test_power_sums_table():
         assert u.dtype == object
         assert (u == (w.astype(object) ** m) @ (x.astype(object) ** m)).all()
     with pytest.raises(ValueError):
-        z_lambda(IntegerPartition.of([3, 2]), w, x, sums=table)
+        z_lambda(IntegerPartition.of([3, 2]), table)
 
 
 def test_inclusion_exclusion_terms_match_the_set_partition_oracle():
@@ -334,7 +341,7 @@ def test_decompose_h5_remainder_is_lambda_sum():
     oracle = np.zeros((lay.N1, lay.N2))
     for parts in [(5,), (4, 1), (3, 1, 1)]:
         lam = IntegerPartition(parts)
-        oracle += count_of_type(lam) * gamma * lay.N0**-2.5 * z_lambda(lam, w, x).astype(float)
+        oracle += count_of_type(lam) * gamma * lay.N0**-2.5 * z_lambda(lam, power_sums(w, x, lam.total)).astype(float)
     assert np.allclose(d.eps, oracle)
 
 
@@ -354,7 +361,7 @@ def test_decompose_g7_matches_oracle_decomposition(monkeypatch):
     w, x = RNG.standard_normal((18, 20)), RNG.standard_normal((20, 22))
     g7 = hermite(7)
     d = decompose(g7, power_sums(w, x, 7), lay)
-    monkeypatch.setattr(models, "z_lambda", lambda lam, _w, _x, sums=None: z_lambda_oracle(lam, w, x))
+    monkeypatch.setattr(models, "z_lambda", lambda lam, _sums: z_lambda_oracle(lam, w, x))
     ref = models.decompose(g7, power_sums(w, x, 7), lay)
     assert set(d.per) == set(ref.per)
     pairs = [(d.lin, ref.lin), (d.deformation, ref.deformation), (d.eps, ref.eps)]
@@ -758,8 +765,9 @@ def test_decompose_equals_the_allocating_oracle_on_integers():
         assert_same_components(decompose(h, power_sums(w, x, h.degree), lay), decompose_oracle.decompose(h, w, x, lay))
     sums = power_sums(w, x, 7)
     for lam in partitions_up_to_parts(7, 7):
-        got = z_lambda(lam, w, x, sums=sums)
-        assert got.dtype == object and (got == decompose_oracle.z_lambda(lam, w, x)).all(), lam
+        got = z_lambda(lam, sums)
+        want = decompose_oracle.z_lambda(lam, decompose_oracle.power_sums(w, x, lam.total))
+        assert got.dtype == object and (got == want).all(), lam
 
 
 def test_z_lambda_stays_exact_across_row_tiles():
@@ -770,8 +778,9 @@ def test_z_lambda_stays_exact_across_row_tiles():
     w, x = rng.integers(-3, 4, (lay.N1, lay.N0)), rng.integers(-3, 4, (lay.N0, lay.N2))
     sums = power_sums(w, x, 7)
     for lam in partitions_up_to_parts(7, 7):
-        for got in (z_lambda(lam, w, x), z_lambda(lam, w, x, sums=sums)):
-            assert got.dtype == object and (got == decompose_oracle.z_lambda(lam, w, x)).all(), lam
+        want = decompose_oracle.z_lambda(lam, decompose_oracle.power_sums(w, x, lam.total))
+        for got in (z_lambda(lam, power_sums(w, x, lam.total)), z_lambda(lam, sums)):
+            assert got.dtype == object and (got == want).all(), lam
     for h in DECOMPOSE_LABELS:
         assert_same_components(decompose(h, power_sums(w, x, h.degree), lay), decompose_oracle.decompose(h, w, x, lay))
 
@@ -784,8 +793,8 @@ def test_in_place_steps_leave_their_inputs_alone():
         sums = power_sums(w, x, 7)
         table0 = {m: u.copy() for m, u in sums.items()}
         for lam in partitions_up_to_parts(7, 7):
-            z_lambda(lam, w, x)
-            z_lambda(lam, w, x, sums=sums)
+            z_lambda(lam, power_sums(w, x, lam.total))
+            z_lambda(lam, sums)
         for h in DECOMPOSE_LABELS:
             decompose(h, sums, lay)
             pw_matrix(h, w, x, lay)
