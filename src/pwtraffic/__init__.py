@@ -13,11 +13,9 @@ from .partitions import (
     SetPartition,
 )
 from .graphs import (
-    AuxiliaryGraph,
     Edge,
     StrongComponentReport,
     TestGraph,
-    build_auxiliary,
     classify,
     eta,
     moment_cycle,

@@ -414,7 +414,8 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
 def cmd_decompose(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     lay = ensemble.layout
-    poly = check_decompose_label(parse_polynomial(config.get("labels", "h3")))  # before the draw
+    poly = parse_polynomial(config.get("labels", "h3"))
+    check_decompose_label(poly)  # before the draw
     seed = config_int(config, "seed", 0, 0)
     # no local holds W, X or the table, so decompose frees the table before its Horner step
     parts = decompose(poly, power_sums(*ensemble.sample(seed), max(poly.degree, 1)), lay)

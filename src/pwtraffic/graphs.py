@@ -5,14 +5,14 @@ set partitions over a graph address vertices by that order (1-based).  Edges
 carry stable identities so that multisets and niche membership survive
 quotients.
 
-Cycle and cut-edge classification ignores edge directions.  It reads the
-fundamental cycles of one spanning tree, which are all the simple cycles
-exactly when the graph is a pseudo-cactus (no edge on two cycles).
+Cycle and cut-edge classification ignores edge directions.  ``classify``
+and the exact limit walk add edges by one rule (``join_edge``); the cycles
+it records are all the simple cycles iff no edge lies on two of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Sequence
@@ -188,63 +188,58 @@ class StrongComponentReport:
     is_pseudo_cactus: bool
 
 
-def classify(g: TestGraph) -> StrongComponentReport:
-    """Cut edges, cycles and the pseudo-cactus test of a connected graph, from one spanning tree.
+def join_edge(adj, cycles: list, k: int, a, b) -> bool:
+    """Add edge ``k`` between ``a`` and ``b``; True if the cycle it closes shares an edge with an earlier one.
 
-    The tree grows breadth first from the first vertex, in vertex order and
-    then edge order.  Each edge off the tree (every self-loop and every extra
-    parallel edge among them) closes one fundamental cycle with the tree path
-    between its ends, and an edge on none of them is a cut edge.  The graph
-    is a pseudo-cactus iff no two fundamental cycles share an edge; they are
-    then all of its simple cycles, since every cycle is a sum of fundamental
-    cycles and a sum of two or more edge-disjoint cycles is not simple.  For
-    any other graph the cycle lists hold the fundamental cycles only.
+    ``adj`` maps each vertex to its (edge, neighbour) pairs and ``cycles``
+    lists the cycles closed so far as (vertices, edges) in walking order,
+    edge i joining vertex i to the next.  The new edge closes the cycle of
+    the breadth-first path from ``a`` to ``b``, if there is one.  A path of
+    cut edges is the only path between its ends; a path through an edge on
+    a cycle puts that edge on two.
     """
-    edges = g.edges
-    incident: dict[VertexId, list[int]] = {v: [] for v in g.vertex_ids}
-    for k, e in enumerate(edges):
-        incident[e.src].append(k)
-        if e.dst != e.src:
-            incident[e.dst].append(k)
+    via = {a: None}
+    for x in (queue := [a]):
+        for j, y in adj[x]:
+            if y not in via:
+                via[y] = x, j
+                queue.append(y)
+    shared = False
+    if b in via:
+        verts, edges, y = [a], [k], b
+        while y != a:
+            verts.append(y)
+            y, j = via[y]
+            edges.append(j)
+        shared = not {j for _, es in cycles for j in es}.isdisjoint(edges)
+        cycles.append((tuple(verts), tuple(edges)))
+    adj[a].append((k, b))
+    adj[b].append((k, a))
+    return shared
 
-    def across(k: int, v: VertexId) -> VertexId:
-        return edges[k].dst if edges[k].src == v else edges[k].src
 
-    queue = list(g.vertex_ids[:1])
-    depth = dict.fromkeys(queue, 0)
-    up: dict[VertexId, int] = {}  # vertex -> its tree edge towards the first vertex
-    for v in queue:
-        for k in incident[v]:
-            w = across(k, v)
-            if w not in depth:
-                depth[w], up[w] = depth[v] + 1, k
-                queue.append(w)
-    if len(depth) != len(incident):
+def classify(g: TestGraph) -> StrongComponentReport:
+    """Cut edges, cycles and the pseudo-cactus test of a connected graph, one :func:`join_edge` per edge.
+
+    Each cycle (every self-loop and extra parallel edge closes one) holds
+    its closing edge, which no earlier cycle holds, so the cycles are a
+    basis and an edge on none is a cut edge.  The graph is a pseudo-cactus
+    iff no two share an edge; they are then all of its simple cycles, since
+    a sum of two or more edge-disjoint cycles is not simple.  For any other
+    graph the cycle lists hold the basis only.
+    """
+    adj: dict[VertexId, list] = {v: [] for v in g.vertex_ids}
+    cycles: list[tuple[tuple, tuple[int, ...]]] = []
+    shared = [join_edge(adj, cycles, k, e.src, e.dst) for k, e in enumerate(g.edges)]
+    if g.vertices and len(cycles) != len(g.edges) - len(g.vertices) + 1:  # one basis cycle per edge off a spanning tree
         raise ValueError("classify expects a connected graph; classify components separately")
-    tree = set(up.values())
-    uses = [0] * len(edges)
-    cycles: list[list[int]] = []
-    for k, e in enumerate(edges):
-        if k in tree:
-            continue
-        a, b, a_side, b_side = e.src, e.dst, [], []  # climb to the common ancestor
-        while a != b:
-            if depth[a] >= depth[b]:
-                a_side.append(up[a])
-                a = across(up[a], a)
-            else:
-                b_side.append(up[b])
-                b = across(up[b], b)
-        cycle = [k, *a_side, *reversed(b_side)]  # in walking order
-        for j in cycle:
-            uses[j] += 1
-        cycles.append(cycle)
-    ids = [e.id for e in edges]
+    ids = [e.id for e in g.edges]
+    on_cycle = {j for _, es in cycles for j in es}
     return StrongComponentReport(
-        cut_edges=tuple(i for i, n in zip(ids, uses) if n == 0),
-        two_cycles=tuple((ids[min(c)], ids[max(c)]) for c in cycles if len(c) == 2),
-        long_cycles=tuple(tuple(ids[j] for j in c) for c in cycles if len(c) != 2),
-        is_pseudo_cactus=max(uses, default=0) <= 1,
+        cut_edges=tuple(i for k, i in enumerate(ids) if k not in on_cycle),
+        two_cycles=tuple((ids[min(es)], ids[max(es)]) for _, es in cycles if len(es) == 2),
+        long_cycles=tuple(tuple(ids[j] for j in es) for _, es in cycles if len(es) != 2),
+        is_pseudo_cactus=not any(shared),
     )
 
 
@@ -272,44 +267,10 @@ def moment_cycle(k: int, label) -> TestGraph:
     return TestGraph(vertices, edges, reference=True)
 
 
-# -- the auxiliary (niche) construction ------------------------------------
+# -- auxiliary (niche) graphs: ``aux.reference`` and its expansion ``aux.graph`` --
 
 W_LABEL = "w"
 X_LABEL = "x"
-
-
-@dataclass(frozen=True)
-class AuxiliaryGraph:
-    """Two-variable expansion of a reference graph.
-
-    Each reference edge of label n is replaced by n internal vertices (its
-    niche, ``niches[edge id]``); every internal vertex sources one w-edge
-    into the reference target and sinks one x-edge from the reference
-    source.
-    """
-
-    reference: TestGraph
-    graph: TestGraph
-    niches: dict[EdgeId, tuple[VertexId, ...]] = field(compare=False)
-
-
-def build_auxiliary(ref: TestGraph) -> AuxiliaryGraph:
-    """Expand every reference edge into its niche (label = niche size >= 1)."""
-    if not ref.is_reference:
-        raise ValueError("build_auxiliary expects a reference-tagged graph")
-    vertices: list[tuple[VertexId, int]] = list(ref.vertices)
-    edges: list[Edge] = []
-    niches: dict[EdgeId, tuple[VertexId, ...]] = {}
-    for e in ref.edges:
-        n = e.label
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"reference edge {e.id!r} needs an integer label >= 1, got {n!r}")
-        niches[e.id] = tuple(("niche", e.id, k) for k in range(n))
-        for k, v in enumerate(niches[e.id]):
-            vertices.append((v, 0))
-            edges.append(Edge((W_LABEL, e.id, k), v, e.dst, W_LABEL))
-            edges.append(Edge((X_LABEL, e.id, k), e.src, v, X_LABEL))
-    return AuxiliaryGraph(reference=ref, graph=TestGraph(vertices, edges), niches=niches)
 
 
 def edge_groups(g: TestGraph, pi: SetPartition) -> dict[tuple, list[EdgeId]]:
@@ -323,8 +284,8 @@ def edge_groups(g: TestGraph, pi: SetPartition) -> dict[tuple, list[EdgeId]]:
     return groups
 
 
-def has_centered_support(aux: AuxiliaryGraph, pi: SetPartition) -> bool:
-    """Centered-entry support filter: no w- or x-group of multiplicity 1.
+def has_centered_support(aux, pi: SetPartition) -> bool:
+    """Centered-entry support filter on an auxiliary graph: no w- or x-group of multiplicity 1.
 
     A group is a maximal set of equally-labeled edges whose sources share a
     block and whose targets share a block; entries with mean zero kill any
@@ -353,8 +314,8 @@ def _w_components(g: TestGraph, block_of: dict) -> dict[int, int]:
     return _union_find(blocks, links)
 
 
-def eta(aux: AuxiliaryGraph, pi: SetPartition) -> EtaBreakdown:
-    """Exponent of N carried by a split quotient of the auxiliary graph.
+def eta(aux, pi: SetPartition) -> EtaBreakdown:
+    """Exponent of N carried by a split quotient of an auxiliary graph.
 
     eta = |V^pi| - 1 - |E|/2 - sum_e n(e)/2 over the reference edge set, and
     eta = eta1 + eta2 with eta1 the forest defect of the quotient of the

@@ -127,13 +127,6 @@ class Polynomial:
             coeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
         return Polynomial(coeffs)
 
-    def __call__(self, x):
-        """Horner evaluation; exact on Fractions, float/ndarray otherwise."""
-        acc = 0 * x
-        for c in reversed(self.power_coeffs):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
-        return acc
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.power_coeffs, other.power_coeffs
         if len(a) < len(b):

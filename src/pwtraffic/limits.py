@@ -23,7 +23,8 @@ The tables are multiplied and integrated over the quotient-vertex cells and
 the star centres by one variable-elimination loop (``_eliminate``), which
 ``delta0_graphon`` runs on a two-variable test graph with one w or x value
 table per edge.  One pruned walk (``_pseudo_cacti``) lists the
-pseudo-cactus split quotients, and ``limit_values`` eliminates one quotient
+pseudo-cactus split quotients, adding edges by ``classify``'s own rule
+(``graphs.join_edge``), and ``limit_values`` eliminates one quotient
 per isomorphism class (``_class_key``) and per distinct factor list, for
 all five limits: the full limit, the deterministic, linear and chaos limits
 (every component in that one channel), and their sum with one channel per
@@ -41,6 +42,8 @@ The exponent scan (``eta_support_scan``) walks the supported split partitions
 of the auxiliary graph once per walk state, keeping its leaf count, block
 counts and the children that reach an exponent-zero leaf; one descent lists
 those leaves, each built from cached reference blocks and its niche blocks.
+It reads the niches off the reference labels.  The walk and the scan read a
+reference graph through one reader (``_read_reference``).
 """
 
 from __future__ import annotations
@@ -51,16 +54,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm, prod
 
-from .graphs import (
-    AuxiliaryGraph,
-    TestGraph,
-    W_LABEL,
-    X_LABEL,
-    build_auxiliary,
-    classify,
-    is_connected,
-    quotient,
-)
+from .graphs import TestGraph, W_LABEL, X_LABEL, classify, is_connected, join_edge, quotient
 from .hermite import Polynomial, _frac
 from .models import CellKernels, StepProfile, cell_kernels
 from .partitions import SetPartition, bell_number, label_blocks, restricted_growth_strings
@@ -168,20 +162,40 @@ def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
 RULES = ("pw", "B", "lin", "per", "sum")
 
 
-def _validate_reference(g: TestGraph) -> None:
+def _read_reference(g: TestGraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The positions of the colour-1 and of the colour-2 vertices, and each edge's (target, source) ranks among them.
+
+    The limit walk and the exponent scan read a reference graph here: a
+    vertex of another colour, a disconnected graph and an edge that does not
+    run from colour 2 to colour 1 are refused.
+    """
+    positions: tuple[list[int], list[int]] = ([], [])
+    rank = {}
+    for i, (v, c) in enumerate(g.vertices):
+        if c not in (1, 2):
+            raise ValueError("reference vertices must have color 1 or 2")
+        rank[v] = len(positions[c - 1])
+        positions[c - 1].append(i + 1)
+    if not is_connected(g):
+        raise ValueError("reference graphs must be connected")
+    for e in g.edges:
+        if g.color[e.src] != 2 or g.color[e.dst] != 1:
+            raise ValueError(f"reference edges run from color 2 to color 1; edge {e.id!r} does not")
+    return *positions, [(rank[e.dst], rank[e.src]) for e in g.edges]
+
+
+def _validate_reference(g: TestGraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The reader's view of a reference graph that the limit formulas take: one to 12 edges, odd polynomial labels."""
     if not g.edges:
         raise ValueError("reference graphs need at least one edge")
-    if not is_connected(g):
-        raise ValueError("the limit formulas require a connected graph")
     if len(g.edges) > MAX_LIMIT_EDGES:
         raise ValueError(f"limit evaluation guarded at {MAX_LIMIT_EDGES} edges")
     for e in g.edges:
-        if g.color[e.src] != 2 or g.color[e.dst] != 1:
-            raise ValueError("reference edges run from color 2 to color 1")
         if not isinstance(e.label, Polynomial):
             raise ValueError(f"edge {e.id!r} must be labeled by a Polynomial")
         if not e.label.is_odd:
             raise ValueError(f"edge {e.id!r} carries an even part; only odd polynomials converge")
+    return _read_reference(g)
 
 
 @dataclass
@@ -253,57 +267,35 @@ def _pseudo_cacti(g: TestGraph):
     One walk over restricted-growth labels, colour 1 outermost, then colour
     2; the quotient vertices are the colour-1 blocks, then the colour-2
     blocks.  Each colour-2 vertex joins a block and adds its edges to a copy
-    of the prefix's quotient.  A path of cut edges is the only path between
-    its ends, so the breadth-first path between a new edge's ends decides:
-    none leaves a cut edge, one of cut edges closes a cycle, and one through
-    a cycle edge puts that edge on two cycles.  Later vertices only add
-    vertices and edges, so that prefix is cut.
+    of the prefix's quotient through :func:`graphs.join_edge`.  An edge that
+    puts an edge on two cycles cuts the prefix, since later vertices only
+    add vertices and edges.
 
     Yields (colour-1 labels, colour-2 labels, vertex count, colour-1 block
     count, edge -> (source, target), cut edges, cycles as (vertices, edges)
     in walking order, edge i joining vertex i to the next).
     """
-    ids = {c: [v for v, cv in g.vertices if cv == c] for c in (1, 2)}
-    rank = {v: r for vs in ids.values() for r, v in enumerate(vs)}
-    out_edges = [[(k, rank[e.dst]) for k, e in enumerate(g.edges) if e.src == s] for s in ids[2]]
-    ends: list = [None] * len(g.edges)  # written along the current path, so whole at a leaf
-    labels2 = [0] * len(ids[2])
-
-    def add(k: int, a: int, b: int, adj: list[list], cycles: list) -> bool:
-        via = {a: None}
-        for x in (queue := [a]):
-            for j, y in adj[x]:
-                if y not in via:
-                    via[y] = x, j
-                    queue.append(y)
-        if b in via:
-            verts, edges, y = [a], [k], b
-            while y != a:
-                verts.append(y)
-                y, j = via[y]
-                edges.append(j)
-            if {j for _, es in cycles for j in es}.intersection(edges):
-                return False
-            cycles.append((tuple(verts), tuple(edges)))
-        ends[k] = a, b
-        adj[a].append((k, b))
-        adj[b].append((k, a))
-        return True
+    targets, sources, ranks = _read_reference(g)
+    out_edges: list[list] = [[] for _ in sources]
+    for k, (t, s) in enumerate(ranks):
+        out_edges[s].append((k, t))
+    labels2 = [0] * len(sources)
 
     def walk(i: int, n_blocks: int, adj: list[list], cycles: list):
-        if i == len(ids[2]):
-            cut_edges = [k for k in range(len(g.edges)) if all(k not in es for _, es in cycles)]
+        if i == len(sources):
+            ends = [(m1 + labels2[s], labels1[t]) for t, s in ranks]
+            cut_edges = [k for k in range(len(ranks)) if all(k not in es for _, es in cycles)]
             yield labels1, tuple(labels2), m1 + n_blocks, m1, ends, cut_edges, cycles
             return
         for blk in range(n_blocks + 1):
             adj2, cycles2 = [list(x) for x in adj], list(cycles)
-            if all(add(k, m1 + blk, labels1[t], adj2, cycles2) for k, t in out_edges[i]):
+            if not any(join_edge(adj2, cycles2, k, m1 + blk, labels1[t]) for k, t in out_edges[i]):
                 labels2[i] = blk
                 yield from walk(i + 1, n_blocks + (blk == n_blocks), adj2, cycles2)
 
-    for labels1 in restricted_growth_strings(len(ids[1])):
+    for labels1 in restricted_growth_strings(len(targets)):
         m1 = max(labels1) + 1
-        yield from walk(0, 0, [[] for _ in range(m1 + len(ids[2]))], [])
+        yield from walk(0, 0, [[] for _ in range(m1 + len(sources))], [])
 
 
 def _class_key(leaf: tuple, label_id: list[int], intern: dict) -> int:
@@ -382,11 +374,10 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
     Values are computed once per isomorphism class, in a memo local to this
     call; ``breakdown`` lists the quotients in ``split_partitions`` order.
     """
-    _validate_reference(g)
+    positions = _validate_reference(g)[:2]
     kernels = _limit_kernels(params)
     labels = [e.label for e in g.edges]
     label_id = [labels.index(h) for h in labels]
-    positions = [[i + 1 for i, (_, c) in enumerate(g.vertices) if c == color] for color in (1, 2)]
     intern, classes, totals, breakdown = {}, {}, [Fraction(0)] * len(RULES), []
     for leaf in _pseudo_cacti(g):
         key = _class_key(leaf, label_id, intern)
@@ -449,11 +440,12 @@ class EtaScanReport:
     violations: list[SetPartition]
 
 
-def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
-    """Walk the split partitions of the auxiliary graph with centered support.
+def _scan_splits(ref: TestGraph, offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
+    """Walk the split partitions of the auxiliary graph of ``ref`` with centered support.
 
-    Under each pair of reference partitions one recursion assigns the internal
-    labels in niche order, with the w- and x-group multiplicities in flat lists
+    Edge e has a niche of e.label internal vertices, each with a w-edge into
+    e's target and an x-edge from e's source.  Under each pair of reference
+    partitions one recursion assigns the internal labels in niche order, with the w- and x-group multiplicities in flat lists
     (reference block * n0 + internal block).  A prefix is cut once either
     singleton count exceeds the vertices still unassigned.  The position, the
     internal block count and the two multiplicity lists fix everything below a
@@ -463,11 +455,10 @@ def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple
     follows to write the labels of those leaves.  Returns the count, the
     largest block count (-1 if none) and the (internal, targets, sources) labels.
     """
-    by_class = {c: [v for v, cv in aux.reference.vertices if cv == c] for c in (1, 2)}
-    index = {v: k for vs in by_class.values() for k, v in enumerate(vs)}
-    ends = [(index[e.dst], index[e.src]) for e in aux.reference.edges for _ in aux.niches[e.id]]
+    target_positions, source_positions, ranks = _read_reference(ref)
+    ends = [ts for ts, e in zip(ranks, ref.edges) for _ in range(e.label)]  # (target, source) rank per niche vertex
     n0 = len(ends)
-    w_mult, x_mult, labels = [0] * (len(by_class[1]) * n0), [0] * (len(by_class[2]) * n0), [0] * n0
+    w_mult, x_mult, labels = [0] * (len(target_positions) * n0), [0] * (len(source_positions) * n0), [0] * n0
     n_supported, max_blocks, zeros = 0, -1, []
 
     def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, list]:
@@ -502,8 +493,8 @@ def _scan_splits(aux: AuxiliaryGraph, offset: int) -> tuple[int, int, list[tuple
             labels[i] = b
             descend(i + 1, child)
 
-    for targets in restricted_growth_strings(len(by_class[1])):
-        for sources in restricted_growth_strings(len(by_class[2])):
+    for targets in restricted_growth_strings(len(target_positions)):
+        for sources in restricted_growth_strings(len(source_positions)):
             w_base = [targets[t] * n0 for t, _ in ends]
             x_base = [sources[s] * n0 for _, s in ends]
             outer = max(targets, default=-1) + max(sources, default=-1) + 2  # the target and source blocks
@@ -528,8 +519,9 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     Quotients failing the centered-entry support filter (some w- or x-group
     of multiplicity one) are skipped.  The claim under test: the exponent is
     never positive, and every exponent-zero quotient restricts to a
-    pseudo-cactus on the reference vertices.  The graph must be connected and
-    its labels odd (even niches break the parity arguments; their traces diverge).
+    pseudo-cactus on the reference vertices.  The graph must pass
+    ``_read_reference`` and its labels be odd (even niches break the parity
+    arguments; their traces diverge).
 
     ``n_partitions`` is the Bell-number count of split partitions, not the
     number that the pruned walk (``_scan_splits``) visits.  The walk gives
@@ -546,30 +538,24 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
             raise ValueError(f"edge {e.id!r} needs an integer label in 1..{max_label}")
         if e.label % 2 == 0:
             raise ValueError("the exponent bound holds for odd labels only")
-    aux = build_auxiliary(ref)
-    n = len(aux.graph.vertices)
-    positions = {c: [i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)}
-    # color 0 is the niches alone, after the reference vertices: a leaf is its reference blocks, then its niche blocks
-    if positions[0] != list(range(len(ref.vertices) + 1, n + 1)):
-        raise ValueError("reference vertices must have color 1 or 2")
-    if not is_connected(ref):
-        raise ValueError("the exponent scan needs a connected reference graph")
-    size = prod(bell_number(len(p)) for p in positions.values())
+    targets, sources, _ = _read_reference(ref)
+    n_ref, n0 = len(ref.vertices), sum(e.label for e in ref.edges)
+    size = bell_number(n0) * bell_number(len(targets)) * bell_number(len(sources))
     if size > MAX_SCAN_PARTITIONS:
         raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
 
     offset = _eta_offset(ref)
-    n_supported, max_blocks, zeros = _scan_splits(aux, offset)
+    n_supported, max_blocks, zeros = _scan_splits(ref, offset)
     zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
 
     reference, zero_partitions, violations = {}, [], []  # reference: labels[1:] -> (blocks, is a pseudo-cactus)
     for labels in zeros:
         key = labels[1:]
         if key not in reference:
-            rho = SetPartition.from_labels(len(ref.vertices), zip((positions[1], positions[2]), key))
+            rho = SetPartition.from_labels(n_ref, zip((targets, sources), key))
             reference[key] = rho.blocks, classify(quotient(ref, rho)).is_pseudo_cactus
         ref_blocks, ok = reference[key]
-        pi = SetPartition(n, ref_blocks + label_blocks(positions[0], labels[0]))
+        pi = SetPartition(n_ref + n0, ref_blocks + label_blocks(range(n_ref + 1, n_ref + n0 + 1), labels[0]))
         zero_partitions.append(pi)
         if not ok:
             violations.append(pi)

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment
+from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment, monomial
 from .partitions import IntegerPartition, restricted_growth_strings
 from .traffic import BlockLayout, MatrixFamily
 
@@ -422,13 +422,30 @@ class Decomposition:
         return out
 
 
-def check_decompose_label(h: Polynomial) -> Polynomial:
-    """``h``, or a ValueError if :func:`decompose` does not take it: odd, of degree at most 7."""
+@lru_cache(maxsize=None)
+def check_decompose_label(h: Polynomial) -> tuple[tuple[object, IntegerPartition, int, float], ...]:
+    """The block sums that :func:`decompose` adds for ``h``, as (part, block type, degree n, coefficient).
+
+    ``part`` is "lin", an order m >= 2 or "def", which read the k-th
+    derivative for k = 1, m and 3; the coefficient is a_n E[h_n^(k)]/k!,
+    exact and then fitted to a float.  A ValueError if decompose does not
+    take ``h``: an even part, a degree above 7 or a coefficient past the
+    float range.
+    """
     if not h.is_odd:
         raise ValueError("decompose expects an odd polynomial")
     if h.degree > 7:
         raise ValueError("decompose guarded at degree 7")
-    return h
+    terms = []
+    for n, a_n in enumerate(h.power_coeffs):
+        if a_n == 0:
+            continue
+        for part, k in [("lin", 1), *((m, m) for m in range(2, n + 1)), *([("def", 3)] if n >= 3 else [])]:
+            coeff = a_n * (expect_derivative(monomial(n), k) / math.factorial(k))
+            if coeff != 0:
+                lam = triple_and_pairs(n) if part == "def" else ones_and_pairs(n, k)
+                terms.append((part, lam, n, _fit_float(f"the coefficient of the {lam.parts} block sum", lambda: coeff)))
+    return tuple(terms)
 
 
 def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -> Decomposition:
@@ -437,13 +454,14 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
     The linear part collects the single-free-index blocks weighted by
     E[h_n'], the order-m perturbative parts the m-ones blocks weighted by
     E[h_n^(m)]/m!, the deformation the one-triple blocks weighted by
-    E[h_n''']/6; the remainder is what is left of the full matrix.
+    E[h_n''']/6 (the terms of :func:`check_decompose_label`); the remainder
+    is what is left of the full matrix.
 
     ``sums`` is the :func:`power_sums` table of the layout's W and X up to
     at least max(h.degree, 1), never written; it is dropped before the Horner
     step on S_1 = W@X, which frees a table passed as a temporary.
     """
-    check_decompose_label(h)
+    terms = check_decompose_label(h)
     if any(m not in sums for m in range(1, max(h.degree, 1) + 1)) or sums[1].shape != (layout.N1, layout.N2):
         raise ValueError("decompose needs a power-sum table of N1 x N2 matrices up to max(h.degree, 1)")
     shape = (layout.N1, layout.N2)
@@ -451,30 +469,16 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
     lin = np.zeros(shape)
     per: dict[int, np.ndarray] = {}
     deform = np.zeros(shape)
-
-    def scaled(lam: IntegerPartition, coeff: Fraction, scale: float) -> np.ndarray:
+    for part, lam, n, coeff in terms:
         z = z_lambda(lam, sums).astype(float, copy=False)
-        z *= _fit_float(f"the coefficient of the {lam.parts} block sum", lambda: coeff) * scale
-        return z
-
-    for n, a_n in enumerate(h.power_coeffs):
-        if a_n == 0:
-            continue
-        hn = Polynomial([0] * n + [1])
-        scale = gamma * float(layout.N0) ** (-n / 2)
-        c_lin = expect_derivative(hn, 1)
-        if c_lin != 0:
-            lin += scaled(ones_and_pairs(n, 1), a_n * c_lin, scale)
-        for m in range(2, n + 1):
-            c_m = expect_derivative(hn, m) / math.factorial(m)
-            if c_m == 0:
-                continue
-            term = scaled(ones_and_pairs(n, m), a_n * c_m, scale)
-            per[m] = np.add(per[m], term, out=per[m]) if m in per else term
-        if n >= 3:
-            c_def = expect_derivative(hn, 3) / 6
-            if c_def != 0:
-                deform += scaled(triple_and_pairs(n), a_n * c_def, scale)
+        z *= coeff * (gamma * float(layout.N0) ** (-n / 2))
+        if part == "lin":
+            lin += z
+        elif part == "def":
+            deform += z
+        else:
+            per[part] = np.add(per[part], z, out=per[part]) if part in per else z
+        del z  # not live while the next block sum is filled
     # pw_matrix's Horner step on W@X from the table, in new arrays
     inner = (sums[1] / math.sqrt(layout.N0)).astype(float, copy=False)
     del sums

@@ -116,9 +116,6 @@ class MatrixFamily:
             raise KeyError(f"unresolved label {label!r}")
         return self.items[label]
 
-    def __contains__(self, label: object) -> bool:
-        return label in self.items
-
 
 def combinatorial_trace(g: TestGraph, family: MatrixFamily) -> object:
     """Sum over split vertex labelings of the product of edge entries.

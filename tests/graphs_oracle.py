@@ -1,25 +1,27 @@
 """Graph definitions that only the tests use.
 
 Graph monomials (a test graph with input and output vertices), the cycles
-of a ``classify`` report in one list, edge lookup by id, the internal
-vertices of an auxiliary graph, the coarsened reference restriction
-``rho_tilde`` of a split quotient, and the exhaustive simple-cycle
-enumeration (``skeleton``, ``simple_cycles``) behind
-``classify_oracle``, the oracle of the spanning-tree ``graphs.classify``.
+of a ``classify`` report in one list, edge lookup by id, the auxiliary
+(niche) graph of a reference graph (``build_auxiliary``) and its internal
+vertices, the coarsened reference restriction ``rho_tilde`` of a split
+quotient, and the exhaustive simple-cycle enumeration (``skeleton``,
+``simple_cycles``) behind ``classify_oracle``, the oracle of the edge-join
+``graphs.classify``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from pwtraffic.graphs import (
-    AuxiliaryGraph,
     Edge,
     EdgeId,
     StrongComponentReport,
     TestGraph,
     VertexId,
+    W_LABEL,
+    X_LABEL,
     _check_split,
     _w_components,
     is_connected,
@@ -50,6 +52,40 @@ def edge_by_id(g: TestGraph, eid: EdgeId) -> Edge:
         if e.id == eid:
             return e
     raise KeyError(eid)
+
+
+@dataclass(frozen=True)
+class AuxiliaryGraph:
+    """Two-variable expansion of a reference graph.
+
+    Each reference edge of label n is replaced by n internal vertices (its
+    niche, ``niches[edge id]``); every internal vertex sources one w-edge
+    into the reference target and sinks one x-edge from the reference
+    source.
+    """
+
+    reference: TestGraph
+    graph: TestGraph
+    niches: dict[EdgeId, tuple[VertexId, ...]] = field(compare=False)
+
+
+def build_auxiliary(ref: TestGraph) -> AuxiliaryGraph:
+    """Expand every reference edge into its niche (label = niche size >= 1)."""
+    if not ref.is_reference:
+        raise ValueError("build_auxiliary expects a reference-tagged graph")
+    vertices: list[tuple[VertexId, int]] = list(ref.vertices)
+    edges: list[Edge] = []
+    niches: dict[EdgeId, tuple[VertexId, ...]] = {}
+    for e in ref.edges:
+        n = e.label
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"reference edge {e.id!r} needs an integer label >= 1, got {n!r}")
+        niches[e.id] = tuple(("niche", e.id, k) for k in range(n))
+        for k, v in enumerate(niches[e.id]):
+            vertices.append((v, 0))
+            edges.append(Edge((W_LABEL, e.id, k), v, e.dst, W_LABEL))
+            edges.append(Edge((X_LABEL, e.id, k), e.src, v, X_LABEL))
+    return AuxiliaryGraph(reference=ref, graph=TestGraph(vertices, edges), niches=niches)
 
 
 def internal_vertices(aux: AuxiliaryGraph) -> tuple[VertexId, ...]:

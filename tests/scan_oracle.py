@@ -17,9 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from pwtraffic.graphs import (
-    AuxiliaryGraph,
     TestGraph,
-    build_auxiliary,
     classify,
     eta,
     has_centered_support,
@@ -28,6 +26,7 @@ from pwtraffic.graphs import (
 )
 from pwtraffic.limits import MAX_SCAN_PARTITIONS, EtaScanReport
 from pwtraffic.partitions import SetPartition, bell_number, restricted_growth_strings
+from graphs_oracle import AuxiliaryGraph, build_auxiliary
 from partitions_oracle import restrict
 
 

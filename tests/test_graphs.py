@@ -9,7 +9,6 @@ from pwtraffic.graphs import (
     Edge,
     NonSplitPartitionError,
     TestGraph,
-    build_auxiliary,
     classify,
     connected_components,
     eta,
@@ -20,7 +19,7 @@ from pwtraffic.graphs import (
     split_partitions,
 )
 from pwtraffic.partitions import SetPartition
-from graphs_oracle import all_cycles, classify_oracle, internal_vertices, rho_tilde, skeleton
+from graphs_oracle import all_cycles, build_auxiliary, classify_oracle, internal_vertices, rho_tilde, skeleton
 from partitions_oracle import enumerate_set_partitions, restrict, singletons
 from refgraphs import labeled_reference_graphs
 

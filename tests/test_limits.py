@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from pwtraffic.models import (
     equivalent_sampler,
     model_sampler,
 )
+from pwtraffic.partitions import SetPartition
 from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
 from graphs_oracle import all_cycles
 from limit_oracle import _limit as oracle_limit
@@ -358,6 +360,40 @@ def test_limit_walk_matches_the_per_partition_loop_on_moment_5():
     assert values.pw == values.sum != 0  # the recombination on moment-5
 
 
+def test_walk_leaves_are_the_pseudo_cactus_quotients_that_classify_finds():
+    # the edge join's two users: on every split partition of moment-1..4 and
+    # of the reference graphs of <= 3 edges, the partition is a walk leaf
+    # exactly when classify calls its quotient a pseudo-cactus (in
+    # split_partitions order), and each leaf's cut edges and cycles, as edge
+    # index sets, are classify's
+    from pwtraffic.limits import _pseudo_cacti
+
+    graphs = [moment_cycle(k, 1) for k in range(1, 5)] + [g for _, g in labeled_reference_graphs(3, [1])]
+    n_leaves = n_refused = 0
+    for g in graphs:
+        index = {e.id: k for k, e in enumerate(g.edges)}
+        positions = [[i + 1 for i, (_, c) in enumerate(g.vertices) if c == color] for color in (1, 2)]
+        expected = []
+        for pi in split_partitions(g):
+            report = classify(quotient(g, pi))
+            if not report.is_pseudo_cactus:
+                n_refused += 1
+                continue
+            cycles = Counter(frozenset(index[i] for i in c) for c in all_cycles(report))
+            expected.append((pi, sorted(index[i] for i in report.cut_edges), cycles))
+        got = [
+            (
+                SetPartition.from_labels(len(g.vertices), zip(positions, leaf[:2])),
+                sorted(leaf[5]),
+                Counter(frozenset(edges) for _, edges in leaf[6]),
+            )
+            for leaf in _pseudo_cacti(g)
+        ]
+        assert got == expected, g.edges
+        n_leaves += len(got)
+    assert n_leaves > 0 and n_refused > 0
+
+
 def test_every_class_memo_hit_equals_its_quotient_from_scratch():
     # limit_values eliminates one quotient per isomorphism class and reuses
     # its values for the rest of the class: recompute every reuse
@@ -529,6 +565,49 @@ def test_scan_rejects_color_0_reference_vertex():
         eta_support_scan(g)
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("wrong_way", "reference edges run from color 2 to color 1"),
+        ("isolated_color_0", "reference vertices must have color 1 or 2"),
+        ("disconnected", "reference graphs must be connected"),
+    ],
+)
+def test_limit_and_scan_refuse_a_bad_reference_graph_alike(case, message):
+    # the one reference reader: each structural rule refuses with one message
+    # in the limit walk and in the exponent scan, whatever the labels
+    def build(label):
+        vertices, edges = [("t", 1), ("s", 2)], [Edge("e", "s", "t", label)]
+        if case == "wrong_way":
+            edges.append(Edge("f", "t", "s", label))
+        elif case == "isolated_color_0":
+            vertices.append(("z", 0))
+        else:
+            vertices += [("t2", 1), ("s2", 2)]
+            edges.append(Edge("f", "s2", "t2", label))
+        return TestGraph(vertices, edges)  # not tagged as a reference graph, so the wrong way can be built
+
+    with pytest.raises(ValueError, match=message):
+        limit_values(build(H1), CONSTANT)
+    with pytest.raises(ValueError, match=message):
+        eta_support_scan(build(3))
+
+
+def test_limit_and_scan_read_an_untagged_graph_and_differ_on_an_edgeless_one():
+    # a correctly directed graph needs no reference tag in either; an
+    # edgeless one-vertex graph is refused by the limit and scanned by the scan
+    for label, run in ((H3, lambda g: limit_values(g, STEPPED)), (3, eta_support_scan)):
+        tagged = single_edge(label)
+        assert run(TestGraph(tagged.vertices, tagged.edges)) == run(tagged)
+    for color in (1, 2):
+        lone = TestGraph([("u", color)], [], reference=True)
+        with pytest.raises(ValueError, match="at least one edge"):
+            limit_values(lone, CONSTANT)
+        rep = eta_support_scan(lone)
+        assert (rep.n_partitions, rep.n_supported, rep.max_eta, rep.pseudo_cactus_ok) == (1, 1, 0, True)
+        assert rep.eta_zero_partitions == [SetPartition(1, ((1,),))] and rep.violations == []
+
+
 def test_internal_block_count_identity():
     # number of inner blocks of a contributing quotient equals
     # c2 + c3 + sum_e (n(e)-1)/2; checked on the assembled niche expansions
@@ -618,7 +697,8 @@ def test_finite_size_bias_halves():
 
 
 def brute_limit(ref_int, params, law_w, law_x):
-    from pwtraffic.graphs import build_auxiliary, edge_groups, eta
+    from graphs_oracle import build_auxiliary
+    from pwtraffic.graphs import edge_groups, eta
     from pwtraffic.graphs import quotient as gquotient
     from pwtraffic.graphs import split_partitions as sp
 
@@ -804,7 +884,7 @@ def test_leaf_partitions_are_built_canonical():
     # on every exponent-zero leaf and reference key of the 19 eta_scan graphs
     # (<= 2 edges, the two (5, 5) graphs on three vertices left out), the
     # canonical build equals SetPartition.from_blocks on the same blocks
-    from pwtraffic.graphs import build_auxiliary
+    from graphs_oracle import build_auxiliary
     from pwtraffic.limits import _eta_offset, _scan_splits
     from pwtraffic.partitions import SetPartition
 
@@ -825,7 +905,7 @@ def test_leaf_partitions_are_built_canonical():
     for g in graphs:
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        for labels in _scan_splits(aux, _eta_offset(g))[2]:
+        for labels in _scan_splits(g, _eta_offset(g))[2]:
             leaf = list(zip(positions, labels))
             key = leaf[1:]  # the reference labels, on positions 1..len(g.vertices)
             assert SetPartition.from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
@@ -881,7 +961,7 @@ def test_flat_walk_matches_generator_oracle():
     # count, the largest block count and the exponent-zero labels, on every
     # graph of <= 2 edges (the two 231,950-partition (5, 5) graphs included)
     # and the 21 three-edge graphs of label sum 9
-    from pwtraffic.graphs import build_auxiliary
+    from graphs_oracle import build_auxiliary
     from pwtraffic.limits import _eta_offset, _scan_splits
     from scan_oracle import supported_splits
 
@@ -902,7 +982,7 @@ def test_flat_walk_matches_generator_oracle():
             max_blocks = max(max_blocks, n_blocks)
             if n_blocks == offset:
                 zeros.append(labels)
-        got_supported, got_max, got_zeros = _scan_splits(aux, offset)
+        got_supported, got_max, got_zeros = _scan_splits(g, offset)
         assert (got_supported, got_max, sorted(got_zeros)) == (n_supported, max_blocks, sorted(zeros))
 
 
@@ -914,7 +994,7 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
     # pseudo-cactus test, so a stand-in classify fails every quotient with an
     # even vertex count, which puts about half of the leaves on the violation list
     from pwtraffic import limits
-    from pwtraffic.graphs import build_auxiliary
+    from graphs_oracle import build_auxiliary
     from pwtraffic.limits import _eta_offset, _scan_splits
     from pwtraffic.partitions import SetPartition
 
@@ -939,7 +1019,7 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
         checked += 1
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        leaves = sorted(_scan_splits(aux, _eta_offset(g))[2])
+        leaves = sorted(_scan_splits(g, _eta_offset(g))[2])
         expected = [SetPartition.from_labels(len(aux.graph.vertices), zip(positions, labels)) for labels in leaves]
         violations = [
             pi
@@ -962,7 +1042,7 @@ def test_scan_rejects_disconnected_reference_graph(labels):
         [Edge("a", "s0", "t0", labels[0]), Edge("b", "s1", "t1", labels[1])],
         reference=True,
     )
-    with pytest.raises(ValueError, match="the exponent scan needs a connected reference graph"):
+    with pytest.raises(ValueError, match="reference graphs must be connected"):
         eta_support_scan(g)
 
 

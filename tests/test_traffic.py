@@ -221,7 +221,8 @@ def test_moebius_single_edge_diag_split():
 
 def test_moebius_on_niche_expansion_graph():
     # the two-variable expansion of a single labeled edge, small blocks
-    from pwtraffic.graphs import build_auxiliary, single_edge
+    from graphs_oracle import build_auxiliary
+    from pwtraffic.graphs import single_edge
 
     aux = build_auxiliary(single_edge(3))
     lay = BlockLayout(2, 2, 2)
