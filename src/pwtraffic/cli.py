@@ -10,12 +10,10 @@ Exit codes: 0 success, 2 validation error, 3 exact-limit mismatch flag.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +398,8 @@ def cmd_spectrum(config: dict, map_fn=None, out_path: str | None = None) -> tupl
             }
         )
     if out_path:
+        import csv
+
         hist_path = Path(out_path).with_suffix(".hist.csv")
         with open(hist_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["family", "bin_left", "count"])
@@ -450,6 +450,8 @@ def _write_report(report: dict, out, fmt: str) -> None:
         text = json.dumps(report, sort_keys=True, indent=2, default=str)
         out.write(text + "\n")
         return
+    import csv
+
     records = report.get("records", [])
     fieldnames = sorted({k for r in records for k in r})
     writer = csv.DictWriter(out, fieldnames=fieldnames)
@@ -476,6 +478,8 @@ def main(argv=None) -> int:
             kwargs["out_path"] = args.out
         workers = min(threads, trials) if args.command in ("simulate", "compare") else 1
         if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)
         else:

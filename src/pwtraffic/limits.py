@@ -261,8 +261,8 @@ def _two_cycle_tables(h1: Polynomial, h2: Polynomial, kernels: CellKernels) -> d
     return {"pw": kernels.expect(h1 * h2), "lin": lin, "per": per, "sum": star_sum}
 
 
-def _pseudo_cacti(g: TestGraph):
-    """Every split quotient of ``g`` that is a pseudo-cactus, in ``split_partitions`` order.
+def _pseudo_cacti(reference: tuple[list[int], list[int], list[tuple[int, int]]]):
+    """Every split quotient that is a pseudo-cactus, in ``split_partitions`` order, from the graph's :func:`_read_reference` view.
 
     One walk over restricted-growth labels, colour 1 outermost, then colour
     2; the quotient vertices are the colour-1 blocks, then the colour-2
@@ -275,7 +275,7 @@ def _pseudo_cacti(g: TestGraph):
     count, edge -> (source, target), cut edges, cycles as (vertices, edges)
     in walking order, edge i joining vertex i to the next).
     """
-    targets, sources, ranks = _read_reference(g)
+    targets, sources, ranks = reference
     out_edges: list[list] = [[] for _ in sources]
     for k, (t, s) in enumerate(ranks):
         out_edges[s].append((k, t))
@@ -374,19 +374,19 @@ def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
     Values are computed once per isomorphism class, in a memo local to this
     call; ``breakdown`` lists the quotients in ``split_partitions`` order.
     """
-    positions = _validate_reference(g)[:2]
+    reference = _validate_reference(g)
     kernels = _limit_kernels(params)
     labels = [e.label for e in g.edges]
     label_id = [labels.index(h) for h in labels]
     intern, classes, totals, breakdown = {}, {}, [Fraction(0)] * len(RULES), []
-    for leaf in _pseudo_cacti(g):
+    for leaf in _pseudo_cacti(reference):
         key = _class_key(leaf, label_id, intern)
         if key not in classes:
             classes[key] = _quotient_values(labels, leaf, kernels, params)
         values = classes[key]
         totals = [t + v for t, v in zip(totals, values)]
         if values[0]:
-            partition = SetPartition.from_labels(len(g.vertices), zip(positions, leaf[:2]))
+            partition = SetPartition.from_labels(len(g.vertices), zip(reference[:2], leaf[:2]))
             breakdown.append(QuotientTerm(partition, values[0]))
     return LimitValues(*totals, breakdown=tuple(breakdown))
 

@@ -51,7 +51,7 @@ STREAM_LIN_X = 12
 STREAM_PER = 20  # (seed, STREAM_PER, order)
 
 _MAX_Z_PARTS = 8
-_ROW_TILE = 32  # rows of a z_lambda result built per pass, the height of its scratch buffer
+_ROW_TILE = 32  # rows of a block sum built per pass, the height of its scratch tiles
 
 
 def _fit_float(what: str, compute: Callable[[], object]) -> float:
@@ -391,16 +391,21 @@ def z_lambda(lam: IntegerPartition, sums: dict[int, np.ndarray]) -> np.ndarray:
     buf = np.empty_like(out[:_ROW_TILE])
     for start in range(0, len(out), _ROW_TILE):
         rows = slice(start, start + _ROW_TILE)
-        acc, u = out[rows], {m: s[rows] for m, s in sums.items()}
-        for k, (coeff, (head, *rest)) in enumerate(inclusion_exclusion_terms(parts)):
-            term = np.multiply(u[head], u[rest[0]] if rest else coeff, out=buf[: len(acc)] if k else acc)
-            for m in rest[1:]:
-                term *= u[m]
-            if rest:
-                term *= coeff
-            if k:
-                acc += term
+        _block_tile(parts, {m: s[rows] for m, s in sums.items()}, out[rows], buf)
     return out
+
+
+def _block_tile(parts: tuple[int, ...], u: dict[int, np.ndarray], acc: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Fill ``acc`` with the block sum over ``parts`` on the power-sum row views ``u``; later terms are built in ``buf``."""
+    for k, (coeff, (head, *rest)) in enumerate(inclusion_exclusion_terms(parts)):
+        term = np.multiply(u[head], u[rest[0]] if rest else coeff, out=buf[: len(acc)] if k else acc)
+        for m in rest[1:]:
+            term *= u[m]
+        if rest:
+            term *= coeff
+        if k:
+            acc += term
+    return acc
 
 
 @dataclass(frozen=True)
@@ -458,30 +463,39 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
     is what is left of the full matrix.
 
     ``sums`` is the :func:`power_sums` table of the layout's W and X up to
-    at least max(h.degree, 1), never written; it is dropped before the Horner
-    step on S_1 = W@X, which frees a table passed as a temporary.
+    at least max(h.degree, 1), never written.  The block sums are folded into
+    their parts one row tile at a time, so no full-size block sum is built;
+    then only S_1 = W@X is kept and the table is dropped before the Horner
+    step's scaled copy of S_1, which frees a table passed as a temporary.
     """
     terms = check_decompose_label(h)
     if any(m not in sums for m in range(1, max(h.degree, 1) + 1)) or sums[1].shape != (layout.N1, layout.N2):
         raise ValueError("decompose needs a power-sum table of N1 x N2 matrices up to max(h.degree, 1)")
     shape = (layout.N1, layout.N2)
     gamma = math.sqrt(layout.N0) / layout.N  # sqrt(psi0)/sqrt(N)
-    lin = np.zeros(shape)
-    per: dict[int, np.ndarray] = {}
-    deform = np.zeros(shape)
-    for part, lam, n, coeff in terms:
-        z = z_lambda(lam, sums).astype(float, copy=False)
-        z *= coeff * (gamma * float(layout.N0) ** (-n / 2))
-        if part == "lin":
-            lin += z
-        elif part == "def":
-            deform += z
-        else:
-            per[part] = np.add(per[part], z, out=per[part]) if part in per else z
-        del z  # not live while the next block sum is filled
+    lin, deform = np.zeros(shape), np.zeros(shape)  # each term is added, as to a whole-matrix sum
+    per = {part: np.empty(shape) for part, *_ in terms if part not in ("lin", "def")}
+    into = {"lin": lin, "def": deform, **per}
+    acc, buf = np.empty_like(sums[1][:_ROW_TILE]), np.empty_like(sums[1][:_ROW_TILE])
+    u = z = None  # the views and tiles are dropped after the last tile
+    for start in range(0, layout.N1, _ROW_TILE):
+        rows = slice(start, start + _ROW_TILE)
+        u = {m: s[rows] for m, s in sums.items()}
+        fresh = set(per)  # an order's first term is assigned, the later ones added
+        for part, lam, n, coeff in terms:
+            z = _block_tile(lam.parts, u, acc[: len(u[1])], buf).astype(float, copy=False)
+            z *= coeff * (gamma * float(layout.N0) ** (-n / 2))
+            if part in fresh:
+                into[part][rows] = z
+                fresh.remove(part)
+            else:
+                into[part][rows] += z
+    del u, z, acc, buf
     # pw_matrix's Horner step on W@X from the table, in new arrays
-    inner = (sums[1] / math.sqrt(layout.N0)).astype(float, copy=False)
+    s1 = sums[1]
     del sums
+    inner = (s1 / math.sqrt(layout.N0)).astype(float, copy=False)
+    del s1
     total = _horner(h, inner, layout)
     eps = total - lin
     for mat in (deform, *per.values()):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ctypes
 import math
 import statistics
-import string
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,7 @@ import numpy as np
 
 from .graphs import TestGraph
 
-_LETTERS = string.ascii_letters
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3

@@ -70,7 +70,8 @@ def pw_matrix(h, w, x, layout):
     return acc * (math.sqrt(layout.N0) / layout.N)
 
 
-def decompose(h, w, x, layout):
+def decompose(h, w, x, layout, z_lambda=z_lambda):
+    """The four parts from the block sums ``z_lambda(lam, power_sums(w, x, h.degree))``."""
     shape = (layout.N1, layout.N2)
     gamma = math.sqrt(layout.N0) / layout.N
     lin = np.zeros(shape)

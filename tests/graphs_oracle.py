@@ -70,9 +70,14 @@ class AuxiliaryGraph:
 
 
 def build_auxiliary(ref: TestGraph) -> AuxiliaryGraph:
-    """Expand every reference edge into its niche (label = niche size >= 1)."""
-    if not ref.is_reference:
-        raise ValueError("build_auxiliary expects a reference-tagged graph")
+    """Expand every reference edge into its niche (label = niche size >= 1).
+
+    Takes any graph whose edges run from colour 2 to colour 1, with or
+    without the reference tag, as ``limits.eta_support_scan`` does.
+    """
+    for e in ref.edges:
+        if ref.color[e.src] != 2 or ref.color[e.dst] != 1:
+            raise ValueError(f"reference edges run from color 2 to color 1; edge {e.id!r} does not")
     vertices: list[tuple[VertexId, int]] = list(ref.vertices)
     edges: list[Edge] = []
     niches: dict[EdgeId, tuple[VertexId, ...]] = {}

@@ -196,16 +196,16 @@ def test_cmd_decompose_records():
 
 def test_cmd_decompose_peak_memory():
     """Peak traced memory of one g7 decomposition at N0 = N1 = N2 = 200, in
-    units of one N1 x N2 float array: at most 13.5.
+    units of one N1 x N2 float array: at most 12.6.
 
     The block sums are the peak.  Live then: the d = 7 power sums S_1..S_7
     (W, X and the entrywise power buffers are freed once the table is
-    built), the accumulated ``lin``, ``deformation`` and the three ``per``
-    orders of g7 (3, 5, 7), and the one block sum being filled, 12 + 1 = 13
-    arrays, with slack for the 32-row scratch tile (0.16 at N1 = 200) and
-    small objects.  The table is dropped before the Horner step.  Whole-matrix
-    block sums, with W, X and two full-size z_lambda temporaries live, read
-    16.0.
+    built), ``lin``, ``deformation`` and the three ``per`` orders of g7
+    (3, 5, 7), 7 + 1 + 1 + 3 = 12 arrays, and the two 32-row tiles that each
+    block sum is built and folded in (0.32 at N1 = 200), with slack for small
+    objects.  Only S_1 outlives the block sums, and the table is dropped
+    before the Horner step.  Full-size block sums read 13.2; whole-matrix
+    block sums with W, X and two full-size z_lambda temporaries live, 16.0.
     """
     import tracemalloc
 
@@ -220,7 +220,7 @@ def test_cmd_decompose_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 13.5 * n * n * 8, peak / (n * n * 8)
+    assert peak <= 12.6 * n * n * 8, peak / (n * n * 8)
 
 
 def test_main_reports_are_deterministic(tmp_path):
@@ -693,10 +693,10 @@ class RecordingPool:
 
 @pytest.mark.parametrize("threads, trials, pool", [("1", 12, None), ("3", 12, 3), ("64", 5, 5), ("1000000", 2, 2), ("8", 1, None)])
 def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, trials, pool):
-    import pwtraffic.cli as cli
+    import concurrent.futures
 
     RecordingPool.sizes = []
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     path = write_config(tmp_path, base_config(trials=trials))
     out = tmp_path / "out.json"
     for command in ("simulate", "compare"):
@@ -708,6 +708,21 @@ def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, 
     for command in ("limit", "spectrum", "decompose"):
         assert main([command, "--config", path, "--out", str(out), "--threads", "4"]) == EXIT_OK
     assert RecordingPool.sizes == []
+
+
+def test_importing_the_cli_loads_no_command_only_module():
+    # the pool, the CSV writers and the einsum letters are not paid for by every command
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pwtraffic
+
+    probe = "import sys, pwtraffic.cli; print(sorted({'concurrent.futures', 'csv', 'string'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(pwtraffic.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def assert_exit_2_with_one_line(capsys, argv):

@@ -366,7 +366,7 @@ def test_walk_leaves_are_the_pseudo_cactus_quotients_that_classify_finds():
     # exactly when classify calls its quotient a pseudo-cactus (in
     # split_partitions order), and each leaf's cut edges and cycles, as edge
     # index sets, are classify's
-    from pwtraffic.limits import _pseudo_cacti
+    from pwtraffic.limits import _pseudo_cacti, _read_reference
 
     graphs = [moment_cycle(k, 1) for k in range(1, 5)] + [g for _, g in labeled_reference_graphs(3, [1])]
     n_leaves = n_refused = 0
@@ -387,24 +387,37 @@ def test_walk_leaves_are_the_pseudo_cactus_quotients_that_classify_finds():
                 sorted(leaf[5]),
                 Counter(frozenset(edges) for _, edges in leaf[6]),
             )
-            for leaf in _pseudo_cacti(g)
+            for leaf in _pseudo_cacti(_read_reference(g))
         ]
         assert got == expected, g.edges
         n_leaves += len(got)
     assert n_leaves > 0 and n_refused > 0
 
 
+def test_limit_values_reads_its_reference_graph_once(monkeypatch):
+    import pwtraffic.limits as limits
+
+    reads = []
+    read = limits._read_reference
+    monkeypatch.setattr(limits, "_read_reference", lambda g: reads.append(g) or read(g))
+    for g in (moment_cycle(1, H1), moment_cycle(4, G5 + H3), single_edge(H3)):
+        want = limit_values_loop(g, STEPPED)
+        reads.clear()
+        assert limit_values(g, STEPPED) == want
+        assert reads == [g], g.edges
+
+
 def test_every_class_memo_hit_equals_its_quotient_from_scratch():
     # limit_values eliminates one quotient per isomorphism class and reuses
     # its values for the rest of the class: recompute every reuse
-    from pwtraffic.limits import _class_key, _limit_kernels, _pseudo_cacti, _quotient_values
+    from pwtraffic.limits import _class_key, _limit_kernels, _pseudo_cacti, _quotient_values, _read_reference
 
     kernels = _limit_kernels(STEPPED)
     for k, n_leaves in ((4, 55), (5, 273)):
         g = moment_cycle(k, G5 + H3)
         label_id = [0] * len(g.edges)  # one label
         intern, first, hits = {}, {}, 0
-        for leaf in _pseudo_cacti(g):
+        for leaf in _pseudo_cacti(_read_reference(g)):
             key = _class_key(leaf, label_id, intern)
             values = _quotient_values([e.label for e in g.edges], leaf, kernels, STEPPED)
             if key in first:
@@ -954,6 +967,25 @@ def test_scan_matches_oracle(monkeypatch):
         assert rep == scan_oracle.eta_support_scan(g)  # dataclass equality: every field, lists in order
         assert len(supported) == rep.n_supported
     assert checked == 18 + 26
+
+
+def test_scan_oracle_takes_untagged_graphs():
+    # the library scans any connected graph with edges from colour 2 to 1,
+    # with or without the reference tag; so does the oracle, and both still
+    # refuse an edge that runs the other way
+    import scan_oracle
+
+    one = single_edge(3)
+    two = TestGraph([("t", 1), ("s", 2), ("u", 1)], [Edge("a", "s", "t", 1), Edge("b", "s", "u", 3)])
+    for g in (TestGraph(one.vertices, one.edges), two):
+        assert not g.is_reference
+        rep = eta_support_scan(g)
+        assert rep == scan_oracle.eta_support_scan(g) and rep.n_partitions > 1
+    assert eta_support_scan(TestGraph(one.vertices, one.edges)).n_partitions == 5
+    backwards = TestGraph([("t", 1), ("s", 2)], [Edge("a", "t", "s", 1)])
+    for scan in (eta_support_scan, scan_oracle.eta_support_scan):
+        with pytest.raises(ValueError, match="from color 2 to color 1"):
+            scan(backwards)
 
 
 def test_flat_walk_matches_generator_oracle():
