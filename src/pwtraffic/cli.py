@@ -21,8 +21,8 @@ import numpy as np
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
 from .hermite import Polynomial, _frac, check_degree, from_hermite, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
-from .models import EntryLaw, ProfiledEnsemble, StepProfile, check_decompose_label, decompose, distinct_labels
-from .models import equivalent_sampler, equivalent_sum, model_sampler, power_sums, pw_matrix
+from .models import EntryLaw, ProfiledEnsemble, StepProfile, _fit_float, check_decompose_label, decompose
+from .models import distinct_labels, equivalent_sampler, equivalent_sum, model_sampler, power_sums, pw_matrix
 from .traffic import _LETTERS, BlockLayout, TauEstimate, tau_estimates
 
 EXIT_OK = 0
@@ -322,13 +322,6 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
     return report, EXIT_FLAG if flagged else EXIT_OK
 
 
-def _float_limit(name: str, g: TestGraph, params: LimitParams) -> float:
-    try:
-        return float(limit_pw(g, params))
-    except OverflowError:
-        raise ConfigError(f"graph {name!r}: the exact limit does not fit a float") from None
-
-
 def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     ensemble = resolve_ensemble(config)
     graphs = resolve_graphs(config)
@@ -336,7 +329,8 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     trials, seed = _trials_and_seed(config)
     report = _base_report("compare", config, graphs)
     gs = [g for _, g in graphs]
-    exacts = [_float_limit(name, g, params) for name, g in graphs]  # before sampling: a graph it rejects fails fast
+    # before sampling: a graph whose limit is refused fails fast
+    exacts = [_fit_float(f"graph {name!r}: the exact limit", lambda: limit_pw(g, params)) for name, g in graphs]
     labels = distinct_labels(gs)
     model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
@@ -347,10 +341,9 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
         rec_eq.update({"exact": exact, "z_score": _z_score(est_eq.mean, exact, est_eq.std_error)})
         pair_se = None
         if est_y.std_error is not None and est_eq.std_error is not None:
-            try:
-                pair_se = (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
-            except OverflowError:
-                raise ConfigError(f"graph {name!r}: the pairwise standard error overflows a float") from None
+            pair_se = _fit_float(
+                f"graph {name!r}: the pairwise standard error", lambda: (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
+            )
         report["records"].append(rec_y)
         report["records"].append(rec_eq)
         report["records"].append(

@@ -38,12 +38,13 @@ is rational arithmetic.  Reference graphs are guarded at
 ``MAX_LIMIT_EDGES`` = 12 edges, so the CLI's ``limit`` and ``compare`` run
 up to moment-6.
 
-The exponent scan (``eta_support_scan``) walks the supported split partitions
-of the auxiliary graph once per walk state, keeping its leaf count, block
-counts and the children that reach an exponent-zero leaf; one descent lists
-those leaves, each built from cached reference blocks and its niche blocks.
-It reads the niches off the reference labels.  The walk and the scan read a
-reference graph through one reader (``_read_reference``).
+The exponent scan (``eta_support_scan``) reads a reference graph once, with
+the limit walk's reader (``_read_reference``), and its niches off the labels.
+It walks the supported split partitions of the auxiliary graph once per walk
+state, keeping its leaf count, block counts and the children that reach an
+exponent-zero leaf; one descent lists those leaves, each built from cached
+reference blocks and its niche blocks, and the limit walk (``_pseudo_cacti``)
+lists the reference partitions that pass the pseudo-cactus test.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm, prod
 
-from .graphs import TestGraph, W_LABEL, X_LABEL, classify, is_connected, join_edge, quotient
+from .graphs import TestGraph, W_LABEL, X_LABEL, is_connected, join_edge
 from .hermite import Polynomial, _frac
 from .models import CellKernels, StepProfile, cell_kernels
 from .partitions import SetPartition, bell_number, label_blocks, restricted_growth_strings
@@ -160,9 +161,11 @@ def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
 # -- the walk over split quotients -------------------------------------------------
 
 RULES = ("pw", "B", "lin", "per", "sum")
+#: A reference graph as :func:`_read_reference` reads it.
+Reference = tuple[list[int], list[int], list[tuple[int, int]]]
 
 
-def _read_reference(g: TestGraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+def _read_reference(g: TestGraph) -> Reference:
     """The positions of the colour-1 and of the colour-2 vertices, and each edge's (target, source) ranks among them.
 
     The limit walk and the exponent scan read a reference graph here: a
@@ -184,7 +187,7 @@ def _read_reference(g: TestGraph) -> tuple[list[int], list[int], list[tuple[int,
     return *positions, [(rank[e.dst], rank[e.src]) for e in g.edges]
 
 
-def _validate_reference(g: TestGraph) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+def _validate_reference(g: TestGraph) -> Reference:
     """The reader's view of a reference graph that the limit formulas take: one to 12 edges, odd polynomial labels."""
     if not g.edges:
         raise ValueError("reference graphs need at least one edge")
@@ -261,7 +264,7 @@ def _two_cycle_tables(h1: Polynomial, h2: Polynomial, kernels: CellKernels) -> d
     return {"pw": kernels.expect(h1 * h2), "lin": lin, "per": per, "sum": star_sum}
 
 
-def _pseudo_cacti(reference: tuple[list[int], list[int], list[tuple[int, int]]]):
+def _pseudo_cacti(reference: Reference):
     """Every split quotient that is a pseudo-cactus, in ``split_partitions`` order, from the graph's :func:`_read_reference` view.
 
     One walk over restricted-growth labels, colour 1 outermost, then colour
@@ -294,7 +297,7 @@ def _pseudo_cacti(reference: tuple[list[int], list[int], list[tuple[int, int]]])
                 yield from walk(i + 1, n_blocks + (blk == n_blocks), adj2, cycles2)
 
     for labels1 in restricted_growth_strings(len(targets)):
-        m1 = max(labels1) + 1
+        m1 = max(labels1, default=-1) + 1
         yield from walk(0, 0, [[] for _ in range(m1 + len(sources))], [])
 
 
@@ -430,7 +433,11 @@ def limit_equivalent_sum(g: TestGraph, params: LimitParams) -> Fraction:
 
 @dataclass
 class EtaScanReport:
-    """Outcome of the exhaustive exponent scan of one reference graph."""
+    """Outcome of the exhaustive exponent scan of one reference graph.
+
+    ``violations`` lists the exponent-zero partitions whose reference blocks
+    are not a quotient that the limit walk (``_pseudo_cacti``) lists.
+    """
 
     n_partitions: int
     n_supported: int
@@ -440,11 +447,11 @@ class EtaScanReport:
     violations: list[SetPartition]
 
 
-def _scan_splits(ref: TestGraph, offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
-    """Walk the split partitions of the auxiliary graph of ``ref`` with centered support.
+def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
+    """Walk the split partitions of the auxiliary graph with centered support, from the reference's :func:`_read_reference` view.
 
-    Edge e has a niche of e.label internal vertices, each with a w-edge into
-    e's target and an x-edge from e's source.  Under each pair of reference
+    Edge e has a niche of ``niches[e]`` internal vertices, each with a w-edge
+    into e's target and an x-edge from e's source.  Under each pair of reference
     partitions one recursion assigns the internal labels in niche order, with the w- and x-group multiplicities in flat lists
     (reference block * n0 + internal block).  A prefix is cut once either
     singleton count exceeds the vertices still unassigned.  The position, the
@@ -455,8 +462,8 @@ def _scan_splits(ref: TestGraph, offset: int) -> tuple[int, int, list[tuple[tupl
     follows to write the labels of those leaves.  Returns the count, the
     largest block count (-1 if none) and the (internal, targets, sources) labels.
     """
-    target_positions, source_positions, ranks = _read_reference(ref)
-    ends = [ts for ts, e in zip(ranks, ref.edges) for _ in range(e.label)]  # (target, source) rank per niche vertex
+    target_positions, source_positions, ranks = reference
+    ends = [ts for ts, n in zip(ranks, niches) for _ in range(n)]  # (target, source) rank per niche vertex
     n0 = len(ends)
     w_mult, x_mult, labels = [0] * (len(target_positions) * n0), [0] * (len(source_positions) * n0), [0] * n0
     n_supported, max_blocks, zeros = 0, -1, []
@@ -519,17 +526,17 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     Quotients failing the centered-entry support filter (some w- or x-group
     of multiplicity one) are skipped.  The claim under test: the exponent is
     never positive, and every exponent-zero quotient restricts to a
-    pseudo-cactus on the reference vertices.  The graph must pass
-    ``_read_reference`` and its labels be odd (even niches break the parity
-    arguments; their traces diverge).
+    reference partition that the limit walk (``_pseudo_cacti``) lists, that
+    is to a pseudo-cactus.  The graph must pass ``_read_reference``, read
+    once for the guard, the walk and the test, and its labels be odd (even
+    niches break the parity arguments; their traces diverge).
 
     ``n_partitions`` is the Bell-number count of split partitions, not the
     number that the pruned walk (``_scan_splits``) visits.  The walk gives
     the supported count, the largest block count (the exponent plus
     ``_eta_offset``) and the labels of the exponent-zero leaves, listed in
     ``split_partitions`` order.  Each leaf's partition is its reference
-    blocks, built and classified once per reference partition, then its
-    niche blocks.
+    blocks, built once per reference partition, then its niche blocks.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -538,26 +545,26 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
             raise ValueError(f"edge {e.id!r} needs an integer label in 1..{max_label}")
         if e.label % 2 == 0:
             raise ValueError("the exponent bound holds for odd labels only")
-    targets, sources, _ = _read_reference(ref)
-    n_ref, n0 = len(ref.vertices), sum(e.label for e in ref.edges)
+    targets, sources, _ = reference = _read_reference(ref)
+    niches = [e.label for e in ref.edges]
+    n_ref, n0 = len(ref.vertices), sum(niches)
     size = bell_number(n0) * bell_number(len(targets)) * bell_number(len(sources))
     if size > MAX_SCAN_PARTITIONS:
         raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
 
     offset = _eta_offset(ref)
-    n_supported, max_blocks, zeros = _scan_splits(ref, offset)
+    n_supported, max_blocks, zeros = _scan_splits(reference, niches, offset)
     zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
 
-    reference, zero_partitions, violations = {}, [], []  # reference: labels[1:] -> (blocks, is a pseudo-cactus)
+    pseudo_cacti = {leaf[:2] for leaf in _pseudo_cacti(reference)}
+    templates, zero_partitions, violations = {}, [], []  # templates: labels[1:] -> reference blocks
     for labels in zeros:
         key = labels[1:]
-        if key not in reference:
-            rho = SetPartition.from_labels(n_ref, zip((targets, sources), key))
-            reference[key] = rho.blocks, classify(quotient(ref, rho)).is_pseudo_cactus
-        ref_blocks, ok = reference[key]
-        pi = SetPartition(n_ref + n0, ref_blocks + label_blocks(range(n_ref + 1, n_ref + n0 + 1), labels[0]))
+        if key not in templates:
+            templates[key] = SetPartition.from_labels(n_ref, zip((targets, sources), key)).blocks
+        pi = SetPartition(n_ref + n0, templates[key] + label_blocks(range(n_ref + 1, n_ref + n0 + 1), labels[0]))
         zero_partitions.append(pi)
-        if not ok:
+        if key not in pseudo_cacti:
             violations.append(pi)
     return EtaScanReport(
         n_partitions=size,

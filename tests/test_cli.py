@@ -744,6 +744,15 @@ def test_non_finite_monte_carlo_exits_2_with_one_line(tmp_path, capsys, command)
     assert want in err
 
 
+def test_pairwise_standard_error_past_float_range_exits_2_with_one_line(tmp_path, capsys):
+    # a label coefficient of 1e80: each estimator's standard error fits a
+    # float, the root of their squares' sum does not
+    cfg = base_config(labels=["0", "1e80"], trials=3, seed=0)
+    cfg["ensemble"].update(N0=4, N1=3, N2=5)
+    err = assert_exit_2_with_one_line(capsys, ["compare", "--config", write_config(tmp_path, cfg)])
+    assert "graph 'moment-1': the pairwise standard error does not fit a float" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "decompose"])
 def test_profile_past_float_range_exits_2_with_one_line(tmp_path, capsys, command):

@@ -407,6 +407,22 @@ def test_limit_values_reads_its_reference_graph_once(monkeypatch):
         assert reads == [g], g.edges
 
 
+def test_eta_support_scan_reads_its_reference_graph_once(monkeypatch):
+    # the partition guard, the walk and the pseudo-cactus test share one read
+    import pwtraffic.limits as limits
+    import scan_oracle
+
+    reads = []
+    read = limits._read_reference
+    monkeypatch.setattr(limits, "_read_reference", lambda g: reads.append(g) or read(g))
+    lone = TestGraph([("u", 2)], [], reference=True)
+    for g in (single_edge(3), moment_cycle(1, 1), moment_cycle(2, 1), lone):
+        want = scan_oracle.eta_support_scan(g)
+        reads.clear()
+        assert eta_support_scan(g) == want
+        assert reads == [g], g.edges
+
+
 def test_every_class_memo_hit_equals_its_quotient_from_scratch():
     # limit_values eliminates one quotient per isomorphism class and reuses
     # its values for the rest of the class: recompute every reuse
@@ -898,7 +914,7 @@ def test_leaf_partitions_are_built_canonical():
     # (<= 2 edges, the two (5, 5) graphs on three vertices left out), the
     # canonical build equals SetPartition.from_blocks on the same blocks
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _scan_splits
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits
     from pwtraffic.partitions import SetPartition
 
     def grouped(ground_size, classes):
@@ -918,7 +934,7 @@ def test_leaf_partitions_are_built_canonical():
     for g in graphs:
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        for labels in _scan_splits(g, _eta_offset(g))[2]:
+        for labels in _scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2]:
             leaf = list(zip(positions, labels))
             key = leaf[1:]  # the reference labels, on positions 1..len(g.vertices)
             assert SetPartition.from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
@@ -994,7 +1010,7 @@ def test_flat_walk_matches_generator_oracle():
     # graph of <= 2 edges (the two 231,950-partition (5, 5) graphs included)
     # and the 21 three-edge graphs of label sum 9
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _scan_splits
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits
     from scan_oracle import supported_splits
 
     graphs = [g for _, g in labeled_reference_graphs(2, [1, 3, 5])]
@@ -1014,7 +1030,7 @@ def test_flat_walk_matches_generator_oracle():
             max_blocks = max(max_blocks, n_blocks)
             if n_blocks == offset:
                 zeros.append(labels)
-        got_supported, got_max, got_zeros = _scan_splits(g, offset)
+        got_supported, got_max, got_zeros = _scan_splits(_read_reference(g), [e.label for e in g.edges], offset)
         assert (got_supported, got_max, sorted(got_zeros)) == (n_supported, max_blocks, sorted(zeros))
 
 
@@ -1023,18 +1039,16 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
     # reference blocks and the niche blocks, against SetPartition.from_labels
     # on the same labels in the same order; on the 19 eta_scan graphs and the
     # 77 three-edge graphs that fit the guard.  No quotient here fails the
-    # pseudo-cactus test, so a stand-in classify fails every quotient with an
-    # even vertex count, which puts about half of the leaves on the violation list
+    # pseudo-cactus test, so a stand-in limit walk lists only the quotients
+    # with an odd vertex count, which puts about half of the leaves on the
+    # violation list
     from pwtraffic import limits
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _scan_splits
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits
     from pwtraffic.partitions import SetPartition
 
-    def odd_only(tq):
-        report = classify(tq)
-        return type(report)(report.cut_edges, report.two_cycles, report.long_cycles, len(tq.vertices) % 2 == 1)
-
-    monkeypatch.setattr(limits, "classify", odd_only)
+    pseudo_cacti = limits._pseudo_cacti
+    monkeypatch.setattr(limits, "_pseudo_cacti", lambda ref: (leaf for leaf in pseudo_cacti(ref) if leaf[2] % 2 == 1))
     graphs = [
         g
         for _, g in labeled_reference_graphs(2, [1, 3, 5])
@@ -1051,7 +1065,7 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
         checked += 1
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        leaves = sorted(_scan_splits(g, _eta_offset(g))[2])
+        leaves = sorted(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2])
         expected = [SetPartition.from_labels(len(aux.graph.vertices), zip(positions, labels)) for labels in leaves]
         violations = [
             pi
