@@ -15,18 +15,18 @@ tests feed to ``traffic.tau_estimates``.  Each trial makes its draws,
 products and equivalents as new arrays; the heap setting that ``traffic``
 makes when imported lets them reuse the pages the last trial freed.
 
-Entrywise coefficients for the equivalents are computed as exact rationals
-per distinct profile-cell value (step profiles have few cells), once per
-(polynomial, ensemble): ensembles and polynomials are frozen and hashable,
-and the cell values are cached.  They come from ``cell_kernels``, the one
-table of cell kernels K_2, K_3 and Gaussian expectations at scale K_2, which
-the exact limits read at N0 = lcm of the inner grid sizes; ``_cell_slices``
-is the one rule that puts a position in a step cell.  Profiles and
-coefficients are applied to a sampled matrix in place, one contiguous cell
-block at a time, so no realized profile matrix is built; the only
-floating-point step is one square root per cell.  The cell-level
-second-moment scale is normalized by the inner dimension, so it equals 1
-for constant profiles.
+The equivalents' coefficients depend only on (polynomial, ensemble), both
+frozen and hashable.  ``_equivalent_cells`` is the one cached plan per pair:
+the linear cells, the chaos orders whose cells are not all zero, and the
+deformation cells, computed as exact rationals per profile cell (step
+profiles have few cells) and fitted to floats in that order.  They come from
+``cell_kernels``, the one table of cell kernels K_2, K_3 and Gaussian
+expectations at scale K_2, which the exact limits read at N0 = lcm of the
+inner grid sizes; ``_cell_slices`` is the one rule that puts a position in a
+step cell.  Profiles and coefficients are applied to a sampled matrix in
+place, one contiguous cell block at a time, so no realized profile matrix is
+built.  The cell-level second-moment scale is normalized by the inner
+dimension, so it equals 1 for constant profiles.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -561,27 +561,48 @@ def cell_kernels(profile_w: StepProfile, profile_x: StepProfile, total: int) -> 
     return CellKernels(profile_w, profile_x, total)
 
 
-def _ensemble_kernels(ensemble: ProfiledEnsemble) -> CellKernels:
-    return cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
-
-
-def _float_rows(kernels: CellKernels, name: str, value) -> tuple[tuple[float, ...], ...]:
-    """``kernels.rows`` of ``float(value(cell))``; a cell past the float range raises ValueError."""
-    cells = {rc: _fit_float(f"the {name} coefficient of profile cell {rc}", lambda: value(rc)) for rc in kernels.k2}
-    return kernels.rows(cells)
-
-
 # -- Gaussian equivalents -------------------------------------------------------
-#
-# The coefficient cells depend only on (h, ensemble[, m]) and are cached, so
-# every sampled trial reuses them.
+
+
+class EquivalentCells(NamedTuple):
+    """One label's float coefficient cells, each table as rows over the w-row cells."""
+
+    lin: tuple[tuple[float, ...], ...]
+    chaos: tuple[tuple[int, tuple[tuple[float, ...], ...]], ...]
+    deformation: tuple[tuple[float, ...], ...] | None
 
 
 @lru_cache(maxsize=None)
-def _lin_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, ...], ...]:
-    """Cellwise E[h'(mu xi)] for the linear equivalent."""
-    kernels = _ensemble_kernels(ensemble)
-    return _float_rows(kernels, "linear", kernels.expect(h.derivative(1)).get)
+def _equivalent_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> EquivalentCells:
+    """The coefficient plan of ``h``'s equivalent on ``ensemble``, built once and shared by every trial.
+
+    ``lin`` holds E[h'(mu xi)]; ``chaos`` one (m, cells) pair per order
+    2 <= m <= deg h whose cells are not all exactly zero, ascending; and
+    ``deformation`` m3 lambda_3 E[h^(3)(mu xi)] / 6, or None when m3 or
+    h^(3) vanishes.  The order-m chaos cell is mu^m E[h^(m)(mu xi)]/m!, the
+    m-th Hermite coefficient of t -> h(t mu), times the noise scale
+    sqrt(psi0 * m!).  The tables are fitted to floats in this order, cell by
+    cell, so a ValueError names the first table and cell past the float range.
+    """
+    kernels = cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
+
+    def fit(name: str, value: Callable) -> tuple[tuple[float, ...], ...]:
+        cells = {rc: _fit_float(f"the {name} coefficient of profile cell {rc}", lambda: value(rc)) for rc in kernels.k2}
+        return kernels.rows(cells)
+
+    lin = fit("linear", kernels.expect(h.derivative(1)).get)
+    chaos = []
+    for m in range(2, h.degree + 1):
+        scale = math.sqrt(float(ensemble.layout.N0) / ensemble.layout.N * math.factorial(m))  # sqrt(psi0 * m!)
+        base = kernels.expect(h.derivative(m))  # exact rationals
+        cells = fit(
+            f"order-{m} chaos", lambda rc: scale * float(kernels.k2[rc]) ** (m / 2) * float(base[rc]) / math.factorial(m)
+        )
+        if any(any(row) for row in cells):  # adding 0 * Z_m would change no entry
+            chaos.append((m, cells))
+    m3 = ensemble.law_w.m3 * ensemble.law_x.m3
+    deformation = None if m3 == 0 or h.degree < 3 else fit("deformation", kernels.deformation(h, m3 / 6).get)
+    return EquivalentCells(lin, tuple(chaos), deformation)
 
 
 def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
@@ -594,86 +615,37 @@ def equivalent_lin(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.n
     w_gau = np.random.default_rng([seed, STREAM_LIN_W]).standard_normal((lay.N1, lay.N0))
     x_gau = np.random.default_rng([seed, STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
     product = ensemble.profile_w.apply(w_gau) @ ensemble.profile_x.apply(x_gau)
-    out = _scale_cells(product, _lin_coefficient_cells(h, ensemble))
+    out = _scale_cells(product, _equivalent_cells(h, ensemble).lin)
     out /= lay.N
     return out
 
 
-@lru_cache(maxsize=None)
-def _per_coefficient_cells(h: Polynomial, ensemble: ProfiledEnsemble, m: int) -> tuple[tuple[float, ...], ...]:
-    """Cellwise noise scale for the order-m chaos component.
-
-    The m-th Hermite coefficient of t -> h(t mu) is mu^m E[h^(m)(mu xi)]/m!;
-    the matching noise has entry variance psi0 * m! / N, so the coefficient
-    in front of a standard Gaussian scaled by 1/sqrt(N) is
-    sqrt(psi0 * m!) * mu^m * E[h^(m)(mu xi)] / m!.
-    """
-    lay = ensemble.layout
-    scale = math.sqrt(float(lay.N0) / lay.N * math.factorial(m))  # sqrt(psi0 * m!)
-    kernels = _ensemble_kernels(ensemble)
-    base = kernels.expect(h.derivative(m))  # exact rationals
-    return _float_rows(
-        kernels, f"order-{m} chaos", lambda rc: scale * float(kernels.k2[rc]) ** (m / 2) * float(base[rc]) / math.factorial(m)
-    )
-
-
-def _chaos_term(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray | None:
-    """Coefficient cells times Z_m / sqrt(N), or None, with no draw, when
-    every coefficient cell is exactly zero (e.g. every even order of an odd
-    h): adding 0 * Z_m would change no entry."""
-    cells = _per_coefficient_cells(h, ensemble, m)
-    if not any(any(row) for row in cells):
-        return None
-    lay = ensemble.layout
-    z_m = np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
-    out = _scale_cells(z_m, cells)
-    out /= math.sqrt(lay.N)
-    return out
-
-
 def per_matrix(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """Full chaos equivalent: sum of order components over 2 <= m <= deg h.
+    """Full chaos equivalent: the sum over the plan's chaos orders m of their cells times Z_m / sqrt(N).
 
-    Orders whose coefficient cells all vanish are skipped: each order has
-    its own stream, so the others draw what they would draw anyway.
+    Z_m comes from its own (seed, per, m) stream, so an order left out of the
+    plan draws nothing and moves no other draw.  The first term is assigned.
     """
+    lay = ensemble.layout
     out = None
-    for m in range(2, h.degree + 1):
-        term = _chaos_term(h, ensemble, m, seed)
-        if term is not None:
-            out = term if out is None else np.add(out, term, out=out)
-    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
-
-
-@lru_cache(maxsize=None)
-def _def_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> tuple[tuple[float, ...], ...] | None:
-    """Cellwise m3 lambda_3 E[h^(3)(mu xi)] / 6, or None when m3 or h^(3) vanishes."""
-    m3 = ensemble.law_w.m3 * ensemble.law_x.m3
-    if m3 == 0 or h.degree < 3:
-        return None
-    kernels = _ensemble_kernels(ensemble)
-    return _float_rows(kernels, "deformation", kernels.deformation(h, m3 / 6).get)
-
-
-def _deformation_term(cells: Sequence[Sequence[float]], layout: BlockLayout) -> np.ndarray:
-    """The deformation cells broadcast and divided by N."""
-    out = _broadcast_cells(cells, (layout.N1, layout.N2))
-    out /= layout.N
-    return out
+    for m, cells in _equivalent_cells(h, ensemble).chaos:
+        term = _scale_cells(np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2)), cells)
+        term /= math.sqrt(lay.N)
+        out = term if out is None else np.add(out, term, out=out)
+    return np.zeros((lay.N1, lay.N2)) if out is None else out
 
 
 def equivalent_sum(h: Polynomial, ensemble: ProfiledEnsemble, seed: int) -> np.ndarray:
-    """equivalent_lin + all chaos orders + the deterministic deformation (when nonzero).
+    """equivalent_lin + per_matrix + the plan's deformation cells broadcast and divided by N.
 
-    The deformation is third moments times the cubed-profile factor, with
-    entries of order 1/N; it vanishes when either entry law has a vanishing
-    third moment.
+    The deformation, third moments times the cubed-profile factor, has
+    entries of order 1/N; it is left out when m3 or h^(3) vanishes.
     """
     out = equivalent_lin(h, ensemble, seed)
     out += per_matrix(h, ensemble, seed)
-    cells = _def_cells(h, ensemble)
+    cells = _equivalent_cells(h, ensemble).deformation
     if cells is not None:
-        out += _deformation_term(cells, ensemble.layout)
+        out += _broadcast_cells(cells, out.shape) / ensemble.layout.N
     return out
 
 

@@ -19,9 +19,9 @@ from pwtraffic.models import (
     STREAM_PER,
     EntryLaw,
     ProfiledEnsemble,
-    _chaos_term,
-    _def_cells,
-    _deformation_term,
+    _broadcast_cells,
+    _equivalent_cells,
+    _scale_cells,
 )
 
 
@@ -41,8 +41,13 @@ def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int)
     """
     if m < 2:
         raise ValueError("chaos orders start at m = 2")
-    out = _chaos_term(h, ensemble, m, seed)
-    return np.zeros((ensemble.layout.N1, ensemble.layout.N2)) if out is None else out
+    lay = ensemble.layout
+    cells = dict(_equivalent_cells(h, ensemble).chaos).get(m)
+    if cells is None:
+        return np.zeros((lay.N1, lay.N2))
+    out = _scale_cells(np.random.default_rng([seed, STREAM_PER, m]).standard_normal((lay.N1, lay.N2)), cells)
+    out /= math.sqrt(lay.N)
+    return out
 
 
 def per_noise_family(ensemble: ProfiledEnsemble, seed: int, max_order: int = 9) -> dict[int, np.ndarray]:
@@ -66,7 +71,6 @@ def equivalent_def(h: Polynomial, ensemble: ProfiledEnsemble) -> np.ndarray:
     Entries are O(1/N); the zero matrix whenever either entry law has
     vanishing third moment.
     """
-    cells = _def_cells(h, ensemble)
-    if cells is None:
-        return np.zeros((ensemble.layout.N1, ensemble.layout.N2))
-    return _deformation_term(cells, ensemble.layout)
+    cells = _equivalent_cells(h, ensemble).deformation
+    shape = (ensemble.layout.N1, ensemble.layout.N2)
+    return np.zeros(shape) if cells is None else _broadcast_cells(cells, shape) / ensemble.layout.N

@@ -764,6 +764,17 @@ def test_profile_past_float_range_exits_2_with_one_line(tmp_path, capsys, comman
     err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, cfg)])
     want = "linear coefficient of profile cell (0, 0) does not fit" if command == "spectrum" else "norms do not fit a float"
     assert want in err
+    if command == "spectrum":
+        # the equivalent's tables are fitted in order: linear, chaos orders ascending, then deformation
+        skewed = {"kind": "skewed_two_point", "a": "10", "b": "-1/10", "p": "1/101"}
+        for labels, profile, laws, table in [
+            ("h5", "1e75", {}, "order-3 chaos"),
+            ("h3", "2.2e102", {"law_w": skewed, "law_x": skewed}, "deformation"),
+        ]:
+            cfg = base_config(labels=labels, seed=1)
+            cfg["ensemble"].update(N0=6, N1=5, N2=4, profile_w=[[profile]], **laws)
+            err = assert_exit_2_with_one_line(capsys, ["spectrum", "--config", write_config(tmp_path, cfg)])
+            assert f"the {table} coefficient of profile cell (0, 0) does not fit a float" in err
 
 
 @pytest.mark.filterwarnings("error")

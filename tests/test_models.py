@@ -30,7 +30,7 @@ from pwtraffic.models import (
     z_lambda,
 )
 from pwtraffic.partitions import IntegerPartition
-from pwtraffic.traffic import BlockLayout
+from pwtraffic.traffic import BlockLayout, tau_estimates
 import decompose_oracle
 from hermite_oracle import hermite_coeffs
 from models_oracle import equivalent_def, equivalent_per, per_noise_family, unit_skewed_law
@@ -550,13 +550,9 @@ def test_coefficient_cells_past_the_float_range_are_refused_by_cell():
     law = unit_skewed_law()
     ens = ProfiledEnsemble(BlockLayout(6, 5, 4), law, law, StepProfile.of([["1"], ["1e300"]]), StepProfile.constant())
     h3 = monomial(3)
-    for cells in (
-        lambda: models._lin_coefficient_cells(h3, ens),
-        lambda: models._per_coefficient_cells(h3, ens, 3),
-        lambda: models._def_cells(h3, ens),
-    ):
-        with pytest.raises(ValueError, match=r"profile cell \(1, 0\) does not fit a float"):
-            cells()
+    # the plan fits its linear cells first, so the refusal names the linear cell
+    with pytest.raises(ValueError, match=r"the linear coefficient of profile cell \(1, 0\) does not fit a float"):
+        models._equivalent_cells(h3, ens)
 
 
 def test_equivalent_sum_assembles():
@@ -692,13 +688,14 @@ def test_equivalents_match_broadcast_coefficients():
     x = gx * np.random.default_rng([4, models.STREAM_LIN_X]).standard_normal((lay.N0, lay.N2))
     assert np.array_equal(equivalent_lin(h, ens, 4), lin_coeff * (w @ x) / lay.N)
     for m in (2, 3, 4, 5):
-        coeff = models._broadcast_cells(models._per_coefficient_cells(h, ens, m), (5, 6))
+        coeff = models._broadcast_cells(dict(models._equivalent_cells(h, ens).chaos).get(m, [[0.0]]), (5, 6))
         z = np.random.default_rng([4, models.STREAM_PER, m]).standard_normal((5, 6))
         assert np.array_equal(equivalent_per(h, ens, m, 4), coeff * z / math.sqrt(lay.N))
     # cached cell values are immutable and shared between calls
-    cells = models._lin_coefficient_cells(h, ens)
-    assert isinstance(cells, tuple) and all(isinstance(row, tuple) for row in cells)
-    assert models._lin_coefficient_cells(h, stepped_ensemble(7, 5, 6)) is cells
+    plan = models._equivalent_cells(h, ens)
+    for cells in (plan.lin, *(cells for _, cells in plan.chaos)):
+        assert isinstance(cells, tuple) and all(isinstance(row, tuple) for row in cells)
+    assert models._equivalent_cells(h, stepped_ensemble(7, 5, 6)) is plan
 
 
 def test_samplers_draw_order():
@@ -817,8 +814,8 @@ def test_equivalent_sum_adds_no_zero_deformation(monkeypatch):
     h = hermite(5) + monomial(3)
     want = equivalent_lin(h, gauss, 4)
     want += per_matrix_every_order(h, gauss, 4)
-    monkeypatch.setattr(models, "_deformation_term", lambda *args: pytest.fail("zero deformation built"))
-    assert models._def_cells(h, gauss) is None
+    monkeypatch.setattr(models, "_broadcast_cells", lambda *args: pytest.fail("zero deformation built"))
+    assert models._equivalent_cells(h, gauss).deformation is None
     assert np.array_equal(equivalent_sum(h, gauss, 4), want)
 
 
@@ -826,12 +823,16 @@ def test_equivalent_sum_adds_no_zero_deformation(monkeypatch):
 
 
 def per_matrix_every_order(h, ensemble, seed):
-    """Oracle: every chaos order 2..deg h drawn and added, vanishing or not."""
+    """Oracle: every chaos order 2..deg h drawn and added, vanishing or not.
+
+    An order that the plan leaves out is scaled by zero cells.
+    """
     lay = ensemble.layout
     out = np.zeros((lay.N1, lay.N2))
+    chaos = dict(models._equivalent_cells(h, ensemble).chaos)
     for m in range(2, h.degree + 1):
         z_m = np.random.default_rng([seed, models.STREAM_PER, m]).standard_normal((lay.N1, lay.N2))
-        term = models._scale_cells(z_m, models._per_coefficient_cells(h, ensemble, m))
+        term = models._scale_cells(z_m, chaos.get(m, [[0.0]]))
         term /= math.sqrt(lay.N)
         out += term
     return out
@@ -876,3 +877,12 @@ def test_only_vanishing_orders_are_skipped(monkeypatch):
     monkeypatch.undo()
     assert got.tobytes() == per_matrix_every_order(mixed, ens, 4).tobytes()
     assert equivalent_per(mixed, ens, 2, 4).all()
+
+
+def test_equivalent_plan_is_built_once_per_label_and_ensemble():
+    # every trial's equivalent_lin, per_matrix and equivalent_sum read one cached plan per label
+    ens = stepped_ensemble(7, 5, 6)
+    h3, g3 = monomial(3), hermite(3)
+    models._equivalent_cells.cache_clear()
+    tau_estimates([moment_cycle(1, h3), single_edge(g3)], equivalent_sampler(ens, [h3, g3]), trials=3, seed=2)
+    assert models._equivalent_cells.cache_info().misses == 2
