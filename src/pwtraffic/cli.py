@@ -32,6 +32,7 @@ EXIT_FLAG = 3
 MAX_SPECTRUM_N1 = 4000
 MAX_BINS = 10_000
 MAX_TRIALS = 1_000_000
+MAX_WORKERS = 32  # ThreadPoolExecutor's own default ceiling
 
 
 class ConfigError(ValueError):
@@ -464,12 +465,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         threads = _thread_count(args.threads)
+        if args.command == "spectrum" and args.format == "csv" and not args.out:
+            raise ConfigError("spectrum --format csv needs --out: the histogram is written beside it as .hist.csv")
         config = load_config(args.config)
         trials, _ = _trials_and_seed(config)
         kwargs = {}
         if args.command == "spectrum":
             kwargs["out_path"] = args.out
-        workers = min(threads, trials) if args.command in ("simulate", "compare") else 1
+        workers = min(threads, trials, MAX_WORKERS) if args.command in ("simulate", "compare") else 1
         if workers > 1:
             from concurrent.futures import ThreadPoolExecutor
 

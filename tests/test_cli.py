@@ -333,6 +333,22 @@ def test_main_bad_bins_exits_2_with_one_line(tmp_path, capsys, bins):
     assert err.startswith("error: bins must be an integer") and err.count("\n") == 1, err
 
 
+def test_spectrum_csv_needs_out_before_the_draw(tmp_path, capsys, monkeypatch):
+    # a CSV report has no room for the histogram, so without --out it was dropped
+    import pwtraffic.cli as cli
+
+    draws = []
+
+    def sample(self, seed):
+        draws.append(seed)
+        raise ConfigError("drawn")
+
+    monkeypatch.setattr(cli.ProfiledEnsemble, "sample", sample)
+    path = write_config(tmp_path, base_config())
+    err = assert_exit_2_with_one_line(capsys, ["spectrum", "--config", path, "--format", "csv"])
+    assert "needs --out" in err and draws == [] and not capsys.readouterr().out
+
+
 def test_cmd_spectrum_bins():
     report, _ = cmd_spectrum(base_config(bins=5))
     for family in ("model", "equivalent"):
@@ -691,7 +707,7 @@ class RecordingPool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("threads, trials, pool", [("1", 12, None), ("3", 12, 3), ("64", 5, 5), ("1000000", 2, 2), ("8", 1, None)])
+@pytest.mark.parametrize("threads, trials, pool", [("1", 12, None), ("3", 12, 3), ("64", 5, 5), ("1000000", 2, 2), ("8", 1, None), ("1000000", 40, 32)])
 def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, trials, pool):
     import concurrent.futures
 
@@ -723,6 +739,25 @@ def test_importing_the_cli_loads_no_command_only_module():
     env = {**os.environ, "PYTHONPATH": str(Path(pwtraffic.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_the_package_root_loads_nothing_and_leaves_each_module_its_name():
+    # the root re-exported 44 names: a bare import loaded six modules and
+    # numpy, and the function hermite took the place of the module hermite
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pwtraffic
+
+    probe = (
+        "import sys, pwtraffic; print(sorted(m for m in sys.modules if m.startswith(('pwtraffic.', 'numpy'))));"
+        "import pwtraffic.hermite as H; print(H is sys.modules['pwtraffic.hermite'])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pwtraffic.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True"]
 
 
 def assert_exit_2_with_one_line(capsys, argv):
