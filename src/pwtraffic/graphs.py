@@ -61,11 +61,7 @@ class TestGraph:
             raise ValueError("duplicate edge ids")
         self.is_reference = bool(reference)
         if self.is_reference:
-            for e in self.edges:
-                if self.color[e.src] != 2 or self.color[e.dst] != 1:
-                    raise ValueError(
-                        f"reference graphs need edges from color 2 to color 1; edge {e.id!r} violates this"
-                    )
+            check_reference_edges(self)
 
     # -- basic views ------------------------------------------------------
 
@@ -106,15 +102,15 @@ def _union_find(nodes: Iterable, links: Iterable[tuple]) -> dict:
     return {v: find(v) for v in parent}
 
 
-def connected_components(g: TestGraph) -> list[set]:
-    comps: dict[VertexId, set] = {}
-    for v, root in _union_find(g.vertex_ids, ((e.src, e.dst) for e in g.edges)).items():
-        comps.setdefault(root, set()).add(v)
-    return list(comps.values())
-
-
 def is_connected(g: TestGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(set(_union_find(g.vertex_ids, ((e.src, e.dst) for e in g.edges)).values())) <= 1
+
+
+def check_reference_edges(g: TestGraph) -> None:
+    """A ValueError naming the first edge that does not run from colour 2 to colour 1, as reference edges do."""
+    for e in g.edges:
+        if g.color[e.src] != 2 or g.color[e.dst] != 1:
+            raise ValueError(f"reference edges run from color 2 to color 1; edge {e.id!r} does not")
 
 
 def split_partitions(g: TestGraph):

@@ -107,10 +107,6 @@ class Polynomial:
     def __init__(self, power_coeffs: Iterable[Rational]) -> None:
         object.__setattr__(self, "power_coeffs", _trim([_frac(c) for c in power_coeffs]))
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = 0."""
@@ -127,28 +123,12 @@ class Polynomial:
             coeffs = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
         return Polynomial(coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.power_coeffs, other.power_coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: Rational) -> "Polynomial":
-        s = _frac(scalar)
-        return Polynomial(s * c for c in self.power_coeffs)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self.power_coeffs, other.power_coeffs
         if not a or not b:
-            return Polynomial.zero()
+            return Polynomial(())
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
@@ -176,11 +156,6 @@ def hermite(n: int) -> Polynomial:
 def from_hermite(hermite_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     """Power-basis coefficients of sum_n c_n g_n, given the c_n."""
     return _hermite_to_power([_frac(c) for c in hermite_coeffs])
-
-
-def expect_derivative(p: Polynomial, m: int = 1) -> Fraction:
-    """E[p^(m)(xi)] for standard Gaussian xi, exactly."""
-    return expect_scaled(p.derivative(m), 1)
 
 
 def expect_scaled(p: Polynomial, mu_sq: Fraction) -> Fraction:

@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import lcm, prod
 
-from .graphs import TestGraph, W_LABEL, X_LABEL, is_connected, join_edge
+from .graphs import TestGraph, W_LABEL, X_LABEL, check_reference_edges, is_connected, join_edge
 from .hermite import Polynomial, _frac
 from .models import CellKernels, StepProfile, cell_kernels
 from .partitions import SetPartition, bell_number, label_blocks, restricted_growth_strings
@@ -181,9 +181,7 @@ def _read_reference(g: TestGraph) -> Reference:
         positions[c - 1].append(i + 1)
     if not is_connected(g):
         raise ValueError("reference graphs must be connected")
-    for e in g.edges:
-        if g.color[e.src] != 2 or g.color[e.dst] != 1:
-            raise ValueError(f"reference edges run from color 2 to color 1; edge {e.id!r} does not")
+    check_reference_edges(g)
     return *positions, [(rank[e.dst], rank[e.src]) for e in g.edges]
 
 

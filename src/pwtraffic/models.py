@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hermite import Polynomial, _frac, expect_derivative, expect_scaled, gaussian_moment, monomial
+from .hermite import Polynomial, _frac, expect_scaled, gaussian_moment, monomial
 from .partitions import IntegerPartition, restricted_growth_strings
 from .traffic import BlockLayout, MatrixFamily
 
@@ -446,7 +446,7 @@ def check_decompose_label(h: Polynomial) -> tuple[tuple[object, IntegerPartition
         if a_n == 0:
             continue
         for part, k in [("lin", 1), *((m, m) for m in range(2, n + 1)), *([("def", 3)] if n >= 3 else [])]:
-            coeff = a_n * (expect_derivative(monomial(n), k) / math.factorial(k))
+            coeff = a_n * (expect_scaled(monomial(n).derivative(k), 1) / math.factorial(k))
             if coeff != 0:
                 lam = triple_and_pairs(n) if part == "def" else ones_and_pairs(n, k)
                 terms.append((part, lam, n, _fit_float(f"the coefficient of the {lam.parts} block sum", lambda: coeff)))

@@ -279,7 +279,6 @@ def tau_estimates(
     sampler: Callable[[np.random.Generator], MatrixFamily],
     trials: int,
     seed: int,
-    values_out: Sequence[list] | None = None,
     map_fn: Callable | None = None,
 ) -> list[TauEstimate]:
     """Monte Carlo mean and standard error of N^{-1} * trace, one per graph.
@@ -289,9 +288,10 @@ def tau_estimates(
     evaluated independently, and a graph's estimate does not depend on the
     other graphs requested with it.  Aggregation is always in trial order.
     std_error is the sample standard deviation over trials divided by
-    sqrt(trials), None for a single trial.  ``values_out`` holds one list
-    per graph that receives its per-trial values.  map_fn lets a harness run
+    sqrt(trials), None for a single trial.  map_fn lets a harness run
     trials concurrently (e.g. an executor's map); it must preserve order.
+    It sees every trial's row of per-graph values, so a caller that wants
+    the per-trial values records them there.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -305,8 +305,6 @@ def tau_estimates(
     out = []
     for k in range(len(graphs)):
         values = [row[k] for row in rows]
-        if values_out is not None:
-            values_out[k].extend(values)
         mean = sum(values) / trials
         if not math.isfinite(mean):  # a non-finite trace, or a sum past the float range
             raise ValueError(f"graph {k} ({graphs[k]!r}): the Monte Carlo mean is not a finite float")

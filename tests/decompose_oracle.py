@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from pwtraffic.hermite import Polynomial, expect_derivative
+from pwtraffic.hermite import Polynomial, expect_scaled
 from pwtraffic.models import Decomposition, inclusion_exclusion_terms, ones_and_pairs, triple_and_pairs
 from partitions_oracle import enumerate_set_partitions
 
@@ -83,17 +83,17 @@ def decompose(h, w, x, layout, z_lambda=z_lambda):
             continue
         hn = Polynomial([0] * n + [1])
         scale = gamma * float(layout.N0) ** (-n / 2)
-        c_lin = expect_derivative(hn, 1)
+        c_lin = expect_scaled(hn.derivative(1), 1)
         if c_lin != 0:
             lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), sums).astype(float)
         for m in range(2, n + 1):
-            c_m = expect_derivative(hn, m) / math.factorial(m)
+            c_m = expect_scaled(hn.derivative(m), 1) / math.factorial(m)
             if c_m == 0:
                 continue
             term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), sums).astype(float)
             per[m] = per.get(m, np.zeros(shape)) + term
         if n >= 3:
-            c_def = expect_derivative(hn, 3) / 6
+            c_def = expect_scaled(hn.derivative(3), 1) / 6
             if c_def != 0:
                 deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), sums).astype(float)
     total = pw_matrix(h, w, x, layout)

@@ -24,6 +24,7 @@ from pwtraffic.graphs import (
     X_LABEL,
     _check_split,
     _w_components,
+    check_reference_edges,
     is_connected,
 )
 from pwtraffic.partitions import SetPartition
@@ -75,9 +76,7 @@ def build_auxiliary(ref: TestGraph) -> AuxiliaryGraph:
     Takes any graph whose edges run from colour 2 to colour 1, with or
     without the reference tag, as ``limits.eta_support_scan`` does.
     """
-    for e in ref.edges:
-        if ref.color[e.src] != 2 or ref.color[e.dst] != 1:
-            raise ValueError(f"reference edges run from color 2 to color 1; edge {e.id!r} does not")
+    check_reference_edges(ref)
     vertices: list[tuple[VertexId, int]] = list(ref.vertices)
     edges: list[Edge] = []
     niches: dict[EdgeId, tuple[VertexId, ...]] = {}

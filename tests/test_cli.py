@@ -726,8 +726,8 @@ def test_main_pool_is_min_of_threads_and_trials(tmp_path, monkeypatch, threads, 
     assert RecordingPool.sizes == []
 
 
-def test_importing_the_cli_loads_no_command_only_module():
-    # the pool, the CSV writers and the einsum letters are not paid for by every command
+def fresh_interpreter_lines(probe):
+    """The stdout lines of ``probe`` run by a new interpreter that imports this package from its source tree."""
     import os
     import subprocess
     import sys
@@ -735,29 +735,35 @@ def test_importing_the_cli_loads_no_command_only_module():
 
     import pwtraffic
 
-    probe = "import sys, pwtraffic.cli; print(sorted({'concurrent.futures', 'csv', 'string'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(pwtraffic.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.splitlines()
+
+
+def test_importing_the_cli_loads_no_command_only_module():
+    # the pool, the CSV writers and the einsum letters are not paid for by every command
+    probe = "import sys, pwtraffic.cli; print(sorted({'concurrent.futures', 'csv', 'string'} & set(sys.modules)))"
+    assert fresh_interpreter_lines(probe) == ["[]"]
 
 
 def test_the_package_root_loads_nothing_and_leaves_each_module_its_name():
     # the root re-exported 44 names: a bare import loaded six modules and
     # numpy, and the function hermite took the place of the module hermite
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import pwtraffic
-
     probe = (
         "import sys, pwtraffic; print(sorted(m for m in sys.modules if m.startswith(('pwtraffic.', 'numpy'))));"
         "import pwtraffic.hermite as H; print(H is sys.modules['pwtraffic.hermite'])"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(pwtraffic.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "True"]
+    assert fresh_interpreter_lines(probe) == ["[]", "True"]
+
+
+def test_the_exact_layer_loads_no_numpy():
+    # the polynomial calculus, set partitions and graphs stand apart from the
+    # float stack: importing them loads only themselves
+    probe = (
+        "import sys, pwtraffic.hermite, pwtraffic.partitions, pwtraffic.graphs;"
+        "print(sorted(m for m in sys.modules if m.startswith(('pwtraffic.', 'numpy'))))"
+    )
+    assert fresh_interpreter_lines(probe) == ["['pwtraffic.graphs', 'pwtraffic.hermite', 'pwtraffic.partitions']"]
 
 
 def assert_exit_2_with_one_line(capsys, argv):

@@ -10,9 +10,9 @@ from pwtraffic.graphs import (
     NonSplitPartitionError,
     TestGraph,
     classify,
-    connected_components,
     eta,
     has_centered_support,
+    is_connected,
     moment_cycle,
     quotient,
     single_edge,
@@ -316,7 +316,8 @@ def test_moment_cycle_shapes():
     assert m2.is_reference
 
 
-def test_connected_components():
+def test_is_connected():
     g = graph({1: 0, 2: 0, 3: 0}, [("a", 1, 2, "m")])
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[1, 2], [3]]
+    assert not is_connected(g)  # components {1, 2} and {3}
+    assert is_connected(graph({1: 0, 2: 0}, [("a", 1, 2, "m")]))
+    assert is_connected(graph({1: 0, 2: 0, 3: 0}, [("a", 1, 2, "m"), ("b", 3, 2, "m")]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pwtraffic.graphs import Edge, TestGraph, classify, moment_cycle, quotient, single_edge, split_partitions
-from pwtraffic.hermite import expect_scaled, hermite, monomial
+from pwtraffic.hermite import Polynomial, expect_scaled, hermite, monomial
 from pwtraffic.limits import (
     MAX_LIMIT_EDGES,
     RULES,
@@ -44,6 +44,8 @@ THIRD = Fraction(1, 3)
 CONSTANT = LimitParams(psi=(THIRD, THIRD, THIRD))
 SKEWED = LimitParams(psi=(THIRD, THIRD, THIRD), m3_w=Fraction(3, 2), m3_x=Fraction(3, 2))
 H1, H3, H5, G3, G5 = monomial(1), monomial(3), monomial(5), hermite(3), hermite(5)
+G3_H1 = Polynomial([0, -2, 0, 1])  # g3 + h1
+G5_H3 = Polynomial([0, 15, 0, -9, 0, 1])  # g5 + h3
 # step profiles and unequal, skewed third moments
 STEPPED = LimitParams(
     psi=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
@@ -175,7 +177,8 @@ def test_limit_component_examples():
     m1_g3 = moment_cycle(1, G3)
     assert limit_per(m1_g3, CONSTANT) == Fraction(6, 27)
     assert limit_lin(m1_g3, CONSTANT) == 0
-    assert limit_lin(moment_cycle(1, Fraction(1, 2) * G3 + H1), CONSTANT) != 0
+    g3_half_h1 = Polynomial([0, Fraction(-1, 2), 0, Fraction(1, 2)])  # g3/2 + h1
+    assert limit_lin(moment_cycle(1, g3_half_h1), CONSTANT) != 0
 
     # rademacher third moments kill the deterministic channel entirely
     assert limit_pw(single_edge(H3), CONSTANT) == 0
@@ -192,7 +195,7 @@ def test_limit_equivalent_sum_examples():
 
 def test_limit_pw_multilinear():
     a, b = Fraction(2, 3), Fraction(-5, 7)
-    combo = a * H3 + b * H5
+    combo = Polynomial([0, 0, 0, a, 0, b])  # a h3 + b h5
     g_combo = single_edge(combo)
     lhs = limit_pw(g_combo, SKEWED)
     rhs = a * limit_pw(single_edge(H3), SKEWED) + b * limit_pw(single_edge(H5), SKEWED)
@@ -299,7 +302,7 @@ def test_recombination_on_every_reference_graph_up_to_four_edges():
 def test_limit_walk_matches_oracle_fold():
     # all five values of the walk equal the monomial/niche-graph fold of
     # tests/limit_oracle.py on every connected reference graph of <= 3 edges
-    labels = {"h1": H1, "g3+h1": G3 + H1, "g5+h3": G5 + H3}
+    labels = {"h1": H1, "g3+h1": G3_H1, "g5+h3": G5_H3}
     checked = 0
     for name, ref in labeled_reference_graphs(3, list(labels)):
         g = TestGraph(ref.vertices, [Edge(e.id, e.src, e.dst, labels[e.label]) for e in ref.edges], reference=True)
@@ -319,12 +322,12 @@ def test_limit_walk_matches_oracle_fold_on_moment_3():
 
 def test_recombination_on_moments_3_and_4():
     for k in (3, 4):
-        g = moment_cycle(k, G5 + H3)
+        g = moment_cycle(k, G5_H3)
         assert limit_pw(g, STEPPED) == limit_equivalent_sum(g, STEPPED), k
 
 
 def test_recombination_on_moment_6():
-    values = limit_values(moment_cycle(6, G5 + H3), STEPPED)
+    values = limit_values(moment_cycle(6, G5_H3), STEPPED)
     assert values.pw == values.sum != 0
 
 
@@ -344,19 +347,19 @@ def test_limit_walk_matches_the_per_partition_loop():
     # the pruned walk with one elimination per class against the loop it
     # replaced (tests/limit_oracle.py), on the graphs and parameters that the
     # limit tests use
-    for labels, max_edges in (({"h1": H1, "g3+h1": G3 + H1, "g5+h3": G5 + H3}, 3), ({"h1": H1, "g3": G3}, 4)):
+    for labels, max_edges in (({"h1": H1, "g3+h1": G3_H1, "g5+h3": G5_H3}, 3), ({"h1": H1, "g3": G3}, 4)):
         for name, ref in labeled_reference_graphs(max_edges, list(labels)):
             edges = [Edge(e.id, e.src, e.dst, labels[e.label]) for e in ref.edges]
             assert_walk_matches_loop(TestGraph(ref.vertices, edges, reference=True), STEPPED, name)
     for params in (CONSTANT, SKEWED, STEPPED):
-        for g in (single_edge(H3), single_edge(H5), moment_cycle(1, G3 + H1), moment_cycle(2, H3)):
+        for g in (single_edge(H3), single_edge(H5), moment_cycle(1, G3_H1), moment_cycle(2, H3)):
             assert_walk_matches_loop(g, params)
     for k in (3, 4):
-        assert_walk_matches_loop(moment_cycle(k, G5 + H3), STEPPED, k)
+        assert_walk_matches_loop(moment_cycle(k, G5_H3), STEPPED, k)
 
 
 def test_limit_walk_matches_the_per_partition_loop_on_moment_5():
-    values = assert_walk_matches_loop(moment_cycle(5, G5 + H3), STEPPED)
+    values = assert_walk_matches_loop(moment_cycle(5, G5_H3), STEPPED)
     assert values.pw == values.sum != 0  # the recombination on moment-5
 
 
@@ -400,7 +403,7 @@ def test_limit_values_reads_its_reference_graph_once(monkeypatch):
     reads = []
     read = limits._read_reference
     monkeypatch.setattr(limits, "_read_reference", lambda g: reads.append(g) or read(g))
-    for g in (moment_cycle(1, H1), moment_cycle(4, G5 + H3), single_edge(H3)):
+    for g in (moment_cycle(1, H1), moment_cycle(4, G5_H3), single_edge(H3)):
         want = limit_values_loop(g, STEPPED)
         reads.clear()
         assert limit_values(g, STEPPED) == want
@@ -430,7 +433,7 @@ def test_every_class_memo_hit_equals_its_quotient_from_scratch():
 
     kernels = _limit_kernels(STEPPED)
     for k, n_leaves in ((4, 55), (5, 273)):
-        g = moment_cycle(k, G5 + H3)
+        g = moment_cycle(k, G5_H3)
         label_id = [0] * len(g.edges)  # one label
         intern, first, hits = {}, {}, 0
         for leaf in _pseudo_cacti(_read_reference(g)):
@@ -458,7 +461,7 @@ def test_constant_profile_limits_match_pennington_worah(psi):
     # the k-th moment of Pennington and Worah's fixed point
     # (tests/pw_oracle.py): pw at (eta, zeta), lin at (zeta, zeta) and per at
     # (eta - zeta, 0), with eta = E[h^2] and zeta = E[h']^2; B = 0 whatever m3
-    for name, h in {"h1": H1, "h3": H3, "g3": G3, "g5+h3": G5 + H3}.items():
+    for name, h in {"h1": H1, "h3": H3, "g3": G3, "g5+h3": G5_H3}.items():
         eta, zeta = expect_scaled(h * h, 1), expect_scaled(h.derivative(1), 1) ** 2
         top = 6 if name == "g5+h3" and psi == (THIRD, Fraction(1, 2), Fraction(1, 6)) else 4
         closed = {
@@ -491,7 +494,7 @@ def test_recombination_can_fail(monkeypatch):
     models.cell_kernels.cache_clear()
     monkeypatch.setattr(models, "CellKernels", DoubledK2)
     try:
-        values = limit_values(moment_cycle(1, G3 + H1), STEPPED)
+        values = limit_values(moment_cycle(1, G3_H1), STEPPED)
         assert values.pw != values.sum
     finally:
         models.cell_kernels.cache_clear()
@@ -522,8 +525,6 @@ def test_breakdown_collects_quotients():
 
 def test_scan_counts_match_cut_edge_rule():
     # eta-zero quotients of a single edge: binom(n,3)(n-4)!! = E[h_n''']/6
-    from pwtraffic.hermite import expect_derivative
-
     def double_factorial(k):
         out = 1
         while k > 1:
@@ -535,7 +536,7 @@ def test_scan_counts_match_cut_edge_rule():
         rep = eta_support_scan(single_edge(n))
         closed = math.comb(n, 3) * double_factorial(n - 4)
         assert len(rep.eta_zero_partitions) == closed
-        assert closed == expect_derivative(monomial(n), 3) / 6
+        assert closed == expect_scaled(monomial(n).derivative(3), 1) / 6
 
 
 def test_scan_counts_match_pairing_rule():
@@ -620,6 +621,17 @@ def test_limit_and_scan_refuse_a_bad_reference_graph_alike(case, message):
         limit_values(build(H1), CONSTANT)
     with pytest.raises(ValueError, match=message):
         eta_support_scan(build(3))
+
+
+def test_tagged_graph_and_limit_refuse_a_backwards_edge_with_one_message():
+    # the reference-edge rule is written once: the reference tag and the
+    # limit's reader of an untagged graph refuse the same edge alike
+    vertices, edges = [("t", 1), ("s", 2)], [Edge("e", "s", "t", H1), Edge("f", "t", "s", H1)]
+    with pytest.raises(ValueError) as tagged:
+        TestGraph(vertices, edges, reference=True)
+    with pytest.raises(ValueError) as untagged:
+        limit_values(TestGraph(vertices, edges), CONSTANT)
+    assert str(tagged.value) == str(untagged.value) == "reference edges run from color 2 to color 1; edge 'f' does not"
 
 
 def test_limit_and_scan_read_an_untagged_graph_and_differ_on_an_edgeless_one():
@@ -881,7 +893,7 @@ def test_single_edge_closed_form():
         profile_x=StepProfile.of([[2, 1], [1, Fraction(1, 2)]]),
     )
     psi0, psi1, psi2 = params.psi
-    for p in (H3, H5, G3, G5, Fraction(2) * H3 + Fraction(-1, 3) * H5):
+    for p in (H3, H5, G3, G5, Polynomial([0, 0, 0, 2, 0, Fraction(-1, 3)])):  # the last is 2 h3 - h5/3
         closed = psi1 * psi2 * (params.m3_w * params.m3_x / 6) * sum(
             measure * lam3 * expect_scaled(p.derivative(3), lam2)
             for measure, lam2, lam3 in _limit_cells(params)

@@ -10,7 +10,7 @@ import pytest
 import pwtraffic.models as models
 from pwtraffic.cli import resolve_ensemble
 from pwtraffic.graphs import moment_cycle, single_edge
-from pwtraffic.hermite import expect_scaled, gaussian_moment, hermite, monomial
+from pwtraffic.hermite import Polynomial, expect_scaled, gaussian_moment, hermite, monomial
 from pwtraffic.models import (
     EntryLaw,
     ProfiledEnsemble,
@@ -137,15 +137,13 @@ def test_sample_moments():
 def test_pw_matrix_examples():
     lay = BlockLayout(3, 2, 2)
     w, x = RNG.standard_normal((2, 3)), RNG.standard_normal((3, 2))
-    from pwtraffic.hermite import Polynomial
-
-    assert not pw_matrix(Polynomial.zero(), w, x, lay).any()
+    assert not pw_matrix(Polynomial(()), w, x, lay).any()
     y1 = pw_matrix(monomial(1), w, x, lay)
     expect = (math.sqrt(lay.N0) / lay.N) * (w @ x) / math.sqrt(lay.N0)
     assert np.allclose(y1, expect)
     # linearity in the polynomial
     h3, h5 = monomial(3), monomial(5)
-    combo = Fraction(2) * h3 + Fraction(-3) * h5
+    combo = Polynomial([0, 0, 0, 2, 0, -3])  # 2 h3 - 3 h5
     lhs = pw_matrix(combo, w, x, lay)
     rhs = 2 * pw_matrix(h3, w, x, lay) - 3 * pw_matrix(h5, w, x, lay)
     assert np.allclose(lhs, rhs)
@@ -583,6 +581,7 @@ def test_equivalents_deterministic_per_seed():
 
 STEPPED_W = StepProfile.of([[1, Fraction(1, 2), 3], [Fraction(3, 2), 1, 0]])
 STEPPED_X = StepProfile.of([[2, 1], [1, Fraction(1, 2)]])
+G5_H3 = Polynomial([0, 15, 0, -9, 0, 1])  # g5 + h3
 
 
 def stepped_ensemble(n0, n1, n2):
@@ -680,7 +679,7 @@ def test_equivalents_match_broadcast_coefficients():
     # the dense formulas the cached cells replace, built from realized matrices
     ens = stepped_ensemble(7, 5, 6)
     lay = ens.layout
-    h = monomial(3) + 2 * monomial(5)
+    h = Polynomial([0, 0, 0, 1, 0, 2])  # h3 + 2 h5
     gw, gx = ens.realized_profiles()
     mu_sq = second_moment_cells(ens)
     lin_coeff = models._broadcast_cells([[expect_scaled(h.derivative(1), v) for v in row] for row in mu_sq], (5, 6))
@@ -811,7 +810,7 @@ def test_two_point_sample_is_the_where_form():
 
 def test_equivalent_sum_adds_no_zero_deformation(monkeypatch):
     gauss = ProfiledEnsemble(BlockLayout(7, 5, 6), EntryLaw.gaussian(), EntryLaw.gaussian(), STEPPED_W, STEPPED_X)
-    h = hermite(5) + monomial(3)
+    h = G5_H3
     want = equivalent_lin(h, gauss, 4)
     want += per_matrix_every_order(h, gauss, 4)
     monkeypatch.setattr(models, "_broadcast_cells", lambda *args: pytest.fail("zero deformation built"))
@@ -853,7 +852,7 @@ def recorded_streams(monkeypatch):
 
 def test_skipped_chaos_orders_change_nothing():
     ens = stepped_ensemble(7, 5, 6)
-    for h in (monomial(3), monomial(5), hermite(5) + monomial(3)):
+    for h in (monomial(3), monomial(5), G5_H3):
         for seed in (0, 4, 91):
             want = per_matrix_every_order(h, ens, seed)
             got = per_matrix(h, ens, seed)
@@ -866,7 +865,7 @@ def test_skipped_chaos_orders_change_nothing():
 
 def test_only_vanishing_orders_are_skipped(monkeypatch):
     ens = stepped_ensemble(7, 5, 6)
-    odd, mixed = hermite(5) + monomial(3), monomial(3) + monomial(2)
+    odd, mixed = G5_H3, Polynomial([0, 0, 1, 1])  # g5 + h3, h3 + h2
     seeds = recorded_streams(monkeypatch)
     per_matrix(odd, ens, 4)
     assert seeds == [(4, models.STREAM_PER, 3), (4, models.STREAM_PER, 5)]

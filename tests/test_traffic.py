@@ -37,6 +37,7 @@ from traffic_oracle import (
     falling_factorial,
     injective_trace,
     moebius_check,
+    recording_map,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -485,12 +486,12 @@ def test_tau_estimates_share_one_family_per_trial():
 
     graphs = [moment_cycle(1, "Y"), moment_cycle(2, "Y"), k23()]
     values = [[], [], []]
-    joint = tau_estimates(graphs, sampler, trials=9, seed=4, values_out=values)
+    joint = tau_estimates(graphs, sampler, trials=9, seed=4, map_fn=recording_map(values))
     assert len(draws) == 9
     for g, est, vals in zip(graphs, joint, values):
         assert tau_estimates([g], sampler, trials=9, seed=4)[0] == est
         single_values = [[]]
-        assert tau_estimates([g], sampler, trials=9, seed=4, values_out=single_values) == [est]
+        assert tau_estimates([g], sampler, trials=9, seed=4, map_fn=recording_map(single_values)) == [est]
         assert single_values == [vals]
 
 

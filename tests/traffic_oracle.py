@@ -2,11 +2,12 @@
 
 The injective trace, the Moebius identity between the combinatorial and
 injective traces, the exact injective-map average ``delta0``, block
-embedding, and graph monomials evaluated as one memo-free einsum
-(``contract_oracle``, the oracle of ``traffic._contract``).  Scalars stay
-exact on exact matrices, so the Moebius identity is asserted with zero
-tolerance, between two independent enumerations: ``combinatorial_trace``
-and ``injective_trace``.
+embedding, graph monomials evaluated as one memo-free einsum
+(``contract_oracle``, the oracle of ``traffic._contract``) and a
+``tau_estimates`` map_fn that records the per-trial values
+(``recording_map``).  Scalars stay exact on exact matrices, so the Moebius
+identity is asserted with zero tolerance, between two independent
+enumerations: ``combinatorial_trace`` and ``injective_trace``.
 """
 
 from __future__ import annotations
@@ -167,3 +168,15 @@ def eval_monomial(mono: GraphMonomial, family: MatrixFamily) -> np.ndarray:
     if mono.input == mono.output:
         return np.diag(contract_oracle(mono.graph, family, (mono.output,))).astype(float)
     return np.asarray(contract_oracle(mono.graph, family, (mono.output, mono.input)), dtype=float)
+
+
+def recording_map(values: list[list]):
+    """A ``tau_estimates`` map_fn that runs trials in order and extends ``values[k]`` with graph k's per-trial values."""
+
+    def map_fn(fn, trials):
+        rows = list(map(fn, trials))
+        for k, column in enumerate(zip(*rows)):
+            values[k].extend(column)
+        return rows
+
+    return map_fn
