@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,29 +44,51 @@ def parse_polynomial(spec) -> Polynomial:
     {"basis": "power" | "hermite", "coeffs": [...]}.
 
     Every form is capped at degree ``hermite.DEFAULT_MAX_DEGREE`` before it
-    is built.  List entries are read through their strings, so 0.1 is 1/10.
+    is built.  The degree of a shorthand is read by :func:`_decimal` and each
+    coefficient by :func:`_rational`, so 0.1 is 1/10 in either list form.
     """
     if isinstance(spec, Polynomial):
         return spec
     if isinstance(spec, str):
-        if spec[:1] in ("h", "g") and spec[1:].isdigit():
-            n = check_degree(int(spec[1:]))
+        if spec[:1] in ("h", "g"):
+            n = check_degree(_decimal(spec[1:], f"polynomial shorthand {spec!r}: the degree must be a plain decimal number"))
             return monomial(n) if spec[0] == "h" else hermite(n)
         raise ConfigError(f"unknown polynomial shorthand {spec!r}")
     if isinstance(spec, (list, tuple)):
-        spec = {"basis": "power", "coeffs": [str(c) for c in spec]}
+        spec = {"basis": "power", "coeffs": spec}
     if not isinstance(spec, dict):
         raise ConfigError(f"cannot parse polynomial spec {spec!r}")
     basis, coeffs = _fields(spec, f"polynomial {spec!r}", "basis", "coeffs")
     if not isinstance(coeffs, (list, tuple)):
         raise ConfigError(f"polynomial coeffs must be an array, got {coeffs!r}")
-    coeffs = [_frac(c) for c in coeffs]
+    coeffs = [_rational(c, "a polynomial coefficient") for c in coeffs]
     check_degree(max((k for k, c in enumerate(coeffs) if c), default=0))  # the degree in either basis
     if basis == "power":
         return Polynomial(coeffs)
     if basis == "hermite":
         return Polynomial(from_hermite(coeffs))
     raise ConfigError(f"unknown basis {basis!r}")
+
+
+def _rational(value, what: str) -> Fraction:
+    """A config number as an exact rational: a JSON string through ``hermite._frac``,
+    a JSON number through its shortest decimal text, so 0.1 is 1/10 wherever it appears.
+
+    A boolean, null, array or object is a ConfigError naming ``what`` and the value.
+    """
+    if isinstance(value, str):
+        return _frac(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _frac(repr(value))
+    raise ConfigError(f"{what} must be a JSON number or a string such as \"3/2\", got {json.dumps(value)}")
+
+
+def _decimal(text: str, what: str, minimum: int = 0) -> int:
+    """``text`` as an int >= ``minimum`` when it is plain ASCII digits with no
+    sign, space or leading zero; otherwise a ConfigError reading "``what``, got ``text``"."""
+    if not (text == "0" or text.isascii() and text.isdigit() and text[0] != "0") or int(text) < minimum:
+        raise ConfigError(f"{what}, got {text!r}")
+    return int(text)
 
 
 def _poly_echo(p: Polynomial) -> dict:
@@ -94,10 +116,7 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if item == "single-edge":
                 out.append((item, single_edge(poly)))
             elif item.startswith("moment-"):
-                digits = item.removeprefix("moment-")
-                if not re.fullmatch("0|[1-9][0-9]*", digits):
-                    raise ConfigError(f"graph preset {item!r}: k must be written as a plain decimal number")
-                k = int(digits)
+                k = _decimal(item.removeprefix("moment-"), f"graph preset {item!r}: k must be written as a plain decimal number")
                 if 2 * k > len(_LETTERS):  # before the 2k vertices are built
                     raise ConfigError(
                         f"graph preset {item!r} has {2 * k} vertices, "
@@ -189,13 +208,6 @@ def _trials_and_seed(config: dict) -> tuple[int, int]:
     return _config_count(config, "trials", 100, MAX_TRIALS), config_int(config, "seed", 0, 0)
 
 
-def _thread_count(value: str) -> int:
-    """The ``--threads`` value: a decimal integer >= 1."""
-    if not (value.isascii() and value.isdigit()) or int(value) < 1:
-        raise ConfigError(f"--threads must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def resolve_ensemble(config: dict) -> ProfiledEnsemble:
     """The "ensemble" section: sizes N0, N1, N2, entry laws law_w, law_x and
     step profiles profile_w, profile_x; a missing key is a ConfigError naming it."""
@@ -215,7 +227,8 @@ def _entry_law(spec, name: str) -> EntryLaw:
         raise ConfigError(f"{name} must be an object with a 'kind' key, got {spec!r}")
     (kind,) = _fields(spec, name, "kind")
     if kind == "skewed_two_point":
-        return EntryLaw.skewed_two_point(*_fields(spec, name, "a", "b", "p"))
+        values = _fields(spec, name, "a", "b", "p")
+        return EntryLaw.skewed_two_point(*(_rational(v, f"{name} {key!r}") for key, v in zip("abp", values)))
     if kind not in ("gaussian", "rademacher"):
         raise ConfigError(f"{name}: unknown entry law kind {kind!r}")
     return EntryLaw.gaussian() if kind == "gaussian" else EntryLaw.rademacher()
@@ -224,7 +237,7 @@ def _entry_law(spec, name: str) -> EntryLaw:
 def _step_profile(spec, name: str) -> StepProfile:
     if not isinstance(spec, list) or not all(isinstance(row, list) for row in spec):
         raise ConfigError(f"{name} must be a list of rows of values, got {spec!r}")
-    return StepProfile.of(spec)
+    return StepProfile.of([[_rational(v, f"{name} cell {(r, c)}") for c, v in enumerate(row)] for r, row in enumerate(spec)])
 
 
 def limit_params_of(ensemble: ProfiledEnsemble) -> LimitParams:
@@ -464,7 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        threads = _thread_count(args.threads)
+        threads = _decimal(args.threads, "--threads must be an integer >= 1", minimum=1)
         if args.command == "spectrum" and args.format == "csv" and not args.out:
             raise ConfigError("spectrum --format csv needs --out: the histogram is written beside it as .hist.csv")
         config = load_config(args.config)

@@ -39,7 +39,7 @@ class TestGraph:
     def __init__(
         self,
         vertices: Sequence[tuple[VertexId, int]],
-        edges: Iterable[Edge | tuple],
+        edges: Iterable[Edge],
         reference: bool = False,
     ) -> None:
         self.vertices: tuple[tuple[VertexId, int], ...] = tuple((v, int(c)) for v, c in vertices)
@@ -51,8 +51,6 @@ class TestGraph:
             raise ValueError("vertex colors must lie in {0, 1, 2}")
         es = []
         for e in edges:
-            if not isinstance(e, Edge):
-                e = Edge(*e)
             if e.src not in self.color or e.dst not in self.color:
                 raise ValueError(f"edge {e.id!r} references a missing vertex")
             es.append(e)

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .hermite import Polynomial, _frac, expect_scaled, gaussian_moment, monomial
-from .partitions import IntegerPartition, restricted_growth_strings
+from .partitions import restricted_growth_strings
 from .traffic import BlockLayout, MatrixFamily
 
 # RNG stream tags (seed, tag, ...) for independent components.
@@ -306,20 +306,6 @@ def _horner(h: Polynomial, inner: np.ndarray, layout: BlockLayout) -> np.ndarray
 # -- lambda-type block sums ----------------------------------------------------
 
 
-def ones_and_pairs(n: int, m: int) -> IntegerPartition:
-    """Partition of n with m parts equal to one and the rest twos."""
-    if m < 0 or (n - m) % 2 or n < m:
-        raise ValueError(f"no partition of {n} with {m} ones and the rest twos")
-    return IntegerPartition.of([2] * ((n - m) // 2) + [1] * m)
-
-
-def triple_and_pairs(n: int) -> IntegerPartition:
-    """Partition of n with one part equal to three and the rest twos."""
-    if n < 3 or (n - 3) % 2:
-        raise ValueError(f"no partition of {n} with a single 3 and the rest twos")
-    return IntegerPartition.of([3] + [2] * ((n - 3) // 2))
-
-
 def power_sums(w: np.ndarray, x: np.ndarray, top: int) -> dict[int, np.ndarray]:
     """The table m -> (W^{om}) (X^{om}) for m = 1..top; exact on integer inputs.
 
@@ -365,7 +351,7 @@ def inclusion_exclusion_terms(parts: tuple[int, ...]) -> tuple[tuple[int, tuple[
     return tuple((c, key) for key, c in grouped.items() if c != 0)
 
 
-def z_lambda(lam: IntegerPartition, sums: dict[int, np.ndarray]) -> np.ndarray:
+def z_lambda(parts: tuple[int, ...], sums: dict[int, np.ndarray]) -> np.ndarray:
     """Distinct-index block sum over the inner dimension.
 
     Entry (i, j) sums, over tuples of pairwise distinct inner indices (one
@@ -373,21 +359,19 @@ def z_lambda(lam: IntegerPartition, sums: dict[int, np.ndarray]) -> np.ndarray:
     inclusion-exclusion over coincidence patterns of the parts, grouped by
     the multiset of block sums (:func:`inclusion_exclusion_terms`), which
     reduces every term to entrywise products of W^{om} X^{om} matrices; exact
-    on integer inputs.  Depends only on the partition, not on a
-    representative.
+    on integer inputs.  Depends only on the multiset of ``parts``, not on
+    their order.
 
     ``sums`` is a :func:`power_sums` table of (W, X) up to at least
-    ``lam.total``, shared across calls on the same matrices; never written.
+    ``sum(parts)``, shared across calls on the same matrices; never written.
     Filled ``_ROW_TILE`` rows at a time, each entry by the whole-matrix
     form's operations in order.
     """
-    parts = lam.parts
-    b = len(parts)
-    if b > _MAX_Z_PARTS:
-        raise ValueError(f"z_lambda guarded at {_MAX_Z_PARTS} parts, got {b}")
-    if lam.total not in sums:
-        raise ValueError(f"power-sum table stops below {lam.total}")
-    out = np.empty_like(sums[lam.total])
+    if len(parts) > _MAX_Z_PARTS:
+        raise ValueError(f"z_lambda guarded at {_MAX_Z_PARTS} parts, got {len(parts)}")
+    if sum(parts) not in sums:
+        raise ValueError(f"power-sum table stops below {sum(parts)}")
+    out = np.empty_like(sums[sum(parts)])
     buf = np.empty_like(out[:_ROW_TILE])
     for start in range(0, len(out), _ROW_TILE):
         rows = slice(start, start + _ROW_TILE)
@@ -428,14 +412,15 @@ class Decomposition:
 
 
 @lru_cache(maxsize=None)
-def check_decompose_label(h: Polynomial) -> tuple[tuple[object, IntegerPartition, int, float], ...]:
-    """The block sums that :func:`decompose` adds for ``h``, as (part, block type, degree n, coefficient).
+def check_decompose_label(h: Polynomial) -> tuple[tuple[object, tuple[int, ...], int, float], ...]:
+    """The block sums that :func:`decompose` adds for ``h``, as (part, parts, degree n, coefficient).
 
     ``part`` is "lin", an order m >= 2 or "def", which read the k-th
-    derivative for k = 1, m and 3; the coefficient is a_n E[h_n^(k)]/k!,
-    exact and then fitted to a float.  A ValueError if decompose does not
-    take ``h``: an even part, a degree above 7 or a coefficient past the
-    float range.
+    derivative for k = 1, m and 3; ``parts``, the block type, is k ones and
+    the rest twos for "lin" and the orders, one three and the rest twos for
+    "def"; the coefficient is a_n E[h_n^(k)]/k!, exact and then fitted to a
+    float.  A ValueError if decompose does not take ``h``: an even part, a
+    degree above 7 or a coefficient past the float range.
     """
     if not h.is_odd:
         raise ValueError("decompose expects an odd polynomial")
@@ -448,8 +433,8 @@ def check_decompose_label(h: Polynomial) -> tuple[tuple[object, IntegerPartition
         for part, k in [("lin", 1), *((m, m) for m in range(2, n + 1)), *([("def", 3)] if n >= 3 else [])]:
             coeff = a_n * (expect_scaled(monomial(n).derivative(k), 1) / math.factorial(k))
             if coeff != 0:
-                lam = triple_and_pairs(n) if part == "def" else ones_and_pairs(n, k)
-                terms.append((part, lam, n, _fit_float(f"the coefficient of the {lam.parts} block sum", lambda: coeff)))
+                parts = (3,) + (2,) * ((n - 3) // 2) if part == "def" else (2,) * ((n - k) // 2) + (1,) * k
+                terms.append((part, parts, n, _fit_float(f"the coefficient of the {parts} block sum", lambda: coeff)))
     return tuple(terms)
 
 
@@ -482,8 +467,8 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
         rows = slice(start, start + _ROW_TILE)
         u = {m: s[rows] for m, s in sums.items()}
         fresh = set(per)  # an order's first term is assigned, the later ones added
-        for part, lam, n, coeff in terms:
-            z = _block_tile(lam.parts, u, acc[: len(u[1])], buf).astype(float, copy=False)
+        for part, parts, n, coeff in terms:
+            z = _block_tile(parts, u, acc[: len(u[1])], buf).astype(float, copy=False)
             z *= coeff * (gamma * float(layout.N0) ** (-n / 2))
             if part in fresh:
                 into[part][rows] = z

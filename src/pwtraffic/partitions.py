@@ -1,4 +1,4 @@
-"""Set partitions and integer partitions.
+"""Set partitions.
 
 Set partitions live on ground sets {1..n} in canonical form (blocks sorted by
 least element, elements sorted inside blocks), so equality and hashing are
@@ -62,27 +62,6 @@ class SetPartition:
 
     def to_json(self) -> list[list[int]]:
         return [list(b) for b in self.blocks]
-
-
-@dataclass(frozen=True)
-class IntegerPartition:
-    """Non-increasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise ValueError("parts must be >= 1")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError("parts must be non-increasing")
-
-    @staticmethod
-    def of(parts: Iterable[int]) -> "IntegerPartition":
-        return IntegerPartition(tuple(sorted(parts, reverse=True)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
 
 
 def label_blocks(positions: Iterable[int], labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:

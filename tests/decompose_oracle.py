@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from pwtraffic.hermite import Polynomial, expect_scaled
-from pwtraffic.models import Decomposition, inclusion_exclusion_terms, ones_and_pairs, triple_and_pairs
+from pwtraffic.models import Decomposition, inclusion_exclusion_terms
 from partitions_oracle import enumerate_set_partitions
 
 
@@ -50,9 +50,9 @@ def power_sums(w, x, top):
     return table
 
 
-def z_lambda(lam, sums):
+def z_lambda(parts, sums):
     total = 0
-    for coeff, block_sums in inclusion_exclusion_terms(lam.parts):
+    for coeff, block_sums in inclusion_exclusion_terms(parts):
         term = sums[block_sums[0]]
         for m in block_sums[1:]:
             term = term * sums[m]
@@ -71,7 +71,11 @@ def pw_matrix(h, w, x, layout):
 
 
 def decompose(h, w, x, layout, z_lambda=z_lambda):
-    """The four parts from the block sums ``z_lambda(lam, power_sums(w, x, h.degree))``."""
+    """The four parts from the block sums ``z_lambda(parts, power_sums(w, x, h.degree))``.
+
+    The block types are k ones and the rest twos for the linear part (k = 1)
+    and the order-k parts, one three and the rest twos for the deformation.
+    """
     shape = (layout.N1, layout.N2)
     gamma = math.sqrt(layout.N0) / layout.N
     lin = np.zeros(shape)
@@ -85,17 +89,17 @@ def decompose(h, w, x, layout, z_lambda=z_lambda):
         scale = gamma * float(layout.N0) ** (-n / 2)
         c_lin = expect_scaled(hn.derivative(1), 1)
         if c_lin != 0:
-            lin = lin + float(a_n * c_lin) * scale * z_lambda(ones_and_pairs(n, 1), sums).astype(float)
+            lin = lin + float(a_n * c_lin) * scale * z_lambda((2,) * ((n - 1) // 2) + (1,), sums).astype(float)
         for m in range(2, n + 1):
             c_m = expect_scaled(hn.derivative(m), 1) / math.factorial(m)
             if c_m == 0:
                 continue
-            term = float(a_n * c_m) * scale * z_lambda(ones_and_pairs(n, m), sums).astype(float)
+            term = float(a_n * c_m) * scale * z_lambda((2,) * ((n - m) // 2) + (1,) * m, sums).astype(float)
             per[m] = per.get(m, np.zeros(shape)) + term
         if n >= 3:
             c_def = expect_scaled(hn.derivative(3), 1) / 6
             if c_def != 0:
-                deform = deform + float(a_n * c_def) * scale * z_lambda(triple_and_pairs(n), sums).astype(float)
+                deform = deform + float(a_n * c_def) * scale * z_lambda((3,) + (2,) * ((n - 3) // 2), sums).astype(float)
     total = pw_matrix(h, w, x, layout)
     eps = total - lin - deform
     for mat in per.values():

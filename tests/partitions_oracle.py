@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 from pwtraffic.partitions import (
     MAX_ENUM_SIZE,
-    IntegerPartition,
     PartitionSizeError,
     SetPartition,
     restricted_growth_strings,
@@ -39,26 +38,26 @@ def kernel(indices: Sequence[int]) -> SetPartition:
     return SetPartition.from_blocks(len(indices), groups.values())
 
 
-def type_of(pi: SetPartition) -> IntegerPartition:
-    """Non-increasing sequence of block sizes."""
-    return IntegerPartition.of(len(b) for b in pi.blocks)
+def type_of(pi: SetPartition) -> tuple[int, ...]:
+    """Non-increasing tuple of block sizes."""
+    return tuple(sorted((len(b) for b in pi.blocks), reverse=True))
 
 
-def count_of_type(lam: IntegerPartition) -> int:
-    """Number of set partitions of [n] with block sizes lam, n = lam.total.
+def count_of_type(lam: tuple[int, ...]) -> int:
+    """Number of set partitions of [n] with block sizes lam, n = sum(lam).
 
     n! / (prod_i parts_i! * prod_j mult_j!) where mult_j counts repeated part
     sizes.  Guarded at the same size as enumeration so the two stay testable
     against each other.
     """
-    n = lam.total
+    n = sum(lam)
     if n > MAX_ENUM_SIZE:
         raise PartitionSizeError(f"count_of_type guarded at total <= {MAX_ENUM_SIZE}")
     denom = 1
-    for p in lam.parts:
+    for p in lam:
         denom *= math.factorial(p)
     mult: dict[int, int] = {}
-    for p in lam.parts:
+    for p in lam:
         mult[p] = mult.get(p, 0) + 1
     for m in mult.values():
         denom *= math.factorial(m)
@@ -68,15 +67,15 @@ def count_of_type(lam: IntegerPartition) -> int:
 
 
 @lru_cache(maxsize=None)
-def integer_partitions(n: int) -> tuple[IntegerPartition, ...]:
-    """All integer partitions of n, in lexicographically decreasing order."""
+def integer_partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """All integer partitions of n as non-increasing tuples, in lexicographically decreasing order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out: list[IntegerPartition] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, acc: list[int]) -> None:
         if remaining == 0:
-            out.append(IntegerPartition(tuple(acc)))
+            out.append(tuple(acc))
             return
         for p in range(min(cap, remaining), 0, -1):
             acc.append(p)

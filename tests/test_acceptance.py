@@ -358,14 +358,14 @@ def test_criterion_9_z_lambda_oracle():
         x = rng.integers(-3, 4, size=(n0, cols))
         lam = lams[int(rng.integers(0, len(lams)))]
         checks += 1
-        got = z_lambda(lam, power_sums(w, x, lam.total))
+        got = z_lambda(lam, power_sums(w, x, sum(lam)))
         brute = np.zeros((rows, cols), dtype=object)
         for i in range(rows):
             for j in range(cols):
                 acc = 0
-                for d in itertools.permutations(range(n0), len(lam.parts)):
+                for d in itertools.permutations(range(n0), len(lam)):
                     term = 1
-                    for dk, p in zip(d, lam.parts):
+                    for dk, p in zip(d, lam):
                         term *= (int(w[i, dk]) * int(x[dk, j])) ** p
                     acc += term
                 brute[i, j] = acc

@@ -689,6 +689,93 @@ def test_main_bad_threads_exits_2_with_one_line(tmp_path, capsys, threads):
     assert err.startswith("error: --threads must be an integer >= 1") and err.count("\n") == 1, err
 
 
+# Each site that reads a rational: how a value is put into a config, and a
+# JSON number with a string that names the same rational.
+RATIONAL_SITES = {
+    "list-coefficient": (lambda cfg, v: cfg.update(labels=[0, v]), 0.1, "0.1"),
+    "dict-coefficient": (lambda cfg, v: cfg.update(labels={"basis": "power", "coeffs": [0, v]}), 0.1, "0.1"),
+    "law-a": (lambda cfg, v: cfg["ensemble"]["law_x"].update(a=v), 2, "2"),
+    "law-b": (lambda cfg, v: cfg["ensemble"]["law_x"].update(b=v), -0.5, "-1/2"),
+    "law-p": (lambda cfg, v: cfg["ensemble"]["law_x"].update(p=v), 0.2, "1/5"),
+    "profile-cell": (lambda cfg, v: cfg["ensemble"].update(profile_w=[[v]]), 0.1, "0.1"),
+}
+
+
+def rational_site_config(site, value):
+    """moment-1 of h3 on the skewed X law, with ``value`` put at ``site``."""
+    cfg = base_config(labels="h3", trials=3)
+    cfg["ensemble"].update(N0=4, N1=3, N2=5, law_x=dict(SKEWED_LAW))
+    RATIONAL_SITES[site][0](cfg, value)
+    return cfg
+
+
+@pytest.mark.parametrize("site", sorted(RATIONAL_SITES))
+def test_a_config_number_reads_as_its_decimal_text(tmp_path, site):
+    # 0.1 was 1/10 in a coefficient list but its binary double in a dict-form
+    # label or a profile cell, and p = 0.2 made the skewed law uncentred
+    _, number, text = RATIONAL_SITES[site]
+    by_number, by_text = rational_site_config(site, number), rational_site_config(site, text)
+    assert resolve_ensemble(by_number) == resolve_ensemble(by_text)
+    assert parse_polynomial(by_number["labels"]) == parse_polynomial(by_text["labels"])
+    reports = []
+    for cfg in (by_number, by_text):
+        out = tmp_path / "report.json"
+        assert main(["limit", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text())["records"])
+    assert reports[0] == reports[1]
+    if site == "profile-cell":
+        assert reports[0][0]["value"] == "1/1920000"
+
+
+@pytest.mark.parametrize("value", [True, None], ids=["true", "null"])
+@pytest.mark.parametrize("site", sorted(RATIONAL_SITES))
+def test_a_config_number_that_is_no_number_exits_2_naming_it(tmp_path, capsys, site, value):
+    # true was read as 1 in a profile cell or a law, and as the string "True" in a coefficient list
+    path = write_config(tmp_path, rational_site_config(site, value))
+    err = assert_exit_2_with_one_line(capsys, ["limit", "--config", path])
+    assert f"got {json.dumps(value)}\n" in err, err
+
+
+# Each site that reads a plain decimal: the config overrides and extra
+# arguments that put ``digits`` there, and digits that run.
+DECIMAL_SITES = {
+    "h-shorthand": (lambda d: ({"labels": f"h{d}"}, []), "3"),
+    "g-shorthand": (lambda d: ({"labels": f"g{d}"}, []), "5"),
+    "moment-k": (lambda d: ({"graph": f"moment-{d}"}, []), "2"),
+    "threads": (lambda d: ({}, ["--threads", d]), "2"),
+}
+
+
+def run_decimal_site(tmp_path, site, digits, *argv):
+    overrides, extra = DECIMAL_SITES[site][0](digits)
+    path = write_config(tmp_path, base_config(**{"labels": "h3", "trials": 3, **overrides}))
+    return main(["simulate", "--config", path, *argv, *extra])
+
+
+@pytest.mark.parametrize("digits", ["\u0663", "03", "\u00b2", None], ids=["arabic-indic-3", "leading-zero", "superscript-2", "plain"])
+@pytest.mark.parametrize("site", sorted(DECIMAL_SITES))
+def test_a_decimal_reads_plain_ascii_digits_only(tmp_path, capsys, site, digits):
+    # h\u0663, h03 and --threads 03 ran as 3 and g\u00b2 exited with int()'s
+    # message; h3, g5, moment-2 and --threads 2 run unchanged
+    if digits is not None:
+        assert run_decimal_site(tmp_path, site, digits) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(f"got {digits!r}\n"), err
+        return
+    out = tmp_path / "report.json"
+    assert run_decimal_site(tmp_path, site, DECIMAL_SITES[site][1], "--out", str(out)) == EXIT_OK
+    report = json.loads(out.read_text())
+    ((name, graph),) = report["config"]["graph_expansion"].items()
+    label = hermite(5) if site == "g-shorthand" else monomial(3)
+    assert [e["label"]["coeffs"] for e in graph["edges"]] == [[str(c) for c in label.power_coeffs]] * len(graph["edges"])
+    assert (name, len(graph["edges"])) == (("moment-2", 4) if site == "moment-k" else ("moment-1", 2))
+    if site == "threads":
+        single = tmp_path / "single.json"
+        assert run_decimal_site(tmp_path, site, "1", "--out", str(single)) == EXIT_OK
+        assert json.loads(single.read_text())["records"] == report["records"]
+
+
 class RecordingPool:
     """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
 
