@@ -10,6 +10,8 @@ point never enters; downstream limit identities are exact rational equalities.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,9 +32,13 @@ def check_degree(degree: int) -> int:
 
 
 def _frac(x: Rational) -> Fraction:
-    """``x`` as an exact rational; a ValueError naming ``x`` if it is none."""
+    """``x`` as an exact rational; a ValueError naming ``x`` if it is none or its decimal exponent is past Python's int-parsing cap."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str) and (exponent := re.search(r"e[-+]?([\d_]+)\s*\Z", x, re.IGNORECASE)):  # Fraction computes 10**exponent
+        cap, digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits, exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(cap)) or int(digits or "0") > cap:
+            raise ValueError(f"the decimal exponent of {x!r} is past {cap} in magnitude")
     try:
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError) as exc:  # "1/0" raises ZeroDivisionError, inf OverflowError

@@ -42,14 +42,15 @@ The exponent scan (``eta_support_scan``) reads a reference graph once, with
 the limit walk's reader (``_read_reference``), and its niches off the labels.
 It walks the supported split partitions of the auxiliary graph once per walk
 state, keeping its leaf count, block counts and the children that reach an
-exponent-zero leaf; one descent lists those leaves, each built from cached
-reference blocks and its niche blocks, and the limit walk (``_pseudo_cacti``)
-lists the reference partitions that pass the pseudo-cactus test.
+exponent-zero leaf; one descent lists those leaves, each built when read from
+cached reference blocks and its niche blocks, and the limit walk
+(``_pseudo_cacti``) lists the reference partitions that pass the test.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -440,9 +441,34 @@ class EtaScanReport:
     n_partitions: int
     n_supported: int
     max_eta: Fraction | None
-    eta_zero_partitions: list[SetPartition]
+    eta_zero_partitions: Sequence[SetPartition]
     pseudo_cactus_ok: bool
     violations: list[SetPartition]
+
+
+class _ScanLeaves(Sequence):
+    """The exponent-zero partitions of one scan, each built from its walk labels when it is read; equal to, and printed as, their list."""
+
+    def __init__(self, zeros: list, classes: tuple[list[int], list[int]], n_ref: int, n0: int) -> None:
+        self._zeros, self._classes, self._n_ref, self._size, self._templates = zeros, classes, n_ref, n_ref + n0, {}
+
+    def build(self, labels: tuple[tuple[int, ...], ...]) -> SetPartition:
+        """The leaf's reference blocks, built once per reference partition (``labels[1:]``), then its niche blocks."""
+        if (key := labels[1:]) not in self._templates:
+            self._templates[key] = SetPartition.from_labels(self._n_ref, zip(self._classes, key)).blocks
+        return SetPartition(self._size, self._templates[key] + label_blocks(range(self._n_ref + 1, self._size + 1), labels[0]))
+
+    def __len__(self) -> int:
+        return len(self._zeros)
+
+    def __getitem__(self, i: int | slice):
+        return [self.build(z) for z in self._zeros[i]] if isinstance(i, slice) else self.build(self._zeros[i])
+
+    def __eq__(self, other: object) -> bool:
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other)) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
@@ -533,8 +559,8 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     number that the pruned walk (``_scan_splits``) visits.  The walk gives
     the supported count, the largest block count (the exponent plus
     ``_eta_offset``) and the labels of the exponent-zero leaves, listed in
-    ``split_partitions`` order.  Each leaf's partition is its reference
-    blocks, built once per reference partition, then its niche blocks.
+    ``split_partitions`` order.  Only ``violations`` is built at once;
+    ``eta_zero_partitions`` builds each leaf's partition when it is read.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -554,21 +580,14 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     n_supported, max_blocks, zeros = _scan_splits(reference, niches, offset)
     zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
 
+    leaves = _ScanLeaves(zeros, (targets, sources), n_ref, n0)
     pseudo_cacti = {leaf[:2] for leaf in _pseudo_cacti(reference)}
-    templates, zero_partitions, violations = {}, [], []  # templates: labels[1:] -> reference blocks
-    for labels in zeros:
-        key = labels[1:]
-        if key not in templates:
-            templates[key] = SetPartition.from_labels(n_ref, zip((targets, sources), key)).blocks
-        pi = SetPartition(n_ref + n0, templates[key] + label_blocks(range(n_ref + 1, n_ref + n0 + 1), labels[0]))
-        zero_partitions.append(pi)
-        if key not in pseudo_cacti:
-            violations.append(pi)
+    violations = [leaves.build(labels) for labels in zeros if labels[1:] not in pseudo_cacti]
     return EtaScanReport(
         n_partitions=size,
         n_supported=n_supported,
         max_eta=Fraction(max_blocks - offset) if n_supported else None,
-        eta_zero_partitions=zero_partitions,
+        eta_zero_partitions=leaves,
         pseudo_cactus_ok=not violations,
         violations=violations,
     )

@@ -1070,6 +1070,16 @@ def test_values_past_float_range_exit_2_with_one_line(tmp_path, capsys, case, co
         assert "does not fit a float" in assert_exit_2_with_one_line(capsys, argv)
 
 
+@pytest.mark.parametrize("case", ["profile", "label", "law"])
+def test_decimal_exponent_past_the_parsing_cap_exits_2_with_one_line(tmp_path, capsys, case):
+    # the exact reader computed 10**10000000 for each such value: seconds per
+    # value, and a larger exponent never finished
+    huge = "1e10000000"
+    cfg = json.loads(json.dumps(past_float_range(case)).replace('"1e400"', f'"{huge}"'))
+    argv = ["limit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")]
+    assert huge in assert_exit_2_with_one_line(capsys, argv)
+
+
 @pytest.mark.parametrize("label", ["h2", "h9", pytest.param(["0", "1e400"], id="coeff-1e400")])
 def test_decompose_refuses_its_label_before_the_draw(tmp_path, capsys, monkeypatch, label):
     # the power-sum table was built up to the label's degree before decompose

@@ -9,6 +9,7 @@ import copy
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from pwtraffic.cli import parse_polynomial
 from pwtraffic.hermite import (
     Polynomial,
+    _frac,
     expect_scaled,
     from_hermite,
     gaussian_moment,
@@ -175,3 +177,15 @@ def test_from_json_caps_degree_before_conversion():
         with pytest.raises(ValueError, match="exceeds the degree cap"):
             parse_polynomial({"basis": basis, "coeffs": ["1"] * 1000})
         assert parse_polynomial({"basis": basis, "coeffs": ["1"] * 16 + ["0"] * 100}).degree == 15
+
+
+def test_frac_refuses_a_decimal_exponent_past_the_int_parsing_cap():
+    # Fraction("1e10000000") computes 10**10000000, which takes seconds, and a
+    # larger exponent never finishes; the cap is Python's own on int parsing
+    cap = sys.get_int_max_str_digits()
+    for text in ("1e10000000", f"1e{cap + 1}", f"-2.5E-{cap + 1}", "1e10_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match=f"decimal exponent of .* past {cap} in magnitude"):
+            _frac(text)
+    assert _frac(f"1e{cap}") == 10**cap and _frac(f"-1E-{cap}") == Fraction(-1, 10**cap)
+    assert _frac(" 2.5e0_3 ") == 2500 and _frac("1e" + "0" * 50 + "5") == 10**5
+    assert _frac("1e400") == 10**400 and _frac("1e-400") == Fraction(1, 10**400)

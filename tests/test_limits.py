@@ -1092,6 +1092,49 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
     assert 0 < n_violations < n_leaves
 
 
+def test_scan_builds_each_leaf_only_when_it_is_read(monkeypatch):
+    # on the 19 eta_scan graphs the scan returns without building a leaf
+    # partition (the benchmark and criterion 5 only count them); a full read
+    # builds each leaf once, and the lazy sequence reads, compares and prints
+    # as the list it stands for
+    import dataclasses
+
+    import scan_oracle
+    from pwtraffic import limits
+
+    built = []
+    label_blocks = limits.label_blocks
+    monkeypatch.setattr(limits, "label_blocks", lambda positions, labels: built.append(labels) or label_blocks(positions, labels))
+    graphs = [
+        g
+        for _, g in labeled_reference_graphs(2, [1, 3, 5])
+        if not (len(g.vertices) == 3 and all(e.label == 5 for e in g.edges))
+    ]
+    n_leaves, n_oracle = 0, 0
+    for g in graphs:
+        del built[:]
+        rep = eta_support_scan(g)
+        leaves = rep.eta_zero_partitions
+        assert len(rep.violations) == 0 and built == []
+        n_leaves += len(leaves)
+        eager = list(leaves)
+        assert len(built) == len(eager) == len(leaves)
+        assert [leaves[i] for i in range(-len(eager), 0)] == eager and leaves[1:3] == eager[1:3]
+        for i in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                leaves[i]
+        assert leaves == tuple(eager) and leaves != eager + [None] and leaves != 0 and leaves != None  # noqa: E711
+        if len(eager) > 1:
+            assert leaves != eager[::-1]
+        plain = dataclasses.replace(rep, eta_zero_partitions=eager)
+        assert rep == plain and plain == rep and repr(rep) == repr(plain)
+        if rep.n_partitions <= 8280:
+            n_oracle += 1
+            want = scan_oracle.eta_support_scan(g)
+            assert rep == want and want == rep
+    assert (len(graphs), n_leaves, n_oracle) == (19, 1395, 18)
+
+
 @pytest.mark.parametrize("labels", [(a, b) for a in (1, 3, 5) for b in (1, 3, 5)])
 def test_scan_rejects_disconnected_reference_graph(labels):
     # two disjoint edges: refused at entry, before the walk, on every label pair

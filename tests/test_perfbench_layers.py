@@ -4,18 +4,22 @@
 names; a rename or deletion in ``src/`` would break the traced run, so the
 table is checked here against the current library, and the samplers are
 checked to call the layers that the traced run attributes their time to.
+The deterministic workloads also run here in-process, against their pins,
+so that a change to what the benchmark reads of the library fails here.
 """
 
 import collections
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 
 def load_layers() -> list[tuple[str, str, str]]:
@@ -117,3 +121,19 @@ def test_samplers_run_through_the_traced_layers(monkeypatch):
         "models.per_matrix": 3,
     }
     assert calls["models.pw_matrix"] == calls["models.EntryLaw.sample"] == 0
+
+
+@pytest.mark.parametrize("name", ["eta_scan", "exact_limits"])
+def test_deterministic_workload_passes_its_pinned_checks(tmp_path, name):
+    # the child's steps, untimed: inputs, prepare, setup, run and check at
+    # full scale against the pins every seed shares
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS[name]
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())["full"][name][workloads.pin_key(name, 0)]
+    inputs = wl.inputs(0, "full")
+    state = wl.prepare(inputs, str(tmp_path))
+    state.update(wl.setup(state))
+    problems = wl.check(state, wl.run(state, None, str(tmp_path)), pins)
+    assert len(problems) == wl.n_operations(inputs) and not any(problems), problems
