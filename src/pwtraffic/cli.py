@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
-from .hermite import Polynomial, _frac, check_degree, from_hermite, hermite, monomial
+from .hermite import Polynomial, _clip, _frac, check_degree, from_hermite, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
 from .models import EntryLaw, ProfiledEnsemble, StepProfile, _fit_float, check_decompose_label, decompose
 from .models import distinct_labels, equivalent_sampler, equivalent_sum, model_sampler, power_sums, pw_matrix
@@ -51,7 +51,7 @@ def parse_polynomial(spec) -> Polynomial:
         return spec
     if isinstance(spec, str):
         if spec[:1] in ("h", "g"):
-            n = check_degree(_decimal(spec[1:], f"polynomial shorthand {spec!r}: the degree must be a plain decimal number"))
+            n = check_degree(_decimal(spec[1:], f"polynomial shorthand {_clip(spec)}: the degree must be a plain decimal number"))
             return monomial(n) if spec[0] == "h" else hermite(n)
         raise ConfigError(f"unknown polynomial shorthand {spec!r}")
     if isinstance(spec, (list, tuple)):
@@ -74,21 +74,22 @@ def _rational(value, what: str) -> Fraction:
     """A config number as an exact rational: a JSON string through ``hermite._frac``,
     a JSON number through its shortest decimal text, so 0.1 is 1/10 wherever it appears.
 
-    A boolean, null, array or object is a ConfigError naming ``what`` and the value.
+    A boolean, null, array or object, or a value that ``_frac`` refuses, is a ConfigError naming ``what`` and the value.
     """
-    if isinstance(value, str):
-        return _frac(value)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _frac(repr(value))
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return _frac(value if isinstance(value, str) else repr(value))
+        except ValueError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
     raise ConfigError(f"{what} must be a JSON number or a string such as \"3/2\", got {json.dumps(value)}")
 
 
 def _decimal(text: str, what: str, minimum: int = 0) -> int:
     """``text`` as an int >= ``minimum`` when it is plain ASCII digits with no
-    sign, space or leading zero; otherwise a ConfigError reading "``what``, got ``text``"."""
-    if not (text == "0" or text.isascii() and text.isdigit() and text[0] != "0") or int(text) < minimum:
-        raise ConfigError(f"{what}, got {text!r}")
-    return int(text)
+    sign, space or leading zero (read by :func:`_rational`); otherwise a ConfigError reading "``what``, got ``text``"."""
+    if not (text == "0" or text.isascii() and text.isdigit() and text[0] != "0") or (value := int(_rational(text, what))) < minimum:
+        raise ConfigError(f"{what}, got {_clip(text)}")
+    return value
 
 
 def _poly_echo(p: Polynomial) -> dict:
@@ -116,7 +117,7 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
             if item == "single-edge":
                 out.append((item, single_edge(poly)))
             elif item.startswith("moment-"):
-                k = _decimal(item.removeprefix("moment-"), f"graph preset {item!r}: k must be written as a plain decimal number")
+                k = _decimal(item.removeprefix("moment-"), f"graph preset {_clip(item)}: k must be written as a plain decimal number")
                 if 2 * k > len(_LETTERS):  # before the 2k vertices are built
                     raise ConfigError(
                         f"graph preset {item!r} has {2 * k} vertices, "
@@ -179,8 +180,8 @@ def _jsonable(x):
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            config = json.load(fh)
+        with open(path) as fh:  # a JSON integer is read by _rational, which refuses more digits than int() takes
+            config = json.load(fh, parse_int=lambda digits: int(_rational(digits, f"config {path}: a JSON integer")))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):

@@ -31,18 +31,26 @@ def check_degree(degree: int) -> int:
     return degree
 
 
+def _clip(value: object, keep: int = 30) -> str:
+    """``repr(value)``, cut to its first ``keep`` characters when longer: a value as an error message echoes it."""
+    text = repr(value)
+    return text if len(text) <= keep else text[:keep] + "..."
+
+
 def _frac(x: Rational) -> Fraction:
-    """``x`` as an exact rational; a ValueError naming ``x`` if it is none or its decimal exponent is past Python's int-parsing cap."""
+    """``x`` as an exact rational; a ValueError naming ``x`` if it is none, or its decimal exponent or a digit run is past Python's int-parsing cap."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str) and (exponent := re.search(r"e[-+]?([\d_]+)\s*\Z", x, re.IGNORECASE)):  # Fraction computes 10**exponent
         cap, digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits, exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(cap)) or int(digits or "0") > cap:
-            raise ValueError(f"the decimal exponent of {x!r} is past {cap} in magnitude")
+            raise ValueError(f"the decimal exponent of {_clip(x)} is past {cap} in magnitude")
+    if isinstance(x, str) and (cap := sys.get_int_max_str_digits()) and max(map(len, re.findall(r"\d+", x.replace("_", ""))), default=0) > cap:
+        raise ValueError(f"{_clip(x)} has a run of more than {cap} digits, past Python's int-parsing cap")
     try:
         return Fraction(x)
     except (TypeError, ValueError, ArithmeticError) as exc:  # "1/0" raises ZeroDivisionError, inf OverflowError
-        raise ValueError(f"not a rational number: {x!r}") from exc
+        raise ValueError(f"not a rational number: {_clip(x)}") from exc
 
 
 def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -41,10 +41,10 @@ up to moment-6.
 The exponent scan (``eta_support_scan``) reads a reference graph once, with
 the limit walk's reader (``_read_reference``), and its niches off the labels.
 It walks the supported split partitions of the auxiliary graph once per walk
-state, keeping its leaf count, block counts and the children that reach an
-exponent-zero leaf; one descent lists those leaves, each built when read from
-cached reference blocks and its niche blocks, and the limit walk
-(``_pseudo_cacti``) lists the reference partitions that pass the test.
+state (multiplicities capped at 2), keeping its leaf, block and exponent-zero
+counts and the children that reach an exponent-zero leaf.  Those leaves are
+listed, each built from cached reference blocks and its niche blocks, only when
+read or under a reference partition that fails the limit walk's test.
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ class EtaScanReport:
 class _ScanLeaves(Sequence):
     """The exponent-zero partitions of one scan, each built from its walk labels when it is read; equal to, and printed as, their list."""
 
-    def __init__(self, zeros: list, classes: tuple[list[int], list[int]], n_ref: int, n0: int) -> None:
+    def __init__(self, zeros: Sequence, classes: tuple[list[int], list[int]], n_ref: int, n0: int) -> None:
         self._zeros, self._classes, self._n_ref, self._size, self._templates = zeros, classes, n_ref, n_ref + n0, {}
 
     def build(self, labels: tuple[tuple[int, ...], ...]) -> SetPartition:
@@ -471,35 +471,32 @@ class _ScanLeaves(Sequence):
         return repr(list(self))
 
 
-def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[int, int, list[tuple[tuple[int, ...], ...]]]:
+def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[int, int, _ZeroLabels]:
     """Walk the split partitions of the auxiliary graph with centered support, from the reference's :func:`_read_reference` view.
 
-    Edge e has a niche of ``niches[e]`` internal vertices, each with a w-edge
-    into e's target and an x-edge from e's source.  Under each pair of reference
-    partitions one recursion assigns the internal labels in niche order, with the w- and x-group multiplicities in flat lists
-    (reference block * n0 + internal block).  A prefix is cut once either
-    singleton count exceeds the vertices still unassigned.  The position, the
-    internal block count and the two multiplicity lists fix everything below a
-    state, so each state is walked once per pair: its count of supported
-    leaves, a bitmask of their internal block counts and its (label, child)
-    pairs that reach a leaf of ``offset`` blocks in all, which one descent
-    follows to write the labels of those leaves.  Returns the count, the
-    largest block count (-1 if none) and the (internal, targets, sources) labels.
+    Edge e has a niche of ``niches[e]`` internal vertices, each with a w-edge into e's target and an x-edge from
+    e's source.  Under each pair of reference partitions one recursion assigns the internal labels in niche order,
+    with the w- and x-group multiplicities in flat lists (reference block * n0 + internal block), capped at 2: the
+    support filter only tells 0, 1 and more apart.  A prefix is cut once either singleton count exceeds the
+    vertices still unassigned.  The position, the internal block count and the two lists fix everything below a
+    state, so each state is walked once per pair: its count of supported leaves, a bitmask of their internal block
+    counts, its count of leaves of ``offset`` blocks in all (exponent zero) and its (label, child) pairs that reach
+    one.  Returns the count, the largest block count (-1 if none) and a :class:`_ZeroLabels` over the roots.
     """
     target_positions, source_positions, ranks = reference
     ends = [ts for ts, n in zip(ranks, niches) for _ in range(n)]  # (target, source) rank per niche vertex
     n0 = len(ends)
-    w_mult, x_mult, labels = [0] * (len(target_positions) * n0), [0] * (len(source_positions) * n0), [0] * n0
-    n_supported, max_blocks, zeros = 0, -1, []
+    w_mult, x_mult = [0] * (len(target_positions) * n0), [0] * (len(source_positions) * n0)
+    n_supported, max_blocks, roots = 0, -1, {}
 
-    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, list]:
+    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, int, Sequence]:
         if i == n0:
-            return 1, 1 << n_blocks, []
-        key = (i, n_blocks, tuple(w_mult), tuple(x_mult))
+            return 1, 1 << n_blocks, int(n_blocks == zero_blocks), ()
+        key = (i, n_blocks, *w_mult, *x_mult)
         seen = memo.get(key)
         if seen is not None:
             return seen
-        count, mask, reaching = 0, 0, []
+        count, mask, n_zero, reaching = 0, 0, 0, []
         bw, bx, left = w_base[i], x_base[i], n0 - 1 - i
         for b in range(n_blocks + 1):
             kw, kx = bw + b, bx + b
@@ -507,36 +504,54 @@ def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[
             ws = w_single + (mw == 0) - (mw == 1)
             xs = x_single + (mx == 0) - (mx == 1)
             if ws <= left and xs <= left:
-                w_mult[kw], x_mult[kx] = mw + 1, mx + 1
+                w_mult[kw], x_mult[kx] = mw + (mw < 2), mx + (mx < 2)
                 below = walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
                 w_mult[kw], x_mult[kx] = mw, mx
-                count += below[0]
-                mask |= below[1]
-                if below[1] & zero_bit:
+                count, mask, n_zero = count + below[0], mask | below[1], n_zero + below[2]
+                if below[2]:
                     reaching.append((b, below))
-        memo[key] = seen = count, mask, reaching
+        memo[key] = seen = count, mask, n_zero, reaching
         return seen
-
-    def descend(i: int, state: tuple[int, int, list]) -> None:
-        if i == n0:
-            zeros.append((tuple(labels), targets, sources))
-        for b, child in state[2]:
-            labels[i] = b
-            descend(i + 1, child)
 
     for targets in restricted_growth_strings(len(target_positions)):
         for sources in restricted_growth_strings(len(source_positions)):
             w_base = [targets[t] * n0 for t, _ in ends]
             x_base = [sources[s] * n0 for _, s in ends]
             outer = max(targets, default=-1) + max(sources, default=-1) + 2  # the target and source blocks
-            zero_bit = 1 << (offset - outer) if offset >= outer else 0
-            memo: dict[tuple, tuple[int, int, list]] = {}
-            count, mask, _ = root = walk(0, 0, 0, 0)
+            zero_blocks = offset - outer  # the internal block count of an exponent-zero leaf
+            memo: dict[tuple, tuple[int, int, int, Sequence]] = {}
+            count, mask, n_zero, _ = root = walk(0, 0, 0, 0)
             n_supported += count
             max_blocks = max(max_blocks, mask.bit_length() - 1 + outer if count else -1)
-            if mask & zero_bit:
-                descend(0, root)
-    return n_supported, max_blocks, zeros
+            if n_zero:
+                roots[targets, sources] = root
+    return n_supported, max_blocks, _ZeroLabels(roots)
+
+
+def _descend(roots: dict) -> list[tuple[tuple[int, ...], ...]]:
+    """The (internal, targets, sources) labels of every exponent-zero leaf below ``roots``, walk roots keyed by (targets, sources)."""
+    out, stack = [], [((), root, pair) for pair, root in roots.items()]
+    while stack:
+        labels, state, pair = stack.pop()
+        if not state[3]:
+            out.append((labels, *pair))
+        stack.extend((labels + (b,), child, pair) for b, child in state[3])
+    return out
+
+
+class _ZeroLabels(Sequence):
+    """The exponent-zero labels below the walk ``roots`` (keyed by (targets, sources)) in ``split_partitions`` order: counted at once, listed by one :func:`_descend` and one sort when first read."""
+
+    def __init__(self, roots: dict) -> None:
+        self.roots, self._labels = roots, None
+
+    def __len__(self) -> int:
+        return sum(root[2] for root in self.roots.values())
+
+    def __getitem__(self, i: int | slice):
+        if self._labels is None:
+            self._labels = sorted(_descend(self.roots))
+        return self._labels[i]
 
 
 def _eta_offset(ref: TestGraph) -> int:
@@ -558,9 +573,10 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     ``n_partitions`` is the Bell-number count of split partitions, not the
     number that the pruned walk (``_scan_splits``) visits.  The walk gives
     the supported count, the largest block count (the exponent plus
-    ``_eta_offset``) and the labels of the exponent-zero leaves, listed in
-    ``split_partitions`` order.  Only ``violations`` is built at once;
-    ``eta_zero_partitions`` builds each leaf's partition when it is read.
+    ``_eta_offset``) and the exponent-zero count per reference pair.  Only
+    ``violations`` is built at once, from the pairs that the limit walk does
+    not list; ``eta_zero_partitions`` lists its leaves in ``split_partitions``
+    order by one descent when first read, and builds each when it is read.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -578,11 +594,10 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
 
     offset = _eta_offset(ref)
     n_supported, max_blocks, zeros = _scan_splits(reference, niches, offset)
-    zeros.sort()  # split_partitions order: lexicographic in the RGS of color 0, then 1, then 2
-
     leaves = _ScanLeaves(zeros, (targets, sources), n_ref, n0)
     pseudo_cacti = {leaf[:2] for leaf in _pseudo_cacti(reference)}
-    violations = [leaves.build(labels) for labels in zeros if labels[1:] not in pseudo_cacti]
+    failing = {pair: root for pair, root in zeros.roots.items() if pair not in pseudo_cacti}
+    violations = [leaves.build(labels) for labels in sorted(_descend(failing))]
     return EtaScanReport(
         n_partitions=size,
         n_supported=n_supported,

@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -1078,6 +1079,36 @@ def test_decimal_exponent_past_the_parsing_cap_exits_2_with_one_line(tmp_path, c
     cfg = json.loads(json.dumps(past_float_range(case)).replace('"1e400"', f'"{huge}"'))
     argv = ["limit", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "r.json")]
     assert huge in assert_exit_2_with_one_line(capsys, argv)
+
+
+PAST_CAP = "1" * 5000  # more digits than Python's int parsing takes by default (4,300)
+
+# Each site that reads a run of digits: the overrides and extra arguments
+# that put PAST_CAP there (the "bare-number" site splices it into the config
+# text as a JSON integer), and the field that the error line must name.
+PAST_CAP_SITES = {
+    "string-cell": ({"profile_w": [[PAST_CAP]]}, [], "profile_w cell (0, 0)"),
+    "bare-number": ({"profile_w": [["PAST_CAP"]]}, [], "cfg.json"),
+    "moment-k": ({"graph": "moment-" + PAST_CAP}, [], "graph preset 'moment-1"),
+    "h-shorthand": ({"labels": "h" + PAST_CAP}, [], "polynomial shorthand 'h1"),
+    "threads": ({}, ["--threads", PAST_CAP], "--threads"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PAST_CAP_SITES))
+def test_digits_past_the_int_parsing_cap_exit_2_with_one_clipped_line(tmp_path, capsys, site):
+    # a string cell said "not a rational number" and echoed all 5,000 digits;
+    # the other sites printed Python's "Exceeds the limit (4300 digits)" line,
+    # which names neither the field nor the value
+    overrides, extra, field = PAST_CAP_SITES[site]
+    cfg = base_config(trials=3)
+    for key, value in overrides.items():
+        (cfg["ensemble"] if key.startswith("profile") else cfg)[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"PAST_CAP"', PAST_CAP))
+    err = assert_exit_2_with_one_line(capsys, ["simulate", "--config", str(path), *extra])
+    assert field in err and str(sys.get_int_max_str_digits()) in err and "int-parsing cap" in err, err
+    assert "1" * 25 in err and "1" * 100 not in err and len(err) < 300, err
 
 
 @pytest.mark.parametrize("label", ["h2", "h9", pytest.param(["0", "1e400"], id="coeff-1e400")])

@@ -189,3 +189,22 @@ def test_frac_refuses_a_decimal_exponent_past_the_int_parsing_cap():
     assert _frac(f"1e{cap}") == 10**cap and _frac(f"-1E-{cap}") == Fraction(-1, 10**cap)
     assert _frac(" 2.5e0_3 ") == 2500 and _frac("1e" + "0" * 50 + "5") == 10**5
     assert _frac("1e400") == 10**400 and _frac("1e-400") == Fraction(1, 10**400)
+
+
+def test_frac_refuses_a_digit_run_past_the_int_parsing_cap():
+    # int() refuses a run of more digits than the cap, so Fraction did too,
+    # and the message said "not a rational number" and echoed every digit
+    cap = sys.get_int_max_str_digits()
+    for text in ("1" * (cap + 1), "0." + "1" * (cap + 1), "1/" + "3" * (cap + 1), "1_" * cap + "1"):
+        with pytest.raises(ValueError, match=f"run of more than {cap} digits, past Python's int-parsing cap") as info:
+            _frac(text)
+        assert len(str(info.value)) < 120
+    with pytest.raises(ValueError, match=r"^not a rational number: 'xxxxxxxxxxxxxxxxxxxxxxxxxxxxx\.\.\.$"):
+        _frac("x" * 5000)
+    half = "1" * (cap // 2)
+    assert _frac("1" * cap) == int("1" * cap) and _frac(f"{half}.{half}") == Fraction(int(half + half), 10 ** len(half))
+    sys.set_int_max_str_digits(0)  # no cap: int() and _frac take any run
+    try:
+        assert _frac("1" * (cap + 1)) == int("1" * (cap + 1))
+    finally:
+        sys.set_int_max_str_digits(cap)

@@ -1135,6 +1135,89 @@ def test_scan_builds_each_leaf_only_when_it_is_read(monkeypatch):
     assert (len(graphs), n_leaves, n_oracle) == (19, 1395, 18)
 
 
+def record_descents(monkeypatch) -> list:
+    """Patch ``limits._descend`` to record each call that has walk roots to descend."""
+    from pwtraffic import limits
+
+    descents = []
+    descend = limits._descend
+
+    def recorded(roots):
+        if roots:
+            descents.append(roots)
+        return descend(roots)
+
+    monkeypatch.setattr(limits, "_descend", recorded)
+    return descents
+
+
+def test_scan_descends_only_when_its_leaves_are_read(monkeypatch):
+    # the walk roots count the exponent-zero leaves of each reference pair;
+    # no pair of the 19 eta_scan graphs fails the pseudo-cactus test, so the
+    # scan descends to no leaf, and its leaves are listed by one descent the
+    # first time they are read and by none after that
+    descents = record_descents(monkeypatch)
+    graphs = [
+        g
+        for _, g in labeled_reference_graphs(2, [1, 3, 5])
+        if not (len(g.vertices) == 3 and all(e.label == 5 for e in g.edges))
+    ]
+    n_leaves = 0
+    for g in graphs:
+        del descents[:]
+        rep = eta_support_scan(g)
+        n_leaves += len(rep.eta_zero_partitions)
+        assert descents == [] and rep.violations == [] and rep.pseudo_cactus_ok
+        eager = list(rep.eta_zero_partitions)
+        assert len(descents) == (1 if eager else 0) and len(eager) == len(rep.eta_zero_partitions)
+        assert list(rep.eta_zero_partitions) == eager and rep.eta_zero_partitions[-1:] == eager[-1:]
+        assert len(descents) == (1 if eager else 0)
+    assert (len(graphs), n_leaves) == (19, 1395)
+
+
+def test_scan_with_no_listed_quotient_reports_every_leaf_as_a_violation(monkeypatch):
+    # a stand-in limit walk that lists no quotient fails every reference pair
+    # with an exponent-zero leaf, so the descent of the failing pairs must
+    # give exactly the oracle's exponent-zero partitions, in order, and the
+    # leaves are then read by a second descent
+    import scan_oracle
+    from pwtraffic import limits
+
+    descents = record_descents(monkeypatch)
+    monkeypatch.setattr(limits, "_pseudo_cacti", lambda reference: iter(()))
+    checked, n_violations = 0, 0
+    for _, g in labeled_reference_graphs(2, [1, 3, 5]):
+        del descents[:]
+        rep = eta_support_scan(g)
+        if rep.n_partitions > 8280:
+            continue
+        checked += 1
+        want = scan_oracle.eta_support_scan(g).eta_zero_partitions
+        assert rep.violations == want and rep.pseudo_cactus_ok == (not want)
+        assert len(descents) == (1 if want else 0)
+        assert rep.eta_zero_partitions == want and len(descents) == (2 if want else 0)
+        n_violations += len(want)
+    assert checked == 18 and n_violations > 0
+
+
+def test_capped_walk_past_the_guard_keeps_its_counts():
+    # moment-2 with label 3 (a Bell count of 16.9 M, past the guard), walked
+    # directly: the supported count, the largest block count and the
+    # exponent-zero count are those of the uncapped walk, and every
+    # exponent-zero leaf restricts to a quotient that the limit walk lists
+    from pwtraffic.limits import _eta_offset, _pseudo_cacti, _read_reference, _scan_splits
+
+    g = moment_cycle(2, 3)
+    with pytest.raises(ValueError, match="scan would enumerate 16"):
+        eta_support_scan(g)
+    reference = _read_reference(g)
+    n_supported, max_blocks, zeros = _scan_splits(reference, [e.label for e in g.edges], _eta_offset(g))
+    assert (n_supported, max_blocks, len(zeros)) == (627_576, 9, 531) and max_blocks == _eta_offset(g)
+    labels = list(zeros)
+    assert len(labels) == len(set(labels)) == 531 and labels == sorted(labels)
+    assert {z[1:] for z in labels} <= {leaf[:2] for leaf in _pseudo_cacti(reference)}
+
+
 @pytest.mark.parametrize("labels", [(a, b) for a in (1, 3, 5) for b in (1, 3, 5)])
 def test_scan_rejects_disconnected_reference_graph(labels):
     # two disjoint edges: refused at entry, before the walk, on every label pair
