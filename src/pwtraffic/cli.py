@@ -21,8 +21,9 @@ import numpy as np
 from .graphs import Edge, TestGraph, moment_cycle, single_edge
 from .hermite import Polynomial, _clip, _frac, check_degree, from_hermite, hermite, monomial
 from .limits import LimitParams, limit_pw, limit_values
-from .models import EntryLaw, ProfiledEnsemble, StepProfile, _fit_float, check_decompose_label, decompose
+from .models import EntryLaw, ProfiledEnsemble, _fit_float, check_decompose_label, decompose
 from .models import distinct_labels, equivalent_sampler, equivalent_sum, model_sampler, power_sums, pw_matrix
+from .profiles import StepProfile
 from .traffic import _LETTERS, BlockLayout, TauEstimate, tau_estimates
 
 EXIT_OK = 0
@@ -53,21 +54,21 @@ def parse_polynomial(spec) -> Polynomial:
         if spec[:1] in ("h", "g"):
             n = check_degree(_decimal(spec[1:], f"polynomial shorthand {_clip(spec)}: the degree must be a plain decimal number"))
             return monomial(n) if spec[0] == "h" else hermite(n)
-        raise ConfigError(f"unknown polynomial shorthand {spec!r}")
+        raise ConfigError(f"unknown polynomial shorthand {_clip(spec)}")
     if isinstance(spec, (list, tuple)):
         spec = {"basis": "power", "coeffs": spec}
     if not isinstance(spec, dict):
-        raise ConfigError(f"cannot parse polynomial spec {spec!r}")
-    basis, coeffs = _fields(spec, f"polynomial {spec!r}", "basis", "coeffs")
+        raise ConfigError(f"cannot parse polynomial spec {_clip(spec)}")
+    basis, coeffs = _fields(spec, f"polynomial {_clip(spec, 60)}", "basis", "coeffs")
     if not isinstance(coeffs, (list, tuple)):
-        raise ConfigError(f"polynomial coeffs must be an array, got {coeffs!r}")
+        raise ConfigError(f"polynomial coeffs must be an array, got {_clip(coeffs)}")
     coeffs = [_rational(c, "a polynomial coefficient") for c in coeffs]
     check_degree(max((k for k, c in enumerate(coeffs) if c), default=0))  # the degree in either basis
     if basis == "power":
         return Polynomial(coeffs)
     if basis == "hermite":
         return Polynomial(from_hermite(coeffs))
-    raise ConfigError(f"unknown basis {basis!r}")
+    raise ConfigError(f"unknown basis {_clip(basis)}")
 
 
 def _rational(value, what: str) -> Fraction:
@@ -81,7 +82,7 @@ def _rational(value, what: str) -> Fraction:
             return _frac(value if isinstance(value, str) else repr(value))
         except ValueError as exc:
             raise ConfigError(f"{what}: {exc}") from exc
-    raise ConfigError(f"{what} must be a JSON number or a string such as \"3/2\", got {json.dumps(value)}")
+    raise ConfigError(f"{what} must be a JSON number or a string such as \"3/2\", got {_clip(value, spell=json.dumps)}")
 
 
 def _decimal(text: str, what: str, minimum: int = 0) -> int:
@@ -120,45 +121,45 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
                 k = _decimal(item.removeprefix("moment-"), f"graph preset {_clip(item)}: k must be written as a plain decimal number")
                 if 2 * k > len(_LETTERS):  # before the 2k vertices are built
                     raise ConfigError(
-                        f"graph preset {item!r} has {2 * k} vertices, "
+                        f"graph preset {_clip(item)} has {_clip(2 * k)} vertices, "
                         f"more than the {len(_LETTERS)} a trace contraction takes"
                     )
                 out.append((item, moment_cycle(k, poly)))
             else:
-                raise ConfigError(f"unknown graph preset {item!r}")
+                raise ConfigError(f"unknown graph preset {_clip(item)}")
         elif isinstance(item, dict):
             if not isinstance(labels, dict):
                 raise ConfigError("explicit graphs need a 'labels' mapping of key -> polynomial")
             table = {k: parse_polynomial(v) for k, v in labels.items()}
             name = item.get("name", "custom")
             if not isinstance(name, str):
-                raise ConfigError(f"a graph's name must be a string, got {name!r}")
+                raise ConfigError(f"a graph's name must be a string, got {_clip(name)}")
             try:
-                vertex_specs, edge_specs = _fields(item, f"graph {name!r}", "vertices", "edges")
-                vertices = [_fields(v, f"graph {name!r}: vertex {v!r}", "id", "color") for v in vertex_specs]
+                vertex_specs, edge_specs = _fields(item, f"graph {_clip(name)}", "vertices", "edges")
+                vertices = [_fields(v, f"graph {_clip(name)}: vertex {_clip(v, 60)}", "id", "color") for v in vertex_specs]
                 for vid, color in vertices:
                     if type(color) is not int or color not in (0, 1, 2):
-                        raise ConfigError(f"vertex {vid!r}: color must be the JSON integer 0, 1 or 2, got {color!r}")
+                        raise ConfigError(f"vertex {_clip(vid)}: color must be the JSON integer 0, 1 or 2, got {_clip(color)}")
                 edges = []
                 for e in edge_specs:
-                    eid, src, dst, label = _fields(e, f"graph {name!r}: edge {e!r}", "id", "src", "dst", "label")
-                    edges.append(Edge(eid, src, dst, *_fields(table, f"graph {name!r}: the 'labels' mapping", label)))
+                    eid, src, dst, label = _fields(e, f"graph {_clip(name)}: edge {_clip(e, 60)}", "id", "src", "dst", "label")
+                    edges.append(Edge(eid, src, dst, *_fields(table, f"graph {_clip(name)}: the 'labels' mapping", label)))
                 out.append((name, TestGraph(vertices, edges, reference=True)))
             except TypeError as exc:
-                raise ConfigError(f"bad graph {item!r}: {exc}") from exc
+                raise ConfigError(f"bad graph {_clip(item)}: {exc}") from exc
         else:
-            raise ConfigError(f"cannot parse graph spec {item!r}")
+            raise ConfigError(f"cannot parse graph spec {_clip(item)}")
     names = [name for name, _ in out]
     for k, name in enumerate(names):
         if name in names[:k]:
-            raise ConfigError(f"graph name {name!r} is used twice; give each graph its own name")
+            raise ConfigError(f"graph name {_clip(name)} is used twice; give each graph its own name")
     return out
 
 
 def _fields(obj, owner: str, *keys: str) -> tuple:
     """``obj[key]`` for each key; a missing key is a ConfigError naming its owner."""
     if missing := [key for key in keys if key not in obj]:
-        raise ConfigError(f"{owner} has no {missing[0]!r} key")
+        raise ConfigError(f"{owner} has no {_clip(missing[0])} key")
     return tuple(obj[key] for key in keys)
 
 
@@ -193,7 +194,7 @@ def config_int(config: dict, key: str, default: int, minimum: int) -> int:
     """A JSON integer >= minimum under ``key`` (``default`` when absent)."""
     value = config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{key} must be an integer >= {minimum}, got {value!r}")
+        raise ConfigError(f"{key} must be an integer >= {minimum}, got {_clip(value)}")
     return value
 
 
@@ -201,7 +202,7 @@ def _config_count(config: dict, key: str, default: int, cap: int) -> int:
     """A JSON integer in [1, cap] under ``key`` (``default`` when absent)."""
     value = config_int(config, key, default, 1)
     if value > cap:
-        raise ConfigError(f"{key} must be an integer <= {cap}, got {value}")
+        raise ConfigError(f"{key} must be an integer <= {cap}, got {_clip(value)}")
     return value
 
 
@@ -214,7 +215,7 @@ def resolve_ensemble(config: dict) -> ProfiledEnsemble:
     step profiles profile_w, profile_x; a missing key is a ConfigError naming it."""
     (section,) = _fields(config, "config", "ensemble")
     if not isinstance(section, dict):
-        raise ConfigError(f"ensemble must be an object, got {section!r}")
+        raise ConfigError(f"ensemble must be an object, got {_clip(section)}")
     _fields(section, "ensemble", "N0", "N1", "N2", "law_w", "law_x", "profile_w", "profile_x")
     return ProfiledEnsemble(
         BlockLayout(*(config_int(section, key, 1, 1) for key in ("N0", "N1", "N2"))),
@@ -225,19 +226,19 @@ def resolve_ensemble(config: dict) -> ProfiledEnsemble:
 
 def _entry_law(spec, name: str) -> EntryLaw:
     if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be an object with a 'kind' key, got {spec!r}")
+        raise ConfigError(f"{name} must be an object with a 'kind' key, got {_clip(spec)}")
     (kind,) = _fields(spec, name, "kind")
     if kind == "skewed_two_point":
         values = _fields(spec, name, "a", "b", "p")
         return EntryLaw.skewed_two_point(*(_rational(v, f"{name} {key!r}") for key, v in zip("abp", values)))
     if kind not in ("gaussian", "rademacher"):
-        raise ConfigError(f"{name}: unknown entry law kind {kind!r}")
+        raise ConfigError(f"{name}: unknown entry law kind {_clip(kind)}")
     return EntryLaw.gaussian() if kind == "gaussian" else EntryLaw.rademacher()
 
 
 def _step_profile(spec, name: str) -> StepProfile:
     if not isinstance(spec, list) or not all(isinstance(row, list) for row in spec):
-        raise ConfigError(f"{name} must be a list of rows of values, got {spec!r}")
+        raise ConfigError(f"{name} must be a list of rows of values, got {_clip(spec)}")
     return StepProfile.of([[_rational(v, f"{name} cell {(r, c)}") for c, v in enumerate(row)] for r, row in enumerate(spec)])
 
 
@@ -303,7 +304,7 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
     params = limit_params_of(ensemble)
     want_breakdown = config.get("breakdown", False)
     if not isinstance(want_breakdown, bool):
-        raise ConfigError(f"breakdown must be true or false, got {want_breakdown!r}")
+        raise ConfigError(f"breakdown must be true or false, got {_clip(want_breakdown)}")
     report = _base_report("limit", config, graphs)
     flagged = False
     for name, g in graphs:
@@ -345,7 +346,7 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     report = _base_report("compare", config, graphs)
     gs = [g for _, g in graphs]
     # before sampling: a graph whose limit is refused fails fast
-    exacts = [_fit_float(f"graph {name!r}: the exact limit", lambda: limit_pw(g, params)) for name, g in graphs]
+    exacts = [_fit_float(f"graph {_clip(name)}: the exact limit", lambda: limit_pw(g, params)) for name, g in graphs]
     labels = distinct_labels(gs)
     model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
@@ -357,7 +358,7 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
         pair_se = None
         if est_y.std_error is not None and est_eq.std_error is not None:
             pair_se = _fit_float(
-                f"graph {name!r}: the pairwise standard error", lambda: (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
+                f"graph {_clip(name)}: the pairwise standard error", lambda: (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
             )
         report["records"].append(rec_y)
         report["records"].append(rec_eq)

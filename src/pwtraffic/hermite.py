@@ -31,9 +31,12 @@ def check_degree(degree: int) -> int:
     return degree
 
 
-def _clip(value: object, keep: int = 30) -> str:
-    """``repr(value)``, cut to its first ``keep`` characters when longer: a value as an error message echoes it."""
-    text = repr(value)
+def _clip(value: object, keep: int = 30, spell=repr) -> str:
+    """``spell(value)``, cut to its first ``keep`` characters when longer: a value as an error message echoes it."""
+    try:
+        text = spell(value)
+    except ValueError:  # an int past Python's int-to-string cap
+        text = f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
     return text if len(text) <= keep else text[:keep] + "..."
 
 

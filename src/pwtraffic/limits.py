@@ -7,9 +7,11 @@ cells (r, c) of its endpoints, built from the cell kernels
 K_l(r, c) = sum_inner mu * w(r, .)^l * x(., c)^l, mu the measures of the
 joint refinement of the inner cells, and from label-level Gaussian
 expectations at scale K_2.  Every exact value here reads these and the
-cell measures and w and x values from one ``models.CellKernels`` at N0 =
+cell measures and w and x values from one ``profiles.CellKernels`` at N0 =
 lcm of the inner grid sizes (``_limit_kernels``): the limit tables are the
-finite ones at that size, built by the equivalents' own code.
+finite ones at that size, built by the equivalents' own code.  This module
+and ``profiles`` import nothing of the sampler (``models``, ``traffic``) and
+no numpy.
 
 - a cut edge labeled h carries the deformation
   m3_w m3_x / 6 * K_3 * E[h'''(sqrt(K_2) xi)];
@@ -43,8 +45,8 @@ the limit walk's reader (``_read_reference``), and its niches off the labels.
 It walks the supported split partitions of the auxiliary graph once per walk
 state (multiplicities capped at 2), keeping its leaf, block and exponent-zero
 counts and the children that reach an exponent-zero leaf.  Those leaves are
-listed, each built from cached reference blocks and its niche blocks, only when
-read or under a reference partition that fails the limit walk's test.
+listed by one descent and one sort, each built by ``SetPartition.from_labels``,
+only when read or under a reference partition that fails the limit walk's test.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ from math import lcm, prod
 
 from .graphs import TestGraph, W_LABEL, X_LABEL, check_reference_edges, is_connected, join_edge
 from .hermite import Polynomial, _frac
-from .models import CellKernels, StepProfile, cell_kernels
-from .partitions import SetPartition, bell_number, label_blocks, restricted_growth_strings
+from .partitions import SetPartition, bell_number, restricted_growth_strings
+from .profiles import CellKernels, StepProfile, cell_kernels
 
 MAX_LIMIT_EDGES = 12
 #: Guard of the exponent scan: the Bell-number count of split partitions.
@@ -446,32 +448,7 @@ class EtaScanReport:
     violations: list[SetPartition]
 
 
-class _ScanLeaves(Sequence):
-    """The exponent-zero partitions of one scan, each built from its walk labels when it is read; equal to, and printed as, their list."""
-
-    def __init__(self, zeros: Sequence, classes: tuple[list[int], list[int]], n_ref: int, n0: int) -> None:
-        self._zeros, self._classes, self._n_ref, self._size, self._templates = zeros, classes, n_ref, n_ref + n0, {}
-
-    def build(self, labels: tuple[tuple[int, ...], ...]) -> SetPartition:
-        """The leaf's reference blocks, built once per reference partition (``labels[1:]``), then its niche blocks."""
-        if (key := labels[1:]) not in self._templates:
-            self._templates[key] = SetPartition.from_labels(self._n_ref, zip(self._classes, key)).blocks
-        return SetPartition(self._size, self._templates[key] + label_blocks(range(self._n_ref + 1, self._size + 1), labels[0]))
-
-    def __len__(self) -> int:
-        return len(self._zeros)
-
-    def __getitem__(self, i: int | slice):
-        return [self.build(z) for z in self._zeros[i]] if isinstance(i, slice) else self.build(self._zeros[i])
-
-    def __eq__(self, other: object) -> bool:
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other)) if isinstance(other, Sequence) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[int, int, _ZeroLabels]:
+def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[int, int, dict]:
     """Walk the split partitions of the auxiliary graph with centered support, from the reference's :func:`_read_reference` view.
 
     Edge e has a niche of ``niches[e]`` internal vertices, each with a w-edge into e's target and an x-edge from
@@ -481,7 +458,8 @@ def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[
     vertices still unassigned.  The position, the internal block count and the two lists fix everything below a
     state, so each state is walked once per pair: its count of supported leaves, a bitmask of their internal block
     counts, its count of leaves of ``offset`` blocks in all (exponent zero) and its (label, child) pairs that reach
-    one.  Returns the count, the largest block count (-1 if none) and a :class:`_ZeroLabels` over the roots.
+    one.  Returns the count, the largest block count (-1 if none) and the roots with an exponent-zero leaf, keyed by
+    (targets, sources).
     """
     target_positions, source_positions, ranks = reference
     ends = [ts for ts, n in zip(ranks, niches) for _ in range(n)]  # (target, source) rank per niche vertex
@@ -525,7 +503,7 @@ def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[
             max_blocks = max(max_blocks, mask.bit_length() - 1 + outer if count else -1)
             if n_zero:
                 roots[targets, sources] = root
-    return n_supported, max_blocks, _ZeroLabels(roots)
+    return n_supported, max_blocks, roots
 
 
 def _descend(roots: dict) -> list[tuple[tuple[int, ...], ...]]:
@@ -539,19 +517,30 @@ def _descend(roots: dict) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-class _ZeroLabels(Sequence):
-    """The exponent-zero labels below the walk ``roots`` (keyed by (targets, sources)) in ``split_partitions`` order: counted at once, listed by one :func:`_descend` and one sort when first read."""
+class _ScanLeaves(Sequence):
+    """The exponent-zero partitions below the walk ``roots`` (keyed by (targets, sources)), in ``split_partitions`` order.
 
-    def __init__(self, roots: dict) -> None:
-        self.roots, self._labels = roots, None
+    Counted from the roots.  When one is first read, all are listed by one :func:`_descend`, one sort and one
+    ``SetPartition.from_labels`` per leaf on the (niche, target, source) ``positions``.  Equal to, and printed as, their list.
+    """
+
+    def __init__(self, roots: dict, positions: tuple[Sequence[int], ...]) -> None:
+        self.roots, self._positions, self._leaves = roots, positions, None
 
     def __len__(self) -> int:
         return sum(root[2] for root in self.roots.values())
 
     def __getitem__(self, i: int | slice):
-        if self._labels is None:
-            self._labels = sorted(_descend(self.roots))
-        return self._labels[i]
+        if self._leaves is None:
+            size = sum(map(len, self._positions))
+            self._leaves = [SetPartition.from_labels(size, zip(self._positions, z)) for z in sorted(_descend(self.roots))]
+        return self._leaves[i]
+
+    def __eq__(self, other: object) -> bool:
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other)) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _eta_offset(ref: TestGraph) -> int:
@@ -575,8 +564,8 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     the supported count, the largest block count (the exponent plus
     ``_eta_offset``) and the exponent-zero count per reference pair.  Only
     ``violations`` is built at once, from the pairs that the limit walk does
-    not list; ``eta_zero_partitions`` lists its leaves in ``split_partitions``
-    order by one descent when first read, and builds each when it is read.
+    not list; ``eta_zero_partitions`` (:class:`_ScanLeaves`) builds its
+    leaves by the same rule when first read.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
@@ -593,16 +582,15 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
         raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
 
     offset = _eta_offset(ref)
-    n_supported, max_blocks, zeros = _scan_splits(reference, niches, offset)
-    leaves = _ScanLeaves(zeros, (targets, sources), n_ref, n0)
+    n_supported, max_blocks, roots = _scan_splits(reference, niches, offset)
+    positions = (range(n_ref + 1, n_ref + n0 + 1), targets, sources)
     pseudo_cacti = {leaf[:2] for leaf in _pseudo_cacti(reference)}
-    failing = {pair: root for pair, root in zeros.roots.items() if pair not in pseudo_cacti}
-    violations = [leaves.build(labels) for labels in sorted(_descend(failing))]
+    violations = list(_ScanLeaves({pair: root for pair, root in roots.items() if pair not in pseudo_cacti}, positions))
     return EtaScanReport(
         n_partitions=size,
         n_supported=n_supported,
         max_eta=Fraction(max_blocks - offset) if n_supported else None,
-        eta_zero_partitions=leaves,
+        eta_zero_partitions=_ScanLeaves(roots, positions),
         pseudo_cactus_ok=not violations,
         violations=violations,
     )

@@ -6,7 +6,7 @@ component of a pseudo-cactus split quotient takes one option (a weight and
 a niche style), the options' niche blocks are assembled into one two-variable
 test graph, and ``delta0_graphon_oracle`` evaluates that graph's
 step-graphon average with its own colour-to-cell rule, apart from the
-``models.CellKernels`` tables that the walk and ``delta0_graphon`` read.
+``profiles.CellKernels`` tables that the walk and ``delta0_graphon`` read.
 ``_limit(g, params, rule)`` computes one rule in {"pw", "B", "lin", "per",
 "sum"}.
 
@@ -36,7 +36,7 @@ from pwtraffic.limits import (
     _two_cycle_tables,
     _validate_reference,
 )
-from pwtraffic.models import StepProfile, cell_overlaps
+from pwtraffic.profiles import StepProfile, cell_overlaps
 from graphs_oracle import all_cycles, edge_by_id
 
 

@@ -1,10 +1,10 @@
 """Ensemble definitions that only the tests use.
 
-The skewed two-point entry law of the tests, one chaos order of the
-Gaussian equivalent on its own, the unprofiled chaos noises and the
-deterministic deformation as a matrix.  They share the streams and cell
-tables of ``pwtraffic.models``, so what they build agrees with the pieces
-of ``equivalent_sum``.
+The skewed two-point entry law of the tests, a step profile realized entry
+by entry, one chaos order of the Gaussian equivalent on its own, the
+unprofiled chaos noises and the deterministic deformation as a matrix.  The
+last three share the streams and cell tables of ``pwtraffic.models``, so
+what they build agrees with the pieces of ``equivalent_sum``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from pwtraffic.models import (
     _equivalent_cells,
     _scale_cells,
 )
+from pwtraffic.profiles import StepProfile
 
 
 def unit_skewed_law() -> EntryLaw:
@@ -31,6 +32,22 @@ def unit_skewed_law() -> EntryLaw:
     Centered, unit variance, third moment 3/2.
     """
     return EntryLaw.skewed_two_point(2, Fraction(-1, 2), Fraction(1, 5))
+
+
+def realized_profile(profile: StepProfile, rows: int, cols: int) -> np.ndarray:
+    """The profile on a rows x cols float matrix, each entry by the ceiling rule
+    of :class:`StepProfile`: 1-based entry (i, j) takes cell
+    (ceil(i K / rows), ceil(j K' / cols))."""
+
+    def cell(i: int, n: int, k: int) -> int:  # 0-based
+        return -(-i * k // n) - 1
+
+    return np.array(
+        [
+            [float(profile.value(cell(i, rows, profile.n_row_cells), cell(j, cols, profile.n_col_cells))) for j in range(1, cols + 1)]
+            for i in range(1, rows + 1)
+        ]
+    )
 
 
 def equivalent_per(h: Polynomial, ensemble: ProfiledEnsemble, m: int, seed: int) -> np.ndarray:

@@ -40,7 +40,6 @@ from pwtraffic.limits import LimitParams, eta_support_scan, limit_pw, limit_valu
 from pwtraffic.models import (
     EntryLaw,
     ProfiledEnsemble,
-    StepProfile,
     decompose,
     distinct_labels,
     equivalent_sampler,
@@ -48,6 +47,7 @@ from pwtraffic.models import (
     power_sums,
     z_lambda,
 )
+from pwtraffic.profiles import StepProfile
 from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
 from hermite_oracle import expect_product, to_hermite
 from models_oracle import unit_skewed_law

@@ -27,7 +27,7 @@ from pwtraffic.cli import (
     resolve_ensemble,
     resolve_graphs,
 )
-from pwtraffic.hermite import hermite, monomial
+from pwtraffic.hermite import _clip, hermite, monomial
 from pwtraffic.models import equivalent_sum, pw_matrix
 
 
@@ -454,18 +454,24 @@ def test_main_compare_runs_moment_5(tmp_path):
     assert [r["exact"] for r in records if "exact" in r] == [exact, exact]
 
 
-@pytest.mark.parametrize("k", [27, 10**9])
+@pytest.mark.parametrize("k", [27, 10**9, pytest.param(10**4300 - 1, id="4300-nines")])
 @pytest.mark.parametrize("command", ["simulate", "limit", "compare"])
 def test_main_moment_preset_past_contraction_size_exits_2_at_once(tmp_path, capsys, command, k):
     # moment-k has 2k vertices; past the 52 a contraction takes, the preset is
-    # rejected before its graph is built
+    # rejected before its graph is built.  At 4,300 nines, k is as long as
+    # Python's int-to-string cap lets it be and 2k is one digit past it: the
+    # message printed Python's "Exceeds the limit" and named no preset
     import time
 
-    path = write_config(tmp_path, base_config(graph=f"moment-{k}"))
+    preset = f"moment-{k}"
+    path = write_config(tmp_path, base_config(graph=preset))
     started = time.perf_counter()
     err = assert_exit_2_with_one_line(capsys, [command, "--config", path])
     assert time.perf_counter() - started < 1.0
-    assert err.startswith(f"error: graph preset 'moment-{k}' has {2 * k} vertices"), err
+    if k < 10**10:
+        assert err.startswith(f"error: graph preset '{preset}' has {2 * k} vertices"), err
+    else:
+        assert err.startswith(f"error: graph preset {_clip(preset)} has ") and len(err) < 200, err[:300]
 
 
 @pytest.mark.parametrize("graph", ["moment-0_2", "moment- 2", "moment-٢", "moment-+2", "moment-02", "moment-2 "])
@@ -854,11 +860,54 @@ def test_the_exact_layer_loads_no_numpy():
     assert fresh_interpreter_lines(probe) == ["['pwtraffic.graphs', 'pwtraffic.hermite', 'pwtraffic.partitions']"]
 
 
+def test_the_exact_limits_load_no_sampler():
+    # the exact engine and its cell tables stand apart from the float stack:
+    # importing limits loaded numpy through models and traffic
+    probe = "import sys, pwtraffic.limits; print(sorted({'numpy', 'pwtraffic.models', 'pwtraffic.traffic'} & set(sys.modules)))"
+    assert fresh_interpreter_lines(probe) == ["[]"]
+
+
 def assert_exit_2_with_one_line(capsys, argv):
     assert main(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
     return err
+
+
+LONG = "x" * 5000
+LONG_ENSEMBLE = base_config()["ensemble"]
+# One config per cli error message that echoes a config value, that value 5,000 characters long.  A polynomial
+# spec that is no string, array or object can only be a number, at most the 4,300-digit integer a config holds.
+LONG_VALUE_CONFIGS = {
+    "unknown graph preset": base_config(graph=LONG),
+    "cannot parse graph spec": base_config(graph=[[LONG]]),
+    "unknown polynomial shorthand": base_config(labels=LONG),
+    "cannot parse polynomial spec": base_config(graph=[single_edge_graph("g")], labels={"p": 10**4299}),
+    "polynomial coeffs must be an array": base_config(labels={"basis": "power", "coeffs": LONG}),
+    "unknown basis": base_config(labels={"basis": LONG, "coeffs": ["0", "1"]}),
+    "bad graph": base_config(graph=[{"name": "g", "vertices": [5], "edges": [], "note": LONG}], labels={"p": "h1"}),
+    "has no 'basis' key": base_config(labels={"coeffs": [LONG]}),
+    "has no 'color' key": base_config(graph=[{**single_edge_graph("g"), "vertices": [{"id": LONG}]}], labels={"p": "h1"}),
+    "has no 'src' key": base_config(graph=[{**single_edge_graph(LONG), "edges": [{"id": LONG}]}], labels={"p": "h1"}),
+    "mapping has no": base_config(graph=[single_edge_graph(LONG)], labels={LONG[:-1]: "h1"}),
+    "color must be the JSON integer": base_config(graph=[single_edge_graph("g", color=LONG)], labels={"p": "h1"}),
+    "name must be a string": base_config(graph=[single_edge_graph([LONG])], labels={"p": "h1"}),
+    "is used twice": base_config(graph=[single_edge_graph(LONG)] * 2, labels={"p": "h1"}),
+    "ensemble must be an object": base_config(ensemble=LONG),
+    "law_w must be an object": base_config(ensemble={**LONG_ENSEMBLE, "law_w": LONG}),
+    "unknown entry law kind": base_config(ensemble={**LONG_ENSEMBLE, "law_w": {"kind": LONG}}),
+    "profile_w must be a list of rows": base_config(ensemble={**LONG_ENSEMBLE, "profile_w": LONG}),
+    "must be a JSON number or a string": base_config(ensemble={**LONG_ENSEMBLE, "profile_w": [[[LONG]]]}),
+    "seed must be an integer": base_config(seed=LONG),
+    "breakdown must be true or false": base_config(breakdown=LONG),
+}
+
+
+@pytest.mark.parametrize("message", sorted(LONG_VALUE_CONFIGS))
+def test_an_echoed_config_value_is_clipped(tmp_path, capsys, message):
+    # "graph": "x" * 5000 wrote a 5,031-character error line
+    err = assert_exit_2_with_one_line(capsys, ["limit", "--config", write_config(tmp_path, LONG_VALUE_CONFIGS[message])])
+    assert message in err and err.count("\n") == 1 and len(err) < 200, err[:300]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -25,17 +25,17 @@ from pwtraffic.limits import (
 from pwtraffic.models import (
     EntryLaw,
     ProfiledEnsemble,
-    StepProfile,
     distinct_labels,
     equivalent_sampler,
     model_sampler,
 )
 from pwtraffic.partitions import SetPartition
+from pwtraffic.profiles import StepProfile
 from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
 from graphs_oracle import all_cycles
 from limit_oracle import _limit as oracle_limit
 from limit_oracle import delta0_graphon_oracle, limit_values_loop
-from models_oracle import unit_skewed_law
+from models_oracle import realized_profile, unit_skewed_law
 from pw_oracle import pw_moments
 from traffic_oracle import delta0
 from refgraphs import labeled_reference_graphs
@@ -87,7 +87,7 @@ def test_delta0_graphon_matches_finite_n():
     exact = float(delta0_graphon(g, params))
     lay = BlockLayout(400, 400, 400)
     fam = MatrixFamily(lay).add(
-        "w", StepProfile.of([[2, Fraction(1, 2)]]).realize(400, 400), src_block=0, dst_block=1
+        "w", realized_profile(StepProfile.of([[2, Fraction(1, 2)]]), 400, 400), src_block=0, dst_block=1
     )
     finite = delta0(g, fam)  # 400 * 400 injective maps
     assert abs(finite - exact) <= 0.02 * exact
@@ -130,7 +130,7 @@ def random_wx_graph(rng: random.Random) -> TestGraph:
     ids=["constant", "baseline-2x2", "1x3-2x1"],
 )
 def test_delta0_graphon_matches_its_oracle_on_random_graphs(profile_w, profile_x):
-    # the cell tables of models.CellKernels against the oracle's own
+    # the cell tables of profiles.CellKernels against the oracle's own
     # colour-to-cell rule (cell_overlaps per vertex, coarse cell maps)
     rng = random.Random(1909)
     params = LimitParams(psi=(THIRD, THIRD, THIRD), profile_w=profile_w, profile_x=profile_x)
@@ -235,8 +235,8 @@ def test_limit_pw_finite_n_exact_for_linear_labels():
     profile_x = StepProfile.of([[2, 1], [1, Fraction(1, 2)]])
     params = LimitParams(psi=(THIRD, THIRD, THIRD), profile_w=profile_w, profile_x=profile_x)
     value = limit_pw(moment_cycle(1, H1), params)
-    gw = profile_w.realize(12, 12)
-    gx = profile_x.realize(12, 12)
+    gw = realized_profile(profile_w, 12, 12)
+    gx = realized_profile(profile_x, 12, 12)
     dense = Fraction(0)
     for i in range(12):
         for j in range(12):
@@ -484,20 +484,20 @@ def test_recombination_can_fail(monkeypatch):
     # pw reads a 2-cycle through the cell kernel K_2, sum through the stars
     # over its own centre: a wrong K_2 in the shared kernel table must show
     # as pw != sum
-    from pwtraffic import models
+    from pwtraffic import profiles
 
-    class DoubledK2(models.CellKernels):
+    class DoubledK2(profiles.CellKernels):
         def __init__(self, *args):
             super().__init__(*args)
             self.k2 = {rc: 2 * k for rc, k in self.k2.items()}
 
-    models.cell_kernels.cache_clear()
-    monkeypatch.setattr(models, "CellKernels", DoubledK2)
+    profiles.cell_kernels.cache_clear()
+    monkeypatch.setattr(profiles, "CellKernels", DoubledK2)
     try:
         values = limit_values(moment_cycle(1, G3_H1), STEPPED)
         assert values.pw != values.sum
     finally:
-        models.cell_kernels.cache_clear()
+        profiles.cell_kernels.cache_clear()
 
 
 def test_limit_edge_guard():
@@ -926,7 +926,7 @@ def test_leaf_partitions_are_built_canonical():
     # (<= 2 edges, the two (5, 5) graphs on three vertices left out), the
     # canonical build equals SetPartition.from_blocks on the same blocks
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits
+    from pwtraffic.limits import _descend, _eta_offset, _read_reference, _scan_splits
     from pwtraffic.partitions import SetPartition
 
     def grouped(ground_size, classes):
@@ -946,7 +946,7 @@ def test_leaf_partitions_are_built_canonical():
     for g in graphs:
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        for labels in _scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2]:
+        for labels in sorted(_descend(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2])):
             leaf = list(zip(positions, labels))
             key = leaf[1:]  # the reference labels, on positions 1..len(g.vertices)
             assert SetPartition.from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
@@ -1022,7 +1022,7 @@ def test_flat_walk_matches_generator_oracle():
     # graph of <= 2 edges (the two 231,950-partition (5, 5) graphs included)
     # and the 21 three-edge graphs of label sum 9
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits
+    from pwtraffic.limits import _descend, _eta_offset, _read_reference, _scan_splits
     from scan_oracle import supported_splits
 
     graphs = [g for _, g in labeled_reference_graphs(2, [1, 3, 5])]
@@ -1042,21 +1042,21 @@ def test_flat_walk_matches_generator_oracle():
             max_blocks = max(max_blocks, n_blocks)
             if n_blocks == offset:
                 zeros.append(labels)
-        got_supported, got_max, got_zeros = _scan_splits(_read_reference(g), [e.label for e in g.edges], offset)
-        assert (got_supported, got_max, sorted(got_zeros)) == (n_supported, max_blocks, sorted(zeros))
+        got_supported, got_max, roots = _scan_splits(_read_reference(g), [e.label for e in g.edges], offset)
+        assert (got_supported, got_max, sorted(_descend(roots))) == (n_supported, max_blocks, sorted(zeros))
 
 
 def test_leaf_templates_match_labels_to_partition(monkeypatch):
-    # every eta_zero_partitions and violations entry, built from the cached
-    # reference blocks and the niche blocks, against SetPartition.from_labels
-    # on the same labels in the same order; on the 19 eta_scan graphs and the
+    # every eta_zero_partitions and violations entry against
+    # SetPartition.from_labels on the walk's sorted labels, in the same
+    # order; on the 19 eta_scan graphs and the
     # 77 three-edge graphs that fit the guard.  No quotient here fails the
     # pseudo-cactus test, so a stand-in limit walk lists only the quotients
     # with an odd vertex count, which puts about half of the leaves on the
     # violation list
     from pwtraffic import limits
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits
+    from pwtraffic.limits import _descend, _eta_offset, _read_reference, _scan_splits
     from pwtraffic.partitions import SetPartition
 
     pseudo_cacti = limits._pseudo_cacti
@@ -1077,7 +1077,7 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
         checked += 1
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        leaves = sorted(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2])
+        leaves = sorted(_descend(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2]))
         expected = [SetPartition.from_labels(len(aux.graph.vertices), zip(positions, labels)) for labels in leaves]
         violations = [
             pi
@@ -1100,11 +1100,11 @@ def test_scan_builds_each_leaf_only_when_it_is_read(monkeypatch):
     import dataclasses
 
     import scan_oracle
-    from pwtraffic import limits
+    from pwtraffic.partitions import SetPartition
 
     built = []
-    label_blocks = limits.label_blocks
-    monkeypatch.setattr(limits, "label_blocks", lambda positions, labels: built.append(labels) or label_blocks(positions, labels))
+    from_labels = SetPartition.from_labels
+    monkeypatch.setattr(SetPartition, "from_labels", staticmethod(lambda size, classes: built.append(size) or from_labels(size, classes)))
     graphs = [
         g
         for _, g in labeled_reference_graphs(2, [1, 3, 5])
@@ -1205,14 +1205,16 @@ def test_capped_walk_past_the_guard_keeps_its_counts():
     # directly: the supported count, the largest block count and the
     # exponent-zero count are those of the uncapped walk, and every
     # exponent-zero leaf restricts to a quotient that the limit walk lists
-    from pwtraffic.limits import _eta_offset, _pseudo_cacti, _read_reference, _scan_splits
+    from pwtraffic.limits import _descend, _eta_offset, _pseudo_cacti, _read_reference, _scan_splits
 
     g = moment_cycle(2, 3)
     with pytest.raises(ValueError, match="scan would enumerate 16"):
         eta_support_scan(g)
     reference = _read_reference(g)
-    n_supported, max_blocks, zeros = _scan_splits(reference, [e.label for e in g.edges], _eta_offset(g))
-    assert (n_supported, max_blocks, len(zeros)) == (627_576, 9, 531) and max_blocks == _eta_offset(g)
+    n_supported, max_blocks, roots = _scan_splits(reference, [e.label for e in g.edges], _eta_offset(g))
+    zeros = sorted(_descend(roots))
+    n_zero = sum(root[2] for root in roots.values())  # the count that the scan's len() reads
+    assert (n_supported, max_blocks, n_zero) == (627_576, 9, 531) and max_blocks == _eta_offset(g)
     labels = list(zeros)
     assert len(labels) == len(set(labels)) == 531 and labels == sorted(labels)
     assert {z[1:] for z in labels} <= {leaf[:2] for leaf in _pseudo_cacti(reference)}

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import pwtraffic.models as models
+import pwtraffic.profiles as profiles
 from pwtraffic.cli import resolve_ensemble
 from pwtraffic.graphs import moment_cycle, single_edge
 from pwtraffic.hermite import Polynomial, expect_scaled, gaussian_moment, hermite, monomial
 from pwtraffic.models import (
     EntryLaw,
     ProfiledEnsemble,
-    StepProfile,
     check_decompose_label,
     decompose,
     distinct_labels,
@@ -28,10 +28,11 @@ from pwtraffic.models import (
     pw_matrix,
     z_lambda,
 )
+from pwtraffic.profiles import StepProfile
 from pwtraffic.traffic import BlockLayout, tau_estimates
 import decompose_oracle
 from hermite_oracle import hermite_coeffs
-from models_oracle import equivalent_def, equivalent_per, per_noise_family, unit_skewed_law
+from models_oracle import equivalent_def, equivalent_per, per_noise_family, realized_profile, unit_skewed_law
 from partitions_oracle import count_of_type, enumerate_set_partitions, integer_partitions
 
 RNG = np.random.default_rng(52)
@@ -92,13 +93,17 @@ def test_law_json_round_trip():
 
 
 def test_step_profile_realize():
+    # the library's realization (the profile applied to ones) and the
+    # entry-by-entry oracle
     p = StepProfile.of([[1, 2], [3, 4]])
-    mat = p.realize(4, 4)
+    mat = models._scale_cells(np.ones((4, 4)), models._float_grid(p))
     assert (mat[:2, :2] == 1).all() and (mat[:2, 2:] == 2).all()
     assert (mat[2:, :2] == 3).all() and (mat[2:, 2:] == 4).all()
+    assert np.array_equal(mat, realized_profile(p, 4, 4))
     # non-divisible sizes follow the ceiling rule: rows 1, 2, 3 of 3 in cells 1, 2, 2
-    mat = p.realize(3, 2)
+    mat = models._scale_cells(np.ones((3, 2)), models._float_grid(p))
     assert mat[:, 0].tolist() == [1, 3, 3]
+    assert np.array_equal(mat, realized_profile(p, 3, 2))
 
 
 def test_step_profile_validation():
@@ -379,7 +384,7 @@ def lambda_ell(profile_w, profile_x, layout, ell):
     """Oracle: N^{-1} (Gamma_w ^ o ell) (Gamma_x ^ o ell) as a realized N1 x N2 matrix."""
     if ell not in (2, 3):
         raise ValueError("lambda_ell supports ell in {2, 3}")
-    kernels = models.cell_kernels(profile_w, profile_x, layout.N0)
+    kernels = profiles.cell_kernels(profile_w, profile_x, layout.N0)
     table = kernels.k2 if ell == 2 else kernels.k3
     cells = kernels.rows({rc: k * Fraction(layout.N0, layout.N) for rc, k in table.items()})
     return models._broadcast_cells(cells, (layout.N1, layout.N2))
@@ -391,7 +396,7 @@ def second_moment_cells(ensemble):
     Equals 1 on every cell for constant unit profiles; the entrywise square
     root of the N-normalized lambda_2 matrix rescaled by 1/psi0.
     """
-    kernels = models.cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
+    kernels = profiles.cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
     return [list(row) for row in kernels.rows(kernels.k2)]
 
 
@@ -417,7 +422,7 @@ def test_lambda_ell_step_grid_matches_dense_product():
     px_grid = StepProfile.of([[2, 1], [1, Fraction(1, 2)]])
     for ell in (2, 3):
         got = lambda_ell(pw_grid, px_grid, lay, ell)
-        gw, gx = pw_grid.realize(4, 4), px_grid.realize(4, 4)
+        gw, gx = realized_profile(pw_grid, 4, 4), realized_profile(px_grid, 4, 4)
         dense = (gw**ell) @ (gx**ell) / lay.N
         assert np.allclose(got, dense)
 
@@ -587,14 +592,14 @@ def test_profile_apply_matches_realize_bit_for_bit():
     for rows, cols in [(1, 1), (2, 5), (7, 3), (9, 11)]:
         for profile in (STEPPED_W, STEPPED_X, StepProfile.constant(), StepProfile.constant(Fraction(1, 3))):
             a = RNG.standard_normal((rows, cols))
-            want = profile.realize(rows, cols) * a
-            got = profile.apply(a.copy())
+            want = realized_profile(profile, rows, cols) * a
+            got = models._scale_cells(a.copy(), models._float_grid(profile))
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     # cell blocks follow the ceiling rule, also with more cells than rows:
     # 0-based row i of `total` lies in cell ceil((i + 1) k / total) - 1
     for total in range(1, 12):
         for k in range(1, 5):
-            slices = models._cell_slices(total, k)
+            slices = profiles._cell_slices(total, k)
             want = [-(-(i + 1) * k // total) - 1 for i in range(total)]
             assert [r for r, rows in enumerate(slices) for _ in range(rows.start, rows.stop)] == want
 
@@ -645,14 +650,14 @@ def test_finite_kernels_at_multiples_of_lcm_are_the_limit_kernels(profile_w, pro
     kw, kx = profile_w.n_col_cells, profile_x.n_row_cells
     lcm = math.lcm(kw, kx)
     # the overlap table at lcm positions is the interval refinement, in order
-    runs = models.cell_overlaps(lcm, kw, kx)
+    runs = profiles.cell_overlaps(lcm, kw, kx)
     assert [(Fraction(n, lcm), cw, rx) for n, (cw, rx) in runs] == interval_refinement(kw, kx)
     for n0 in range(1, 8):
-        kernels = models.cell_kernels(profile_w, profile_x, n0)
+        kernels = profiles.cell_kernels(profile_w, profile_x, n0)
         assert kernels.k2 == position_kernel(profile_w, profile_x, n0, 2), n0
         assert kernels.k3 == position_kernel(profile_w, profile_x, n0, 3), n0
     for n0 in (lcm, 2 * lcm, 5 * lcm):
-        kernels = models.cell_kernels(profile_w, profile_x, n0)
+        kernels = profiles.cell_kernels(profile_w, profile_x, n0)
         assert kernels.k2 == position_kernel(profile_w, profile_x, n0, 2) == interval_kernel(profile_w, profile_x, 2)
         assert kernels.k3 == position_kernel(profile_w, profile_x, n0, 3) == interval_kernel(profile_w, profile_x, 3)
 

@@ -90,13 +90,8 @@ def test_samplers_run_through_the_traced_layers(monkeypatch):
     # samplers call them: a sampler path that bypassed them would read 0 calls
     from pwtraffic.graphs import moment_cycle
     from pwtraffic.hermite import hermite
-    from pwtraffic.models import (
-        EntryLaw,
-        ProfiledEnsemble,
-        StepProfile,
-        equivalent_sampler,
-        model_sampler,
-    )
+    from pwtraffic.models import EntryLaw, ProfiledEnsemble, equivalent_sampler, model_sampler
+    from pwtraffic.profiles import StepProfile
     from pwtraffic.traffic import BlockLayout, tau_estimates
     from models_oracle import unit_skewed_law
 

@@ -137,7 +137,6 @@ LAYERS_ONLY = [
     "limits.limit_lin",
     "limits.limit_per",
     "models.ProfiledEnsemble.realized_profiles",
-    "models.StepProfile.realize",
     "models.z_lambda",
     "partitions.SetPartition.block_index",
     "partitions.SetPartition.from_blocks",

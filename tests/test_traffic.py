@@ -11,12 +11,12 @@ from pwtraffic.graphs import Edge, TestGraph, moment_cycle
 from pwtraffic.hermite import hermite
 from pwtraffic.models import (
     ProfiledEnsemble,
-    StepProfile,
     equivalent_sampler,
     equivalent_sum,
     model_sampler,
     pw_matrix,
 )
+from pwtraffic.profiles import StepProfile
 from pwtraffic import traffic
 from pwtraffic.traffic import (
     BlockLayout,
