@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Sequence
 
+from .hermite import _clip
 from .partitions import SetPartition, restricted_growth_strings
 
 VertexId = Hashable
@@ -52,7 +53,7 @@ class TestGraph:
         es = []
         for e in edges:
             if e.src not in self.color or e.dst not in self.color:
-                raise ValueError(f"edge {e.id!r} references a missing vertex")
+                raise ValueError(f"edge {_clip(e.id)} references a missing vertex")
             es.append(e)
         self.edges: tuple[Edge, ...] = tuple(es)
         if len({e.id for e in self.edges}) != len(self.edges):
@@ -108,7 +109,7 @@ def check_reference_edges(g: TestGraph) -> None:
     """A ValueError naming the first edge that does not run from colour 2 to colour 1, as reference edges do."""
     for e in g.edges:
         if g.color[e.src] != 2 or g.color[e.dst] != 1:
-            raise ValueError(f"reference edges run from color 2 to color 1; edge {e.id!r} does not")
+            raise ValueError(f"reference edges run from color 2 to color 1; edge {_clip(e.id)} does not")
 
 
 def split_partitions(g: TestGraph):

@@ -42,11 +42,14 @@ up to moment-6.
 
 The exponent scan (``eta_support_scan``) reads a reference graph once, with
 the limit walk's reader (``_read_reference``), and its niches off the labels.
-It walks the supported split partitions of the auxiliary graph once per walk
-state (multiplicities capped at 2), keeping its leaf, block and exponent-zero
-counts and the children that reach an exponent-zero leaf.  Those leaves are
-listed by one descent and one sort, each built by ``SetPartition.from_labels``,
-only when read or under a reference partition that fails the limit walk's test.
+It walks the supported split partitions of the auxiliary graph once per
+canonical state (the sorted codes of the internal blocks, each its group
+multiplicities capped at 2 over the reference blocks that a later vertex still
+touches), keeping its leaf, block and exponent-zero counts, and refuses a
+graph past ``MAX_SCAN_STATES`` states.  The exponent-zero leaves are listed by
+one descent over the real labels and one sort, each built by
+``SetPartition.from_labels``, only when read or under a reference partition
+that fails the limit walk's test.
 """
 
 from __future__ import annotations
@@ -55,17 +58,18 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from math import lcm, prod
+from operator import or_
 
 from .graphs import TestGraph, W_LABEL, X_LABEL, check_reference_edges, is_connected, join_edge
-from .hermite import Polynomial, _frac
+from .hermite import Polynomial, _clip, _frac
 from .partitions import SetPartition, bell_number, restricted_growth_strings
 from .profiles import CellKernels, StepProfile, cell_kernels
 
 MAX_LIMIT_EDGES = 12
-#: Guard of the exponent scan: the Bell-number count of split partitions.
-MAX_SCAN_PARTITIONS = 5_000_000
+#: Guard of the exponent scan: the walk states it memoises, over all reference pairs.
+MAX_SCAN_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def delta0_graphon(g: TestGraph, params: LimitParams) -> Fraction:
     for e in g.edges:
         src_color, dst_color, table = ends.get(e.label, (None, None, None))
         if (g.color[e.src], g.color[e.dst]) != (src_color, dst_color):
-            raise ValueError(f"edge {e.id!r}: a graphon edge is w from color 0 to 1 or x from color 2 to 0")
+            raise ValueError(f"edge {_clip(e.id)}: a graphon edge is w from color 0 to 1 or x from color 2 to 0")
         factors.append(((e.dst, e.src), table))
     return _eliminate({v: kernels.measures[color] for v, color in g.vertices}, factors)
 
@@ -196,9 +200,9 @@ def _validate_reference(g: TestGraph) -> Reference:
         raise ValueError(f"limit evaluation guarded at {MAX_LIMIT_EDGES} edges")
     for e in g.edges:
         if not isinstance(e.label, Polynomial):
-            raise ValueError(f"edge {e.id!r} must be labeled by a Polynomial")
+            raise ValueError(f"edge {_clip(e.id)} must be labeled by a Polynomial")
         if not e.label.is_odd:
-            raise ValueError(f"edge {e.id!r} carries an even part; only odd polynomials converge")
+            raise ValueError(f"edge {_clip(e.id)} carries an even part; only odd polynomials converge")
     return _read_reference(g)
 
 
@@ -452,75 +456,92 @@ def _scan_splits(reference: Reference, niches: list[int], offset: int) -> tuple[
     """Walk the split partitions of the auxiliary graph with centered support, from the reference's :func:`_read_reference` view.
 
     Edge e has a niche of ``niches[e]`` internal vertices, each with a w-edge into e's target and an x-edge from
-    e's source.  Under each pair of reference partitions one recursion assigns the internal labels in niche order,
-    with the w- and x-group multiplicities in flat lists (reference block * n0 + internal block), capped at 2: the
-    support filter only tells 0, 1 and more apart.  A prefix is cut once either singleton count exceeds the
-    vertices still unassigned.  The position, the internal block count and the two lists fix everything below a
-    state, so each state is walked once per pair: its count of supported leaves, a bitmask of their internal block
-    counts, its count of leaves of ``offset`` blocks in all (exponent zero) and its (label, child) pairs that reach
-    one.  Returns the count, the largest block count (-1 if none) and the roots with an exponent-zero leaf, keyed by
-    (targets, sources).
+    e's source.  Under each pair of reference partitions one recursion assigns the internal labels in niche order.
+    An internal block is one int code with 2 bits per slot (a target block for w, a source block for x) holding its
+    group multiplicity capped at 2: the support filter only tells 0, 1 and more apart.  A prefix is cut once either
+    singleton count exceeds the vertices still unassigned, or once a slot's last niche vertex leaves a 1 there; a 2
+    there is then cleared.  The position and the sorted codes fix everything below a state, so a vertex joins one
+    block per distinct code, weighted by the blocks that carry it, or a new one, and each state is walked once per
+    pair: its count of supported leaves, a bitmask of their internal block counts and its count of leaves of
+    ``offset`` blocks in all (exponent zero).  More than ``MAX_SCAN_STATES`` states in all is a ValueError.  Returns
+    the count, the largest block count (-1 if none) and, keyed by (targets, sources), the exponent-zero count and
+    the walk (slots, dead slots, exponent-zero block count, memo) of each pair that has one.
     """
     target_positions, source_positions, ranks = reference
     ends = [ts for ts, n in zip(ranks, niches) for _ in range(n)]  # (target, source) rank per niche vertex
-    n0 = len(ends)
-    w_mult, x_mult = [0] * (len(target_positions) * n0), [0] * (len(source_positions) * n0)
-    n_supported, max_blocks, roots = 0, -1, {}
+    n0, n_states, n_supported, max_blocks, roots = len(ends), 0, 0, -1, {}
 
-    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, int, Sequence]:
-        if i == n0:
-            return 1, 1 << n_blocks, int(n_blocks == zero_blocks), ()
-        key = (i, n_blocks, *w_mult, *x_mult)
-        seen = memo.get(key)
-        if seen is not None:
-            return seen
-        count, mask, n_zero, reaching = 0, 0, 0, []
-        bw, bx, left = w_base[i], x_base[i], n0 - 1 - i
-        for b in range(n_blocks + 1):
-            kw, kx = bw + b, bx + b
-            mw, mx = w_mult[kw], x_mult[kx]
-            ws = w_single + (mw == 0) - (mw == 1)
-            xs = x_single + (mx == 0) - (mx == 1)
-            if ws <= left and xs <= left:
-                w_mult[kw], x_mult[kx] = mw + (mw < 2), mx + (mx < 2)
-                below = walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
-                w_mult[kw], x_mult[kx] = mw, mx
-                count, mask, n_zero = count + below[0], mask | below[1], n_zero + below[2]
-                if below[2]:
-                    reaching.append((b, below))
-        memo[key] = seen = count, mask, n_zero, reaching
-        return seen
+    def walk(i: int, codes: tuple[int, ...], ws: int, xs: int) -> tuple[int, int, int]:
+        nonlocal n_states
+        count = mask = n_zero = 0
+        (sw, sx), d, cut, prev = slots[i], dead[i], n0 - i, -1
+        for j in range(len(codes) + 1):  # each distinct code once (codes are sorted), then a new block
+            c = codes[j] if j < len(codes) else 0
+            if j < len(codes) and c == prev:
+                continue
+            mw, mx, prev = c >> sw & 3, c >> sx & 3, c
+            ws2, xs2 = ws + (mw == 0) - (mw == 1), xs + (mx == 0) - (mx == 1)
+            if ws2 >= cut or xs2 >= cut:
+                continue
+            if cut == 1:  # the last vertex, with no singleton left: every slot is done and every code 0
+                below = 1, 1 << len(codes), int(len(codes) == zero_blocks)
+            else:
+                new = [*codes[:j], c + ((mw < 2) << sw) + ((mx < 2) << sx), *codes[j + 1 :]]
+                if d and d & reduce(or_, new):
+                    continue
+                new = sorted([b & ~(3 * d) for b in new]) if d else sorted(new)
+                below = memo.get((i + 1, key := tuple(new))) or walk(i + 1, key, ws2, xs2)
+            weight = codes.count(c) if j < len(codes) else 1
+            count, mask, n_zero = count + weight * below[0], mask | below[1], n_zero + weight * below[2]
+        if (n_states := n_states + 1) > MAX_SCAN_STATES:
+            raise ValueError(f"scan would walk more than {MAX_SCAN_STATES} states")
+        memo[i, codes] = out = count, mask, n_zero
+        return out
 
     for targets in restricted_growth_strings(len(target_positions)):
         for sources in restricted_growth_strings(len(source_positions)):
-            w_base = [targets[t] * n0 for t, _ in ends]
-            x_base = [sources[s] * n0 for _, s in ends]
+            slots = [(2 * targets[t], 2 * (len(targets) + sources[s])) for t, s in ends]  # bit offsets of the w and x slot
+            last = {slot: i for i, pair in enumerate(slots) for slot in pair}
+            dead = [sum(1 << s for s in pair if last[s] == i) for i, pair in enumerate(slots)]  # low bits of the slots done at i
             outer = max(targets, default=-1) + max(sources, default=-1) + 2  # the target and source blocks
-            zero_blocks = offset - outer  # the internal block count of an exponent-zero leaf
-            memo: dict[tuple, tuple[int, int, int, Sequence]] = {}
-            count, mask, n_zero, _ = root = walk(0, 0, 0, 0)
+            memo, zero_blocks = {}, offset - outer  # the internal block count of an exponent-zero leaf
+            count, mask, n_zero = walk(0, (), 0, 0) if n0 else (1, 1, int(zero_blocks == 0))
             n_supported += count
             max_blocks = max(max_blocks, mask.bit_length() - 1 + outer if count else -1)
             if n_zero:
-                roots[targets, sources] = root
+                roots[targets, sources] = n_zero, slots, dead, zero_blocks, memo
     return n_supported, max_blocks, roots
 
 
-def _descend(roots: dict) -> list[tuple[tuple[int, ...], ...]]:
-    """The (internal, targets, sources) labels of every exponent-zero leaf below ``roots``, walk roots keyed by (targets, sources)."""
-    out, stack = [], [((), root, pair) for pair, root in roots.items()]
-    while stack:
-        labels, state, pair = stack.pop()
-        if not state[3]:
-            out.append((labels, *pair))
-        stack.extend((labels + (b,), child, pair) for b, child in state[3])
+def _zero_labels(roots: dict) -> list[tuple[tuple[int, ...], ...]]:
+    """The (internal, targets, sources) labels of every exponent-zero leaf of :func:`_scan_splits`'s ``roots``.
+
+    Each pair's walk is repeated on the real labels, entering only the states whose memo entry counts such a leaf.
+    """
+    out = []
+    for pair, (_, slots, dead, zero_blocks, memo) in roots.items():
+        stack = [((), [], 0, 0)]
+        while stack:
+            labels, codes, ws, xs = stack.pop()
+            if (i := len(labels)) == len(slots):
+                out.append((labels, *pair))
+                continue
+            (sw, sx), d, cut = slots[i], dead[i], len(slots) - i
+            for j in range(len(codes) + 1):
+                mw, mx = (c := codes[j] if j < len(codes) else 0) >> sw & 3, c >> sx & 3
+                ws2, xs2 = ws + (mw == 0) - (mw == 1), xs + (mx == 0) - (mx == 1)
+                new = [*codes[:j], c + ((mw < 2) << sw) + ((mx < 2) << sx), *codes[j + 1 :]]
+                if ws2 < cut and xs2 < cut and not d & reduce(or_, new):
+                    new = [b & ~(3 * d) for b in new]
+                    if len(new) == zero_blocks if cut == 1 else memo[i + 1, tuple(sorted(new))][2]:
+                        stack.append((labels + (j,), new, ws2, xs2))
     return out
 
 
 class _ScanLeaves(Sequence):
-    """The exponent-zero partitions below the walk ``roots`` (keyed by (targets, sources)), in ``split_partitions`` order.
+    """The exponent-zero partitions of :func:`_scan_splits`'s ``roots``, in ``split_partitions`` order.
 
-    Counted from the roots.  When one is first read, all are listed by one :func:`_descend`, one sort and one
+    Counted from the roots.  When one is first read, all are listed by one :func:`_zero_labels`, one sort and one
     ``SetPartition.from_labels`` per leaf on the (niche, target, source) ``positions``.  Equal to, and printed as, their list.
     """
 
@@ -528,12 +549,12 @@ class _ScanLeaves(Sequence):
         self.roots, self._positions, self._leaves = roots, positions, None
 
     def __len__(self) -> int:
-        return sum(root[2] for root in self.roots.values())
+        return sum(root[0] for root in self.roots.values())
 
     def __getitem__(self, i: int | slice):
         if self._leaves is None:
             size = sum(map(len, self._positions))
-            self._leaves = [SetPartition.from_labels(size, zip(self._positions, z)) for z in sorted(_descend(self.roots))]
+            self._leaves = [SetPartition.from_labels(size, zip(self._positions, z)) for z in sorted(_zero_labels(self.roots))]
         return self._leaves[i]
 
     def __eq__(self, other: object) -> bool:
@@ -556,8 +577,9 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     never positive, and every exponent-zero quotient restricts to a
     reference partition that the limit walk (``_pseudo_cacti``) lists, that
     is to a pseudo-cactus.  The graph must pass ``_read_reference``, read
-    once for the guard, the walk and the test, and its labels be odd (even
-    niches break the parity arguments; their traces diverge).
+    once for the walk and the test, and its labels be odd (even niches break
+    the parity arguments; their traces diverge); a walk past
+    ``MAX_SCAN_STATES`` states is a ValueError.
 
     ``n_partitions`` is the Bell-number count of split partitions, not the
     number that the pruned walk (``_scan_splits``) visits.  The walk gives
@@ -571,23 +593,19 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
         raise ValueError("scan guarded at labels <= 5")
     for e in ref.edges:
         if not isinstance(e.label, int) or e.label < 1 or e.label > max_label:
-            raise ValueError(f"edge {e.id!r} needs an integer label in 1..{max_label}")
+            raise ValueError(f"edge {_clip(e.id)} needs an integer label in 1..{max_label}")
         if e.label % 2 == 0:
             raise ValueError("the exponent bound holds for odd labels only")
     targets, sources, _ = reference = _read_reference(ref)
     niches = [e.label for e in ref.edges]
     n_ref, n0 = len(ref.vertices), sum(niches)
-    size = bell_number(n0) * bell_number(len(targets)) * bell_number(len(sources))
-    if size > MAX_SCAN_PARTITIONS:
-        raise ValueError(f"scan would enumerate {size} partitions > {MAX_SCAN_PARTITIONS}")
-
     offset = _eta_offset(ref)
     n_supported, max_blocks, roots = _scan_splits(reference, niches, offset)
     positions = (range(n_ref + 1, n_ref + n0 + 1), targets, sources)
     pseudo_cacti = {leaf[:2] for leaf in _pseudo_cacti(reference)}
     violations = list(_ScanLeaves({pair: root for pair, root in roots.items() if pair not in pseudo_cacti}, positions))
     return EtaScanReport(
-        n_partitions=size,
+        n_partitions=bell_number(n0) * bell_number(len(targets)) * bell_number(len(sources)),
         n_supported=n_supported,
         max_eta=Fraction(max_blocks - offset) if n_supported else None,
         eta_zero_partitions=_ScanLeaves(roots, positions),

@@ -4,15 +4,21 @@ The slow form of ``pwtraffic.limits.eta_support_scan``, kept as a test
 oracle.  Every split partition of the auxiliary graph is built as a
 ``SetPartition``; the support filter regroups its edges (``edge_groups``)
 and the exponent comes from ``graphs.eta``, which also runs the w-subgraph
-union-find.  The validation and the partition guard are the scan's own.
+union-find.  The validation is the scan's own; the guard on the Bell-number
+count of split partitions (``MAX_SCAN_PARTITIONS``) is the oracle's.
 
 ``supported_splits`` is the pruned walk as a chain of generators, one per
-internal vertex, yielding the labels of every supported partition: the
-oracle of the flat walk ``limits._scan_splits``.
+internal vertex, yielding the labels of every supported partition.
+``labelled_walk`` and ``descend`` are the memoised walk that
+``limits._scan_splits`` replaced: its states carry labelled multiplicities
+(one flat list per reference class, capped at 2) and each keeps the
+children that reach an exponent-zero leaf.  Both are oracles of the
+canonical walk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import Iterator
 
@@ -24,10 +30,26 @@ from pwtraffic.graphs import (
     quotient,
     split_partitions,
 )
-from pwtraffic.limits import MAX_SCAN_PARTITIONS, EtaScanReport
+from pwtraffic.limits import EtaScanReport
 from pwtraffic.partitions import SetPartition, bell_number, restricted_growth_strings
 from graphs_oracle import AuxiliaryGraph, build_auxiliary
 from partitions_oracle import restrict
+
+#: The oracle's guard: the Bell-number count of split partitions that it enumerates.
+MAX_SCAN_PARTITIONS = 5_000_000
+
+
+def bell_count(ref: TestGraph) -> int:
+    """The Bell-number count of split partitions of ``ref``'s auxiliary graph (positive integer labels)."""
+    n_class = {1: 0, 2: 0}
+    for _, c in ref.vertices:
+        n_class[c] += 1
+    return bell_number(sum(e.label for e in ref.edges)) * bell_number(n_class[1]) * bell_number(n_class[2])
+
+
+def within_bell_guard(ref: TestGraph) -> bool:
+    """Whether the oracle enumerates ``ref``'s split partitions: ``bell_count`` is at most ``MAX_SCAN_PARTITIONS``."""
+    return bell_count(ref) <= MAX_SCAN_PARTITIONS
 
 
 def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
@@ -123,3 +145,72 @@ def supported_splits(aux: AuxiliaryGraph) -> Iterator[tuple[tuple[int, ...], ...
             keys = [(targets[t], sources[s]) for t, s in ends]
             for internal in walk(0, 0, 0, 0, keys):
                 yield internal, targets, sources
+
+
+def labelled_walk(reference: tuple, niches: list[int], offset: int) -> tuple[int, int, dict]:
+    """Walk the split partitions of the auxiliary graph with centered support, from ``limits._read_reference``'s view.
+
+    Edge e has a niche of ``niches[e]`` internal vertices, each with a w-edge into e's target and an x-edge from
+    e's source.  Under each pair of reference partitions one recursion assigns the internal labels in niche order,
+    with the w- and x-group multiplicities in flat lists (reference block * n0 + internal block), capped at 2: the
+    support filter only tells 0, 1 and more apart.  A prefix is cut once either singleton count exceeds the
+    vertices still unassigned.  The position, the internal block count and the two lists fix everything below a
+    state, so each state is walked once per pair: its count of supported leaves, a bitmask of their internal block
+    counts, its count of leaves of ``offset`` blocks in all (exponent zero) and its (label, child) pairs that reach
+    one.  Returns the count, the largest block count (-1 if none) and the roots with an exponent-zero leaf, keyed by
+    (targets, sources).
+    """
+    target_positions, source_positions, ranks = reference
+    ends = [ts for ts, n in zip(ranks, niches) for _ in range(n)]  # (target, source) rank per niche vertex
+    n0 = len(ends)
+    w_mult, x_mult = [0] * (len(target_positions) * n0), [0] * (len(source_positions) * n0)
+    n_supported, max_blocks, roots = 0, -1, {}
+
+    def walk(i: int, n_blocks: int, w_single: int, x_single: int) -> tuple[int, int, int, Sequence]:
+        if i == n0:
+            return 1, 1 << n_blocks, int(n_blocks == zero_blocks), ()
+        key = (i, n_blocks, *w_mult, *x_mult)
+        seen = memo.get(key)
+        if seen is not None:
+            return seen
+        count, mask, n_zero, reaching = 0, 0, 0, []
+        bw, bx, left = w_base[i], x_base[i], n0 - 1 - i
+        for b in range(n_blocks + 1):
+            kw, kx = bw + b, bx + b
+            mw, mx = w_mult[kw], x_mult[kx]
+            ws = w_single + (mw == 0) - (mw == 1)
+            xs = x_single + (mx == 0) - (mx == 1)
+            if ws <= left and xs <= left:
+                w_mult[kw], x_mult[kx] = mw + (mw < 2), mx + (mx < 2)
+                below = walk(i + 1, n_blocks + (b == n_blocks), ws, xs)
+                w_mult[kw], x_mult[kx] = mw, mx
+                count, mask, n_zero = count + below[0], mask | below[1], n_zero + below[2]
+                if below[2]:
+                    reaching.append((b, below))
+        memo[key] = seen = count, mask, n_zero, reaching
+        return seen
+
+    for targets in restricted_growth_strings(len(target_positions)):
+        for sources in restricted_growth_strings(len(source_positions)):
+            w_base = [targets[t] * n0 for t, _ in ends]
+            x_base = [sources[s] * n0 for _, s in ends]
+            outer = max(targets, default=-1) + max(sources, default=-1) + 2  # the target and source blocks
+            zero_blocks = offset - outer  # the internal block count of an exponent-zero leaf
+            memo: dict[tuple, tuple[int, int, int, Sequence]] = {}
+            count, mask, n_zero, _ = root = walk(0, 0, 0, 0)
+            n_supported += count
+            max_blocks = max(max_blocks, mask.bit_length() - 1 + outer if count else -1)
+            if n_zero:
+                roots[targets, sources] = root
+    return n_supported, max_blocks, roots
+
+
+def descend(roots: dict) -> list[tuple[tuple[int, ...], ...]]:
+    """The (internal, targets, sources) labels of every exponent-zero leaf below ``roots``, walk roots keyed by (targets, sources)."""
+    out, stack = [], [((), root, pair) for pair, root in roots.items()]
+    while stack:
+        labels, state, pair = stack.pop()
+        if not state[3]:
+            out.append((labels, *pair))
+        stack.extend((labels + (b,), child, pair) for b, child in state[3])
+    return out

@@ -875,6 +875,13 @@ def assert_exit_2_with_one_line(capsys, argv):
 
 
 LONG = "x" * 5000
+
+
+def long_edge_graph(**ends):
+    """``single_edge_graph`` with a 5,000-character edge id and the given edge ends."""
+    return {**single_edge_graph("g"), "edges": [{"id": LONG, "src": "v", "dst": "u", "label": "p", **ends}]}
+
+
 LONG_ENSEMBLE = base_config()["ensemble"]
 # One config per cli error message that echoes a config value, that value 5,000 characters long.  A polynomial
 # spec that is no string, array or object can only be a number, at most the 4,300-digit integer a config holds.
@@ -900,6 +907,9 @@ LONG_VALUE_CONFIGS = {
     "must be a JSON number or a string": base_config(ensemble={**LONG_ENSEMBLE, "profile_w": [[[LONG]]]}),
     "seed must be an integer": base_config(seed=LONG),
     "breakdown must be true or false": base_config(breakdown=LONG),
+    "carries an even part": base_config(graph=[long_edge_graph()], labels={"p": "h2"}),
+    "reference edges run from color 2 to color 1": base_config(graph=[long_edge_graph(src="u", dst="v")], labels={"p": "h1"}),
+    "references a missing vertex": base_config(graph=[long_edge_graph(dst="w")], labels={"p": "h1"}),
 }
 
 

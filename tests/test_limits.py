@@ -11,6 +11,7 @@ from pwtraffic.graphs import Edge, TestGraph, classify, moment_cycle, quotient, 
 from pwtraffic.hermite import Polynomial, expect_scaled, hermite, monomial
 from pwtraffic.limits import (
     MAX_LIMIT_EDGES,
+    MAX_SCAN_STATES,
     RULES,
     LimitParams,
     delta0_graphon,
@@ -585,8 +586,9 @@ def test_scan_guards():
         [Edge(k, "v", "u", 5) for k in range(3)],
         reference=True,
     )
-    with pytest.raises(ValueError):
-        eta_support_scan(big)  # Bell(15) internal partitions
+    assert eta_support_scan(big).max_eta == -1  # Bell(15) internal partitions, past the old Bell-product guard
+    with pytest.raises(ValueError, match=f"scan would walk more than {MAX_SCAN_STATES} states"):
+        eta_support_scan(moment_cycle(3, 5))
 
 
 def test_scan_rejects_color_0_reference_vertex():
@@ -902,9 +904,9 @@ def test_single_edge_closed_form():
 
 
 def test_eta_nonpositive_on_every_three_edge_graph():
-    # labels {1, 3, 5}: 93 three-edge graphs, of which 16 pass the scan's
-    # Bell-product guard and the other 77 have no positive exponent and only
-    # pseudo-cactus exponent-zero quotients
+    # labels {1, 3, 5}: the scan admits all 93 three-edge graphs (16 of them
+    # past the old Bell-product guard), and none has a positive exponent or
+    # an exponent-zero quotient that is not a pseudo-cactus
     refused, checked = 0, 0
     for name, g in labeled_reference_graphs(3, [1, 3, 5]):
         if len(g.edges) != 3:
@@ -912,13 +914,13 @@ def test_eta_nonpositive_on_every_three_edge_graph():
         try:
             rep = eta_support_scan(g, max_label=5)
         except ValueError as exc:
-            assert str(exc).startswith("scan would enumerate"), name
+            assert str(exc).startswith("scan would walk"), name
             refused += 1
             continue
         checked += 1
         assert rep.max_eta is not None and rep.max_eta <= 0, name
         assert rep.pseudo_cactus_ok and not rep.violations, name
-    assert (refused, checked) == (16, 77)
+    assert (refused, checked) == (0, 93)
 
 
 def test_leaf_partitions_are_built_canonical():
@@ -926,7 +928,7 @@ def test_leaf_partitions_are_built_canonical():
     # (<= 2 edges, the two (5, 5) graphs on three vertices left out), the
     # canonical build equals SetPartition.from_blocks on the same blocks
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _descend, _eta_offset, _read_reference, _scan_splits
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits, _zero_labels
     from pwtraffic.partitions import SetPartition
 
     def grouped(ground_size, classes):
@@ -946,7 +948,7 @@ def test_leaf_partitions_are_built_canonical():
     for g in graphs:
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        for labels in sorted(_descend(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2])):
+        for labels in sorted(_zero_labels(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2])):
             leaf = list(zip(positions, labels))
             key = leaf[1:]  # the reference labels, on positions 1..len(g.vertices)
             assert SetPartition.from_labels(len(aux.graph.vertices), leaf) == grouped(len(aux.graph.vertices), leaf)
@@ -1022,7 +1024,7 @@ def test_flat_walk_matches_generator_oracle():
     # graph of <= 2 edges (the two 231,950-partition (5, 5) graphs included)
     # and the 21 three-edge graphs of label sum 9
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _descend, _eta_offset, _read_reference, _scan_splits
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits, _zero_labels
     from scan_oracle import supported_splits
 
     graphs = [g for _, g in labeled_reference_graphs(2, [1, 3, 5])]
@@ -1043,21 +1045,22 @@ def test_flat_walk_matches_generator_oracle():
             if n_blocks == offset:
                 zeros.append(labels)
         got_supported, got_max, roots = _scan_splits(_read_reference(g), [e.label for e in g.edges], offset)
-        assert (got_supported, got_max, sorted(_descend(roots))) == (n_supported, max_blocks, sorted(zeros))
+        assert (got_supported, got_max, sorted(_zero_labels(roots))) == (n_supported, max_blocks, sorted(zeros))
 
 
 def test_leaf_templates_match_labels_to_partition(monkeypatch):
     # every eta_zero_partitions and violations entry against
     # SetPartition.from_labels on the walk's sorted labels, in the same
     # order; on the 19 eta_scan graphs and the
-    # 77 three-edge graphs that fit the guard.  No quotient here fails the
+    # 77 three-edge graphs within the old Bell-product guard.  No quotient here fails the
     # pseudo-cactus test, so a stand-in limit walk lists only the quotients
     # with an odd vertex count, which puts about half of the leaves on the
     # violation list
     from pwtraffic import limits
     from graphs_oracle import build_auxiliary
-    from pwtraffic.limits import _descend, _eta_offset, _read_reference, _scan_splits
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits, _zero_labels
     from pwtraffic.partitions import SetPartition
+    from scan_oracle import within_bell_guard
 
     pseudo_cacti = limits._pseudo_cacti
     monkeypatch.setattr(limits, "_pseudo_cacti", lambda ref: (leaf for leaf in pseudo_cacti(ref) if leaf[2] % 2 == 1))
@@ -1068,16 +1071,12 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
     ]
     graphs += [g for _, g in labeled_reference_graphs(3, [1, 3, 5]) if len(g.edges) == 3]
     checked, n_leaves, n_violations = 0, 0, 0
-    for g in graphs:
-        try:
-            rep = eta_support_scan(g)
-        except ValueError as exc:
-            assert str(exc).startswith("scan would enumerate")
-            continue
+    for g in filter(within_bell_guard, graphs):
+        rep = eta_support_scan(g)
         checked += 1
         aux = build_auxiliary(g)
         positions = [[i + 1 for i, (_, cv) in enumerate(aux.graph.vertices) if cv == c] for c in (0, 1, 2)]
-        leaves = sorted(_descend(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2]))
+        leaves = sorted(_zero_labels(_scan_splits(_read_reference(g), [e.label for e in g.edges], _eta_offset(g))[2]))
         expected = [SetPartition.from_labels(len(aux.graph.vertices), zip(positions, labels)) for labels in leaves]
         violations = [
             pi
@@ -1136,18 +1135,18 @@ def test_scan_builds_each_leaf_only_when_it_is_read(monkeypatch):
 
 
 def record_descents(monkeypatch) -> list:
-    """Patch ``limits._descend`` to record each call that has walk roots to descend."""
+    """Patch ``limits._zero_labels`` to record each call that has walk roots to descend."""
     from pwtraffic import limits
 
     descents = []
-    descend = limits._descend
+    descend = limits._zero_labels
 
     def recorded(roots):
         if roots:
             descents.append(roots)
         return descend(roots)
 
-    monkeypatch.setattr(limits, "_descend", recorded)
+    monkeypatch.setattr(limits, "_zero_labels", recorded)
     return descents
 
 
@@ -1201,23 +1200,59 @@ def test_scan_with_no_listed_quotient_reports_every_leaf_as_a_violation(monkeypa
 
 
 def test_capped_walk_past_the_guard_keeps_its_counts():
-    # moment-2 with label 3 (a Bell count of 16.9 M, past the guard), walked
-    # directly: the supported count, the largest block count and the
-    # exponent-zero count are those of the uncapped walk, and every
+    # moment-2 with label 3 (a Bell count of 16.9 M, past the old Bell-product
+    # guard), walked directly: the supported count, the largest block count
+    # and the exponent-zero count are those of the uncapped walk, and every
     # exponent-zero leaf restricts to a quotient that the limit walk lists
-    from pwtraffic.limits import _descend, _eta_offset, _pseudo_cacti, _read_reference, _scan_splits
+    from pwtraffic.limits import _eta_offset, _pseudo_cacti, _read_reference, _scan_splits, _zero_labels
 
     g = moment_cycle(2, 3)
-    with pytest.raises(ValueError, match="scan would enumerate 16"):
-        eta_support_scan(g)
+    assert eta_support_scan(g).n_partitions == 16_854_388
     reference = _read_reference(g)
     n_supported, max_blocks, roots = _scan_splits(reference, [e.label for e in g.edges], _eta_offset(g))
-    zeros = sorted(_descend(roots))
-    n_zero = sum(root[2] for root in roots.values())  # the count that the scan's len() reads
+    zeros = sorted(_zero_labels(roots))
+    n_zero = sum(root[0] for root in roots.values())  # the count that the scan's len() reads
     assert (n_supported, max_blocks, n_zero) == (627_576, 9, 531) and max_blocks == _eta_offset(g)
     labels = list(zeros)
     assert len(labels) == len(set(labels)) == 531 and labels == sorted(labels)
     assert {z[1:] for z in labels} <= {leaf[:2] for leaf in _pseudo_cacti(reference)}
+
+
+def test_support_claim_past_the_old_guard():
+    # moment-2 with labels 3 and 5 and moment-3 with label 3, each past the
+    # old Bell-product guard: no positive exponent, only pseudo-cactus
+    # exponent-zero quotients, and the counts that the labelled walk
+    # computed for each on its own (the leaves are only counted)
+    for k, label, n_supported, n_zero in (
+        (2, 3, 627_576, 531),
+        (2, 5, 5_310_649_676_545, 1_836_675),
+        (3, 3, 81_103_024_565, 24_894),
+    ):
+        rep = eta_support_scan(moment_cycle(k, label))
+        assert (rep.max_eta, rep.pseudo_cactus_ok, rep.violations) == (0, True, []), (k, label)
+        assert (rep.n_supported, len(rep.eta_zero_partitions)) == (n_supported, n_zero), (k, label)
+
+
+def test_canonical_walk_matches_labelled_walk():
+    # the canonical walk against the labelled-multiplicity walk it replaced,
+    # on the 98 graphs of <= 3 edges with labels in {1, 3, 5} within the old
+    # Bell-product guard: the supported count, the largest block count, the
+    # exponent-zero count per reference pair and the sorted leaf labels
+    from pwtraffic.limits import _eta_offset, _read_reference, _scan_splits, _zero_labels
+    from scan_oracle import descend, labelled_walk, within_bell_guard
+
+    graphs = [g for _, g in labeled_reference_graphs(3, [1, 3, 5]) if within_bell_guard(g)]
+    n_leaves = 0
+    for g in graphs:
+        args = (_read_reference(g), [e.label for e in g.edges], _eta_offset(g))
+        n_supported, max_blocks, roots = _scan_splits(*args)
+        want_supported, want_max, want_roots = labelled_walk(*args)
+        assert (n_supported, max_blocks) == (want_supported, want_max)
+        assert {pair: root[0] for pair, root in roots.items()} == {pair: root[2] for pair, root in want_roots.items()}
+        leaves = sorted(_zero_labels(roots))
+        assert leaves == sorted(descend(want_roots))
+        n_leaves += len(leaves)
+    assert (len(graphs), n_leaves) == (98, 7594)
 
 
 @pytest.mark.parametrize("labels", [(a, b) for a in (1, 3, 5) for b in (1, 3, 5)])
