@@ -101,10 +101,6 @@ def _union_find(nodes: Iterable, links: Iterable[tuple]) -> dict:
     return {v: find(v) for v in parent}
 
 
-def is_connected(g: TestGraph) -> bool:
-    return len(set(_union_find(g.vertex_ids, ((e.src, e.dst) for e in g.edges)).values())) <= 1
-
-
 def check_reference_edges(g: TestGraph) -> None:
     """A ValueError naming the first edge that does not run from colour 2 to colour 1, as reference edges do."""
     for e in g.edges:

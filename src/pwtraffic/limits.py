@@ -46,10 +46,10 @@ It walks the supported split partitions of the auxiliary graph once per
 canonical state (the sorted codes of the internal blocks, each its group
 multiplicities capped at 2 over the reference blocks that a later vertex still
 touches), keeping its leaf, block and exponent-zero counts, and refuses a
-graph past ``MAX_SCAN_STATES`` states.  The exponent-zero leaves are listed by
-one descent over the real labels and one sort, each built by
-``SetPartition.from_labels``, only when read or under a reference partition
-that fails the limit walk's test.
+graph past ``MAX_SCAN_STATES`` states.  Only a reference pair that has an
+exponent-zero leaf is put to the limit walk's rule (``_is_pseudo_cactus``),
+and its leaves are listed by one descent and one sort, built by
+``SetPartition.from_labels``, when read or if the pair fails that rule.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from functools import cache, lru_cache, reduce
 from math import lcm, prod
 from operator import or_
 
-from .graphs import TestGraph, W_LABEL, X_LABEL, check_reference_edges, is_connected, join_edge
+from .graphs import TestGraph, W_LABEL, X_LABEL, _union_find, check_reference_edges, join_edge
 from .hermite import Polynomial, _clip, _frac
 from .partitions import SetPartition, bell_number, restricted_growth_strings
 from .profiles import CellKernels, StepProfile, cell_kernels
@@ -180,13 +180,13 @@ def _read_reference(g: TestGraph) -> Reference:
     run from colour 2 to colour 1 are refused.
     """
     positions: tuple[list[int], list[int]] = ([], [])
-    rank = {}
+    index, rank = {}, {}
     for i, (v, c) in enumerate(g.vertices):
         if c not in (1, 2):
             raise ValueError("reference vertices must have color 1 or 2")
-        rank[v] = len(positions[c - 1])
+        index[v], rank[v] = i, len(positions[c - 1])
         positions[c - 1].append(i + 1)
-    if not is_connected(g):
+    if len(set(_union_find(range(len(index)), ((index[e.src], index[e.dst]) for e in g.edges)).values())) > 1:
         raise ValueError("reference graphs must be connected")
     check_reference_edges(g)
     return *positions, [(rank[e.dst], rank[e.src]) for e in g.edges]
@@ -304,6 +304,13 @@ def _pseudo_cacti(reference: Reference):
     for labels1 in restricted_growth_strings(len(targets)):
         m1 = max(labels1, default=-1) + 1
         yield from walk(0, 0, [[] for _ in range(m1 + len(sources))], [])
+
+
+def _is_pseudo_cactus(reference: Reference, targets: Sequence[int], sources: Sequence[int]) -> bool:
+    """Whether :func:`_pseudo_cacti` lists this label pair: its edges, joined by source then index (``join_edge``), put none on two cycles."""
+    m1, edges = max(targets, default=-1) + 1, sorted((s, k, t) for k, (t, s) in enumerate(reference[2]))
+    adj, cycles = [[] for _ in range(m1 + len(sources))], []
+    return not any(join_edge(adj, cycles, k, m1 + sources[s], targets[t]) for s, k, t in edges)
 
 
 def _class_key(leaf: tuple, label_id: list[int], intern: dict) -> int:
@@ -440,8 +447,8 @@ def limit_equivalent_sum(g: TestGraph, params: LimitParams) -> Fraction:
 class EtaScanReport:
     """Outcome of the exhaustive exponent scan of one reference graph.
 
-    ``violations`` lists the exponent-zero partitions whose reference blocks
-    are not a quotient that the limit walk (``_pseudo_cacti``) lists.
+    ``violations`` lists the exponent-zero partitions whose reference pair the
+    limit walk's rule (``_is_pseudo_cactus``) refuses: not a pseudo-cactus.
     """
 
     n_partitions: int
@@ -577,22 +584,22 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     never positive, and every exponent-zero quotient restricts to a
     reference partition that the limit walk (``_pseudo_cacti``) lists, that
     is to a pseudo-cactus.  The graph must pass ``_read_reference``, read
-    once for the walk and the test, and its labels be odd (even niches break
-    the parity arguments; their traces diverge); a walk past
-    ``MAX_SCAN_STATES`` states is a ValueError.
+    once for the walk and the test, and its labels be odd ints, not bools
+    (even niches break the parity arguments; their traces diverge); a walk
+    past ``MAX_SCAN_STATES`` states is a ValueError.
 
     ``n_partitions`` is the Bell-number count of split partitions, not the
     number that the pruned walk (``_scan_splits``) visits.  The walk gives
     the supported count, the largest block count (the exponent plus
-    ``_eta_offset``) and the exponent-zero count per reference pair.  Only
-    ``violations`` is built at once, from the pairs that the limit walk does
-    not list; ``eta_zero_partitions`` (:class:`_ScanLeaves`) builds its
-    leaves by the same rule when first read.
+    ``_eta_offset``) and the exponent-zero count per reference pair; only
+    those pairs are put to ``join_edge``'s rule (``_is_pseudo_cactus``).  Only
+    ``violations`` is built at once, from the pairs that fail it;
+    ``eta_zero_partitions`` (:class:`_ScanLeaves`) builds all leaves when first read.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")
     for e in ref.edges:
-        if not isinstance(e.label, int) or e.label < 1 or e.label > max_label:
+        if isinstance(e.label, bool) or not isinstance(e.label, int) or e.label < 1 or e.label > max_label:
             raise ValueError(f"edge {_clip(e.id)} needs an integer label in 1..{max_label}")
         if e.label % 2 == 0:
             raise ValueError("the exponent bound holds for odd labels only")
@@ -602,8 +609,8 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     offset = _eta_offset(ref)
     n_supported, max_blocks, roots = _scan_splits(reference, niches, offset)
     positions = (range(n_ref + 1, n_ref + n0 + 1), targets, sources)
-    pseudo_cacti = {leaf[:2] for leaf in _pseudo_cacti(reference)}
-    violations = list(_ScanLeaves({pair: root for pair, root in roots.items() if pair not in pseudo_cacti}, positions))
+    failing = {pair: root for pair, root in roots.items() if not _is_pseudo_cactus(reference, *pair)}
+    violations = list(_ScanLeaves(failing, positions))
     return EtaScanReport(
         n_partitions=bell_number(n0) * bell_number(len(targets)) * bell_number(len(sources)),
         n_supported=n_supported,

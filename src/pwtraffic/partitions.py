@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 #: Enumeration guard: Bell(12) is about 4.2 million.
@@ -97,6 +98,7 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
+@cache
 def bell_number(n: int) -> int:
     """Bell(n) via the triangle recurrence."""
     row = [1]

@@ -1,12 +1,12 @@
 """Graph definitions that only the tests use.
 
 Graph monomials (a test graph with input and output vertices), the cycles
-of a ``classify`` report in one list, edge lookup by id, the auxiliary
-(niche) graph of a reference graph (``build_auxiliary``) and its internal
-vertices, the coarsened reference restriction ``rho_tilde`` of a split
-quotient, and the exhaustive simple-cycle enumeration (``skeleton``,
-``simple_cycles``) behind ``classify_oracle``, the oracle of the edge-join
-``graphs.classify``.
+of a ``classify`` report in one list, edge lookup by id, connectivity
+(``is_connected``, on ``graphs._union_find``), the auxiliary (niche) graph
+of a reference graph (``build_auxiliary``) and its internal vertices, the
+coarsened reference restriction ``rho_tilde`` of a split quotient, and the
+exhaustive simple-cycle enumeration (``skeleton``, ``simple_cycles``)
+behind ``classify_oracle``, the oracle of the edge-join ``graphs.classify``.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from pwtraffic.graphs import (
     W_LABEL,
     X_LABEL,
     _check_split,
+    _union_find,
     _w_components,
     check_reference_edges,
-    is_connected,
 )
 from pwtraffic.partitions import SetPartition
 
@@ -53,6 +53,10 @@ def edge_by_id(g: TestGraph, eid: EdgeId) -> Edge:
         if e.id == eid:
             return e
     raise KeyError(eid)
+
+
+def is_connected(g: TestGraph) -> bool:
+    return len(set(_union_find(g.vertex_ids, ((e.src, e.dst) for e in g.edges)).values())) <= 1
 
 
 @dataclass(frozen=True)

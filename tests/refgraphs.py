@@ -7,7 +7,8 @@ labeled variants fold the labels into the canonical form.
 
 import itertools
 
-from pwtraffic.graphs import Edge, TestGraph, is_connected
+from graphs_oracle import is_connected
+from pwtraffic.graphs import Edge, TestGraph
 
 
 def _canonical(pairs, ns, nt, labels):
@@ -22,13 +23,17 @@ def _canonical(pairs, ns, nt, labels):
 
 def labeled_reference_graphs(max_edges, label_choices):
     """Yield (name, TestGraph) over connected shapes with <= max_edges edges
-    and every assignment of labels, each isomorphism class exactly once."""
+    and every assignment of labels, each isomorphism class exactly once.
+
+    Each multiset of edges is walked once, as its sorted edge list: a class's
+    first member in the order of all edge lists is sorted, since sorting an
+    edge list keeps its class and does not raise it."""
     seen = set()
     for n_edges in range(1, max_edges + 1):
         for ns in range(1, n_edges + 1):
             for nt in range(1, n_edges + 1):
-                for pairs in itertools.product(
-                    itertools.product(range(ns), range(nt)), repeat=n_edges
+                for pairs in itertools.combinations_with_replacement(
+                    itertools.product(range(ns), range(nt)), n_edges
                 ):
                     if {s for s, _ in pairs} != set(range(ns)):
                         continue

@@ -12,14 +12,13 @@ from pwtraffic.graphs import (
     classify,
     eta,
     has_centered_support,
-    is_connected,
     moment_cycle,
     quotient,
     single_edge,
     split_partitions,
 )
 from pwtraffic.partitions import SetPartition
-from graphs_oracle import all_cycles, build_auxiliary, classify_oracle, internal_vertices, rho_tilde, skeleton
+from graphs_oracle import all_cycles, build_auxiliary, classify_oracle, internal_vertices, is_connected, rho_tilde, skeleton
 from partitions_oracle import enumerate_set_partitions, restrict, singletons
 from refgraphs import labeled_reference_graphs
 

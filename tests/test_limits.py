@@ -398,6 +398,52 @@ def test_walk_leaves_are_the_pseudo_cactus_quotients_that_classify_finds():
     assert n_leaves > 0 and n_refused > 0
 
 
+def test_pseudo_cactus_test_agrees_with_the_limit_walk():
+    # the scan's per-pair test against the limit walk's listing, on every
+    # (targets, sources) pair of restricted-growth strings of the reference
+    # graphs of <= 5 edges
+    from pwtraffic.limits import _is_pseudo_cactus, _pseudo_cacti, _read_reference
+    from pwtraffic.partitions import restricted_growth_strings
+
+    n_pairs = n_refused = 0
+    for _, g in labeled_reference_graphs(5, [1]):
+        reference = _read_reference(g)
+        listed = {leaf[:2] for leaf in _pseudo_cacti(reference)}
+        for targets in restricted_growth_strings(len(reference[0])):
+            for sources in restricted_growth_strings(len(reference[1])):
+                ok = _is_pseudo_cactus(reference, targets, sources)
+                assert ok == ((targets, sources) in listed), (g.edges, targets, sources)
+                n_pairs += 1
+                n_refused += not ok
+    assert (n_pairs, n_refused) == (661, 381)
+
+
+def test_scan_tests_only_the_pairs_it_reached(monkeypatch):
+    # the scan lists no pseudo-cactus quotient: it tests each reference pair
+    # with an exponent-zero leaf once, 22 pairs over the 19 eta_scan graphs
+    from pwtraffic import limits
+
+    listings, tested = [], []
+    pseudo_cacti, is_pseudo_cactus = limits._pseudo_cacti, limits._is_pseudo_cactus
+    monkeypatch.setattr(limits, "_pseudo_cacti", lambda reference: listings.append(reference) or pseudo_cacti(reference))
+    monkeypatch.setattr(
+        limits, "_is_pseudo_cactus", lambda ref, t, s: tested.append((t, s)) or is_pseudo_cactus(ref, t, s)
+    )
+    graphs = [
+        g
+        for _, g in labeled_reference_graphs(2, [1, 3, 5])
+        if not (len(g.vertices) == 3 and all(e.label == 5 for e in g.edges))
+    ]
+    n_tested = 0
+    for g in graphs:
+        del tested[:]
+        rep = eta_support_scan(g)
+        reached = limits._scan_splits(limits._read_reference(g), [e.label for e in g.edges], limits._eta_offset(g))[2]
+        assert tested == list(reached) and rep.pseudo_cactus_ok
+        n_tested += len(tested)
+    assert (len(graphs), listings, n_tested) == (19, [], 22)
+
+
 def test_limit_values_reads_its_reference_graph_once(monkeypatch):
     import pwtraffic.limits as limits
 
@@ -591,6 +637,13 @@ def test_scan_guards():
         eta_support_scan(moment_cycle(3, 5))
 
 
+def test_scan_refuses_a_boolean_label():
+    # True is an int to isinstance, but not a niche size
+    g = TestGraph([("t", 1), ("s", 2)], [Edge("e", "s", "t", True)])
+    with pytest.raises(ValueError, match="edge 'e' needs an integer label in 1..5"):
+        eta_support_scan(g)
+
+
 def test_scan_rejects_color_0_reference_vertex():
     g = TestGraph([("u", 1), ("v", 2), ("z", 0)], [Edge("e", "v", "u", 3)], reference=True)
     with pytest.raises(ValueError, match="color 1 or 2"):
@@ -603,6 +656,7 @@ def test_scan_rejects_color_0_reference_vertex():
         ("wrong_way", "reference edges run from color 2 to color 1"),
         ("isolated_color_0", "reference vertices must have color 1 or 2"),
         ("disconnected", "reference graphs must be connected"),
+        ("disconnected_wrong_way", "reference graphs must be connected"),
     ],
 )
 def test_limit_and_scan_refuse_a_bad_reference_graph_alike(case, message):
@@ -614,9 +668,12 @@ def test_limit_and_scan_refuse_a_bad_reference_graph_alike(case, message):
             edges.append(Edge("f", "t", "s", label))
         elif case == "isolated_color_0":
             vertices.append(("z", 0))
-        else:
+        elif case == "disconnected":
             vertices += [("t2", 1), ("s2", 2)]
             edges.append(Edge("f", "s2", "t2", label))
+        else:  # the connectivity rule is read before the edge directions
+            vertices += [("t2", 1), ("s2", 2)]
+            edges.append(Edge("f", "t2", "s2", label))
         return TestGraph(vertices, edges)  # not tagged as a reference graph, so the wrong way can be built
 
     with pytest.raises(ValueError, match=message):
@@ -638,7 +695,8 @@ def test_tagged_graph_and_limit_refuse_a_backwards_edge_with_one_message():
 
 def test_limit_and_scan_read_an_untagged_graph_and_differ_on_an_edgeless_one():
     # a correctly directed graph needs no reference tag in either; an
-    # edgeless one-vertex graph is refused by the limit and scanned by the scan
+    # edgeless one-vertex graph is refused by the limit and scanned by the
+    # scan, as is the empty graph
     for label, run in ((H3, lambda g: limit_values(g, STEPPED)), (3, eta_support_scan)):
         tagged = single_edge(label)
         assert run(TestGraph(tagged.vertices, tagged.edges)) == run(tagged)
@@ -649,6 +707,9 @@ def test_limit_and_scan_read_an_untagged_graph_and_differ_on_an_edgeless_one():
         rep = eta_support_scan(lone)
         assert (rep.n_partitions, rep.n_supported, rep.max_eta, rep.pseudo_cactus_ok) == (1, 1, 0, True)
         assert rep.eta_zero_partitions == [SetPartition(1, ((1,),))] and rep.violations == []
+    rep = eta_support_scan(TestGraph([], []))
+    assert (rep.n_partitions, rep.n_supported, rep.max_eta, rep.pseudo_cactus_ok) == (1, 1, -1, True)
+    assert rep.eta_zero_partitions == [] and rep.violations == []
 
 
 def test_internal_block_count_identity():
@@ -1053,7 +1114,7 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
     # SetPartition.from_labels on the walk's sorted labels, in the same
     # order; on the 19 eta_scan graphs and the
     # 77 three-edge graphs within the old Bell-product guard.  No quotient here fails the
-    # pseudo-cactus test, so a stand-in limit walk lists only the quotients
+    # pseudo-cactus test, so a stand-in test passes only the quotients
     # with an odd vertex count, which puts about half of the leaves on the
     # violation list
     from pwtraffic import limits
@@ -1062,8 +1123,10 @@ def test_leaf_templates_match_labels_to_partition(monkeypatch):
     from pwtraffic.partitions import SetPartition
     from scan_oracle import within_bell_guard
 
-    pseudo_cacti = limits._pseudo_cacti
-    monkeypatch.setattr(limits, "_pseudo_cacti", lambda ref: (leaf for leaf in pseudo_cacti(ref) if leaf[2] % 2 == 1))
+    is_pseudo_cactus = limits._is_pseudo_cactus
+    monkeypatch.setattr(
+        limits, "_is_pseudo_cactus", lambda ref, t, s: is_pseudo_cactus(ref, t, s) and (max(t) + max(s) + 2) % 2 == 1
+    )
     graphs = [
         g
         for _, g in labeled_reference_graphs(2, [1, 3, 5])
@@ -1175,15 +1238,15 @@ def test_scan_descends_only_when_its_leaves_are_read(monkeypatch):
 
 
 def test_scan_with_no_listed_quotient_reports_every_leaf_as_a_violation(monkeypatch):
-    # a stand-in limit walk that lists no quotient fails every reference pair
-    # with an exponent-zero leaf, so the descent of the failing pairs must
-    # give exactly the oracle's exponent-zero partitions, in order, and the
-    # leaves are then read by a second descent
+    # a stand-in pseudo-cactus test that passes no quotient fails every
+    # reference pair with an exponent-zero leaf, so the descent of the failing
+    # pairs must give exactly the oracle's exponent-zero partitions, in order,
+    # and the leaves are then read by a second descent
     import scan_oracle
     from pwtraffic import limits
 
     descents = record_descents(monkeypatch)
-    monkeypatch.setattr(limits, "_pseudo_cacti", lambda reference: iter(()))
+    monkeypatch.setattr(limits, "_is_pseudo_cactus", lambda reference, targets, sources: False)
     checked, n_violations = 0, 0
     for _, g in labeled_reference_graphs(2, [1, 3, 5]):
         del descents[:]
