@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +108,8 @@ def resolve_graphs(config: dict) -> list[tuple[str, TestGraph]]:
     """
     spec = config.get("graph", "moment-1")
     specs = spec if isinstance(spec, list) else [spec]
+    if not specs:  # before any draw: an empty list would run every trial and report nothing
+        raise ConfigError("graph must list at least one graph, got []")
     labels = config.get("labels", "h1")
     out: list[tuple[str, TestGraph]] = []
     for item in specs:
@@ -291,8 +294,8 @@ def cmd_simulate(config: dict, map_fn=None) -> tuple[dict, int]:
     graphs = resolve_graphs(config)
     trials, seed = _trials_and_seed(config)
     report = _base_report("simulate", config, graphs)
-    gs = [g for _, g in graphs]
-    estimates = tau_estimates(gs, model_sampler(ensemble, distinct_labels(gs)), trials, seed, map_fn=map_fn)
+    gs = dict(graphs)  # keyed by name, so that an error names the config's graph
+    estimates = tau_estimates(gs, model_sampler(ensemble, distinct_labels(gs.values())), trials, seed, map_fn=map_fn)
     for (name, _), est in zip(graphs, estimates):
         report["records"].append(_estimate_record(name, est, ensemble, "tau_mc"))
     return report, EXIT_OK
@@ -344,10 +347,10 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     params = limit_params_of(ensemble)
     trials, seed = _trials_and_seed(config)
     report = _base_report("compare", config, graphs)
-    gs = [g for _, g in graphs]
+    gs = dict(graphs)
     # before sampling: a graph whose limit is refused fails fast
     exacts = [_fit_float(f"graph {_clip(name)}: the exact limit", lambda: limit_pw(g, params)) for name, g in graphs]
-    labels = distinct_labels(gs)
+    labels = distinct_labels(gs.values())
     model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     for (name, _), exact, est_y, est_eq in zip(graphs, exacts, model, equivalent):
@@ -478,32 +481,34 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     args = parser.parse_args(argv)
     started = time.monotonic()
-    try:
-        threads = _decimal(args.threads, "--threads must be an integer >= 1", minimum=1)
-        if args.command == "spectrum" and args.format == "csv" and not args.out:
-            raise ConfigError("spectrum --format csv needs --out: the histogram is written beside it as .hist.csv")
-        config = load_config(args.config)
-        trials, _ = _trials_and_seed(config)
-        kwargs = {}
-        if args.command == "spectrum":
-            kwargs["out_path"] = args.out
-        workers = min(threads, trials, MAX_WORKERS) if args.command in ("simulate", "compare") else 1
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
+    with warnings.catch_warnings():  # process-wide, so it reaches pool workers, as np.errstate would not
+        warnings.simplefilter("ignore", RuntimeWarning)  # each non-finite value meets an explicit check and one error: line
+        try:
+            threads = _decimal(args.threads, "--threads must be an integer >= 1", minimum=1)
+            if args.command == "spectrum" and args.format == "csv" and not args.out:
+                raise ConfigError("spectrum --format csv needs --out: the histogram is written beside it as .hist.csv")
+            config = load_config(args.config)
+            trials, _ = _trials_and_seed(config)
+            kwargs = {}
+            if args.command == "spectrum":
+                kwargs["out_path"] = args.out
+            workers = min(threads, trials, MAX_WORKERS) if args.command in ("simulate", "compare") else 1
+            if workers > 1:
+                from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)
-        else:
-            report, code = COMMANDS[args.command](config, **kwargs)
-        report["wall_clock_s"] = round(time.monotonic() - started, 6)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                _write_report(report, fh, args.format)
-        else:
-            _write_report(report, sys.stdout, args.format)
-    except (ConfigError, ValueError, KeyError, MemoryError, OSError) as exc:  # OSError: an unwritable --out
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    report, code = COMMANDS[args.command](config, map_fn=pool.map, **kwargs)
+            else:
+                report, code = COMMANDS[args.command](config, **kwargs)
+            report["wall_clock_s"] = round(time.monotonic() - started, 6)
+            if args.out:
+                with open(args.out, "w", newline="") as fh:
+                    _write_report(report, fh, args.format)
+            else:
+                _write_report(report, sys.stdout, args.format)
+        except (ConfigError, ValueError, KeyError, MemoryError, OSError) as exc:  # OSError: an unwritable --out
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     return code
 
 

@@ -3,15 +3,10 @@
 The limit of a reference graph labeled by odd polynomials is a finite sum
 over its split quotients whose image is a pseudo-cactus.  In such a
 quotient every strong component carries one channel: a table over the step
-cells (r, c) of its endpoints, built from the cell kernels
-K_l(r, c) = sum_inner mu * w(r, .)^l * x(., c)^l, mu the measures of the
-joint refinement of the inner cells, and from label-level Gaussian
-expectations at scale K_2.  Every exact value here reads these and the
-cell measures and w and x values from one ``profiles.CellKernels`` at N0 =
-lcm of the inner grid sizes (``_limit_kernels``): the limit tables are the
-finite ones at that size, built by the equivalents' own code.  This module
-and ``profiles`` import nothing of the sampler (``models``, ``traffic``) and
-no numpy.
+cells (r, c) of its endpoints, read from one ``profiles.CellKernels`` at N0
+= lcm of the inner grid sizes (``_limit_kernels``).  This module and
+``profiles`` import nothing of the sampler (``models``, ``traffic``) and no
+numpy.
 
 - a cut edge labeled h carries the deformation
   m3_w m3_x / 6 * K_3 * E[h'''(sqrt(K_2) xi)];
@@ -21,35 +16,21 @@ no numpy.
 - a longer cycle carries the linear star: psi0 times the star-centre table
   sum_c mu(c) prod_e w(d_e, c) x(c, s_e) E[h_e'(sqrt(K_2(d_e, s_e)) xi)].
 
-The tables are multiplied and integrated over the quotient-vertex cells and
-the star centres by one variable-elimination loop (``_eliminate``), which
-``delta0_graphon`` runs on a two-variable test graph with one w or x value
-table per edge.  One pruned walk (``_pseudo_cacti``) lists the
-pseudo-cactus split quotients, adding edges by ``classify``'s own rule
-(``graphs.join_edge``), and ``limit_values`` eliminates one quotient
-per isomorphism class (``_class_key``) and per distinct factor list, for
-all five limits: the full limit, the deterministic, linear and chaos limits
-(every component in that one channel), and their sum with one channel per
-strong component, which must reproduce the full limit for odd labels.  The
-sum is its own elimination: a 2-cycle's chaos table is the Wiener chaos
-series of its product moment (orders other than one) and its linear channel
-is the product of its two star tables over a centre of its own, so a fault
-in the kernels, the stars or the Gaussian expectations shows as a full
-limit that differs from the sum (the CLI's ``mismatch`` flag).  Everything
-is rational arithmetic.  Reference graphs are guarded at
-``MAX_LIMIT_EDGES`` = 12 edges, so the CLI's ``limit`` and ``compare`` run
-up to moment-6.
+``limit_values`` gives all five limits: the full limit, the deterministic,
+linear and chaos limits (every component in that one channel), and their
+sum with one channel per strong component, which must reproduce the full
+limit for odd labels.  The sum is its own elimination: a 2-cycle's chaos
+table is the Wiener chaos series of its product moment (orders other than
+one) and its linear channel is the product of its two star tables over a
+centre of its own, so a fault in the kernels, the stars or the Gaussian
+expectations shows as a full limit that differs from the sum (the CLI's
+``mismatch`` flag).  Everything is rational arithmetic.  Reference graphs
+are guarded at ``MAX_LIMIT_EDGES`` = 12 edges, so the CLI's ``limit`` and
+``compare`` run up to moment-6.
 
-The exponent scan (``eta_support_scan``) reads a reference graph once, with
-the limit walk's reader (``_read_reference``), and its niches off the labels.
-It walks the supported split partitions of the auxiliary graph once per
-canonical state (the sorted codes of the internal blocks, each its group
-multiplicities capped at 2 over the reference blocks that a later vertex still
-touches), keeping its leaf, block and exponent-zero counts, and refuses a
-graph past ``MAX_SCAN_STATES`` states.  Only a reference pair that has an
-exponent-zero leaf is put to the limit walk's rule (``_is_pseudo_cactus``),
-and its leaves are listed by one descent and one sort, built by
-``SetPartition.from_labels``, when read or if the pair fails that rule.
+The exponent scan (``eta_support_scan``) walks the supported split
+partitions of the auxiliary graph (``_scan_splits``) and lists their
+exponent-zero leaves only when read (``_ScanLeaves``).
 """
 
 from __future__ import annotations
@@ -352,8 +333,10 @@ def _quotient_values(labels: list, leaf: tuple, kernels: CellKernels, params: Li
     A cut edge offers its table under pw, B and sum; a 2-cycle under pw,
     lin, per and sum (under sum over a centre of its own); a longer cycle
     its star under pw, lin and sum.  A rule that some component does not
-    offer gets 0, any other the eliminated product of the tables, times psi0
-    per cycle and psi1, psi2 per quotient vertex of colour 1, 2.
+    offer gets 0, any other the product of the tables eliminated by
+    :func:`_eliminate`, times psi0 per cycle and psi1, psi2 per quotient
+    vertex of colour 1, 2.  Rules offered the same tables share one
+    elimination: pw, lin and sum on longer cycles, pw, B and sum on a tree.
     """
     _, _, n_vertices, m1, ends, cut_edges, cycles = leaf
     measures, psi, m3 = kernels.measures, params.psi, params.m3_w * params.m3_x / 6
@@ -384,10 +367,12 @@ def _quotient_values(labels: list, leaf: tuple, kernels: CellKernels, params: Li
 
 
 def limit_values(g: TestGraph, params: LimitParams) -> LimitValues:
-    """All five exact limits of ``g`` from one walk over its pseudo-cactus split quotients.
+    """All five exact limits of ``g`` from one walk over its pseudo-cactus split quotients (:func:`_pseudo_cacti`).
 
-    Values are computed once per isomorphism class, in a memo local to this
-    call; ``breakdown`` lists the quotients in ``split_partitions`` order.
+    A new isomorphism class (:func:`_class_key`) gets its values from
+    :func:`_quotient_values`.  The class memo is local to this call, so
+    clearing or patching ``profiles.cell_kernels`` leaves nothing stale.
+    ``breakdown`` lists the quotients in ``split_partitions`` order.
     """
     reference = _validate_reference(g)
     kernels = _limit_kernels(params)
@@ -588,13 +573,10 @@ def eta_support_scan(ref: TestGraph, max_label: int = 5) -> EtaScanReport:
     (even niches break the parity arguments; their traces diverge); a walk
     past ``MAX_SCAN_STATES`` states is a ValueError.
 
-    ``n_partitions`` is the Bell-number count of split partitions, not the
-    number that the pruned walk (``_scan_splits``) visits.  The walk gives
-    the supported count, the largest block count (the exponent plus
-    ``_eta_offset``) and the exponent-zero count per reference pair; only
-    those pairs are put to ``join_edge``'s rule (``_is_pseudo_cactus``).  Only
-    ``violations`` is built at once, from the pairs that fail it;
-    ``eta_zero_partitions`` (:class:`_ScanLeaves`) builds all leaves when first read.
+    ``n_partitions`` is the Bell-number count of split partitions, which the
+    walk (:func:`_scan_splits`) never enumerates.  Only a reference pair with
+    an exponent-zero leaf is put to :func:`_is_pseudo_cactus`; ``violations``
+    is built at once from the pairs that fail it.
     """
     if max_label > 5:
         raise ValueError("scan guarded at labels <= 5")

@@ -11,23 +11,14 @@ Sampling is deterministic per (ensemble, seed): every independent matrix is
 drawn from its own generator seeded by (seed, stream tag), so components can
 be built concurrently without sharing generator state.  ``model_sampler`` and
 ``equivalent_sampler`` build the per-trial families that the CLI and the
-tests feed to ``traffic.tau_estimates``.  Each trial makes its draws,
-products and equivalents as new arrays; the heap setting that ``traffic``
-makes when imported lets them reuse the pages the last trial freed.
+tests feed to ``traffic.tau_estimates``.
 
 The equivalents' coefficients depend only on (polynomial, ensemble), both
-frozen and hashable.  ``_equivalent_cells`` is the one cached plan per pair:
-the linear cells, the chaos orders whose cells are not all zero, and the
-deformation cells, computed as exact rationals per profile cell (step
-profiles have few cells) and fitted to floats in that order.  They come from
-``profiles.cell_kernels``, the one table of cell kernels K_2, K_3 and
-Gaussian expectations at scale K_2, which the exact limits read at N0 = lcm
-of the inner grid sizes; step profiles and the step-cell rule
-(``profiles._cell_slices``) live there too, apart from numpy.  Profiles and
-coefficients are applied to a sampled matrix in place (``_scale_cells``),
-one contiguous cell block at a time, so no realized profile matrix is
-built.  The cell-level second-moment scale is normalized by the inner
-dimension, so it equals 1 for constant profiles.
+frozen and hashable, and are planned once per pair (``_equivalent_cells``)
+from the ``profiles.CellKernels`` at N0.  Profiles and coefficients are
+applied to a sampled matrix in place (``_scale_cells``).  The cell-level
+second-moment scale is normalized by the inner dimension, so it equals 1
+for constant profiles.
 """
 
 from __future__ import annotations
@@ -143,7 +134,8 @@ def _scale_cells(a: np.ndarray, cells: Sequence[Sequence[float]]) -> np.ndarray:
 
     Entry for entry the product of ``a`` with the broadcast cell matrix,
     without building that matrix: one multiply per row cell, by that row's
-    cached vector over the columns (a factor of 1.0 changes no entry).
+    cached vector over the columns (a factor of 1.0 changes no entry), so no
+    strided cell block goes through numpy's buffered iterator.
     """
     for rs, vector in zip(_cell_slices(a.shape[0], len(cells)), _row_vectors(tuple(map(tuple, cells)), a.shape[1])):
         if vector is not None:
@@ -232,7 +224,9 @@ def power_sums(w: np.ndarray, x: np.ndarray, top: int) -> dict[int, np.ndarray]:
 
     The entrywise powers are built by repeated multiplication, in place from
     m = 3 on (``w`` and ``x`` are never written), so the table costs ``top``
-    matmuls, ``top`` result matrices and one pair of power buffers.
+    matmuls, ``top`` result matrices and one pair of power buffers.  The
+    matmuls are not row-tiled: a row-tiled OpenBLAS gemm is not
+    bit-identical to the full one.
     """
     w = np.asarray(w)
     x = np.asarray(x)
@@ -257,7 +251,8 @@ def inclusion_exclusion_terms(parts: tuple[int, ...]) -> tuple[tuple[int, tuple[
     blocks of (-1)^(|B|-1) (|B|-1)! times the product of u(block sum); terms
     with the same multiset of block sums are merged.  Returns
     (coefficient, non-increasing block sums) pairs with nonzero integer
-    coefficients, in first-seen order.
+    coefficients, in first-seen order.  For all-ones parts the coefficient of
+    a block type is the signed count of permutations of that cycle type.
     """
     grouped: dict[tuple[int, ...], int] = {}
     for labels in restricted_growth_strings(len(parts)):  # sigma: the block label of each part
@@ -285,8 +280,7 @@ def z_lambda(parts: tuple[int, ...], sums: dict[int, np.ndarray]) -> np.ndarray:
 
     ``sums`` is a :func:`power_sums` table of (W, X) up to at least
     ``sum(parts)``, shared across calls on the same matrices; never written.
-    Filled ``_ROW_TILE`` rows at a time, each entry by the whole-matrix
-    form's operations in order.
+    Filled ``_ROW_TILE`` rows at a time by :func:`_block_tile`.
     """
     if len(parts) > _MAX_Z_PARTS:
         raise ValueError(f"z_lambda guarded at {_MAX_Z_PARTS} parts, got {len(parts)}")
@@ -301,7 +295,11 @@ def z_lambda(parts: tuple[int, ...], sums: dict[int, np.ndarray]) -> np.ndarray:
 
 
 def _block_tile(parts: tuple[int, ...], u: dict[int, np.ndarray], acc: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Fill ``acc`` with the block sum over ``parts`` on the power-sum row views ``u``; later terms are built in ``buf``."""
+    """Fill ``acc`` with the block sum over ``parts`` on the power-sum row views ``u``; later terms are built in ``buf``.
+
+    The one rule that builds a block sum, on a tile of rows: each entry takes the whole-matrix form's operations in
+    order, so the result does not depend on where the tiles are cut.
+    """
     for k, (coeff, (head, *rest)) in enumerate(inclusion_exclusion_terms(parts)):
         term = np.multiply(u[head], u[rest[0]] if rest else coeff, out=buf[: len(acc)] if k else acc)
         for m in rest[1:]:
@@ -370,9 +368,10 @@ def decompose(h: Polynomial, sums: dict[int, np.ndarray], layout: BlockLayout) -
 
     ``sums`` is the :func:`power_sums` table of the layout's W and X up to
     at least max(h.degree, 1), never written.  The block sums are folded into
-    their parts one row tile at a time, so no full-size block sum is built;
-    then only S_1 = W@X is kept and the table is dropped before the Horner
-    step's scaled copy of S_1, which frees a table passed as a temporary.
+    their parts one :func:`_block_tile` at a time, so no full-size block sum
+    is built; then only S_1 = W@X is kept and the table is dropped before the
+    Horner step's scaled copy of S_1, which frees a table passed as a
+    temporary.
     """
     terms = check_decompose_label(h)
     if any(m not in sums for m in range(1, max(h.degree, 1) + 1)) or sums[1].shape != (layout.N1, layout.N2):
@@ -429,8 +428,9 @@ def _equivalent_cells(h: Polynomial, ensemble: ProfiledEnsemble) -> EquivalentCe
     ``deformation`` m3 lambda_3 E[h^(3)(mu xi)] / 6, or None when m3 or
     h^(3) vanishes.  The order-m chaos cell is mu^m E[h^(m)(mu xi)]/m!, the
     m-th Hermite coefficient of t -> h(t mu), times the noise scale
-    sqrt(psi0 * m!).  The tables are fitted to floats in this order, cell by
-    cell, so a ValueError names the first table and cell past the float range.
+    sqrt(psi0 * m!).  Each cell is computed exactly, and the tables are fitted
+    to floats in this order, so a ValueError names the first table and cell
+    past the float range.
     """
     kernels = cell_kernels(ensemble.profile_w, ensemble.profile_x, ensemble.layout.N0)
 

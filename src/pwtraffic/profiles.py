@@ -1,9 +1,7 @@
 """Step variance profiles and their exact cell tables, in rational arithmetic and without numpy.
 
-``_cell_slices`` is the one rule that puts a position in a step cell.  ``cell_kernels`` builds the one table of
-cell measures, w and x values, cell kernels K_2, K_3 and Gaussian expectations at scale K_2, which the equivalents
-(``models``, which applies profiles to sampled matrices) read at N0 and the exact limits (``limits``) at N0 = lcm
-of the inner grid sizes.
+``_cell_slices`` is the one rule that puts a position in a step cell, and :class:`CellKernels` the one table of
+exact cell values, which the equivalents (``models``) and the exact limits (``limits``) share.
 """
 
 from __future__ import annotations
@@ -96,10 +94,12 @@ class CellKernels:
     (:func:`cell_overlaps`, count over ``total``), colours 1 and 2 the
     uniform w-row and x-column cells.  ``w_table`` maps (w-row cell, run) to
     w, ``x_table`` (run, x-column cell) to x, and ``k2``, ``k3`` each (w-row
-    cell, x-column cell) to K_l(r, c) = sum_z mu(z) w(r, z)^l x(z, c)^l.  The
-    equivalents read them at total = N0, the exact limits at total = the lcm
-    of the two inner grid sizes, where the run measures are those of the
-    joint refinement: the limit tables are the finite ones at that size.
+    cell, x-column cell) to K_l(r, c) = sum_z mu(z) w(r, z)^l x(z, c)^l, and
+    :meth:`expect` and :meth:`deformation` give the Gaussian expectations at
+    scale K_2.  The equivalents read them at total = N0, the exact limits at
+    total = the lcm of the two inner grid sizes, where the run measures are
+    those of the joint refinement: the limit tables are the finite ones at
+    that size, built by the equivalents' own code.
     """
 
     def __init__(self, profile_w: StepProfile, profile_x: StepProfile, total: int) -> None:

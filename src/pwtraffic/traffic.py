@@ -4,13 +4,9 @@ The exact combinatorial trace enumerates every split vertex labeling, with
 early termination on zero partial products, and has no other mode; a naive
 all-maps loop in the tests is its oracle.  Scalars stay exact (Python ints,
 Fractions) whenever the input matrices are exact.  Sampled traces are one
-einsum contraction each, run step by step so that a repeated pairwise
-product is computed once, and checked against the enumeration.
-
-A Monte Carlo trial frees and remakes the same float matrices, so importing
-this module tells glibc to keep freed heap memory in the process
-(:func:`_keep_freed_heap`): a warm trial's matrices land on pages it has
-already touched.
+einsum contraction each (:func:`_contract`), checked against the
+enumeration.  Importing this module changes two glibc heap settings for the
+whole process (:func:`_keep_freed_heap`).
 """
 
 from __future__ import annotations
@@ -22,11 +18,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .graphs import TestGraph
+from .hermite import _clip
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -45,7 +42,8 @@ def _keep_freed_heap() -> bool:
     threshold took: set alone, it would freeze glibc's dynamic mmap
     threshold where it stands (128 KiB at start).  True when both took;
     False, doing nothing, off Linux or where the C library has no
-    ``mallopt``.
+    ``mallopt``.  The settings hold for every library in the process, and no
+    drawn number, trace or report depends on them.
     """
     if not sys.platform.startswith("linux"):
         return False
@@ -224,7 +222,10 @@ def _contract(g: TestGraph, family: MatrixFamily) -> np.ndarray:
     keyed by its canonical subscripts and its operand tokens (a label and a
     diagonal flag for a leaf, the making step's key and axis permutation
     for an intermediate), so a repeated subexpression, such as the Grams of
-    a moment cycle, is computed once and reused as a transposed view.
+    a moment cycle, is computed once and reused as a transposed view.  A
+    reused or canonically ordered intermediate can have another memory
+    layout than the memo-free einsum's, which can change the last bit of a
+    later step's sum; on the moment cycles the two agree bit for bit.
     """
     if len(g.vertices) > len(_LETTERS):
         raise ValueError(f"einsum contraction supports at most {len(_LETTERS)} vertices")
@@ -275,7 +276,7 @@ class TauEstimate:
 
 
 def tau_estimates(
-    graphs: Sequence[TestGraph],
+    graphs: Sequence[TestGraph] | Mapping[str, TestGraph],
     sampler: Callable[[np.random.Generator], MatrixFamily],
     trials: int,
     seed: int,
@@ -291,11 +292,13 @@ def tau_estimates(
     sqrt(trials), None for a single trial.  map_fn lets a harness run
     trials concurrently (e.g. an executor's map); it must preserve order.
     It sees every trial's row of per-graph values, so a caller that wants
-    the per-trial values records them there.
+    the per-trial values records them there.  An error names a graph by its
+    key when ``graphs`` maps names to graphs, else by its index.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    graphs = list(graphs)
+    named = dict(graphs) if isinstance(graphs, Mapping) else dict(enumerate(graphs))
+    graphs = list(named.values())
 
     def one_trial(t: int) -> list[float]:
         family = sampler(np.random.default_rng([seed, t]))
@@ -303,11 +306,11 @@ def tau_estimates(
 
     rows = list((map_fn or map)(one_trial, range(trials)))
     out = []
-    for k in range(len(graphs)):
+    for k, name in enumerate(named):
         values = [row[k] for row in rows]
         mean = sum(values) / trials
-        if not math.isfinite(mean):  # a non-finite trace, or a sum past the float range
-            raise ValueError(f"graph {k} ({graphs[k]!r}): the Monte Carlo mean is not a finite float")
+        if not math.isfinite(mean):  # a non-finite trace or a sum past the float range; stdev raises on an inf
+            raise ValueError(f"graph {_clip(name)}: the Monte Carlo mean is not a finite float")
         se = None if trials == 1 else statistics.stdev(values) / math.sqrt(trials)
         out.append(TauEstimate(mean=mean, std_error=se, trials=trials, seed=seed))
     return out

@@ -941,6 +941,50 @@ def test_pairwise_standard_error_past_float_range_exits_2_with_one_line(tmp_path
     assert "graph 'moment-1': the pairwise standard error does not fit a float" in err
 
 
+def test_non_finite_monte_carlo_names_the_config_graph(tmp_path, capsys):
+    # the line named the graph by its index and repr: "graph 1 (TestGraph(4 vertices, 4 edges))"
+    cfg = base_config(graph=["moment-1", "moment-2"], labels="h3", trials=3)
+    cfg["ensemble"].update(N0=4, N1=3, N2=5, profile_w=[[10**30]])
+    err = assert_exit_2_with_one_line(capsys, ["simulate", "--config", write_config(tmp_path, cfg)])
+    assert err == "error: graph 'moment-2': the Monte Carlo mean is not a finite float\n", err
+    cfg = base_config(graph=[single_edge_graph(LONG)], labels={"p": "h3"}, trials=3)
+    cfg["ensemble"].update(N0=4, N1=3, N2=5, profile_w=[["1e200"]])
+    err = assert_exit_2_with_one_line(capsys, ["simulate", "--config", write_config(tmp_path, cfg)])
+    assert err == f"error: graph {_clip(LONG)}: the Monte Carlo mean is not a finite float\n", err
+
+
+@pytest.mark.parametrize("command, threads", [("simulate", "1"), ("simulate", "2"), ("decompose", "1")])
+def test_a_non_finite_run_writes_one_stderr_line(tmp_path, command, threads):
+    # numpy's overflow RuntimeWarnings came before the error: line, from the
+    # pool's workers too at --threads 2; run in a new interpreter, where no
+    # test filter hides them
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import pwtraffic
+
+    cfg = base_config(graph=["moment-1", "moment-2"], labels="h3", trials=3)
+    cfg["ensemble"].update(N0=4, N1=3, N2=5, profile_w=[["1e100"]])
+    argv = ["-m", "pwtraffic.cli", command, "--config", write_config(tmp_path, cfg), "--threads", threads]
+    env = {**os.environ, "PYTHONPATH": str(Path(pwtraffic.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_VALIDATION and run.stderr.startswith("error: "), run.stderr
+    assert run.stderr.count("\n") == 1, run.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "limit"])
+def test_an_empty_graph_list_exits_2_before_any_draw(tmp_path, capsys, monkeypatch, command):
+    # "graph": [] drew every trial and wrote "records": [] with exit 0
+    from pwtraffic.models import ProfiledEnsemble
+
+    draws = []
+    monkeypatch.setattr(ProfiledEnsemble, "draw", lambda *args: draws.append(args))
+    err = assert_exit_2_with_one_line(capsys, [command, "--config", write_config(tmp_path, base_config(graph=[]))])
+    assert "graph must list at least one graph" in err and draws == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "decompose"])
 def test_profile_past_float_range_exits_2_with_one_line(tmp_path, capsys, command):
