@@ -168,18 +168,9 @@ def _fields(obj, owner: str, *keys: str) -> tuple:
 
 def _graph_echo(g: TestGraph) -> dict:
     return {
-        "vertices": [{"id": _jsonable(v), "color": c} for v, c in g.vertices],
-        "edges": [
-            {"id": _jsonable(e.id), "src": _jsonable(e.src), "dst": _jsonable(e.dst), "label": _poly_echo(e.label)}
-            for e in g.edges
-        ],
+        "vertices": [{"id": v, "color": c} for v, c in g.vertices],
+        "edges": [{"id": e.id, "src": e.src, "dst": e.dst, "label": _poly_echo(e.label)} for e in g.edges],
     }
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return list(_jsonable(v) for v in x)
-    return x
 
 
 def load_config(path: str) -> dict:
@@ -332,7 +323,7 @@ def cmd_limit(config: dict, map_fn=None) -> tuple[dict, int]:
         }
         if want_breakdown:
             record["per_quotient_breakdown"] = [
-                {"partition": term.partition.to_json(), "value": str(term.value)} for term in values.breakdown
+                {"partition": term.partition.blocks, "value": str(term.value)} for term in values.breakdown
             ]
         if values.pw != values.sum:
             flagged = True
@@ -354,17 +345,15 @@ def cmd_compare(config: dict, map_fn=None) -> tuple[dict, int]:
     model = tau_estimates(gs, model_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     equivalent = tau_estimates(gs, equivalent_sampler(ensemble, labels), trials, seed, map_fn=map_fn)
     for (name, _), exact, est_y, est_eq in zip(graphs, exacts, model, equivalent):
-        rec_y = _estimate_record(name, est_y, ensemble, "tau_mc_model")
-        rec_y.update({"exact": exact, "z_score": _z_score(est_y.mean, exact, est_y.std_error)})
-        rec_eq = _estimate_record(name, est_eq, ensemble, "tau_mc_equivalent")
-        rec_eq.update({"exact": exact, "z_score": _z_score(est_eq.mean, exact, est_eq.std_error)})
+        for estimator, est in (("tau_mc_model", est_y), ("tau_mc_equivalent", est_eq)):
+            record = _estimate_record(name, est, ensemble, estimator)
+            record.update({"exact": exact, "z_score": _z_score(est.mean, exact, est.std_error)})
+            report["records"].append(record)
         pair_se = None
         if est_y.std_error is not None and est_eq.std_error is not None:
             pair_se = _fit_float(
                 f"graph {_clip(name)}: the pairwise standard error", lambda: (est_y.std_error**2 + est_eq.std_error**2) ** 0.5
             )
-        report["records"].append(rec_y)
-        report["records"].append(rec_eq)
         report["records"].append(
             {
                 "graph_id": name,
@@ -458,6 +447,7 @@ COMMANDS = {
 
 
 def _write_report(report: dict, out, fmt: str) -> None:
+    """Write ``report`` as JSON or CSV; these forms are the contract (the dict may hold tuples where they hold arrays)."""
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2, default=str)
         out.write(text + "\n")

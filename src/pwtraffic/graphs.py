@@ -58,8 +58,7 @@ class TestGraph:
         self.edges: tuple[Edge, ...] = tuple(es)
         if len({e.id for e in self.edges}) != len(self.edges):
             raise ValueError("duplicate edge ids")
-        self.is_reference = bool(reference)
-        if self.is_reference:
+        if reference:
             check_reference_edges(self)
 
     # -- basic views ------------------------------------------------------
@@ -156,7 +155,7 @@ def quotient(g: TestGraph, pi: SetPartition) -> TestGraph:
         for x in b:
             member_to_block[order[x - 1]] = vid
     new_edges = [Edge(e.id, member_to_block[e.src], member_to_block[e.dst], e.label) for e in g.edges]
-    return TestGraph(new_vertices, new_edges, reference=False)
+    return TestGraph(new_vertices, new_edges)
 
 
 # -- cycles and the cactus family -------------------------------------------
@@ -239,7 +238,7 @@ def classify(g: TestGraph) -> StrongComponentReport:
 
 def single_edge(label) -> TestGraph:
     """One edge from a color-2 source to a color-1 target."""
-    return TestGraph([("out", 1), ("in", 2)], [Edge("e", "in", "out", label)], reference=True)
+    return TestGraph([("out", 1), ("in", 2)], [Edge("e", "in", "out", label)])
 
 
 def moment_cycle(k: int, label) -> TestGraph:
@@ -255,7 +254,7 @@ def moment_cycle(k: int, label) -> TestGraph:
     for i in range(k):
         edges.append(Edge(("e", i, 0), ("v", i), ("u", i), label))
         edges.append(Edge(("e", i, 1), ("v", i), ("u", (i + 1) % k), label))
-    return TestGraph(vertices, edges, reference=True)
+    return TestGraph(vertices, edges)
 
 
 # -- auxiliary (niche) graphs: ``aux.reference`` and its expansion ``aux.graph`` --

@@ -102,16 +102,6 @@ def _hermite_power_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _hermite_to_power(herm: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * len(herm)
-    for n, c in enumerate(herm):
-        if c == 0:
-            continue
-        for k, g in enumerate(_hermite_power_coeffs(n)):
-            out[k] += c * g
-    return _trim(out)
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Immutable univariate polynomial, stored in the power basis.
@@ -172,7 +162,14 @@ def hermite(n: int) -> Polynomial:
 
 def from_hermite(hermite_coeffs: Iterable[Rational]) -> tuple[Fraction, ...]:
     """Power-basis coefficients of sum_n c_n g_n, given the c_n."""
-    return _hermite_to_power([_frac(c) for c in hermite_coeffs])
+    herm = [_frac(c) for c in hermite_coeffs]
+    out = [Fraction(0)] * len(herm)
+    for n, c in enumerate(herm):
+        if c == 0:
+            continue
+        for k, g in enumerate(_hermite_power_coeffs(n)):
+            out[k] += c * g
+    return _trim(out)
 
 
 def expect_scaled(p: Polynomial, mu_sq: Fraction) -> Fraction:

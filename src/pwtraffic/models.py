@@ -311,7 +311,7 @@ def _block_tile(parts: tuple[int, ...], u: dict[int, np.ndarray], acc: np.ndarra
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decomposition:
     """Split of a sampled matrix into linear, perturbative, deformation and
     remainder components; the four sum back to the full matrix ``total``

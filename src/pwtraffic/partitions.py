@@ -61,9 +61,6 @@ class SetPartition:
                 out[x] = i
         return out
 
-    def to_json(self) -> list[list[int]]:
-        return [list(b) for b in self.blocks]
-
 
 def label_blocks(positions: Iterable[int], labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The blocks that the RGS ``labels`` make of the ascending ``positions``, in label order."""

@@ -82,9 +82,6 @@ class StepProfile:
     def n_col_cells(self) -> int:
         return len(self.grid[0])
 
-    def value(self, r: int, c: int) -> Fraction:
-        return self.grid[r][c]
-
 
 class CellKernels:
     """The exact cell tables of a profile pair over ``total`` inner positions.
@@ -110,8 +107,8 @@ class CellKernels:
             1: (Fraction(1, n_rows),) * n_rows,
             2: (Fraction(1, n_cols),) * n_cols,
         }
-        self.w_table = {(r, z): profile_w.value(r, cw) for r in range(n_rows) for z, (_, (cw, _)) in enumerate(runs)}
-        self.x_table = {(z, c): profile_x.value(rx, c) for z, (_, (_, rx)) in enumerate(runs) for c in range(n_cols)}
+        self.w_table = {(r, z): profile_w.grid[r][cw] for r in range(n_rows) for z, (_, (cw, _)) in enumerate(runs)}
+        self.x_table = {(z, c): profile_x.grid[rx][c] for z, (_, (_, rx)) in enumerate(runs) for c in range(n_cols)}
         w, x, inner = self.w_table, self.x_table, tuple(enumerate(self.measures[0]))
         cells = [(r, c) for r in range(n_rows) for c in range(n_cols)]
         self.k2, self.k3 = (

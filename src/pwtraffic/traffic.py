@@ -80,7 +80,7 @@ class BlockLayout:
         return Fraction(self.size(block), self.N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledMatrix:
     """Rectangular matrix with its source and target block indices.
 

@@ -128,7 +128,7 @@ def delta0_graphon_oracle(g: TestGraph, params: LimitParams) -> Fraction:
         profile = profiles[e.label]
         rows = coarse[(e.dst, e.label, "row")]
         cols = coarse[(e.src, e.label, "col")]
-        table = {(cd, cs): profile.value(r, c) for cd, r in enumerate(rows) for cs, c in enumerate(cols)}
+        table = {(cd, cs): profile.grid[r][c] for cd, r in enumerate(rows) for cs, c in enumerate(cols)}
         factors.append(((e.dst, e.src), table))
     return eliminate_oracle(domains, factors)
 

@@ -44,7 +44,7 @@ def realized_profile(profile: StepProfile, rows: int, cols: int) -> np.ndarray:
 
     return np.array(
         [
-            [float(profile.value(cell(i, rows, profile.n_row_cells), cell(j, cols, profile.n_col_cells))) for j in range(1, cols + 1)]
+            [float(profile.grid[cell(i, rows, profile.n_row_cells)][cell(j, cols, profile.n_col_cells)]) for j in range(1, cols + 1)]
             for i in range(1, rows + 1)
         ]
     )

@@ -9,6 +9,7 @@ from pwtraffic.graphs import (
     Edge,
     NonSplitPartitionError,
     TestGraph,
+    check_reference_edges,
     classify,
     eta,
     has_centered_support,
@@ -312,7 +313,7 @@ def test_moment_cycle_shapes():
     assert len(m2.vertices) == 4 and len(m2.edges) == 4
     rep = classify(m2)
     assert rep.long_cycles and len(rep.long_cycles[0]) == 4
-    assert m2.is_reference
+    check_reference_edges(m2)
 
 
 def test_is_connected():

@@ -1,5 +1,6 @@
 """Ensemble, block-sum and equivalent-construction tests."""
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -29,7 +30,7 @@ from pwtraffic.models import (
     z_lambda,
 )
 from pwtraffic.profiles import StepProfile
-from pwtraffic.traffic import BlockLayout, tau_estimates
+from pwtraffic.traffic import BlockLayout, MatrixFamily, tau_estimates
 import decompose_oracle
 from hermite_oracle import hermite_coeffs
 from models_oracle import equivalent_def, equivalent_per, per_noise_family, realized_profile, unit_skewed_law
@@ -352,6 +353,19 @@ def test_decompose_reassembles_exactly():
         assert np.abs(d.reassembled() - y).max() < 1e-10 * max(1.0, np.abs(y).max())
 
 
+def test_array_holders_compare_and_hash_by_identity():
+    # a field-wise == on numpy arrays would raise "truth value ... is
+    # ambiguous", and a field-wise hash TypeError
+    rng, lay = np.random.default_rng(0), BlockLayout(4, 3, 5)  # not RNG, so later tests draw what they drew before
+    w, x = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
+    d = decompose(monomial(3), power_sums(w, x, 3), lay)
+    labeled = MatrixFamily(lay).add("W", w, 0, 1).items["W"]
+    for holder in (d, labeled):
+        twin = copy.deepcopy(holder)
+        assert holder == holder and holder != twin
+        assert hash(holder) == hash(holder) and len({holder, twin}) == 2
+
+
 def test_decompose_g7_matches_oracle_decomposition():
     # the reference sums ungrouped z_lambda_oracle block sums, none of decompose's own
     lay = BlockLayout(20, 18, 22)
@@ -613,7 +627,7 @@ def position_kernel(profile_w, profile_x, n0, ell):
     kw, kx = profile_w.n_col_cells, profile_x.n_row_cells
     cells = [(-(-(d + 1) * kw // n0) - 1, -(-(d + 1) * kx // n0) - 1) for d in range(n0)]
     return {
-        (r, c): sum(Fraction(1, n0) * profile_w.value(r, cw) ** ell * profile_x.value(rx, c) ** ell for cw, rx in cells)
+        (r, c): sum(Fraction(1, n0) * profile_w.grid[r][cw] ** ell * profile_x.grid[rx][c] ** ell for cw, rx in cells)
         for r in range(profile_w.n_row_cells)
         for c in range(profile_x.n_col_cells)
     }
@@ -630,7 +644,7 @@ def interval_kernel(profile_w, profile_x, ell):
     """Oracle: the limit K_ell per cell, integrated over the refined intervals."""
     inner = interval_refinement(profile_w.n_col_cells, profile_x.n_row_cells)
     return {
-        (r, c): sum(m * profile_w.value(r, cw) ** ell * profile_x.value(rx, c) ** ell for m, cw, rx in inner)
+        (r, c): sum(m * profile_w.grid[r][cw] ** ell * profile_x.grid[rx][c] ** ell for m, cw, rx in inner)
         for r in range(profile_w.n_row_cells)
         for c in range(profile_x.n_col_cells)
     }

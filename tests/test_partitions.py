@@ -128,5 +128,5 @@ def test_set_partition_validation():
 
 def test_serialization():
     pi = SetPartition.from_blocks(4, [[4, 3], [2, 1]])
-    assert pi.to_json() == [[1, 2], [3, 4]]
+    assert pi.blocks == ((1, 2), (3, 4))
     assert SetPartition.from_blocks(4, [[1, 2], [3, 4]]) == pi

@@ -13,6 +13,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -132,3 +134,20 @@ def test_deterministic_workload_passes_its_pinned_checks(tmp_path, name):
     state.update(wl.setup(state))
     problems = wl.check(state, wl.run(state, None, str(tmp_path)), pins)
     assert len(problems) == wl.n_operations(inputs) and not any(problems), problems
+
+
+def test_the_cli_import_loads_every_traced_module():
+    """``Tracer.install`` looks each layer's module up in ``sys.modules``
+    after a workload's set-up, which imports ``pwtraffic.cli`` alone (and
+    ``limits`` and ``graphs`` for ``eta_scan``), so that import must load
+    every ``LAYERS`` module.  The numpy-free ``limit`` that ROADMAP.md plans
+    has ``cli`` import its samplers lazily, which breaks this: it must wait
+    until the benchmark child's set-up imports the traced modules itself.
+    """
+    modules = sorted({module_name for _, module_name, _ in LAYERS})
+    probe = f"import sys, pwtraffic.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    src = str(PERFBENCH.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + os.environ["PYTHONPATH"] if os.environ.get("PYTHONPATH") else "")}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", f"not loaded by import pwtraffic.cli: {proc.stdout.strip()}"
